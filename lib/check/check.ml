@@ -165,7 +165,7 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     codec_ds @ Numeric_check.probe_mixed_solve ~apply ~b ()
   in
   (* the launch plans the multicore kernel engine actually runs: the
-     default-chunk BLAS-1 geometry and the Mobius slice launch, both
+     default-chunk BLAS-1 geometry and the Mobius site launch, both
      with the deterministic ordered reduction *)
   let pool_ds =
     let pool = Util.Pool.get_default () in
@@ -177,7 +177,7 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
           ~chunk:(Util.Pool.default_chunk pool n) ();
         Pool_check.plan ~reduction:Pool_check.Ordered ~kernel:"norm2" ~n
           ~domains:d ~chunk:(Util.Pool.default_chunk pool n) ();
-        Pool_check.plan ~kernel:"mobius_hop_slices" ~n:16 ~domains:1 ~chunk:1 ();
+        Pool_check.plan ~kernel:"mobius_hop_sites" ~n:256 ~domains:1 ~chunk:256 ();
       ]
   in
   (* the fused BLAS-1 plans the ~fused solvers actually run: the CG

@@ -552,10 +552,11 @@ let cg_deflate ?(n = 1 lsl 16) ?(rank = 4) ?geometry () =
     ~steps:(dots @ (axpy :: refresh))
     "deflate"
 
-(* The Mobius 5D hop parallelizes over s-slices: n counts slices, the
-   canonical launch is one chunk per slice. *)
-let mobius_hop ?(l5 = 16) () =
-  plan ~n:l5
+(* The Mobius 5D hop is one stencil launch partitioned over 4D sites
+   (every s-slice of a site on one lane): n counts sites, the canonical
+   serial launch is one chunk. *)
+let mobius_hop ?(n4 = 256) () =
+  plan ~n:n4
     ~buffers:
       [
         buffer ~prec:Double "u";
@@ -565,9 +566,9 @@ let mobius_hop ?(l5 = 16) () =
     ~steps:
       [
         Launch
-          (kernel ~geometry:(1, 1) ~sweeps:1
+          (kernel ~geometry:(1, n4) ~sweeps:1
              ~args:[ ("u", r_); ("src", r_); ("dst", w_) ]
-             "mobius_hop_slices");
+             "mobius_hop_sites");
       ]
     "mobius-hop"
 

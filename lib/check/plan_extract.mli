@@ -104,9 +104,9 @@ val cg_deflate : ?n:int -> ?rank:int -> ?geometry:int * int -> unit -> Plan_ir.p
     amortizes over the campaign, not per iteration); PLAN001/002 still
     vet the basis reads and the apply's dst. *)
 
-val mobius_hop : ?l5:int -> unit -> Plan_ir.plan
-(** Pooled stencil launches; [mobius_hop] parallelizes over s-slices
-    ([n] counts slices, one chunk per slice). *)
+val mobius_hop : ?n4:int -> unit -> Plan_ir.plan
+(** Pooled stencil launches; [mobius_hop] partitions 4D sites ([n]
+    counts sites; every s-slice of a site runs on one lane). *)
 
 val pooled_axpy : ?n:int -> ?geometry:int * int -> unit -> Plan_ir.plan
 

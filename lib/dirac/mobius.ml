@@ -47,77 +47,80 @@ let fps = Gamma.floats_per_site
 let () =
   assert (Gamma.gamma5_diag = [| 1.; 1.; -1.; -1. |])
 
+(* ---- field checks, once per public call ---- *)
+
+let check_fields name ~len fields =
+  List.iter
+    (fun f ->
+      if Linalg.Field.length f <> len then
+        invalid_arg
+          (Printf.sprintf "%s: field of %d floats, expected %d" name
+             (Linalg.Field.length f) len))
+    fields
+
+let check_no_alias name ~srcs ~dsts =
+  List.iter
+    (fun d ->
+      if List.exists (Linalg.Fused.same_data d) srcs then
+        invalid_arg (name ^ ": src and dst alias"))
+    dsts
+
 (* ---- M5d: the 4D-site-diagonal, s-coupled part ---- *)
 
-(* dst_s = a src_s + b (P- src_{s+1} + P+ src_{s-1}), corner factors -m.
-   [n4] is the number of 4D sites per slice. No aliasing. *)
-let apply_m5 p ~n4 ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
-  let a = diag_a p and b = diag_b p in
-  let m = p.mass in
-  let l5 = p.l5 in
+type coupling = M5d | Phi
+
+(* dst_s = diag src_s + off (P- src_{s+1} + P+ src_{s-1}) on 4D sites
+   [lo, hi) of every slice, corner factors -m·off: M5d has (diag, off)
+   = (a, b), the hopping term's s-combination Phi has (b5, c5).
+
+   [dagger] gives the adjoint. With U the up-shift (reads s+1, corner
+   -m at s = L-1 from slice 0) and D the down-shift (reads s-1, corner
+   -m at s = 0 from slice L-1), M5d = a + b (P- U + P+ D) and U^dag =
+   D, so M5d^dag = a + b (P- D + P+ U): the chirality-to-shift
+   association swaps. No aliasing. *)
+let chiral_mix coupling ~dagger p ~n4 ~(src : Linalg.Field.t)
+    ~(dst : Linalg.Field.t) lo hi =
+  let diag = match coupling with M5d -> diag_a p | Phi -> p.b5 in
+  let off = match coupling with M5d -> diag_b p | Phi -> p.c5 in
+  let corner = -.p.mass *. off in
+  let l5 = p.l5 and stride = n4 * fps in
   for s = 0 to l5 - 1 do
-    let base = s * n4 * fps in
-    (* + chirality: source slice s-1 (corner: -m * slice l5-1) *)
-    let up_base, up_scale =
-      if s = 0 then ((l5 - 1) * n4 * fps, -.m *. b) else ((s - 1) * n4 * fps, b)
-    in
-    (* - chirality: source slice s+1 (corner: -m * slice 0) *)
-    let dn_base, dn_scale =
-      if s = l5 - 1 then (0, -.m *. b) else ((s + 1) * n4 * fps, b)
-    in
-    for site = 0 to n4 - 1 do
-      let o = base + (site * fps) in
-      let ou = up_base + (site * fps) in
-      let od = dn_base + (site * fps) in
-      (* spins 0,1 = 12 floats of + chirality *)
+    let prev = if s = 0 then l5 - 1 else s - 1 in
+    let next = if s = l5 - 1 then 0 else s + 1 in
+    (* + chirality (spins 0,1) reads slice s-1, - chirality s+1 *)
+    let plus = if dagger then next else prev in
+    let minus = if dagger then prev else next in
+    let plus_scale = if (if dagger then s = l5 - 1 else s = 0) then corner else off in
+    let minus_scale = if (if dagger then s = 0 else s = l5 - 1) then corner else off in
+    for site = lo to hi - 1 do
+      let o = (s * stride) + (site * fps) in
+      let op = (plus * stride) + (site * fps) in
+      let om = (minus * stride) + (site * fps) in
       for k = 0 to 11 do
         Array1.unsafe_set dst (o + k)
-          ((a *. Array1.unsafe_get src (o + k))
-          +. (up_scale *. Array1.unsafe_get src (ou + k)))
+          ((diag *. Array1.unsafe_get src (o + k))
+          +. (plus_scale *. Array1.unsafe_get src (op + k)))
       done;
       for k = 12 to 23 do
         Array1.unsafe_set dst (o + k)
-          ((a *. Array1.unsafe_get src (o + k))
-          +. (dn_scale *. Array1.unsafe_get src (od + k)))
+          ((diag *. Array1.unsafe_get src (o + k))
+          +. (minus_scale *. Array1.unsafe_get src (om + k)))
       done
     done
   done
 
-(* Adjoint of M5d. With U the up-shift (reads s+1, corner -m at
-   s = L-1 from slice 0) and D the down-shift (reads s-1, corner -m at
-   s = 0 from slice L-1), M5d = a + b (P- U + P+ D) and U^dag = D, so
-   M5d^dag = a + b (P- D + P+ U): the chirality-to-shift association
-   swaps. *)
-let apply_m5_dagger p ~n4 ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
-  let a = diag_a p and b = diag_b p in
-  let m = p.mass in
-  let l5 = p.l5 in
-  for s = 0 to l5 - 1 do
-    let base = s * n4 * fps in
-    (* + chirality now couples to slice s+1 (corner: -m * slice 0) *)
-    let up_base, up_scale =
-      if s = l5 - 1 then (0, -.m *. b) else ((s + 1) * n4 * fps, b)
-    in
-    (* - chirality now couples to slice s-1 (corner: -m * slice l5-1) *)
-    let dn_base, dn_scale =
-      if s = 0 then ((l5 - 1) * n4 * fps, -.m *. b) else ((s - 1) * n4 * fps, b)
-    in
-    for site = 0 to n4 - 1 do
-      let o = base + (site * fps) in
-      let ou = up_base + (site * fps) in
-      let od = dn_base + (site * fps) in
-      for k = 0 to 11 do
-        Array1.unsafe_set dst (o + k)
-          ((a *. Array1.unsafe_get src (o + k))
-          +. (up_scale *. Array1.unsafe_get src (ou + k)))
-      done;
-      for k = 12 to 23 do
-        Array1.unsafe_set dst (o + k)
-          ((a *. Array1.unsafe_get src (o + k))
-          +. (dn_scale *. Array1.unsafe_get src (od + k)))
-      done
-    done
-  done
+let m5 ~dagger p ~n4 ~src ~dst = chiral_mix M5d ~dagger p ~n4 ~src ~dst 0 n4
+
+let check_m5 name p ~n4 ~src ~dst =
+  check_fields name ~len:(p.l5 * n4 * fps) [ src; dst ]
+
+let apply_m5 p ~n4 ~src ~dst =
+  check_m5 "Mobius.apply_m5" p ~n4 ~src ~dst;
+  m5 ~dagger:false p ~n4 ~src ~dst
+
+let apply_m5_dagger p ~n4 ~src ~dst =
+  check_m5 "Mobius.apply_m5_dagger" p ~n4 ~src ~dst;
+  m5 ~dagger:true p ~n4 ~src ~dst
 
 (* Closed-form inverse of M5d: per chirality and per component, solve
    the bidiagonal-cyclic system (a I + b C) x = y by forward (or
@@ -188,164 +191,89 @@ let apply_m5inv_gen ~chirality_swap p ~n4 ~(src : Linalg.Field.t)
   done
 
 let apply_m5inv p ~n4 ~src ~dst =
+  check_m5 "Mobius.apply_m5inv" p ~n4 ~src ~dst;
   apply_m5inv_gen ~chirality_swap:false p ~n4 ~src ~dst
 
 let apply_m5inv_dagger p ~n4 ~src ~dst =
+  check_m5 "Mobius.apply_m5inv_dagger" p ~n4 ~src ~dst;
   apply_m5inv_gen ~chirality_swap:true p ~n4 ~src ~dst
 
-(* ---- Hop: the parity-changing (or full) hopping part ---- *)
+(* ---- Hop: the parity-changing (or full) hopping part ----
+   One Wilson.stencil launch per hop for all L5 slices and k
+   right-hand sides: the body fetches each link once per (site, mu,
+   side) for every column, and the store below applies the -1/2 scale
+   (and the accumulate) as it writes. Launches partition 4D sites, so
+   each site's s-columns stay on one worker. *)
 
-(* phi_s = b5 src_s + c5 (P- src_{s+1} + P+ src_{s-1}) with corners;
-   written for one slice [s] into [phi] (n4 sites). *)
-let combine_slice p ~n4 ~s ~(src : Linalg.Field.t) ~(phi : Linalg.Field.t) =
-  let l5 = p.l5 in
-  let m = p.mass in
-  let base = s * n4 * fps in
-  let up_base, up_scale =
-    if s = 0 then ((l5 - 1) * n4 * fps, -.m *. p.c5)
-    else ((s - 1) * n4 * fps, p.c5)
-  in
-  let dn_base, dn_scale =
-    if s = l5 - 1 then (0, -.m *. p.c5) else ((s + 1) * n4 * fps, p.c5)
-  in
-  for site = 0 to n4 - 1 do
-    let o = base + (site * fps) in
-    let ou = up_base + (site * fps) in
-    let od = dn_base + (site * fps) in
-    let po = site * fps in
-    for k = 0 to 11 do
-      Array1.unsafe_set phi (po + k)
-        ((p.b5 *. Array1.unsafe_get src (o + k))
-        +. (up_scale *. Array1.unsafe_get src (ou + k)))
-    done;
-    for k = 12 to 23 do
-      Array1.unsafe_set phi (po + k)
-        ((p.b5 *. Array1.unsafe_get src (o + k))
-        +. (dn_scale *. Array1.unsafe_get src (od + k)))
-    done
-  done
+let[@inline] put ~accumulate (dst : Linalg.Field.t) i h =
+  Array1.unsafe_set dst i
+    (if accumulate then Array1.unsafe_get dst i -. (0.5 *. h) else -0.5 *. h)
 
-(* s-slices make a natural parallel axis: slice s writes only
-   dst[s·n4_dst·fps, (s+1)·n4_dst·fps) and reads only src, so slice-
-   partitioned execution is race-free. Each pooled range gets its own
-   phi/scratch slice buffers; the Wilson.hop inside runs serially on a
-   worker (the pool's re-entrancy guard), so there is exactly one
-   level of parallelism. Chunk is one slice: l5 is small (8–32) and a
-   slice is a full 4D stencil application. *)
-let slice_pool p ~n4_dst =
-  let pool = Util.Pool.get_default () in
-  if
-    Util.Pool.size pool > 1 && p.l5 > 1
-    && p.l5 * n4_dst * fps >= Linalg.Field.parallel_cutoff
-  then Some pool
-  else None
-
-let run_slices p ~n4_dst range =
-  match slice_pool p ~n4_dst with
-  | Some pool -> Util.Pool.parallel_for pool ~chunk:1 ~n:p.l5 range
-  | None -> range 0 p.l5
-
-(* dst_s += -(1/2) H phi_s for every slice, using the given 4D kernel.
-   [src] has n4_src-site slices (the kernel's source index space),
-   [dst] has n4_dst-site slices (= kernel.n_sites). *)
-let apply_hop p kernel ~n4_src ~n4_dst ~(src : Linalg.Field.t)
-    ~(dst : Linalg.Field.t) ~accumulate =
-  let range lo hi =
-    let phi = Linalg.Field.create (n4_src * fps) in
-    let scratch = Linalg.Field.create (n4_dst * fps) in
-    for s = lo to hi - 1 do
-      combine_slice p ~n4:n4_src ~s ~src ~phi;
-      Wilson.hop kernel ~src:phi ~dst:scratch;
-      let base = s * n4_dst * fps in
-      if accumulate then
-        for k = 0 to (n4_dst * fps) - 1 do
-          Array1.unsafe_set dst (base + k)
-            (Array1.unsafe_get dst (base + k)
-            -. (0.5 *. Array1.unsafe_get scratch k))
-        done
-      else
-        for k = 0 to (n4_dst * fps) - 1 do
-          Array1.unsafe_set dst (base + k) (-0.5 *. Array1.unsafe_get scratch k)
-        done
-    done
-  in
-  run_slices p ~n4_dst range
-
-(* Adjoint s-combination: phi_s = b5 chi_s + c5 (P- chi_{s-1} + P+
-   chi_{s+1}) with the swapped corners (see apply_m5_dagger). *)
-let combine_slice_dagger p ~n4 ~s ~(src : Linalg.Field.t) ~(phi : Linalg.Field.t) =
-  let l5 = p.l5 in
-  let m = p.mass in
-  let base = s * n4 * fps in
-  let up_base, up_scale =
-    if s = l5 - 1 then (0, -.m *. p.c5) else ((s + 1) * n4 * fps, p.c5)
-  in
-  let dn_base, dn_scale =
-    if s = 0 then ((l5 - 1) * n4 * fps, -.m *. p.c5)
-    else ((s - 1) * n4 * fps, p.c5)
-  in
-  for site = 0 to n4 - 1 do
-    let o = base + (site * fps) in
-    let ou = up_base + (site * fps) in
-    let od = dn_base + (site * fps) in
-    let po = site * fps in
-    for k = 0 to 11 do
-      Array1.unsafe_set phi (po + k)
-        ((p.b5 *. Array1.unsafe_get src (o + k))
-        +. (up_scale *. Array1.unsafe_get src (ou + k)))
-    done;
-    for k = 12 to 23 do
-      Array1.unsafe_set phi (po + k)
-        ((p.b5 *. Array1.unsafe_get src (o + k))
-        +. (dn_scale *. Array1.unsafe_get src (od + k)))
-    done
-  done
-
-(* Adjoint hopping: Hop^dag = -(1/2) Phi^dag (g5 H g5). First apply the
-   gamma5-conjugated 4D stencil to every slice, then the adjoint
-   s-combination (order matters: the projectors do not commute with
-   the stencil's spin structure, which is why G5R5 alone is not the
-   Mobius adjoint). *)
-let apply_hop_dagger p kernel ~n4_src ~n4_dst ~(src : Linalg.Field.t)
-    ~(dst : Linalg.Field.t) ~accumulate =
-  let ht = Linalg.Field.create (p.l5 * n4_dst * fps) in
-  let stencil_range lo hi =
-    let slice_in = Linalg.Field.create (n4_src * fps) in
-    let slice_out = Linalg.Field.create (n4_dst * fps) in
-    for s = lo to hi - 1 do
-      let sb = s * n4_src * fps in
-      for k = 0 to (n4_src * fps) - 1 do
-        Array1.unsafe_set slice_in k (Array1.unsafe_get src (sb + k))
-      done;
-      Gamma.apply_gamma5 slice_in slice_in;
-      Wilson.hop kernel ~src:slice_in ~dst:slice_out;
-      Gamma.apply_gamma5 slice_out slice_out;
-      let db = s * n4_dst * fps in
-      for k = 0 to (n4_dst * fps) - 1 do
-        Array1.unsafe_set ht (db + k) (Array1.unsafe_get slice_out k)
+let store_scaled ~l5 ~stride ~accumulate (dsts : Linalg.Field.t array)
+    (acc : float array) x =
+  for v = 0 to Array.length dsts - 1 do
+    let dst = Array.unsafe_get dsts v in
+    for s = 0 to l5 - 1 do
+      let d = (s * stride) + (x * fps) and a = ((v * l5) + s) * fps in
+      for j = 0 to fps - 1 do
+        put ~accumulate dst (d + j) (Array.unsafe_get acc (a + j))
       done
     done
-  in
-  run_slices p ~n4_dst stencil_range;
-  (* the s-combination reads ht across slice boundaries, so it starts
-     only after every stencil slice has landed (the pool join above) *)
-  let combine_range lo hi =
-    let phi = Linalg.Field.create (n4_dst * fps) in
-    for s = lo to hi - 1 do
-      combine_slice_dagger p ~n4:n4_dst ~s ~src:ht ~phi;
-      let base = s * n4_dst * fps in
-      if accumulate then
-        for k = 0 to (n4_dst * fps) - 1 do
-          Array1.unsafe_set dst (base + k)
-            (Array1.unsafe_get dst (base + k) -. (0.5 *. Array1.unsafe_get phi k))
-        done
-      else
-        for k = 0 to (n4_dst * fps) - 1 do
-          Array1.unsafe_set dst (base + k) (-0.5 *. Array1.unsafe_get phi k)
-        done
+  done
+
+(* A field per src, fully overwritten before it is read. *)
+let scratch_like (srcs : Linalg.Field.t array) =
+  Array.map (fun src -> Array1.create float64 c_layout (Array1.dim src)) srcs
+
+(* dst_s = -(1/2) H phi_s (or dst_s - (1/2) H phi_s), phi = Phi src:
+   the s-combination runs first, into the scratch [phis] (one field per
+   src, none aliasing a src or dst), because the stencil reads it at
+   neighbouring sites. *)
+let apply_hop p kernel ~n4 ~(srcs : Linalg.Field.t array) ~phis ~dsts ~accumulate =
+  Wilson.launch_sites ~cols:(p.l5 * Array.length srcs) ~n:n4 (fun lo hi ->
+      Array.iteri
+        (fun v src -> chiral_mix Phi ~dagger:false p ~n4 ~src ~dst:phis.(v) lo hi)
+        srcs);
+  Wilson.stencil kernel ~l5:p.l5 ~src_stride:(n4 * fps) ~g5:false ~srcs:phis
+    ~store:(store_scaled ~l5:p.l5 ~stride:(n4 * fps) ~accumulate dsts)
+
+(* Adjoint hopping: Hop^dag = -(1/2) Phi^dag (g5 H g5). The body runs
+   the gamma5-conjugated stencil (partner-spin loads negated); the
+   store flips spins 2,3 (the outer gamma5), then forms the adjoint
+   s-combination and scales by -1/2. Order matters — the projectors do
+   not commute with the stencil's spin structure, which is why G5R5
+   alone is not the Mobius adjoint — but the s-combination only mixes
+   columns of one 4D site, so it runs in that site's store. *)
+let store_adjoint p ~stride ~accumulate (dsts : Linalg.Field.t array)
+    (acc : float array) x =
+  let l5 = p.l5 and b5 = p.b5 and c5 = p.c5 in
+  let corner = -.p.mass *. p.c5 in
+  for v = 0 to Array.length dsts - 1 do
+    let dst = Array.unsafe_get dsts v and col = v * l5 in
+    for s = 0 to l5 - 1 do
+      (* adjoint: + chirality reads slice s+1, - chirality s-1 *)
+      let up = if s = l5 - 1 then 0 else s + 1 in
+      let dn = if s = 0 then l5 - 1 else s - 1 in
+      let up_scale = if s = l5 - 1 then corner else c5 in
+      let dn_scale = if s = 0 then corner else c5 in
+      let a = (col + s) * fps and au = (col + up) * fps and ad = (col + dn) * fps in
+      let d = (s * stride) + (x * fps) in
+      for j = 0 to 11 do
+        put ~accumulate dst (d + j)
+          ((b5 *. Array.unsafe_get acc (a + j))
+          +. (up_scale *. Array.unsafe_get acc (au + j)))
+      done;
+      for j = 12 to 23 do
+        put ~accumulate dst (d + j)
+          ((b5 *. -.Array.unsafe_get acc (a + j))
+          +. (dn_scale *. -.Array.unsafe_get acc (ad + j)))
+      done
     done
-  in
-  run_slices p ~n4_dst combine_range
+  done
+
+let apply_hop_dagger p kernel ~n4 ~srcs ~dsts ~accumulate =
+  Wilson.stencil kernel ~l5:p.l5 ~src_stride:(n4 * fps) ~g5:true ~srcs
+    ~store:(store_adjoint p ~stride:(n4 * fps) ~accumulate dsts)
 
 (* ---- Full (unpreconditioned) operator ---- *)
 
@@ -361,9 +289,15 @@ let of_geometry ?recon p geom gauge =
 let field_length t = t.p.l5 * t.n4 * fps
 let create_field t = Linalg.Field.create (field_length t)
 
+let check_full name t ~src ~dst =
+  check_fields name ~len:(field_length t) [ src; dst ];
+  check_no_alias name ~srcs:[ src ] ~dsts:[ dst ]
+
 let apply t ~src ~dst =
-  apply_m5 t.p ~n4:t.n4 ~src ~dst;
-  apply_hop t.p t.kernel ~n4_src:t.n4 ~n4_dst:t.n4 ~src ~dst ~accumulate:true
+  check_full "Mobius.apply" t ~src ~dst;
+  m5 ~dagger:false t.p ~n4:t.n4 ~src ~dst;
+  apply_hop t.p t.kernel ~n4:t.n4 ~srcs:[| src |] ~phis:(scratch_like [| src |])
+    ~dsts:[| dst |] ~accumulate:true
 
 (* G5R5: slice s of dst = gamma5 (slice L5-1-s of src). Distinct fields. *)
 let apply_g5r5 ~l5 ~n4 ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
@@ -385,8 +319,9 @@ let apply_g5r5 ~l5 ~n4 ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
    G5R5 D G5R5; with c5 <> 0 the projectors do not commute with the
    stencil spin structure and the explicit adjoint is required.) *)
 let apply_dagger t ~src ~dst =
-  apply_m5_dagger t.p ~n4:t.n4 ~src ~dst;
-  apply_hop_dagger t.p t.kernel ~n4_src:t.n4 ~n4_dst:t.n4 ~src ~dst
+  check_full "Mobius.apply_dagger" t ~src ~dst;
+  m5 ~dagger:true t.p ~n4:t.n4 ~src ~dst;
+  apply_hop_dagger t.p t.kernel ~n4:t.n4 ~srcs:[| src |] ~dsts:[| dst |]
     ~accumulate:true
 
 (* Normal operator D^dag D for CG. *)
@@ -397,7 +332,10 @@ let apply_normal t ~src ~dst =
 
 (* ---- Red-black preconditioned operator ----
    4D even/odd decomposition: S = M5d - Hop_oe M5d^{-1} Hop_eo acting
-   on odd-parity 5D fields (checkerboard-indexed slices). *)
+   on odd-parity 5D fields (checkerboard-indexed slices). Every stage
+   takes a batch of right-hand sides; the single-RHS entries are
+   batches of one, so each dst is bit-identical to the independent
+   single-RHS chain for any batch width and pool geometry. *)
 
 type eo = {
   p : params;
@@ -409,9 +347,8 @@ type eo = {
 
 let of_geometry_eo ?recon p geom gauge =
   (* one packed store per checkerboard kernel: the whole Schur chain
-     (hop_eo, apply_schur*, the batched multi-RHS twins) reconstructs
-     links through Wilson's fetch, bit-identically for a fixed codec
-     across pool geometries *)
+     reconstructs links through Wilson's fetch, bit-identically for a
+     fixed codec across pool geometries *)
   {
     p;
     geom;
@@ -422,34 +359,70 @@ let of_geometry_eo ?recon p geom gauge =
 
 let eo_field_length eo = eo.p.l5 * eo.half * fps
 let create_eo_field eo = Linalg.Field.create (eo_field_length eo)
+let create_like eo fields = Array.map (fun _ -> create_eo_field eo) fields
+
+let check_eo name eo ~srcs ~dsts =
+  check_fields name ~len:(eo_field_length eo) (srcs @ dsts);
+  check_no_alias name ~srcs ~dsts
+
+let check_eo_batch name eo ~(srcs : Linalg.Field.t array) ~dsts =
+  let kw = Array.length srcs in
+  if kw = 0 || Array.length dsts <> kw then
+    invalid_arg (name ^ ": batch width mismatch");
+  check_eo name eo ~srcs:(Array.to_list srcs) ~dsts:(Array.to_list dsts);
+  (* the Schur chain uses each dst as scratch before writing it *)
+  Array.iteri
+    (fun i d ->
+      for j = 0 to i - 1 do
+        if Linalg.Fused.same_data d dsts.(j) then
+          invalid_arg (name ^ ": dsts share storage")
+      done)
+    dsts
 
 (* dst (parity p fields) = Hop_{p <- 1-p} src. *)
-let hop_eo eo ~to_parity ~src ~dst =
+let hop_eo_gen eo ~to_parity ?phis ~srcs ~dsts () =
   let kernel = if to_parity = 0 then eo.kern_to_even else eo.kern_to_odd in
-  apply_hop eo.p kernel ~n4_src:eo.half ~n4_dst:eo.half ~src ~dst
-    ~accumulate:false
+  let phis = match phis with Some f -> f | None -> scratch_like srcs in
+  apply_hop eo.p kernel ~n4:eo.half ~srcs ~phis ~dsts ~accumulate:false
 
-(* Schur complement on odd fields: dst = M5 src - Hop_oe M5inv Hop_eo src *)
-let apply_schur eo ~src ~dst =
-  let t1 = create_eo_field eo in
-  let t2 = create_eo_field eo in
-  hop_eo eo ~to_parity:0 ~src ~dst:t1;
-  apply_m5inv eo.p ~n4:eo.half ~src:t1 ~dst:t2;
-  hop_eo eo ~to_parity:1 ~src:t2 ~dst:t1;
-  apply_m5 eo.p ~n4:eo.half ~src ~dst;
-  for k = 0 to eo_field_length eo - 1 do
-    Array1.unsafe_set dst k (Array1.unsafe_get dst k -. Array1.unsafe_get t1 k)
+(* Hop_{p <- 1-p}^dag maps parity p back to 1-p: reads a field of
+   parity [from_parity] and runs the opposite checkerboard kernel. *)
+let hop_eo_dagger_gen eo ~from_parity ~srcs ~dsts =
+  let kernel = if from_parity = 0 then eo.kern_to_odd else eo.kern_to_even in
+  apply_hop_dagger eo.p kernel ~n4:eo.half ~srcs ~dsts ~accumulate:false
+
+let sub_into (dst : Linalg.Field.t) (t : Linalg.Field.t) lo hi =
+  for k = lo to hi - 1 do
+    Array1.unsafe_set dst k (Array1.unsafe_get dst k -. Array1.unsafe_get t k)
   done
 
+(* Schur complement on odd fields: dst = M5 src - Hop_oe M5inv Hop_eo src *)
+let schur_gen eo ~srcs ~dsts =
+  let t1s = create_like eo srcs and t2s = create_like eo srcs in
+  (* t2s and dsts are free until M5inv and M5 write them: they hold the
+     two hops' s-combinations, so the chain needs no further temporary *)
+  hop_eo_gen eo ~to_parity:0 ~phis:t2s ~srcs ~dsts:t1s ();
+  Array.iteri
+    (fun v t1 -> apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:t1 ~dst:t2s.(v))
+    t1s;
+  hop_eo_gen eo ~to_parity:1 ~phis:dsts ~srcs:t2s ~dsts:t1s ();
+  Array.iteri (fun v src -> m5 ~dagger:false eo.p ~n4:eo.half ~src ~dst:dsts.(v)) srcs;
+  Array.iteri (fun v dst -> sub_into dst t1s.(v) 0 (eo_field_length eo)) dsts
+
 (* S^dag = M5d^dag - Hop_eo^dag M5d^{-dag} Hop_oe^dag, each adjoint
-   taken explicitly. Hop_{p <- 1-p}^dag maps parity p back to 1-p and
-   uses the opposite checkerboard kernel. *)
-let hop_eo_dagger eo ~from_parity ~src ~dst =
-  (* adjoint of the map (from 1-from_parity to from_parity): reads a
-     field of parity [from_parity], writes parity [1-from_parity] *)
-  let kernel = if from_parity = 0 then eo.kern_to_odd else eo.kern_to_even in
-  apply_hop_dagger eo.p kernel ~n4_src:eo.half ~n4_dst:eo.half ~src ~dst
-    ~accumulate:false
+   taken explicitly; leaves dst = M5d^dag src and returns the chain
+   term the finish subtracts. *)
+let schur_dagger_chain eo ~srcs ~dsts =
+  let t1s = create_like eo srcs and t2s = create_like eo srcs in
+  (* (Hop_oe)^dag : odd -> even *)
+  hop_eo_dagger_gen eo ~from_parity:1 ~srcs ~dsts:t1s;
+  Array.iteri
+    (fun v t1 -> apply_m5inv_gen ~chirality_swap:true eo.p ~n4:eo.half ~src:t1 ~dst:t2s.(v))
+    t1s;
+  (* (Hop_eo)^dag : even -> odd *)
+  hop_eo_dagger_gen eo ~from_parity:0 ~srcs:t2s ~dsts:t1s;
+  Array.iteri (fun v src -> m5 ~dagger:true eo.p ~n4:eo.half ~src ~dst:dsts.(v)) srcs;
+  t1s
 
 (* The dagger's finishing pass (dst <- M5d^dag src - t1), with the
    optional output tail fused into the same sweep: the subtraction and
@@ -464,10 +437,7 @@ let hop_eo_dagger eo ~from_parity ~src ~dst =
 let schur_dagger_finish ?tail (dst : Linalg.Field.t) (t1 : Linalg.Field.t) len =
   match tail with
   | None ->
-    for k = 0 to len - 1 do
-      Array1.unsafe_set dst k
-        (Array1.unsafe_get dst k -. Array1.unsafe_get t1 k)
-    done;
+    sub_into dst t1 0 len;
     0.
   | Some tl ->
     Linalg.Fused.tail_check "Mobius.apply_schur_dagger_tail" ~n:len ~dst tl;
@@ -476,10 +446,7 @@ let schur_dagger_finish ?tail (dst : Linalg.Field.t) (t1 : Linalg.Field.t) len =
     let partials = Array.make n_blocks 0. in
     for b = 0 to n_blocks - 1 do
       let lo = b * block and hi = min len ((b + 1) * block) in
-      for k = lo to hi - 1 do
-        Array1.unsafe_set dst k
-          (Array1.unsafe_get dst k -. Array1.unsafe_get t1 k)
-      done;
+      sub_into dst t1 lo hi;
       partials.(b) <- Linalg.Fused.tail_term tl ~dst lo hi
     done;
     let s =
@@ -494,190 +461,67 @@ let schur_dagger_finish ?tail (dst : Linalg.Field.t) (t1 : Linalg.Field.t) len =
     in
     Linalg.Field.Sanitize.check_scalar "Mobius.apply_schur_dagger_tail" s
 
-let apply_schur_dagger_gen ?tail eo ~src ~dst =
-  let t1 = create_eo_field eo in
-  let t2 = create_eo_field eo in
-  (* (Hop_oe)^dag : odd -> even *)
-  hop_eo_dagger eo ~from_parity:1 ~src ~dst:t1;
-  apply_m5inv_dagger eo.p ~n4:eo.half ~src:t1 ~dst:t2;
-  (* (Hop_eo)^dag : even -> odd *)
-  hop_eo_dagger eo ~from_parity:0 ~src:t2 ~dst:t1;
-  apply_m5_dagger eo.p ~n4:eo.half ~src ~dst;
-  schur_dagger_finish ?tail dst t1 (eo_field_length eo)
+let schur_dagger_gen ?tail eo ~src ~dst =
+  let t1s = schur_dagger_chain eo ~srcs:[| src |] ~dsts:[| dst |] in
+  schur_dagger_finish ?tail dst t1s.(0) (eo_field_length eo)
+
+let hop_eo eo ~to_parity ~src ~dst =
+  check_eo "Mobius.hop_eo" eo ~srcs:[ src ] ~dsts:[ dst ];
+  hop_eo_gen eo ~to_parity ~srcs:[| src |] ~dsts:[| dst |] ()
+
+let apply_schur eo ~src ~dst =
+  check_eo "Mobius.apply_schur" eo ~srcs:[ src ] ~dsts:[ dst ];
+  schur_gen eo ~srcs:[| src |] ~dsts:[| dst |]
 
 let apply_schur_dagger eo ~src ~dst =
-  ignore (apply_schur_dagger_gen eo ~src ~dst : float)
+  check_eo "Mobius.apply_schur_dagger" eo ~srcs:[ src ] ~dsts:[ dst ];
+  ignore (schur_dagger_gen eo ~src ~dst : float)
 
 let apply_schur_dagger_tail eo ~src ~dst ~tail =
-  apply_schur_dagger_gen ~tail eo ~src ~dst
+  check_eo "Mobius.apply_schur_dagger_tail" eo ~srcs:[ src ] ~dsts:[ dst ];
+  schur_dagger_gen ~tail eo ~src ~dst
+
+let schur_normal_gen ?tail eo ~src ~dst =
+  let tmp = create_eo_field eo in
+  schur_gen eo ~srcs:[| src |] ~dsts:[| tmp |];
+  schur_dagger_gen ?tail eo ~src:tmp ~dst
 
 let apply_schur_normal eo ~src ~dst =
-  let tmp = create_eo_field eo in
-  apply_schur eo ~src ~dst:tmp;
-  apply_schur_dagger eo ~src:tmp ~dst
+  check_eo "Mobius.apply_schur_normal" eo ~srcs:[ src ] ~dsts:[ dst ];
+  ignore (schur_normal_gen eo ~src ~dst : float)
 
 (* S^dag S with the tail riding the closing dagger sweep — what
    [Solver.Dwf_solve] hands [Solver.Cg]'s [apply_dot] so the fused CG
    iteration executes the 2-sweep BLAS-1 plan the model prices. *)
 let apply_schur_normal_tail eo ~src ~dst ~tail =
-  let tmp = create_eo_field eo in
-  apply_schur eo ~src ~dst:tmp;
-  apply_schur_dagger_tail eo ~src:tmp ~dst ~tail
+  check_eo "Mobius.apply_schur_normal_tail" eo ~srcs:[ src ] ~dsts:[ dst ];
+  schur_normal_gen ~tail eo ~src ~dst
 
-(* ---- batched multi-RHS Schur chain ----
-   The 5d wrapper of [Wilson.hop_multi]: per slice, every RHS's
-   s-combination lands in its own phi buffer and one batched 4D hop
-   streams the gauge links once for all k of them. Everything that is
-   per-RHS (combine, M5d/M5d⁻¹, the closing subtractions) runs
-   per-RHS with [apply_hop]'s own loops, so each dst in the batch is
-   bit-identical to the independent single-RHS chain for any batch
-   width and pool geometry. *)
-
-let apply_hop_multi p kernel ~n4_src ~n4_dst ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) ~accumulate =
-  let kw = Array.length srcs in
-  let range lo hi =
-    let phis = Array.init kw (fun _ -> Linalg.Field.create (n4_src * fps)) in
-    let scratch =
-      Array.init kw (fun _ -> Linalg.Field.create (n4_dst * fps))
-    in
-    for s = lo to hi - 1 do
-      for v = 0 to kw - 1 do
-        combine_slice p ~n4:n4_src ~s ~src:srcs.(v) ~phi:phis.(v)
-      done;
-      Wilson.hop_multi kernel ~srcs:phis ~dsts:scratch;
-      let base = s * n4_dst * fps in
-      for v = 0 to kw - 1 do
-        let dst = dsts.(v) and sc = scratch.(v) in
-        if accumulate then
-          for k = 0 to (n4_dst * fps) - 1 do
-            Array1.unsafe_set dst (base + k)
-              (Array1.unsafe_get dst (base + k)
-              -. (0.5 *. Array1.unsafe_get sc k))
-          done
-        else
-          for k = 0 to (n4_dst * fps) - 1 do
-            Array1.unsafe_set dst (base + k) (-0.5 *. Array1.unsafe_get sc k)
-          done
-      done
-    done
-  in
-  run_slices p ~n4_dst range
-
-let apply_hop_dagger_multi p kernel ~n4_src ~n4_dst
-    ~(srcs : Linalg.Field.t array) ~(dsts : Linalg.Field.t array) ~accumulate =
-  let kw = Array.length srcs in
-  let hts =
-    Array.init kw (fun _ -> Linalg.Field.create (p.l5 * n4_dst * fps))
-  in
-  let stencil_range lo hi =
-    let slice_ins =
-      Array.init kw (fun _ -> Linalg.Field.create (n4_src * fps))
-    in
-    let slice_outs =
-      Array.init kw (fun _ -> Linalg.Field.create (n4_dst * fps))
-    in
-    for s = lo to hi - 1 do
-      let sb = s * n4_src * fps in
-      for v = 0 to kw - 1 do
-        let src = srcs.(v) and slice_in = slice_ins.(v) in
-        for k = 0 to (n4_src * fps) - 1 do
-          Array1.unsafe_set slice_in k (Array1.unsafe_get src (sb + k))
-        done;
-        Gamma.apply_gamma5 slice_in slice_in
-      done;
-      Wilson.hop_multi kernel ~srcs:slice_ins ~dsts:slice_outs;
-      let db = s * n4_dst * fps in
-      for v = 0 to kw - 1 do
-        let slice_out = slice_outs.(v) and ht = hts.(v) in
-        Gamma.apply_gamma5 slice_out slice_out;
-        for k = 0 to (n4_dst * fps) - 1 do
-          Array1.unsafe_set ht (db + k) (Array1.unsafe_get slice_out k)
-        done
-      done
-    done
-  in
-  run_slices p ~n4_dst stencil_range;
-  let combine_range lo hi =
-    let phi = Linalg.Field.create (n4_dst * fps) in
-    for s = lo to hi - 1 do
-      for v = 0 to kw - 1 do
-        combine_slice_dagger p ~n4:n4_dst ~s ~src:hts.(v) ~phi;
-        let dst = dsts.(v) in
-        let base = s * n4_dst * fps in
-        if accumulate then
-          for k = 0 to (n4_dst * fps) - 1 do
-            Array1.unsafe_set dst (base + k)
-              (Array1.unsafe_get dst (base + k)
-              -. (0.5 *. Array1.unsafe_get phi k))
-          done
-        else
-          for k = 0 to (n4_dst * fps) - 1 do
-            Array1.unsafe_set dst (base + k) (-0.5 *. Array1.unsafe_get phi k)
-          done
-      done
-    done
-  in
-  run_slices p ~n4_dst combine_range
+(* ---- batched multi-RHS Schur chain: the same stages on k fields ---- *)
 
 let hop_eo_multi eo ~to_parity ~srcs ~dsts =
-  let kernel = if to_parity = 0 then eo.kern_to_even else eo.kern_to_odd in
-  apply_hop_multi eo.p kernel ~n4_src:eo.half ~n4_dst:eo.half ~srcs ~dsts
-    ~accumulate:false
+  check_eo_batch "Mobius.hop_eo_multi" eo ~srcs ~dsts;
+  hop_eo_gen eo ~to_parity ~srcs ~dsts ()
 
-let hop_eo_dagger_multi eo ~from_parity ~srcs ~dsts =
-  let kernel = if from_parity = 0 then eo.kern_to_odd else eo.kern_to_even in
-  apply_hop_dagger_multi eo.p kernel ~n4_src:eo.half ~n4_dst:eo.half ~srcs
-    ~dsts ~accumulate:false
+let apply_schur_multi eo ~srcs ~dsts =
+  check_eo_batch "Mobius.apply_schur_multi" eo ~srcs ~dsts;
+  schur_gen eo ~srcs ~dsts
 
-let apply_schur_multi eo ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) =
-  let kw = Array.length srcs in
-  if kw = 0 || Array.length dsts <> kw then
-    invalid_arg "Mobius.apply_schur_multi: batch width mismatch";
-  let t1s = Array.init kw (fun _ -> create_eo_field eo) in
-  let t2s = Array.init kw (fun _ -> create_eo_field eo) in
-  hop_eo_multi eo ~to_parity:0 ~srcs ~dsts:t1s;
+let schur_dagger_multi eo ~srcs ~dsts =
+  let t1s = schur_dagger_chain eo ~srcs ~dsts in
   Array.iteri
-    (fun v t1 -> apply_m5inv eo.p ~n4:eo.half ~src:t1 ~dst:t2s.(v))
-    t1s;
-  hop_eo_multi eo ~to_parity:1 ~srcs:t2s ~dsts:t1s;
-  Array.iteri (fun v src -> apply_m5 eo.p ~n4:eo.half ~src ~dst:dsts.(v)) srcs;
-  let len = eo_field_length eo in
-  Array.iteri
-    (fun v (dst : Linalg.Field.t) ->
-      let t1 = t1s.(v) in
-      for k = 0 to len - 1 do
-        Array1.unsafe_set dst k
-          (Array1.unsafe_get dst k -. Array1.unsafe_get t1 k)
-      done)
+    (fun v dst -> ignore (schur_dagger_finish dst t1s.(v) (eo_field_length eo) : float))
     dsts
 
-let apply_schur_dagger_multi eo ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) =
-  let kw = Array.length srcs in
-  if kw = 0 || Array.length dsts <> kw then
-    invalid_arg "Mobius.apply_schur_dagger_multi: batch width mismatch";
-  let t1s = Array.init kw (fun _ -> create_eo_field eo) in
-  let t2s = Array.init kw (fun _ -> create_eo_field eo) in
-  hop_eo_dagger_multi eo ~from_parity:1 ~srcs ~dsts:t1s;
-  Array.iteri
-    (fun v t1 -> apply_m5inv_dagger eo.p ~n4:eo.half ~src:t1 ~dst:t2s.(v))
-    t1s;
-  hop_eo_dagger_multi eo ~from_parity:0 ~srcs:t2s ~dsts:t1s;
-  Array.iteri
-    (fun v src -> apply_m5_dagger eo.p ~n4:eo.half ~src ~dst:dsts.(v))
-    srcs;
-  Array.iteri
-    (fun v dst ->
-      ignore (schur_dagger_finish dst t1s.(v) (eo_field_length eo) : float))
-    dsts
+let apply_schur_dagger_multi eo ~srcs ~dsts =
+  check_eo_batch "Mobius.apply_schur_dagger_multi" eo ~srcs ~dsts;
+  schur_dagger_multi eo ~srcs ~dsts
 
-let apply_schur_normal_multi eo ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) =
-  let tmps = Array.init (Array.length srcs) (fun _ -> create_eo_field eo) in
-  apply_schur_multi eo ~srcs ~dsts:tmps;
-  apply_schur_dagger_multi eo ~srcs:tmps ~dsts
+let apply_schur_normal_multi eo ~srcs ~dsts =
+  check_eo_batch "Mobius.apply_schur_normal_multi" eo ~srcs ~dsts;
+  let tmps = create_like eo srcs in
+  schur_gen eo ~srcs ~dsts:tmps;
+  schur_dagger_multi eo ~srcs:tmps ~dsts
 
 (* ---- full <-> checkerboard field conversion ---- *)
 
@@ -720,24 +564,22 @@ let merge_eo geom ~l5 ~(even : Linalg.Field.t) ~(odd : Linalg.Field.t) =
 
 (* Schur right-hand side: y'_o = y_o - Hop_oe M5inv y_e. *)
 let prepare_rhs eo ~(rhs_even : Linalg.Field.t) ~(rhs_odd : Linalg.Field.t) =
+  check_fields "Mobius.prepare_rhs" ~len:(eo_field_length eo) [ rhs_even; rhs_odd ];
   let t1 = create_eo_field eo in
   let t2 = create_eo_field eo in
-  apply_m5inv eo.p ~n4:eo.half ~src:rhs_even ~dst:t1;
-  hop_eo eo ~to_parity:1 ~src:t1 ~dst:t2;
+  apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:rhs_even ~dst:t1;
+  hop_eo_gen eo ~to_parity:1 ~srcs:[| t1 |] ~dsts:[| t2 |] ();
   let out = Linalg.Field.copy rhs_odd in
-  for k = 0 to eo_field_length eo - 1 do
-    Array1.unsafe_set out k (Array1.unsafe_get out k -. Array1.unsafe_get t2 k)
-  done;
+  sub_into out t2 0 (eo_field_length eo);
   out
 
 (* Even-parity reconstruction: x_e = M5inv (y_e - Hop_eo x_o). *)
 let reconstruct_even eo ~(rhs_even : Linalg.Field.t) ~(x_odd : Linalg.Field.t) =
+  check_fields "Mobius.reconstruct_even" ~len:(eo_field_length eo) [ rhs_even; x_odd ];
   let t1 = create_eo_field eo in
-  hop_eo eo ~to_parity:0 ~src:x_odd ~dst:t1;
+  hop_eo_gen eo ~to_parity:0 ~srcs:[| x_odd |] ~dsts:[| t1 |] ();
   let t2 = Linalg.Field.copy rhs_even in
-  for k = 0 to eo_field_length eo - 1 do
-    Array1.unsafe_set t2 k (Array1.unsafe_get t2 k -. Array1.unsafe_get t1 k)
-  done;
+  sub_into t2 t1 0 (eo_field_length eo);
   let out = create_eo_field eo in
-  apply_m5inv eo.p ~n4:eo.half ~src:t2 ~dst:out;
+  apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:t2 ~dst:out;
   out

@@ -1,7 +1,19 @@
 (** Möbius domain-wall fermion operator (Shamir when c5 = 0), with the
     red-black (4D even/odd) Schur-complement preconditioning used by the
     paper's production solver. 5D fields are s-outer: slice s is a
-    contiguous 4D spinor field. *)
+    contiguous 4D spinor field.
+
+    Every hopping term is one [Wilson.stencil] launch over all L5
+    slices (and all k right-hand sides of a batch): one link fetch per
+    (site, μ, side), the −½ scale and the adjoint s-combination in the
+    stencil's store. Outputs are bit-identical to the slice-by-slice
+    chain (per-slice s-combination, 4D hop, scale).
+
+    Each public entry checks its fields once: a field whose length is
+    not the operator's (l5·n4·24 floats; [eo_field_length] for the
+    checkerboarded entries), or — for the operators and Schur entries —
+    a dst sharing storage with a src ([Linalg.Fused.same_data]), raises
+    [Invalid_argument]. *)
 
 type params = {
   l5 : int;
@@ -117,13 +129,14 @@ val apply_schur_normal_tail :
 
 (** {2 Batched multi-RHS chain}
 
-    The 5d wrappers of [Wilson.hop_multi]: per s-slice one batched 4D
-    hop streams the gauge links once for all k right-hand sides, while
-    every per-RHS stage (s-combination, M5d/M5d⁻¹, closing
-    subtractions) runs the single-RHS loops — so each dst in the batch
+    The same chain on k right-hand sides: each hop is one stencil
+    launch over L5·k columns, streaming the gauge links once for the
+    whole batch, while the per-RHS stages (M5d/M5d⁻¹, closing
+    subtractions) run the single-RHS loops — so each dst in the batch
     is bit-identical to the independent single-RHS application, for
     any batch width and pool geometry. Batches must be non-empty with
-    matching widths; aliasing contract as the single-RHS twins. *)
+    matching widths; no dst may share storage with any src or with
+    another dst ([Invalid_argument]). *)
 
 val hop_eo_multi :
   eo ->

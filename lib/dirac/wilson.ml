@@ -13,17 +13,21 @@
    dst(x) = sum_mu [ U_mu(x) (1-g_mu) src(x+mu)
                    + U_mu(x-mu)^dag (1+g_mu) src(x-mu) ]
 
+   There is one site body (QUDA's single applyWilson core). Per 4D site
+   it runs a set of columns — L5 slices of each of k source fields —
+   and fetches each link once per (site, mu, side) for the whole set,
+   so the 4D hop (L5 = k = 1), the batched hop (k > 1) and the Mobius
+   5D chain (L5 > 1) all stream the gauge field once per site. What a
+   caller does with the accumulated site (plain write, the Mobius -1/2
+   scale, its s-combination) is the [store] it hands the body.
+
    Gauge storage is behind a link-fetch: the tables name links (site·4
-   + mu), and each site body materializes the link into an 18-float
-   scratch before the mat-vec — a plain float64 copy for the full
-   store (same values, so bit-identical to the pre-codec kernel), or a
+   + mu), and the body materializes the link into an 18-float scratch
+   before the mat-vec — a plain float64 copy for the full store, or a
    Su3_codec reconstruction for a packed store (Lattice.Recon), which
-   is how the reconstruct-12/8 compression reaches every hop flavor
-   (hop, hop_tail, hop_multi, and the Mobius Schur chain built on
-   them) through the one kernel body. *)
+   is how the reconstruct-12/8 compression reaches every caller. *)
 
 open Bigarray
-module Cplx = Linalg.Cplx
 module Codec = Linalg.Su3_codec
 
 type store =
@@ -32,6 +36,7 @@ type store =
 
 type t = {
   n_sites : int;  (* sites the kernel writes *)
+  src_sites : int;  (* sites the kernel reads: 1 + largest source index *)
   src_fwd : int array;  (* 4*i + mu -> source index of the forward hop *)
   src_bwd : int array;
   gauge_fwd : int array;  (* 4*i + mu -> link index of U_mu(x) *)
@@ -41,6 +46,7 @@ type t = {
 }
 
 let floats_per_site = Gamma.floats_per_site
+let fps = floats_per_site
 let recon t = t.recon
 
 let make_store recon gauge_data =
@@ -49,35 +55,37 @@ let make_store recon gauge_data =
   | Codec.Recon12 | Codec.Recon8 ->
     Packed (Lattice.Recon.pack_field recon gauge_data)
 
-let of_geometry ?(recon = Codec.Full18) geom gauge_field =
-  if not (Lattice.Gauge.geom gauge_field == geom) then
-    invalid_arg "Wilson.of_geometry: gauge field on different geometry";
-  let n = Lattice.Geometry.volume geom in
-  let fwd = Lattice.Geometry.fwd_table geom in
-  let bwd = Lattice.Geometry.bwd_table geom in
+let make ~recon ~src_fwd ~src_bwd ~gauge_fwd ~gauge_bwd gauge_data =
+  let top = Array.fold_left max (-1) in
   {
-    n_sites = n;
-    src_fwd = fwd;
-    src_bwd = bwd;
-    gauge_fwd = Array.init (n * 4) (fun e -> e);
-    gauge_bwd = Array.init (n * 4) (fun e -> (bwd.(e) * 4) + (e mod 4));
-    store = make_store recon (Lattice.Gauge.data gauge_field);
+    n_sites = Array.length src_fwd / 4;
+    src_sites = 1 + max (top src_fwd) (top src_bwd);
+    src_fwd;
+    src_bwd;
+    gauge_fwd;
+    gauge_bwd;
+    store = make_store recon gauge_data;
     recon;
   }
 
+let of_tables ~recon ~n ~fwd ~bwd gauge_data =
+  make ~recon ~src_fwd:fwd ~src_bwd:bwd
+    ~gauge_fwd:(Array.init (n * 4) (fun e -> e))
+    ~gauge_bwd:(Array.init (n * 4) (fun e -> (bwd.(e) * 4) + (e mod 4)))
+    gauge_data
+
+let of_geometry ?(recon = Codec.Full18) geom gauge_field =
+  if not (Lattice.Gauge.geom gauge_field == geom) then
+    invalid_arg "Wilson.of_geometry: gauge field on different geometry";
+  of_tables ~recon ~n:(Lattice.Geometry.volume geom)
+    ~fwd:(Lattice.Geometry.fwd_table geom)
+    ~bwd:(Lattice.Geometry.bwd_table geom)
+    (Lattice.Gauge.data gauge_field)
+
 let of_domain_rank ?(recon = Codec.Full18) (rg : Lattice.Domain.rank_geometry)
     gauge_ext =
-  let n = rg.Lattice.Domain.local_volume in
-  let fwd = rg.Lattice.Domain.fwd and bwd = rg.Lattice.Domain.bwd in
-  {
-    n_sites = n;
-    src_fwd = fwd;
-    src_bwd = bwd;
-    gauge_fwd = Array.init (n * 4) (fun e -> e);
-    gauge_bwd = Array.init (n * 4) (fun e -> (bwd.(e) * 4) + (e mod 4));
-    store = make_store recon gauge_ext;
-    recon;
-  }
+  of_tables ~recon ~n:rg.Lattice.Domain.local_volume ~fwd:rg.Lattice.Domain.fwd
+    ~bwd:rg.Lattice.Domain.bwd gauge_ext
 
 (* Checkerboarded hopping: writes sites of [parity], reads a source
    field indexed by the eo-index of the opposite parity. *)
@@ -100,22 +108,12 @@ let of_checkerboard ?(recon = Codec.Full18) geom gauge_field ~parity =
       gauge_bwd.((i * 4) + mu) <- (xb * 4) + mu
     done
   done;
-  {
-    n_sites = half;
-    src_fwd;
-    src_bwd;
-    gauge_fwd;
-    gauge_bwd;
-    store = make_store recon (Lattice.Gauge.data gauge_field);
-    recon;
-  }
+  make ~recon ~src_fwd ~src_bwd ~gauge_fwd ~gauge_bwd
+    (Lattice.Gauge.data gauge_field)
 
-(* The link-fetch a site body uses: fills the closure's 18-float
-   scratch from the store. Built inside make_do_site* so pooled ranges
-   never share the packed-codec scratch. The full-store fetch is a
-   float64 copy — identical values, so the kernel's float operations
-   (and results) are bit-for-bit those of the direct-indexing kernel
-   it replaced. *)
+(* The link-fetch a site body uses: fills the body's 18-float scratch
+   from the store. Built per body so pooled ranges never share the
+   packed-codec scratch. The full-store fetch is a float64 copy. *)
 let make_fetch t =
   match t.store with
   | Full g ->
@@ -128,311 +126,261 @@ let make_fetch t =
     let packed = Array.make (Codec.reals (Lattice.Recon.codec p)) 0. in
     fun link uf -> Lattice.Recon.decode_sub p ~link ~packed uf
 
+(* The backward link enters as U^dag: element (row, col) is conj
+   U(col, row). Settled once per fetch, so the mat-vec has one form. *)
+let adjoint_into (raw : float array) (u : float array) =
+  for row = 0 to 2 do
+    for col = 0 to 2 do
+      let e = 2 * ((3 * row) + col) and f = 2 * ((3 * col) + row) in
+      Array.unsafe_set u e (Array.unsafe_get raw f);
+      Array.unsafe_set u (e + 1) (-.Array.unsafe_get raw (f + 1))
+    done
+  done
+
 (* Per-direction projection data: for all four gammas, spins {0,1}
    partner with {2,3}; (1 - sign*gamma) component s in {0,1} is
    src_s - sign*phase_s*src_{partner_s}, and after the mat-vec the
-   partner component is -sign*conj(phase_s) times the result. *)
-let partner =
-  Array.init 4 (fun mu -> (Gamma.gammas.(mu).Gamma.perm.(0), Gamma.gammas.(mu).Gamma.perm.(1)))
+   partner component is -sign*conj(phase_s) times the result. Stored
+   as float offsets (6·spin) and [p0r; p0i; p1r; p1i] per mu. *)
+let partner_a = Array.init 4 (fun mu -> 6 * Gamma.gammas.(mu).Gamma.perm.(0))
+let partner_b = Array.init 4 (fun mu -> 6 * Gamma.gammas.(mu).Gamma.perm.(1))
 
 let phases =
-  Array.init 4 (fun mu ->
-      let p0 = Gamma.gammas.(mu).Gamma.phase.(0)
-      and p1 = Gamma.gammas.(mu).Gamma.phase.(1) in
-      (p0.Cplx.re, p0.Cplx.im, p1.Cplx.re, p1.Cplx.im))
+  Array.init 16 (fun i ->
+      let p = Gamma.gammas.(i / 4).Gamma.phase.((i mod 4) / 2) in
+      if i mod 2 = 0 then p.Linalg.Cplx.re else p.Linalg.Cplx.im)
 
-(* The site body closes over freshly allocated scratch (acc, half-
-   spinors, mat-vec results): each pooled range builds its own closure,
-   so concurrent ranges never share mutable state. Writes land only in
-   dst[x*fps, (x+1)*fps) of the written site and all reads are of the
-   source field — site-partitioned execution is race-free. *)
-let make_do_site t ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
-  let acc = Array.make floats_per_site 0. in
-  let h0 = Array.make 6 0. and h1 = Array.make 6 0. in
-  let g0 = Array.make 6 0. and g1 = Array.make 6 0. in
-  let uf = Array.make 18 0. in
+(* gamma5 = diag(1,1,-1,-1) and the partners are always spins 2,3: the
+   gamma5-conjugated stencil negates exactly the partner loads (folded
+   into the projection phase below, an exact sign flip of each product)
+   and the spin-2/3 outputs (the caller's store). *)
+let () =
+  assert (Gamma.gamma5_diag = [| 1.; 1.; -1.; -1. |]);
+  Array.iter (fun o -> assert (o >= 12)) partner_a;
+  Array.iter (fun o -> assert (o >= 12)) partner_b
+
+let[@inline] ld (src : Linalg.Field.t) i = Array1.unsafe_get src i
+
+let[@inline] add (acc : float array) i v =
+  Array.unsafe_set acc i (Array.unsafe_get acc i +. v)
+
+(* The site body. Columns are (v, s): slice s of srcs.(v), at float
+   offset s·src_stride; column v·l5 + s accumulates into
+   acc[(v·l5 + s)·24, +24), which [store acc x] then disposes of. The
+   float expressions per column — the 0.-seeded mat-vec sums, the
+   sign·(phase·spinor) projection and reconstruction — are the
+   original single-column kernel's, term for term, so every column is
+   bit-identical to hopping that slice alone. Each body owns its
+   scratch (fresh per pooled range): writes go only through [store] at
+   the written site and all reads are of the sources, so
+   site-partitioned execution is race-free. *)
+let make_body t ~l5 ~src_stride ~g5 ~(srcs : Linalg.Field.t array) ~store =
+  let k = Array.length srcs in
+  let width = l5 * k * fps in
+  let acc = Array.make width 0. in
+  let raw = Array.make 18 0. and u = Array.make 18 0. in
   let fetch = make_fetch t in
-  let do_site x =
-    Array.fill acc 0 floats_per_site 0.;
-    let xb4 = x * 4 in
+  fun x ->
+    Array.fill acc 0 width 0.;
+    let neg = if g5 then -1. else 1. in
     for mu = 0 to 3 do
-      let pa, pb = partner.(mu) in
-      let p0r, p0i, p1r, p1i = phases.(mu) in
+      let e = (x * 4) + mu in
+      let pa = Array.unsafe_get partner_a mu in
+      let pb = Array.unsafe_get partner_b mu in
+      let p0r = Array.unsafe_get phases (4 * mu) in
+      let p0i = Array.unsafe_get phases ((4 * mu) + 1) in
+      let p1r = Array.unsafe_get phases ((4 * mu) + 2) in
+      let p1i = Array.unsafe_get phases ((4 * mu) + 3) in
+      (* projection phases carry the gamma5 sign of the partner loads *)
+      let q0r = neg *. p0r and q0i = neg *. p0i in
+      let q1r = neg *. p1r and q1i = neg *. p1i in
       for side = 0 to 1 do
         (* side 0: forward, project (1-gamma), multiply by U_mu(x).
            side 1: backward, project (1+gamma), multiply by U^dag. *)
         let sign = if side = 0 then -1. else 1. in
         let nb =
-          (if side = 0 then Array.unsafe_get t.src_fwd (xb4 + mu)
-           else Array.unsafe_get t.src_bwd (xb4 + mu))
-          * floats_per_site
+          if side = 0 then begin
+            fetch (Array.unsafe_get t.gauge_fwd e) u;
+            Array.unsafe_get t.src_fwd e * fps
+          end
+          else begin
+            fetch (Array.unsafe_get t.gauge_bwd e) raw;
+            adjoint_into raw u;
+            Array.unsafe_get t.src_bwd e * fps
+          end
         in
-        fetch
-          (if side = 0 then Array.unsafe_get t.gauge_fwd (xb4 + mu)
-           else Array.unsafe_get t.gauge_bwd (xb4 + mu))
-          uf;
-        for c = 0 to 2 do
-          let o0 = nb + (c * 2) in
-          let opa = nb + (((pa * 3) + c) * 2) in
-          let s0r = Array1.unsafe_get src o0
-          and s0i = Array1.unsafe_get src (o0 + 1) in
-          let sar = Array1.unsafe_get src opa
-          and sai = Array1.unsafe_get src (opa + 1) in
-          h0.(c * 2) <- s0r +. (sign *. ((p0r *. sar) -. (p0i *. sai)));
-          h0.((c * 2) + 1) <- s0i +. (sign *. ((p0r *. sai) +. (p0i *. sar)));
-          let o1 = nb + ((3 + c) * 2) in
-          let opb = nb + (((pb * 3) + c) * 2) in
-          let s1r = Array1.unsafe_get src o1
-          and s1i = Array1.unsafe_get src (o1 + 1) in
-          let sbr = Array1.unsafe_get src opb
-          and sbi = Array1.unsafe_get src (opb + 1) in
-          h1.(c * 2) <- s1r +. (sign *. ((p1r *. sbr) -. (p1i *. sbi)));
-          h1.((c * 2) + 1) <- s1i +. (sign *. ((p1r *. sbi) +. (p1i *. sbr)))
-        done;
-        for row = 0 to 2 do
-          let r0 = ref 0. and i0 = ref 0. and r1 = ref 0. and i1 = ref 0. in
-          for k = 0 to 2 do
-            let e =
-              if side = 0 then 2 * ((3 * row) + k) else 2 * ((3 * k) + row)
-            in
-            let ur = Array.unsafe_get uf e in
-            let ui =
-              if side = 0 then Array.unsafe_get uf (e + 1)
-              else -.Array.unsafe_get uf (e + 1)
-            in
-            let h0r = h0.(k * 2) and h0i = h0.((k * 2) + 1) in
-            r0 := !r0 +. ((ur *. h0r) -. (ui *. h0i));
-            i0 := !i0 +. ((ur *. h0i) +. (ui *. h0r));
-            let h1r = h1.(k * 2) and h1i = h1.((k * 2) + 1) in
-            r1 := !r1 +. ((ur *. h1r) -. (ui *. h1i));
-            i1 := !i1 +. ((ur *. h1i) +. (ui *. h1r))
-          done;
-          g0.(row * 2) <- !r0;
-          g0.((row * 2) + 1) <- !i0;
-          g1.(row * 2) <- !r1;
-          g1.((row * 2) + 1) <- !i1
-        done;
-        (* Reconstruct: spin0 += g0, spin1 += g1,
-           spin pa += sign*conj(p0)*g0, spin pb += sign*conj(p1)*g1
-           (for b = (1 + sign*gamma) a, b_partner = sign*conj(ph)*b). *)
-        let rs = sign in
-        for c = 0 to 2 do
-          let gr = g0.(c * 2) and gi = g0.((c * 2) + 1) in
-          acc.(c * 2) <- acc.(c * 2) +. gr;
-          acc.((c * 2) + 1) <- acc.((c * 2) + 1) +. gi;
-          let oa = ((pa * 3) + c) * 2 in
-          acc.(oa) <- acc.(oa) +. (rs *. ((p0r *. gr) +. (p0i *. gi)));
-          acc.(oa + 1) <- acc.(oa + 1) +. (rs *. ((p0r *. gi) -. (p0i *. gr)));
-          let hr = g1.(c * 2) and hi = g1.((c * 2) + 1) in
-          let o1 = (3 + c) * 2 in
-          acc.(o1) <- acc.(o1) +. hr;
-          acc.(o1 + 1) <- acc.(o1 + 1) +. hi;
-          let ob = ((pb * 3) + c) * 2 in
-          acc.(ob) <- acc.(ob) +. (rs *. ((p1r *. hr) +. (p1i *. hi)));
-          acc.(ob + 1) <- acc.(ob + 1) +. (rs *. ((p1r *. hi) -. (p1i *. hr)))
+        for v = 0 to k - 1 do
+          let src = Array.unsafe_get srcs v in
+          for s = 0 to l5 - 1 do
+            let o = nb + (s * src_stride) in
+            let ab = ((v * l5) + s) * fps in
+            (* project: h0 from spins 0/pa, h1 from spins 1/pb *)
+            let sar = ld src (o + pa) and sai = ld src (o + pa + 1) in
+            let h00r = ld src o +. (sign *. ((q0r *. sar) -. (q0i *. sai))) in
+            let h00i = ld src (o + 1) +. (sign *. ((q0r *. sai) +. (q0i *. sar))) in
+            let sbr = ld src (o + pb) and sbi = ld src (o + pb + 1) in
+            let h10r = ld src (o + 6) +. (sign *. ((q1r *. sbr) -. (q1i *. sbi))) in
+            let h10i = ld src (o + 7) +. (sign *. ((q1r *. sbi) +. (q1i *. sbr))) in
+            let sar = ld src (o + pa + 2) and sai = ld src (o + pa + 3) in
+            let h01r = ld src (o + 2) +. (sign *. ((q0r *. sar) -. (q0i *. sai))) in
+            let h01i = ld src (o + 3) +. (sign *. ((q0r *. sai) +. (q0i *. sar))) in
+            let sbr = ld src (o + pb + 2) and sbi = ld src (o + pb + 3) in
+            let h11r = ld src (o + 8) +. (sign *. ((q1r *. sbr) -. (q1i *. sbi))) in
+            let h11i = ld src (o + 9) +. (sign *. ((q1r *. sbi) +. (q1i *. sbr))) in
+            let sar = ld src (o + pa + 4) and sai = ld src (o + pa + 5) in
+            let h02r = ld src (o + 4) +. (sign *. ((q0r *. sar) -. (q0i *. sai))) in
+            let h02i = ld src (o + 5) +. (sign *. ((q0r *. sai) +. (q0i *. sar))) in
+            let sbr = ld src (o + pb + 4) and sbi = ld src (o + pb + 5) in
+            let h12r = ld src (o + 10) +. (sign *. ((q1r *. sbr) -. (q1i *. sbi))) in
+            let h12i = ld src (o + 11) +. (sign *. ((q1r *. sbi) +. (q1i *. sbr))) in
+            for c = 0 to 2 do
+              (* row c of the mat-vec on both half-spinors *)
+              let r = 6 * c in
+              let u0r = Array.unsafe_get u r and u0i = Array.unsafe_get u (r + 1) in
+              let u1r = Array.unsafe_get u (r + 2) and u1i = Array.unsafe_get u (r + 3) in
+              let u2r = Array.unsafe_get u (r + 4) and u2i = Array.unsafe_get u (r + 5) in
+              let g0r =
+                ((0. +. ((u0r *. h00r) -. (u0i *. h00i)))
+                +. ((u1r *. h01r) -. (u1i *. h01i)))
+                +. ((u2r *. h02r) -. (u2i *. h02i))
+              in
+              let g0i =
+                ((0. +. ((u0r *. h00i) +. (u0i *. h00r)))
+                +. ((u1r *. h01i) +. (u1i *. h01r)))
+                +. ((u2r *. h02i) +. (u2i *. h02r))
+              in
+              let g1r =
+                ((0. +. ((u0r *. h10r) -. (u0i *. h10i)))
+                +. ((u1r *. h11r) -. (u1i *. h11i)))
+                +. ((u2r *. h12r) -. (u2i *. h12i))
+              in
+              let g1i =
+                ((0. +. ((u0r *. h10i) +. (u0i *. h10r)))
+                +. ((u1r *. h11i) +. (u1i *. h11r)))
+                +. ((u2r *. h12i) +. (u2i *. h12r))
+              in
+              (* reconstruct: spin0 += g0, spin1 += g1, spin pa +=
+                 sign*conj(p0)*g0, spin pb += sign*conj(p1)*g1 *)
+              let a = ab + (2 * c) in
+              add acc a g0r;
+              add acc (a + 1) g0i;
+              add acc (a + 6) g1r;
+              add acc (a + 7) g1i;
+              add acc (a + pa) (sign *. ((p0r *. g0r) +. (p0i *. g0i)));
+              add acc (a + pa + 1) (sign *. ((p0r *. g0i) -. (p0i *. g0r)));
+              add acc (a + pb) (sign *. ((p1r *. g1r) +. (p1i *. g1i)));
+              add acc (a + pb + 1) (sign *. ((p1r *. g1i) -. (p1i *. g1r)))
+            done
+          done
         done
       done
     done;
-    let db = x * floats_per_site in
-    for k = 0 to floats_per_site - 1 do
-      Array1.unsafe_set dst (db + k) acc.(k)
-    done
-  in
-  do_site
+    store acc x
 
-let check_dst t (dst : Linalg.Field.t) =
-  if Linalg.Field.length dst < t.n_sites * floats_per_site then
-    invalid_arg "Wilson.hop: dst too short"
+(* ---- launches ---- *)
+
+let check_dst name t (dst : Linalg.Field.t) =
+  if Linalg.Field.length dst < t.n_sites * fps then
+    invalid_arg (name ^ ": dst too short")
+
+(* Every column of every source must lie inside its field: the last
+   slice starts at (l5-1)·stride and the body reads src_sites sites. *)
+let check_srcs name t ~l5 ~src_stride (srcs : Linalg.Field.t array) =
+  Array.iter
+    (fun src ->
+      if Linalg.Field.length src < ((l5 - 1) * src_stride) + (t.src_sites * fps)
+      then invalid_arg (name ^ ": src too short"))
+    srcs
+
+let check_no_alias name srcs dsts =
+  Array.iter
+    (fun dst ->
+      Array.iter
+        (fun src ->
+          (* the probe writes (and restores) its first argument: the dst *)
+          if Linalg.Fused.same_data dst src then
+            invalid_arg (name ^ ": src and dst alias"))
+        srcs)
+    dsts
+
+let check_batch name t (srcs : Linalg.Field.t array) (dsts : Linalg.Field.t array) =
+  if Array.length srcs = 0 then invalid_arg (name ^ ": empty batch");
+  if Array.length dsts <> Array.length srcs then
+    invalid_arg (name ^ ": batch width mismatch");
+  check_srcs name t ~l5:1 ~src_stride:0 srcs;
+  Array.iter (check_dst name t) dsts;
+  check_no_alias name srcs dsts
+
+(* Site chunk for [cols] columns per site: the pool's default rule on
+   the column-site count, so chunking follows the work, not the 4D
+   volume alone. *)
+let chunk_sites pool ~cols n = max 1 (Util.Pool.default_chunk pool (n * cols) / cols)
+
+(* The implicit dispatch rule of every stencil launch: the default pool
+   when it has more than one lane and the launch's float count (cols
+   columns of n sites) clears [Field.parallel_cutoff]. *)
+let launch_sites ~cols ~n range =
+  let pool = Util.Pool.get_default () in
+  if Util.Pool.size pool > 1 && cols * n * fps >= Linalg.Field.parallel_cutoff
+  then Util.Pool.parallel_for pool ~chunk:(chunk_sites pool ~cols n) ~n range
+  else range 0 n
+
+let body_range t ~l5 ~src_stride ~g5 ~srcs ~store lo hi =
+  let body = make_body t ~l5 ~src_stride ~g5 ~srcs ~store in
+  for x = lo to hi - 1 do
+    body x
+  done
+
+let stencil t ~l5 ~src_stride ~g5 ~srcs ~store =
+  check_srcs "Wilson.stencil" t ~l5 ~src_stride srcs;
+  launch_sites ~cols:(l5 * Array.length srcs) ~n:t.n_sites
+    (body_range t ~l5 ~src_stride ~g5 ~srcs ~store)
+
+(* dsts.(v)[x] <- acc column v: the plain hop's store. *)
+let store_set (dsts : Linalg.Field.t array) (acc : float array) x =
+  let db = x * fps in
+  for v = 0 to Array.length dsts - 1 do
+    let dst = Array.unsafe_get dsts v and a = v * fps in
+    for j = 0 to fps - 1 do
+      Array1.unsafe_set dst (db + j) (Array.unsafe_get acc (a + j))
+    done
+  done
+
+let plain_body t ~srcs ~dsts =
+  make_body t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts)
+
+let hop_gen name pool chunk t ~srcs ~dsts =
+  check_batch name t srcs dsts;
+  let range = body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts) in
+  match pool with
+  | None -> launch_sites ~cols:(Array.length srcs) ~n:t.n_sites range
+  | Some pool ->
+    let chunk =
+      match chunk with
+      | Some c -> c
+      | None -> chunk_sites pool ~cols:(Array.length srcs) t.n_sites
+    in
+    Util.Pool.parallel_for pool ~chunk ~n:t.n_sites range
+
+let hop t ~src ~dst = hop_gen "Wilson.hop" None None t ~srcs:[| src |] ~dsts:[| dst |]
+
+let hop_with pool ?chunk t ~src ~dst =
+  hop_gen "Wilson.hop" (Some pool) chunk t ~srcs:[| src |] ~dsts:[| dst |]
+
+let hop_multi t ~srcs ~dsts = hop_gen "Wilson.hop_multi" None None t ~srcs ~dsts
+
+let hop_multi_with pool ?chunk t ~srcs ~dsts =
+  hop_gen "Wilson.hop_multi" (Some pool) chunk t ~srcs ~dsts
 
 let hop_sites t ?(sites : int array option) ~(src : Linalg.Field.t)
     ~(dst : Linalg.Field.t) () =
-  check_dst t dst;
-  let do_site = make_do_site t ~src ~dst in
-  match sites with
-  | None ->
-    for x = 0 to t.n_sites - 1 do
-      do_site x
-    done
-  | Some sites -> Array.iter do_site sites
-
-(* [lo, hi) in sites; fresh scratch per range. *)
-let hop_range t ~src ~dst lo hi =
-  let do_site = make_do_site t ~src ~dst in
-  for x = lo to hi - 1 do
-    do_site x
-  done
-
-let hop_with pool ?chunk t ~src ~dst =
-  check_dst t dst;
-  Util.Pool.parallel_for pool ?chunk ~n:t.n_sites (hop_range t ~src ~dst)
-
-let hop t ~src ~dst =
-  check_dst t dst;
-  let pool = Util.Pool.get_default () in
-  if
-    Util.Pool.size pool > 1
-    && t.n_sites * floats_per_site >= Linalg.Field.parallel_cutoff
-  then Util.Pool.parallel_for pool ~n:t.n_sites (hop_range t ~src ~dst)
-  else hop_range t ~src ~dst 0 t.n_sites
-
-(* ---- batched multi-RHS hop: k spinors per gauge-link load ----
-   The whole point of the batch is traffic amortization: the gauge
-   element (ur, ui) of each (site, mu, side, row, column) is loaded
-   once and applied to every RHS's half-spinor before the next element
-   is touched, so the link field streams once per site instead of once
-   per solve. Per RHS the float operations — operands, order,
-   association — are exactly [make_do_site]'s, only interleaved across
-   the batch, so each dst is bit-identical to the independent [hop]'s
-   (serial or pooled; site partitioning is race-free exactly as for
-   the single-RHS kernel, every range closing over fresh scratch). *)
-let make_do_site_multi t ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) =
-  let k = Array.length srcs in
-  let accs = Array.init k (fun _ -> Array.make floats_per_site 0.) in
-  let h0s = Array.init k (fun _ -> Array.make 6 0.) in
-  let h1s = Array.init k (fun _ -> Array.make 6 0.) in
-  let g0s = Array.init k (fun _ -> Array.make 6 0.) in
-  let g1s = Array.init k (fun _ -> Array.make 6 0.) in
-  let r0s = Array.make k 0. and i0s = Array.make k 0. in
-  let r1s = Array.make k 0. and i1s = Array.make k 0. in
-  let uf = Array.make 18 0. in
-  let fetch = make_fetch t in
-  let do_site x =
-    for v = 0 to k - 1 do
-      Array.fill accs.(v) 0 floats_per_site 0.
-    done;
-    let xb4 = x * 4 in
-    for mu = 0 to 3 do
-      let pa, pb = partner.(mu) in
-      let p0r, p0i, p1r, p1i = phases.(mu) in
-      for side = 0 to 1 do
-        let sign = if side = 0 then -1. else 1. in
-        let nb =
-          (if side = 0 then Array.unsafe_get t.src_fwd (xb4 + mu)
-           else Array.unsafe_get t.src_bwd (xb4 + mu))
-          * floats_per_site
-        in
-        (* one link fetch (and, packed, one reconstruction) per k RHS *)
-        fetch
-          (if side = 0 then Array.unsafe_get t.gauge_fwd (xb4 + mu)
-           else Array.unsafe_get t.gauge_bwd (xb4 + mu))
-          uf;
-        for v = 0 to k - 1 do
-          let src = Array.unsafe_get srcs v in
-          let h0 = h0s.(v) and h1 = h1s.(v) in
-          for c = 0 to 2 do
-            let o0 = nb + (c * 2) in
-            let opa = nb + (((pa * 3) + c) * 2) in
-            let s0r = Array1.unsafe_get src o0
-            and s0i = Array1.unsafe_get src (o0 + 1) in
-            let sar = Array1.unsafe_get src opa
-            and sai = Array1.unsafe_get src (opa + 1) in
-            h0.(c * 2) <- s0r +. (sign *. ((p0r *. sar) -. (p0i *. sai)));
-            h0.((c * 2) + 1) <- s0i +. (sign *. ((p0r *. sai) +. (p0i *. sar)));
-            let o1 = nb + ((3 + c) * 2) in
-            let opb = nb + (((pb * 3) + c) * 2) in
-            let s1r = Array1.unsafe_get src o1
-            and s1i = Array1.unsafe_get src (o1 + 1) in
-            let sbr = Array1.unsafe_get src opb
-            and sbi = Array1.unsafe_get src (opb + 1) in
-            h1.(c * 2) <- s1r +. (sign *. ((p1r *. sbr) -. (p1i *. sbi)));
-            h1.((c * 2) + 1) <- s1i +. (sign *. ((p1r *. sbi) +. (p1i *. sbr)))
-          done
-        done;
-        for row = 0 to 2 do
-          for v = 0 to k - 1 do
-            r0s.(v) <- 0.;
-            i0s.(v) <- 0.;
-            r1s.(v) <- 0.;
-            i1s.(v) <- 0.
-          done;
-          for col = 0 to 2 do
-            let e =
-              if side = 0 then 2 * ((3 * row) + col)
-              else 2 * ((3 * col) + row)
-            in
-            (* the amortized load: one gauge element, k RHS *)
-            let ur = Array.unsafe_get uf e in
-            let ui =
-              if side = 0 then Array.unsafe_get uf (e + 1)
-              else -.Array.unsafe_get uf (e + 1)
-            in
-            for v = 0 to k - 1 do
-              let h0 = h0s.(v) and h1 = h1s.(v) in
-              let h0r = h0.(col * 2) and h0i = h0.((col * 2) + 1) in
-              r0s.(v) <- r0s.(v) +. ((ur *. h0r) -. (ui *. h0i));
-              i0s.(v) <- i0s.(v) +. ((ur *. h0i) +. (ui *. h0r));
-              let h1r = h1.(col * 2) and h1i = h1.((col * 2) + 1) in
-              r1s.(v) <- r1s.(v) +. ((ur *. h1r) -. (ui *. h1i));
-              i1s.(v) <- i1s.(v) +. ((ur *. h1i) +. (ui *. h1r))
-            done
-          done;
-          for v = 0 to k - 1 do
-            g0s.(v).(row * 2) <- r0s.(v);
-            g0s.(v).((row * 2) + 1) <- i0s.(v);
-            g1s.(v).(row * 2) <- r1s.(v);
-            g1s.(v).((row * 2) + 1) <- i1s.(v)
-          done
-        done;
-        let rs = sign in
-        for v = 0 to k - 1 do
-          let acc = accs.(v) and g0 = g0s.(v) and g1 = g1s.(v) in
-          for c = 0 to 2 do
-            let gr = g0.(c * 2) and gi = g0.((c * 2) + 1) in
-            acc.(c * 2) <- acc.(c * 2) +. gr;
-            acc.((c * 2) + 1) <- acc.((c * 2) + 1) +. gi;
-            let oa = ((pa * 3) + c) * 2 in
-            acc.(oa) <- acc.(oa) +. (rs *. ((p0r *. gr) +. (p0i *. gi)));
-            acc.(oa + 1) <- acc.(oa + 1) +. (rs *. ((p0r *. gi) -. (p0i *. gr)));
-            let hr = g1.(c * 2) and hi = g1.((c * 2) + 1) in
-            let o1 = (3 + c) * 2 in
-            acc.(o1) <- acc.(o1) +. hr;
-            acc.(o1 + 1) <- acc.(o1 + 1) +. hi;
-            let ob = ((pb * 3) + c) * 2 in
-            acc.(ob) <- acc.(ob) +. (rs *. ((p1r *. hr) +. (p1i *. hi)));
-            acc.(ob + 1) <- acc.(ob + 1) +. (rs *. ((p1r *. hi) -. (p1i *. hr)))
-          done
-        done
-      done
-    done;
-    let db = x * floats_per_site in
-    for v = 0 to k - 1 do
-      let dst = Array.unsafe_get dsts v and acc = accs.(v) in
-      for c = 0 to floats_per_site - 1 do
-        Array1.unsafe_set dst (db + c) acc.(c)
-      done
-    done
-  in
-  do_site
-
-let check_multi name t (srcs : Linalg.Field.t array)
-    (dsts : Linalg.Field.t array) =
-  let k = Array.length srcs in
-  if k = 0 then invalid_arg (name ^ ": empty batch");
-  if Array.length dsts <> k then invalid_arg (name ^ ": batch width mismatch");
-  Array.iter (fun dst -> check_dst t dst) dsts;
-  k
-
-let hop_multi_range t ~srcs ~dsts lo hi =
-  let do_site = make_do_site_multi t ~srcs ~dsts in
-  for x = lo to hi - 1 do
-    do_site x
-  done
-
-let hop_multi_with pool ?chunk t ~srcs ~dsts =
-  ignore (check_multi "Wilson.hop_multi" t srcs dsts : int);
-  Util.Pool.parallel_for pool ?chunk ~n:t.n_sites
-    (hop_multi_range t ~srcs ~dsts)
-
-let hop_multi t ~srcs ~dsts =
-  let k = check_multi "Wilson.hop_multi" t srcs dsts in
-  let pool = Util.Pool.get_default () in
-  if
-    Util.Pool.size pool > 1
-    && k * t.n_sites * floats_per_site >= Linalg.Field.parallel_cutoff
-  then
-    Util.Pool.parallel_for pool ~n:t.n_sites (hop_multi_range t ~srcs ~dsts)
-  else hop_multi_range t ~srcs ~dsts 0 t.n_sites
+  check_batch "Wilson.hop_sites" t [| src |] [| dst |];
+  let sites = match sites with Some s -> s | None -> Array.init t.n_sites Fun.id in
+  Array.iter
+    (fun x ->
+      if x < 0 || x >= t.n_sites then invalid_arg "Wilson.hop_sites: site out of range")
+    sites;
+  Array.iter (plain_body t ~srcs:[| src |] ~dsts:[| dst |]) sites
 
 (* ---- tail-fused hop: stencil + output tail in one pass ----
    The tail (optional xpay + dot, Linalg.Fused.tail) runs per tile
@@ -450,19 +398,19 @@ let hop_multi t ~srcs ~dsts =
 
 let tail_tile_sites =
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  Linalg.Field.reduce_block / gcd floats_per_site Linalg.Field.reduce_block
+  Linalg.Field.reduce_block / gcd fps Linalg.Field.reduce_block
 
 let hop_tail_range t ~src ~dst ~tail ~(partials : float array) lo hi =
-  let do_site = make_do_site t ~src ~dst in
+  let body = plain_body t ~srcs:[| src |] ~dsts:[| dst |] in
   let block = Linalg.Field.reduce_block in
   let s = ref lo in
   while !s < hi do
     let s1 = min hi (!s + tail_tile_sites) in
     for x = !s to s1 - 1 do
-      do_site x
+      body x
     done;
-    let f1 = s1 * floats_per_site in
-    let b = ref (!s * floats_per_site / block) in
+    let f1 = s1 * fps in
+    let b = ref (!s * fps / block) in
     while !b * block < f1 do
       let blo = !b * block in
       partials.(!b) <-
@@ -488,8 +436,8 @@ let tail_fold (partials : float array) n_blocks =
 let round_to_tiles c = (max 1 c + tail_tile_sites - 1) / tail_tile_sites * tail_tile_sites
 
 let hop_tail_launch pool chunk t ~src ~dst ~tail =
-  check_dst t dst;
-  let n_floats = t.n_sites * floats_per_site in
+  check_batch "Wilson.hop_tail" t [| src |] [| dst |];
+  let n_floats = t.n_sites * fps in
   Linalg.Fused.tail_check "Wilson.hop_tail" ~n:n_floats ~dst tail;
   let n_blocks =
     max 1 ((n_floats + Linalg.Field.reduce_block - 1) / Linalg.Field.reduce_block)
@@ -519,57 +467,48 @@ let hop_tail_with pool ?chunk t ~src ~dst ~tail =
 let hop_tail t ~src ~dst ~tail =
   let pool = Util.Pool.get_default () in
   let pooled =
-    if
-      Util.Pool.size pool > 1
-      && t.n_sites * floats_per_site >= Linalg.Field.parallel_cutoff
+    if Util.Pool.size pool > 1 && t.n_sites * fps >= Linalg.Field.parallel_cutoff
     then Some pool
     else None
   in
   hop_tail_launch pooled None t ~src ~dst ~tail
 
-(* Full Wilson operator: M psi = (4 + mass) psi - (1/2) H psi.
-   src and dst must not alias. *)
-let apply t ~mass ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
-  hop t ~src ~dst;
+(* ---- full Wilson operator ----
+   M psi = (4 + mass) psi - (1/2) H psi, and M^dag = g5 M g5 by
+   gamma5-hermiticity: the dagger runs the gamma5-conjugated body (the
+   partner-spin loads negated) and flips spins 2,3 of the diagonal term
+   and of the result in the store — the values the g5·apply·g5
+   sandwich produced through two gamma5 passes. *)
+let store_apply ~dagger ~mass ~(srcs : Linalg.Field.t array) ~(dsts : Linalg.Field.t array)
+    (acc : float array) x =
   let d = 4. +. mass in
-  for i = 0 to (t.n_sites * floats_per_site) - 1 do
-    Array1.unsafe_set dst i
-      ((d *. Array1.unsafe_get src i) -. (0.5 *. Array1.unsafe_get dst i))
+  let db = x * fps in
+  for v = 0 to Array.length dsts - 1 do
+    let src = Array.unsafe_get srcs v and dst = Array.unsafe_get dsts v in
+    let a = v * fps in
+    for j = 0 to fps - 1 do
+      let s = Array1.unsafe_get src (db + j) and h = Array.unsafe_get acc (a + j) in
+      Array1.unsafe_set dst (db + j)
+        (if dagger && j >= 12 then -.((d *. -.s) -. (0.5 *. h))
+         else (d *. s) -. (0.5 *. h))
+    done
   done
 
-(* M^dag = gamma5 M gamma5 (gamma5-hermiticity of the Wilson operator). *)
+let apply_gen name ~dagger t ~mass ~srcs ~dsts =
+  check_batch name t srcs dsts;
+  launch_sites ~cols:(Array.length srcs) ~n:t.n_sites
+    (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs
+       ~store:(store_apply ~dagger ~mass ~srcs ~dsts))
+
+let apply t ~mass ~src ~dst =
+  apply_gen "Wilson.apply" ~dagger:false t ~mass ~srcs:[| src |] ~dsts:[| dst |]
+
 let apply_dagger t ~mass ~src ~dst =
-  let tmp = Linalg.Field.create (Linalg.Field.length src) in
-  Gamma.apply_gamma5 src tmp;
-  let out = Linalg.Field.create (Linalg.Field.length dst) in
-  apply t ~mass ~src:tmp ~dst:out;
-  Gamma.apply_gamma5 out dst
+  apply_gen "Wilson.apply_dagger" ~dagger:true t ~mass ~srcs:[| src |]
+    ~dsts:[| dst |]
 
-(* Batched full operator: one hop_multi sweep, then the per-RHS
-   diagonal — the closing loop is [apply]'s, so dst v is bit-identical
-   to the independent [apply] on srcs.(v). *)
-let apply_multi t ~mass ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) =
-  hop_multi t ~srcs ~dsts;
-  let d = 4. +. mass in
-  Array.iteri
-    (fun v (dst : Linalg.Field.t) ->
-      let src = srcs.(v) in
-      for i = 0 to (t.n_sites * floats_per_site) - 1 do
-        Array1.unsafe_set dst i
-          ((d *. Array1.unsafe_get src i) -. (0.5 *. Array1.unsafe_get dst i))
-      done)
-    dsts
+let apply_multi t ~mass ~srcs ~dsts =
+  apply_gen "Wilson.apply_multi" ~dagger:false t ~mass ~srcs ~dsts
 
-let apply_dagger_multi t ~mass ~(srcs : Linalg.Field.t array)
-    ~(dsts : Linalg.Field.t array) =
-  let k = Array.length srcs in
-  let tmps =
-    Array.init k (fun v -> Linalg.Field.create (Linalg.Field.length srcs.(v)))
-  in
-  Array.iteri (fun v src -> Gamma.apply_gamma5 src tmps.(v)) srcs;
-  let outs =
-    Array.init k (fun v -> Linalg.Field.create (Linalg.Field.length dsts.(v)))
-  in
-  apply_multi t ~mass ~srcs:tmps ~dsts:outs;
-  Array.iteri (fun v out -> Gamma.apply_gamma5 out dsts.(v)) outs
+let apply_dagger_multi t ~mass ~srcs ~dsts =
+  apply_gen "Wilson.apply_dagger_multi" ~dagger:true t ~mass ~srcs ~dsts

@@ -1,15 +1,22 @@
 (** Wilson hopping stencil and operator. One table-driven kernel serves
-    the full-volume, domain-decomposed and checkerboarded cases.
+    the full-volume, domain-decomposed and checkerboarded cases, and
+    one site body serves every entry point: per 4D site it runs a set
+    of columns (L5 slices × k sources) with one link fetch per
+    (site, μ, side) for the whole set — the plain hop is L5 = k = 1,
+    the batched hop k > 1, the Möbius chain ({!stencil}) L5 > 1.
 
     Every constructor takes [?recon] (default [Full18]): the gauge
     codec of the link store. Packed codecs ([Recon12]/[Recon8],
     [Lattice.Recon]) store 12/8 reals per link and reconstruct the
-    full matrix into a per-closure scratch at the point of use — every
-    hop flavor (plain, tail-fused, multi-RHS, and the Mobius chain on
-    top) decodes through the one kernel body, and for a fixed codec
-    the results are bit-identical across pool geometries. [Full18]
-    fetches are exact float64 copies, bit-identical to the
-    direct-indexing kernel they replaced. *)
+    full matrix into a per-body scratch at the point of use, so for a
+    fixed codec results are bit-identical across pool geometries.
+    [Full18] fetches are exact float64 copies.
+
+    Every entry checks its fields: a dst shorter than the written
+    sites, a src shorter than the sites the tables read (the source
+    extent recorded at construction), a [hop_sites] site outside
+    [\[0, n_sites)], or a src sharing storage with a dst
+    ([Linalg.Fused.same_data]) raises [Invalid_argument]. *)
 
 type t
 
@@ -41,7 +48,7 @@ val of_checkerboard :
     indexed by checkerboard (eo) index, half_volume×24 floats. *)
 
 val hop : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** dst <- H src (the full hopping sum). No aliasing. Dispatches to the
+(** dst <- H src (the full hopping sum). Dispatches to the
     default pool ([Util.Pool.get_default]) when it has more than one
     lane and the field clears [Linalg.Field.parallel_cutoff];
     site-partitioned, so pooled and serial results are bit-identical. *)
@@ -60,8 +67,8 @@ val hop_multi :
     RHS the float operations are exactly [hop]'s (same operands, same
     order), so every dst is bit-identical to the independent [hop] for
     any batch width and pool geometry. Batch must be non-empty, srcs
-    and dsts the same width, dsts pairwise distinct and non-aliasing
-    with the srcs (unchecked, like [hop]'s no-aliasing contract).
+    and dsts the same width, no dst sharing storage with a src
+    ([Invalid_argument]); dsts must be pairwise distinct (unchecked).
     Dispatches to the default pool when the *batch* float count clears
     [Linalg.Field.parallel_cutoff]. *)
 
@@ -113,11 +120,14 @@ val hop_sites :
     communication overlap). *)
 
 val apply : t -> mass:float -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** Full Wilson operator M = (4 + mass) − H/2. No aliasing. *)
+(** Full Wilson operator M = (4 + mass) − H/2, the diagonal term
+    applied in the stencil's store. *)
 
 val apply_dagger :
   t -> mass:float -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** M† = gamma5·M·gamma5. *)
+(** M† = gamma5·M·gamma5, as exact sign flips: the gamma5-conjugated
+    body negates the partner-spin loads, the store the spin-2/3
+    outputs. *)
 
 val apply_multi :
   t ->
@@ -135,3 +145,34 @@ val apply_dagger_multi :
   dsts:Linalg.Field.t array ->
   unit
 (** Batched M†: per RHS bit-identical to [apply_dagger]. *)
+
+(** {2 The 5D entry} *)
+
+val stencil :
+  t ->
+  l5:int ->
+  src_stride:int ->
+  g5:bool ->
+  srcs:Linalg.Field.t array ->
+  store:(float array -> int -> unit) ->
+  unit
+(** The site body over every written site, one column per (v, s):
+    slice [s] of [srcs.(v)] starts at float [s·src_stride]. For each
+    site [x] the body accumulates H of every column into a fresh
+    [acc] (column [v·l5 + s] at floats [(v·l5 + s)·24] onward) with
+    one link fetch per (μ, side), then calls [store acc x], which owns
+    every write — the Möbius chain's −½ scale, accumulate and
+    s-combination happen there. [g5] runs the gamma5-conjugated
+    stencil up to the output sign: partner-spin (2, 3) loads negated,
+    so [store] must negate spins 2, 3 itself. Each column's floats are
+    bit-identical to [hop] on that slice alone. [store] must write only
+    at site [x] (site-partitioned launches run it concurrently).
+    Dispatches like {!launch_sites} with [cols = l5·k]; a source
+    shorter than its last column raises [Invalid_argument]. *)
+
+val launch_sites : cols:int -> n:int -> (int -> int -> unit) -> unit
+(** [launch_sites ~cols ~n range]: run [range lo hi] over [\[0, n)]
+    sites, on the default pool when it has more than one lane and
+    [cols·n·24] floats clear [Linalg.Field.parallel_cutoff] (chunks of
+    the pool's default size counted in column-sites), else serially.
+    The dispatch rule of every implicit stencil launch. *)

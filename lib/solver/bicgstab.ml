@@ -53,7 +53,7 @@ let stats ~iterations ~converged ~rel ~true_rel ~flops ~t_start =
     relative_residual = rel;
     true_relative_residual = Some true_rel;
     flops;
-    seconds = Unix.gettimeofday () -. t_start;
+    seconds = Util.Clock.now_s () -. t_start;
     reliable_updates = 0;
   }
 
@@ -61,7 +61,7 @@ let solve ?(x0 : Field.t option) ?(fused = false) ?trace ~apply ~(b : Field.t)
     ~tol ~max_iter ~flops_per_apply () =
   let emit v = match trace with Some f -> f v | None -> () in
   let n = Field.length b in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Util.Clock.now_s () in
   let x = match x0 with Some x -> Field.copy x | None -> Field.create n in
   let r = Field.create n in
   let tmp = Field.create n in

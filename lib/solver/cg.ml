@@ -60,7 +60,7 @@ let multi_tail_kernels ~fused =
 let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
     ~apply ~(b : Field.t) ~tol ~max_iter ~flops_per_apply () =
   let n = Field.length b in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Util.Clock.now_s () in
   let x = match x0 with Some x -> Field.copy x | None -> Field.create n in
   let r = Field.create n in
   let ap = Field.create n in
@@ -93,7 +93,7 @@ let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
         relative_residual = 0.;
         true_relative_residual = Some 0.;
         flops = 0.;
-        seconds = Unix.gettimeofday () -. t_start;
+        seconds = Util.Clock.now_s () -. t_start;
         reliable_updates = 0;
       } )
   end
@@ -159,7 +159,7 @@ let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
         relative_residual = sqrt (!r2 /. b2);
         true_relative_residual = Some true_res;
         flops;
-        seconds = Unix.gettimeofday () -. t_start;
+        seconds = Util.Clock.now_s () -. t_start;
         reliable_updates = 0;
       } )
   end
@@ -192,7 +192,7 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
   | Some xs when Array.length xs <> k ->
     invalid_arg "Cg.solve_multi: x0s width mismatch"
   | _ -> ());
-  let t_start = Unix.gettimeofday () in
+  let t_start = Util.Clock.now_s () in
   let xs =
     Array.init k (fun i ->
         match x0s with Some x0 -> Field.copy x0.(i) | None -> Field.create n)
@@ -248,7 +248,7 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
           relative_residual = sqrt (r2s.(i) /. b2s.(i));
           true_relative_residual = Some true_res;
           flops;
-          seconds = Unix.gettimeofday () -. t_start;
+          seconds = Util.Clock.now_s () -. t_start;
           reliable_updates = 0;
         }
   in
@@ -266,7 +266,7 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
               relative_residual = 0.;
               true_relative_residual = Some 0.;
               flops = 0.;
-              seconds = Unix.gettimeofday () -. t_start;
+              seconds = Util.Clock.now_s () -. t_start;
               reliable_updates = 0;
             }
       end

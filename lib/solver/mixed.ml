@@ -62,7 +62,7 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
   (match validate_config ~n config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Mixed.solve: " ^ msg));
-  let t_start = Unix.gettimeofday () in
+  let t_start = Util.Clock.now_s () in
   let block = config.block in
   let x = Field.create n in
   (* double-precision residual *)
@@ -178,7 +178,7 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
         relative_residual = rel;
         true_relative_residual = Some rel;
         flops;
-        seconds = Unix.gettimeofday () -. t_start;
+        seconds = Util.Clock.now_s () -. t_start;
         reliable_updates = !reliable;
       } )
   end
@@ -190,7 +190,7 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
         relative_residual = 0.;
         true_relative_residual = Some 0.;
         flops = 0.;
-        seconds = Unix.gettimeofday () -. t_start;
+        seconds = Util.Clock.now_s () -. t_start;
         reliable_updates = 0;
       } )
 

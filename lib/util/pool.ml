@@ -24,9 +24,8 @@
 
    Nested calls (a pooled kernel invoked from inside a worker, or from
    the owner while a job is live) degrade to the inline serial path
-   instead of deadlocking, so e.g. the Mobius 5d hop can parallelize
-   over s-slices while the Wilson kernel it calls per slice stays
-   serial within each slice. *)
+   instead of deadlocking, so a kernel that calls another pooled
+   kernel inside its range body runs the inner one serially. *)
 
 type t = {
   n_workers : int;  (* domains - 1; the caller is the last lane *)

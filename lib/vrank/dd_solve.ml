@@ -129,7 +129,7 @@ let apply_normal t ~scratch_ext ~scratch_local (src : fields) (dst : fields) =
 (* Distributed CG on M^dag M x = M^dag b, with b and x in GLOBAL layout
    for convenience. Returns the global solution and solver stats. *)
 let solve_normal ?(tol = 1e-10) ?(max_iter = 5000) t ~(b_global : Field.t) =
-  let t_start = Unix.gettimeofday () in
+  let t_start = Util.Clock.now_s () in
   let comm = Dd_wilson.comm t.dd in
   let scatter (g : Field.t) : fields =
     Array.init (n_ranks t) (fun r -> Domain.scatter_field t.dom ~dof:fps g r)
@@ -182,7 +182,7 @@ let solve_normal ?(tol = 1e-10) ?(max_iter = 5000) t ~(b_global : Field.t) =
       relative_residual = sqrt (!r2 /. b2);
       true_relative_residual = None;
       flops = 0.;
-      seconds = Unix.gettimeofday () -. t_start;
+      seconds = Util.Clock.now_s () -. t_start;
       reliable_updates = 0;
     },
     `Exchanges exchanges,

@@ -399,6 +399,90 @@ let prop_mobius_adjoint_random_params =
       let lhs = Field.cdot u dv and rhs = Field.cdot du v in
       Cplx.abs (Cplx.sub lhs rhs) < 1e-6 *. (1. +. Cplx.abs lhs))
 
+(* ---- entry checks: lengths, site indices, aliasing ---- *)
+
+let raises name f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument _ -> ()
+
+let cb_setup () =
+  let geom = Geometry.create [| 2; 2; 2; 4 |] in
+  let gauge = Gauge.random geom (rng ()) in
+  (geom, gauge, Wilson.of_checkerboard geom gauge ~parity:0)
+
+let test_wilson_rejects_short_src () =
+  let geom, _, w = cb_setup () in
+  let n = Geometry.half_volume geom * Wilson.floats_per_site in
+  let short = Field.create (n - 1) and dst = Field.create n in
+  raises "hop" (fun () -> Wilson.hop w ~src:short ~dst);
+  raises "hop_with" (fun () -> Wilson.hop_with (Util.Pool.shared ~domains:1) w ~src:short ~dst);
+  raises "hop_sites" (fun () -> Wilson.hop_sites w ~src:short ~dst ());
+  raises "hop_multi" (fun () -> Wilson.hop_multi w ~srcs:[| short |] ~dsts:[| dst |]);
+  raises "hop_tail" (fun () ->
+      ignore (Wilson.hop_tail w ~src:short ~dst ~tail:(Linalg.Fused.tail ~dot:dst ()) : float));
+  raises "apply" (fun () -> Wilson.apply w ~mass:0.1 ~src:short ~dst)
+
+let test_wilson_rejects_bad_sites () =
+  let geom, _, w = cb_setup () in
+  let half = Geometry.half_volume geom in
+  let src = Field.create (half * Wilson.floats_per_site) in
+  let dst = Field.create (half * Wilson.floats_per_site) in
+  raises "negative site" (fun () -> Wilson.hop_sites w ~sites:[| 0; -1 |] ~src ~dst ());
+  raises "site = n_sites" (fun () -> Wilson.hop_sites w ~sites:[| half |] ~src ~dst ())
+
+let test_wilson_rejects_aliasing () =
+  let geom, _, w = cb_setup () in
+  let v = Field.create (Geometry.half_volume geom * Wilson.floats_per_site) in
+  raises "hop src == dst" (fun () -> Wilson.hop w ~src:v ~dst:v);
+  (* a second handle on the same storage is caught by the data probe *)
+  raises "hop through a sub view" (fun () ->
+      Wilson.hop w ~src:v ~dst:(Bigarray.Array1.sub v 0 (Field.length v)));
+  raises "apply src == dst" (fun () -> Wilson.apply w ~mass:0.1 ~src:v ~dst:v);
+  raises "apply_dagger src == dst" (fun () -> Wilson.apply_dagger w ~mass:0.1 ~src:v ~dst:v);
+  raises "hop_multi" (fun () -> Wilson.hop_multi w ~srcs:[| v |] ~dsts:[| v |])
+
+let eo_setup () =
+  let geom, gauge, _ = cb_setup () in
+  let p = Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1 in
+  (p, Geometry.half_volume geom, Mobius.of_geometry_eo p geom gauge)
+
+let test_mobius_rejects_short_fields () =
+  let p, half, eo = eo_setup () in
+  let n = Mobius.eo_field_length eo in
+  let ok = Field.create n and ok2 = Field.create n and short = Field.create (n - 24) in
+  raises "apply_schur src" (fun () -> Mobius.apply_schur eo ~src:short ~dst:ok);
+  raises "apply_schur dst" (fun () -> Mobius.apply_schur eo ~src:ok ~dst:short);
+  raises "apply_schur_dagger" (fun () -> Mobius.apply_schur_dagger eo ~src:short ~dst:ok);
+  raises "apply_schur_normal" (fun () -> Mobius.apply_schur_normal eo ~src:ok ~dst:short);
+  raises "apply_schur_normal_tail" (fun () ->
+      ignore
+        (Mobius.apply_schur_normal_tail eo ~src:short ~dst:ok
+           ~tail:(Linalg.Fused.tail ~dot:ok2 ())
+          : float));
+  raises "apply_schur_normal_multi" (fun () ->
+      Mobius.apply_schur_normal_multi eo ~srcs:[| ok; short |] ~dsts:[| ok2; Field.create n |]);
+  raises "hop_eo" (fun () -> Mobius.hop_eo eo ~to_parity:0 ~src:short ~dst:ok);
+  raises "hop_eo_multi" (fun () -> Mobius.hop_eo_multi eo ~to_parity:1 ~srcs:[| ok |] ~dsts:[| short |]);
+  raises "prepare_rhs" (fun () -> ignore (Mobius.prepare_rhs eo ~rhs_even:ok ~rhs_odd:short : Field.t));
+  raises "reconstruct_even" (fun () ->
+      ignore (Mobius.reconstruct_even eo ~rhs_even:short ~x_odd:ok : Field.t));
+  raises "apply_m5" (fun () -> Mobius.apply_m5 p ~n4:half ~src:short ~dst:ok);
+  raises "apply_m5_dagger" (fun () -> Mobius.apply_m5_dagger p ~n4:half ~src:ok ~dst:short);
+  raises "apply_m5inv" (fun () -> Mobius.apply_m5inv p ~n4:half ~src:short ~dst:ok);
+  raises "apply_m5inv_dagger" (fun () -> Mobius.apply_m5inv_dagger p ~n4:half ~src:ok ~dst:short)
+
+let test_mobius_rejects_aliasing () =
+  let _, _, eo = eo_setup () in
+  let v = Mobius.create_eo_field eo in
+  raises "apply_schur" (fun () -> Mobius.apply_schur eo ~src:v ~dst:v);
+  raises "apply_schur_dagger" (fun () -> Mobius.apply_schur_dagger eo ~src:v ~dst:v);
+  raises "apply_schur_normal" (fun () -> Mobius.apply_schur_normal eo ~src:v ~dst:v);
+  raises "hop_eo" (fun () -> Mobius.hop_eo eo ~to_parity:1 ~src:v ~dst:v);
+  raises "apply_schur_multi" (fun () ->
+      Mobius.apply_schur_multi eo ~srcs:[| v; Mobius.create_eo_field eo |]
+        ~dsts:[| Mobius.create_eo_field eo; v |])
+
 let suite =
   [
     Alcotest.test_case "gamma anticommutators" `Quick test_gamma_anticommutators;
@@ -421,4 +505,11 @@ let suite =
     Alcotest.test_case "eo/full consistency" `Quick test_mobius_eo_full_consistency;
     Alcotest.test_case "split/merge roundtrip" `Quick test_split_merge_roundtrip;
     QCheck_alcotest.to_alcotest prop_mobius_adjoint_random_params;
+    Alcotest.test_case "wilson rejects short src" `Quick test_wilson_rejects_short_src;
+    Alcotest.test_case "wilson rejects out-of-range sites" `Quick
+      test_wilson_rejects_bad_sites;
+    Alcotest.test_case "wilson rejects aliasing" `Quick test_wilson_rejects_aliasing;
+    Alcotest.test_case "mobius rejects short fields" `Quick
+      test_mobius_rejects_short_fields;
+    Alcotest.test_case "mobius rejects aliasing" `Quick test_mobius_rejects_aliasing;
   ]

@@ -22,4 +22,5 @@ let () =
       ("recon", Test_recon.suite);
       ("deflate", Test_deflate.suite);
       ("properties", Test_properties.suite);
+      ("oracle", Test_oracle.suite);
     ]

@@ -49,6 +49,23 @@ let test_cg_solves_spd () =
   Alcotest.(check bool) "true residual small" true
     (sqrt (Field.norm2 d /. Field.norm2 b) < 1e-10)
 
+(* stats.seconds is a monotonic-clock difference: never negative, even
+   for a solve that exits before its first iteration *)
+let test_solver_seconds_non_negative () =
+  let n = 24 in
+  let apply = make_spd n 5 in
+  let b = Field.create n in
+  Field.gaussian (rng ()) b;
+  let check name (st : Cg.stats) =
+    Alcotest.(check bool) (name ^ " seconds >= 0") true (st.Cg.seconds >= 0.)
+  in
+  check "cg" (snd (Cg.solve ~apply ~b ~tol:1e-10 ~max_iter:100 ~flops_per_apply:1. ()));
+  check "cg zero rhs"
+    (snd (Cg.solve ~apply ~b:(Field.create n) ~tol:1e-10 ~max_iter:10 ~flops_per_apply:1. ()));
+  check "mixed" (snd (Mixed.solve ~apply ~b ~flops_per_apply:1. ()));
+  check "bicgstab"
+    (snd (Solver.Bicgstab.solve ~apply ~b ~tol:1e-10 ~max_iter:100 ~flops_per_apply:1. ()))
+
 let test_cg_zero_rhs () =
   let apply = make_spd 8 2 in
   let b = Field.create 8 in
@@ -581,6 +598,8 @@ let suite =
   [
     Alcotest.test_case "cg solves SPD" `Quick test_cg_solves_spd;
     Alcotest.test_case "cg zero rhs" `Quick test_cg_zero_rhs;
+    Alcotest.test_case "solver seconds never negative" `Quick
+      test_solver_seconds_non_negative;
     Alcotest.test_case "cg warm start" `Quick test_cg_initial_guess;
     Alcotest.test_case "cg max_iter" `Quick test_cg_max_iter_respected;
     Alcotest.test_case "cg flops accounting" `Quick test_cg_flops_accounting;

@@ -226,8 +226,18 @@ let test_table_render () =
   Alcotest.(check bool) "rectangular" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
+(* the monotonic clock never steps backwards between readings *)
+let test_clock_monotonic () =
+  let prev = ref (Clock.now_s ()) in
+  for _ = 1 to 100_000 do
+    let t = Clock.now_s () in
+    if t < !prev then Alcotest.failf "clock stepped back: %.9f < %.9f" t !prev;
+    prev := t
+  done
+
 let suite =
   [
+    Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng uniform mean" `Quick test_rng_uniformity;
