@@ -10,8 +10,9 @@
    paid for itself. The model rows record the Ritz-compressed
    condition number lambda_max/lambda_cut and the classical
    sqrt-kappa iteration ratio it predicts; the tuned row re-measures
-   Variants.tune_deflation's winner as a whole campaign (setup
-   amortized in) against the undeflated campaign. Rows merge into
+   Variants.tune_deflation's winner on the same right-hand sides as a
+   whole campaign (setup amortized in), through the runner the tuner
+   timed, against the undeflated launch. Rows merge into
    BENCH_kernels.json alongside the other experiments'. *)
 
 module Field = Linalg.Field
@@ -195,36 +196,27 @@ let run ?(out = "BENCH_kernels.json") () =
         })
       ranks
   in
-  (* the rank tuner's winner for this operator, re-measured as a whole
-     campaign — Lanczos setup inside the timed region, amortization
-     included — against the undeflated campaign *)
+  (* the rank tuner's winner for this operator and these right-hand
+     sides, re-measured as a whole campaign through the runner the
+     tuner timed — Lanczos setup inside the timed region, amortization
+     included — against the undeflated baseline launch *)
   let tuned_rows =
-    let tuner = Autotune.Tuner.create () in
-    let winner, plan =
-      Autotune.Variants.tune_deflation tuner ~solves ~tol:1e-10 ~apply ~n
+    let module V = Autotune.Variants in
+    let tol = 1e-10 in
+    let winner =
+      V.tune_deflation ~tol (Autotune.Tuner.create ()) ~apply ~bs:rhs
         ~signature:"bench"
     in
-    let run_winner () =
-      let deflate =
-        if plan.Autotune.Variants.rank = 0 then None
-        else
-          Some
-            (Solver.Deflate.of_lanczos ~config_hash:0
-               (Solver.Lanczos.lowest ~tol:1e-6
-                  ~rank:plan.Autotune.Variants.rank ~apply ~n
-                  ~rng:(Util.Rng.create (7 + plan.Autotune.Variants.rank))
-                  ()))
-      in
-      campaign ?deflate ()
-    in
-    let t_winner = time_ns run_winner in
+    let run = V.run_deflation ~tol ~apply ~bs:rhs in
+    let t_base = time_ns (fun () -> run V.baseline) in
+    let t_winner = time_ns (fun () -> run winner) in
     [
       {
         kernel = "cg_deflate_tuned";
         n;
-        geometry = winner;
+        geometry = V.label winner;
         ns_per_op = t_winner /. float_of_int solves;
-        speedup = t_undefl /. t_winner;
+        speedup = t_base /. t_winner;
       };
     ]
   in

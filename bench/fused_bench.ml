@@ -183,33 +183,25 @@ let run ?(out = "BENCH_kernels.json") () =
     ]
   in
   (* the fusion tuner's chosen winner for this shape, re-measured
-     against the always-present serial-unfused baseline *)
+     through the runner the tuner timed against the serial-unfused
+     baseline launch *)
   let tuned_rows =
-    let tuner = Autotune.Tuner.create () in
+    let module V = Autotune.Variants in
     (* every candidate through the static plan analyzer before the
        tuner prices (and caches) anything *)
-    let lint ~mode ~geometry =
-      match Check.Plan_check.lint_fusion ~n ~mode ~geometry with
+    let lint (l : V.launch) =
+      match Check.Plan_check.lint_fusion ~n ~mode:l.mode ~geometry:l.geometry with
       | [] -> None
       | d :: _ -> Some (Check.Diagnostic.to_string d)
     in
-    let winner, plan = Autotune.Variants.tune_fusion ~lint tuner ~n in
-    let baseline =
-      { Autotune.Variants.mode = Linalg.Fused.Unfused; geometry = None }
-    in
-    let t_base =
-      time_ns (fun () ->
-          ignore (Autotune.Variants.run_fusion_plan baseline ~p ~ap ~x ~r : float))
-    in
-    let t_winner =
-      time_ns (fun () ->
-          ignore (Autotune.Variants.run_fusion_plan plan ~p ~ap ~x ~r : float))
-    in
+    let winner = V.tune_fusion ~lint (Autotune.Tuner.create ()) ~n in
+    let t_base = time_ns (fun () -> V.run_fusion ~p ~ap ~x ~r V.baseline) in
+    let t_winner = time_ns (fun () -> V.run_fusion ~p ~ap ~x ~r winner) in
     [
       {
         kernel = "cg_blas1_tuned";
         n;
-        geometry = winner;
+        geometry = V.label winner;
         ns_per_op = t_winner;
         speedup = t_base /. t_winner;
       };

@@ -117,17 +117,22 @@ let autotune () =
   let n = Lattice.Geometry.volume geom * 24 in
   let src = Linalg.Field.create n and dst = Linalg.Field.create n in
   Linalg.Field.gaussian (Util.Rng.create 4) src;
+  let tune_hop () =
+    Autotune.Variants.label
+      (Autotune.Variants.tune_hop tuner [ w ] ~srcs:[| src |] ~dsts:[| dst |]
+         ~signature:"8888/double")
+  in
   let t0 = Unix.gettimeofday () in
-  let winner, _ = Autotune.Variants.tune_hop tuner w ~src ~dst ~signature:"8888/double" in
+  let winner = tune_hop () in
   let t_first = Unix.gettimeofday () -. t0 in
   let t1 = Unix.gettimeofday () in
-  let winner2, _ = Autotune.Variants.tune_hop tuner w ~src ~dst ~signature:"8888/double" in
+  let winner2 = tune_hop () in
   let t_cached = Unix.gettimeofday () -. t1 in
   Printf.printf
     "wilson_hop on 8^4: brute-force search picked '%s' in %s; cached lookup '%s' in %s\n"
     winner (Ascii.seconds t_first) winner2 (Ascii.seconds t_cached);
-  let axpy_winner, _ = Autotune.Variants.tune_axpy tuner ~n:(1 lsl 16) in
-  Printf.printf "axpy 64k: picked '%s'\n" axpy_winner;
+  Printf.printf "axpy 64k: picked '%s'\n"
+    (Autotune.Variants.label (Autotune.Variants.tune_axpy tuner ~n:(1 lsl 16)));
   List.iter
     (fun e ->
       Printf.printf "  cache: %-12s %-14s -> %-9s (%d candidates, %s)\n"

@@ -16,6 +16,7 @@
 module Field = Linalg.Field
 module Wilson = Dirac.Wilson
 module Pool = Util.Pool
+module V = Autotune.Variants
 module Ascii = Util.Ascii
 open Bench_json
 
@@ -37,16 +38,8 @@ let run ?(out = "BENCH_kernels.json") () =
   let srcs = Array.init kmax (fun i -> mk nf (40 + i)) in
   let dsts = Array.init kmax (fun _ -> Field.create nf) in
   (* serial hop at each width: KMAX RHS as KMAX/k width-k batches *)
-  let serial = Pool.shared ~domains:1 in
-  let hop_at_width k () =
-    let off = ref 0 in
-    while !off < kmax do
-      Wilson.hop_multi_with serial w
-        ~srcs:(Array.sub srcs !off k)
-        ~dsts:(Array.sub dsts !off k);
-      off := !off + k
-    done
-  in
+  let run = V.run_hop [ w ] ~srcs ~dsts in
+  let hop_at_width k () = run { V.baseline with k } in
   let widths = [ 1; 2; 4; 8 ] in
   let t1 = time_ns (hop_at_width 1) in
   let hop_rows =
@@ -128,31 +121,18 @@ let run ?(out = "BENCH_kernels.json") () =
     ]
   in
   (* the batch-width tuner's chosen winner for this shape, re-measured
-     against the always-present width-1 serial baseline *)
+     through the runner the tuner timed against the width-1 serial
+     baseline *)
   let tuned_rows =
-    let tuner = Autotune.Tuner.create () in
-    let winner, plan =
-      Autotune.Variants.tune_hop_multi tuner w ~srcs ~dsts ~signature:"bench"
+    let winner =
+      V.tune_hop (Autotune.Tuner.create ()) [ w ] ~srcs ~dsts ~signature:"bench"
     in
-    let run_plan () =
-      let k = plan.Autotune.Variants.k in
-      let off = ref 0 in
-      while !off < kmax do
-        let ss = Array.sub srcs !off k and ds = Array.sub dsts !off k in
-        (match plan.Autotune.Variants.geometry with
-        | None -> Wilson.hop_multi_with serial w ~srcs:ss ~dsts:ds
-        | Some (d, c) ->
-          Wilson.hop_multi_with (Pool.shared ~domains:d) ~chunk:c w ~srcs:ss
-            ~dsts:ds);
-        off := !off + k
-      done
-    in
-    let t_winner = time_ns run_plan in
+    let t_winner = time_ns (fun () -> run winner) in
     [
       {
         kernel = "wilson_hop_multi_tuned";
         n = vol;
-        geometry = winner;
+        geometry = V.label winner;
         ns_per_op = t_winner;
         speedup = t1 /. t_winner;
       };

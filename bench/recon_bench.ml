@@ -21,6 +21,7 @@ module Codec = Linalg.Su3_codec
 module Wilson = Dirac.Wilson
 module Pool = Util.Pool
 module Ascii = Util.Ascii
+module V = Autotune.Variants
 open Bench_json
 
 let time_ns = Pool_bench.time_ns
@@ -40,24 +41,16 @@ let run ?(out = "BENCH_kernels.json") () =
   let nf = vol * Wilson.floats_per_site in
   let srcs = Array.init kmax (fun i -> mk nf (60 + i)) in
   let dsts = Array.init kmax (fun _ -> Field.create nf) in
-  let serial = Pool.shared ~domains:1 in
   (* one operator per codec, same geometry and gauge: each owns its
      packed store, the stencil tables are identical *)
-  let ops = List.map (fun c -> (c, Wilson.of_geometry ~recon:c geom gauge)) Codec.all in
-  let hop_with w () =
-    let off = ref 0 in
-    while !off < kmax do
-      Wilson.hop_multi_with serial w
-        ~srcs:(Array.sub srcs !off kbench)
-        ~dsts:(Array.sub dsts !off kbench);
-      off := !off + kbench
-    done
-  in
-  let t_full = time_ns (hop_with (List.assoc Codec.Full18 ops)) in
+  let ops = List.map (fun c -> Wilson.of_geometry ~recon:c geom gauge) Codec.all in
+  let run = V.run_hop ops ~srcs ~dsts in
+  let hop_with recon () = run { V.baseline with recon; k = kbench } in
+  let t_full = time_ns (hop_with Codec.Full18) in
   let hop_rows =
     List.map
-      (fun (c, w) ->
-        let t = if c = Codec.Full18 then t_full else time_ns (hop_with w) in
+      (fun c ->
+        let t = if c = Codec.Full18 then t_full else time_ns (hop_with c) in
         {
           kernel = "wilson_hop_recon";
           n = vol;
@@ -65,7 +58,7 @@ let run ?(out = "BENCH_kernels.json") () =
           ns_per_op = t;
           speedup = t_full /. t;
         })
-      ops
+      Codec.all
   in
   (* the model's view: per-site link bytes at each codec (the pure
      stream drop, 1152 -> 768 -> 512) and the k-amortized bytes/site
@@ -97,34 +90,18 @@ let run ?(out = "BENCH_kernels.json") () =
       Codec.all
   in
   (* the codec x width x geometry tuner's chosen winner for this
-     shape, re-measured against the uncompressed width-kbench serial
-     baseline above *)
+     shape, re-measured through the runner the tuner timed against the
+     uncompressed width-kbench serial row above *)
   let tuned_rows =
-    let tuner = Autotune.Tuner.create () in
-    let winner, plan =
-      Autotune.Variants.tune_hop_recon tuner geom gauge ~srcs ~dsts
-        ~signature:"bench"
+    let winner =
+      V.tune_hop (Autotune.Tuner.create ()) ops ~srcs ~dsts ~signature:"bench"
     in
-    let w = List.assoc plan.Autotune.Variants.recon ops in
-    let run_plan () =
-      let k = plan.Autotune.Variants.rk in
-      let off = ref 0 in
-      while !off < kmax do
-        let ss = Array.sub srcs !off k and ds = Array.sub dsts !off k in
-        (match plan.Autotune.Variants.rgeometry with
-        | None -> Wilson.hop_multi_with serial w ~srcs:ss ~dsts:ds
-        | Some (d, c) ->
-          Wilson.hop_multi_with (Pool.shared ~domains:d) ~chunk:c w ~srcs:ss
-            ~dsts:ds);
-        off := !off + k
-      done
-    in
-    let t_winner = time_ns run_plan in
+    let t_winner = time_ns (fun () -> run winner) in
     [
       {
         kernel = "wilson_hop_recon_tuned";
         n = vol;
-        geometry = winner;
+        geometry = V.label winner;
         ns_per_op = t_winner;
         speedup = t_full /. t_winner;
       };

@@ -7,15 +7,14 @@
 
    This is exactly that, for OCaml kernels: candidates are measured
    once per (kernel, signature) key, the winner is cached with its
-   performance metadata, and data-destructive kernels get a
-   backup/restore hook around each trial. The cache can be saved to
-   and restored from disk, like QUDA's tunecache. *)
+   performance metadata, and the cache can be saved to and restored
+   from disk, like QUDA's tunecache. *)
 
 type entry = {
   kernel : string;
   signature : string;  (* problem shape: volume, precision, ... *)
   winner : string;  (* label of the chosen launch configuration *)
-  time_s : float;  (* measured time of the winner *)
+  time_s : float;  (* median measured time of the winner *)
   candidates_tried : int;
   tuned_at : float;  (* wall-clock, metadata only *)
 }
@@ -27,38 +26,48 @@ type t = {
   repeats : int;  (* timing repetitions per candidate *)
 }
 
+exception Corrupt of { path : string; line : int; reason : string }
+
 let create ?(repeats = 3) () = { cache = Hashtbl.create 64; tune_count = 0; hit_count = 0; repeats }
 
 type 'a candidate = { label : string; run : 'a }
 
 let candidate label run = { label; run }
 
-(* Median-of-repeats timing of one candidate. *)
-let time_candidate t ~backup ~restore (c : (unit -> unit) candidate) =
-  let samples =
-    Array.init t.repeats (fun _ ->
-        backup ();
-        let t0 = Unix.gettimeofday () in
-        c.run ();
-        let dt = Unix.gettimeofday () -. t0 in
-        restore ();
-        dt)
-  in
-  Array.sort compare samples;
-  samples.(t.repeats / 2)
+(* Monotonic per-run samples of one candidate. *)
+let time_candidate t (c : (unit -> unit) candidate) =
+  Array.init t.repeats (fun _ ->
+      let t0 = Util.Clock.now_s () in
+      c.run ();
+      Util.Clock.now_s () -. t0)
 
-let default_hook () = ()
+(* The win rule. The first candidate is the baseline; the fastest
+   median displaces it only by beating the baseline median by more
+   than the baseline's own interquartile spread — a "win" inside the
+   run-to-run noise is not a win, and caching one would record a
+   slowdown as the tuned launch. With one repeat the spread is zero
+   and the strictly fastest wins. *)
+let pick = function
+  | [] -> invalid_arg "Tuner.pick: no candidates"
+  | (base, bs) :: _ as samples ->
+    let base_med = Util.Stats.median bs in
+    let spread = Util.Stats.percentile bs 75. -. Util.Stats.percentile bs 25. in
+    let fastest =
+      List.fold_left
+        (fun (bl, bt) (l, s) ->
+          let m = Util.Stats.median s in
+          if m < bt then (l, m) else (bl, bt))
+        (base, base_med) samples
+    in
+    if base_med -. snd fastest > spread then fastest else (base, base_med)
 
 (* [tune t ~kernel ~signature candidates] returns the label of the best
    candidate, measuring on first encounter and hitting the cache after.
-   [backup]/[restore] bracket each trial for data-destructive kernels.
    A cached winner is only served if its label still names a live
    candidate: a cache loaded from disk (or kept across a variant-space
-   change) may hold a winner the space no longer contains — serving it
-   would hand the caller a label List.assoc cannot resolve. Such stale
+   change) may hold a winner the space no longer contains. Such stale
    entries are re-tuned and overwritten, not trusted. *)
-let tune ?(backup = default_hook) ?(restore = default_hook) t ~kernel ~signature
-    (candidates : (unit -> unit) candidate list) =
+let tune t ~kernel ~signature (candidates : (unit -> unit) candidate list) =
   if candidates = [] then invalid_arg "Tuner.tune: no candidates";
   let key = (kernel, signature) in
   match Hashtbl.find_opt t.cache key with
@@ -67,13 +76,8 @@ let tune ?(backup = default_hook) ?(restore = default_hook) t ~kernel ~signature
     e.winner
   | Some _ | None ->
     t.tune_count <- t.tune_count + 1;
-    let timed =
-      List.map (fun c -> (c.label, time_candidate t ~backup ~restore c)) candidates
-    in
     let winner, time_s =
-      List.fold_left
-        (fun (bl, bt) (l, dt) -> if dt < bt then (l, dt) else (bl, bt))
-        (List.hd timed) (List.tl timed)
+      pick (List.map (fun c -> (c.label, time_candidate t c)) candidates)
     in
     Hashtbl.replace t.cache key
       {
@@ -104,25 +108,39 @@ let save t path =
             e.winner e.time_s e.candidates_tried e.tuned_at)
         t.cache)
 
+(* A line that does not parse is a corrupt cache, never a skipped
+   entry: a silently dropped line would re-tune quietly, and a bad
+   number must not surface as an anonymous [Failure]. *)
 let load t path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          match String.split_on_char '\t' line with
+      let rec go line =
+        match input_line ic with
+        | exception End_of_file -> ()
+        | text ->
+          let corrupt reason = raise (Corrupt { path; line; reason }) in
+          let num what parse s =
+            match parse s with
+            | Some v -> v
+            | None -> corrupt (Printf.sprintf "%s %S is not a number" what s)
+          in
+          (match String.split_on_char '\t' text with
           | [ kernel; signature; winner; time_s; tried; tuned_at ] ->
             Hashtbl.replace t.cache (kernel, signature)
               {
                 kernel;
                 signature;
                 winner;
-                time_s = float_of_string time_s;
-                candidates_tried = int_of_string tried;
-                tuned_at = float_of_string tuned_at;
+                time_s = num "time_s" float_of_string_opt time_s;
+                candidates_tried = num "candidates_tried" int_of_string_opt tried;
+                tuned_at = num "tuned_at" float_of_string_opt tuned_at;
               }
-          | _ -> ()
-        done
-      with End_of_file -> ())
+          | fields ->
+            corrupt
+              (Printf.sprintf "%d tab-separated fields, expected 6"
+                 (List.length fields)));
+          go (line + 1)
+      in
+      go 1)

@@ -1,118 +1,62 @@
-(* Launch-parameter spaces for the real OCaml kernels, so the
-   autotuner has genuine knobs to search — the analogue of CUDA block
-   size / grid shape for this implementation:
+(* Launch configurations for the real OCaml kernels, so the autotuner
+   has genuine knobs to search — the analogue of CUDA block/grid shape
+   for this implementation. One record names a launch on every axis a
+   kernel family can have: the BLAS-1 tail fusion mode, the batch
+   width, the gauge-link codec, the pool geometry and the deflation
+   rank. A family's space crosses the axes it has and leaves the rest
+   at the baseline value; [tune] returns the winning record itself,
+   and the caller runs it through the same runner the tuner timed.
 
-   - BLAS-1 kernels: manual unroll depth.
-   - Wilson stencil: site-traversal tile size (temporal blocking of
-     the site loop changes the cache behaviour of neighbour reads).
-
-   Each variant is a drop-in replacement verified identical by the
-   test suite; only speed differs. *)
+   Launches of a family differ only in speed: results are
+   bit-identical across geometries, widths and modes, and agree within
+   tolerance across codecs (link round-trip) and deflation ranks
+   (solver tolerance). *)
 
 module Field = Linalg.Field
-open Bigarray
+module Fused = Linalg.Fused
+module Wilson = Dirac.Wilson
 
-(* ---- axpy unroll variants ---- *)
+type launch = {
+  mode : Fused.mode;
+  k : int;
+  recon : Linalg.Su3_codec.codec;
+  geometry : (int * int) option;
+  rank : int;
+}
 
-let axpy_plain alpha (x : Field.t) (y : Field.t) =
-  for i = 0 to Field.length x - 1 do
-    Array1.unsafe_set y i (Array1.unsafe_get y i +. (alpha *. Array1.unsafe_get x i))
-  done
+let baseline =
+  {
+    mode = Fused.Unfused;
+    k = 1;
+    recon = Linalg.Su3_codec.Full18;
+    geometry = None;
+    rank = 0;
+  }
 
-let axpy_unroll4 alpha (x : Field.t) (y : Field.t) =
-  let n = Field.length x in
-  let n4 = n - (n mod 4) in
-  let i = ref 0 in
-  while !i < n4 do
-    let i0 = !i in
-    Array1.unsafe_set y i0 (Array1.unsafe_get y i0 +. (alpha *. Array1.unsafe_get x i0));
-    Array1.unsafe_set y (i0 + 1)
-      (Array1.unsafe_get y (i0 + 1) +. (alpha *. Array1.unsafe_get x (i0 + 1)));
-    Array1.unsafe_set y (i0 + 2)
-      (Array1.unsafe_get y (i0 + 2) +. (alpha *. Array1.unsafe_get x (i0 + 2)));
-    Array1.unsafe_set y (i0 + 3)
-      (Array1.unsafe_get y (i0 + 3) +. (alpha *. Array1.unsafe_get x (i0 + 3)));
-    i := i0 + 4
-  done;
-  for j = n4 to n - 1 do
-    Array1.unsafe_set y j (Array1.unsafe_get y j +. (alpha *. Array1.unsafe_get x j))
-  done
+(* Every field, as fixed-format fragments in a fixed order (mode and
+   codec names carry no '_'): two launches share a label only if they
+   are equal, so a cached winner names exactly one plan. *)
+let label l =
+  Printf.sprintf "%s_%s_k%d_r%d_%s" (Fused.mode_name l.mode)
+    (Linalg.Su3_codec.name l.recon)
+    l.k l.rank
+    (match l.geometry with
+    | None -> "serial"
+    | Some (d, c) -> Printf.sprintf "d%d_c%d" d c)
 
-let axpy_unroll8 alpha (x : Field.t) (y : Field.t) =
-  let n = Field.length x in
-  let n8 = n - (n mod 8) in
-  let i = ref 0 in
-  while !i < n8 do
-    for k = 0 to 7 do
-      let j = !i + k in
-      Array1.unsafe_set y j (Array1.unsafe_get y j +. (alpha *. Array1.unsafe_get x j))
-    done;
-    i := !i + 8
-  done;
-  for j = n8 to n - 1 do
-    Array1.unsafe_set y j (Array1.unsafe_get y j +. (alpha *. Array1.unsafe_get x j))
-  done
-
-let axpy_variants : (string * (float -> Field.t -> Field.t -> unit)) list =
-  [ ("plain", axpy_plain); ("unroll4", axpy_unroll4); ("unroll8", axpy_unroll8) ]
-
-(* ---- stencil traversal variants ---- *)
-
-(* Site orderings for the Wilson hop: natural lexicographic, or tiles
-   of [tile] consecutive sites interleaved across the volume (a poor
-   man's launch-geometry knob). *)
-let site_order_natural n = Array.init n Fun.id
-
-let site_order_tiled ~tile n =
-  let out = Array.make n 0 in
-  let idx = ref 0 in
-  let n_tiles = (n + tile - 1) / tile in
-  for t = 0 to n_tiles - 1 do
-    let lo = t * tile in
-    let hi = min n (lo + tile) in
-    for s = lo to hi - 1 do
-      out.(!idx) <- s;
-      incr idx
-    done
-  done;
-  out
-
-let site_order_strided ~stride n =
-  let out = Array.make n 0 in
-  let idx = ref 0 in
-  for r = 0 to stride - 1 do
-    let s = ref r in
-    while !s < n do
-      out.(!idx) <- !s;
-      incr idx;
-      s := !s + stride
-    done
-  done;
-  out
-
-let hop_orders n =
-  [
-    ("natural", site_order_natural n);
-    ("tile256", site_order_tiled ~tile:256 n);
-    ("tile1024", site_order_tiled ~tile:1024 n);
-    ("stride2", site_order_strided ~stride:2 n);
-  ]
+let domain_cap max_domains =
+  min Util.Pool.max_domains
+    (Option.value max_domains ~default:(Domain.recommended_domain_count ()))
 
 (* ---- pool launch geometries ----
-   The multicore launch axis: (ndomains, chunk) pairs, the laptop
-   analogue of CUDA block/grid shape. Domain counts are powers of two
-   up to the machine (capped by [Domain.recommended_domain_count], or
-   the explicit [max_domains] the tests use to exercise the space on
-   any box); chunks are one and a quarter of the per-lane share,
-   floored so tiny problems do not degenerate to per-element dispatch.
-   Pooled candidates draw their pool from [Util.Pool.shared], so a
-   tuning sweep spawns each width once. *)
+   The multicore launch axis: (ndomains, chunk) pairs. Domain counts
+   are powers of two up to the machine (capped by
+   [Domain.recommended_domain_count], or the explicit [max_domains]
+   the tests use to exercise the space on any box); chunks are one and
+   a quarter of the per-lane share, floored so tiny problems do not
+   degenerate to per-element dispatch. *)
 let pool_geometries ?max_domains ?(chunk_floor = 1024) ~n () =
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
+  let dmax = domain_cap max_domains in
   let rec widths d acc = if d > dmax then List.rev acc else widths (d * 2) (d :: acc) in
   List.concat_map
     (fun d ->
@@ -124,457 +68,179 @@ let pool_geometries ?max_domains ?(chunk_floor = 1024) ~n () =
       List.map (fun c -> (d, c)) cands)
     (widths 2 [])
 
-let geom_label prefix (d, c) = Printf.sprintf "%s_d%d_c%d" prefix d c
+(* The first element takes the head of every axis and the serial
+   geometry: the baseline whenever each axis leads with its baseline
+   value, as every caller's does. *)
+let space ?(modes = [ baseline.mode ]) ?(widths = [ baseline.k ])
+    ?(codecs = [ baseline.recon ]) ?(geometries = []) ?(ranks = [ baseline.rank ])
+    () =
+  let ( let* ) xs f = List.concat_map f xs in
+  let* mode = modes in
+  let* recon = codecs in
+  let* k = widths in
+  let* rank = ranks in
+  let* geometry = None :: List.map Option.some geometries in
+  [ { mode; k; recon; geometry; rank } ]
 
-(* Execution plan a hop tuning run settles on: a serial traversal
-   order, or a pooled site-partitioned launch. *)
-type hop_plan =
-  | Serial_order of int array
-  | Pooled of { domains : int; chunk : int }
-
-(* Tune the hop traversal for a kernel on a concrete field pair,
-   returning the winning label and its execution plan. The caller's
-   [signature] is extended with the site count and the domain cap so a
-   winner tuned for one problem shape or machine width can never be
-   served for another. *)
-let tune_hop ?max_domains tuner (w : Dirac.Wilson.t) ~(src : Field.t)
-    ~(dst : Field.t) ~signature =
-  let n = Field.length dst / Dirac.Wilson.floats_per_site in
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let plans =
-    List.map (fun (label, sites) -> (label, Serial_order sites)) (hop_orders n)
-    @ List.map
-        (fun (d, c) -> (geom_label "pool" (d, c), Pooled { domains = d; chunk = c }))
-        (pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n ())
-  in
-  let run = function
-    | Serial_order sites -> Dirac.Wilson.hop_sites w ~sites ~src ~dst ()
-    | Pooled { domains; chunk } ->
-      Dirac.Wilson.hop_with (Util.Pool.shared ~domains) ~chunk w ~src ~dst
-  in
-  let signature = Printf.sprintf "%s:n%d:dmax%d" signature n dmax in
-  let winner =
-    Tuner.tune tuner ~kernel:"wilson_hop" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         plans)
-  in
-  (winner, List.assoc winner plans)
-
-(* ---- fusion axis ----
-   The second launch dimension of the BLAS-1 tail: the Fused.mode
-   (unfused / fused separate-dot / tail-fused), crossed with the pool
-   geometries. A fusion plan is what the tuner settles on for the
-   whole CG vector tail of one iteration; [run_fusion_plan] executes
-   exactly the tail each mode's solve runs — including the p·Ap dot
-   where the mode pays for it as a tail sweep (Unfused and Fused; in
-   Tail_fused it rides the stencil, so the tail is just cg_update +
-   xpay_dot) — so candidates are priced on the traffic that matters.
-   The serial-unfused baseline is always in the space — the tuner can
-   refuse every "optimisation" (see the tuner-honesty regression
-   test), and bench rows get an honest 1.0 denominator. *)
-
-type fusion_plan = {
-  mode : Linalg.Fused.mode;
-  geometry : (int * int) option;
-}
-
-let fusion_label (plan : fusion_plan) =
-  let prefix = Linalg.Fused.mode_name plan.mode in
-  match plan.geometry with
-  | None -> prefix ^ "_serial"
-  | Some g -> geom_label prefix g
-
-let fusion_space ?max_domains ?(chunk_floor = 1024) ~n () =
-  let geoms = pool_geometries ?max_domains ~chunk_floor ~n () in
-  let plans mode =
-    { mode; geometry = None }
-    :: List.map (fun g -> { mode; geometry = Some g }) geoms
-  in
-  List.map
-    (fun p -> (fusion_label p, p))
-    (plans Linalg.Fused.Unfused
-    @ plans Linalg.Fused.Fused
-    @ plans Linalg.Fused.Tail_fused)
-
-(* One CG BLAS-1 tail iteration under a fusion plan, sized to what
-   each mode actually executes per iteration on the host: Unfused =
-   dot_re + axpy + axpy + norm2 + xpay (5 sweeps); Fused = dot_re +
-   cg_update + xpay_dot (3 sweeps, the separate-dot fallback);
-   Tail_fused = cg_update + xpay_dot (2 sweeps — p·Ap rode the
-   stencil). alpha/beta are fixed small scalars so repeated timing
-   runs do not drift the data towards overflow. *)
-let run_fusion_plan (plan : fusion_plan) ~(p : Field.t) ~(ap : Field.t)
-    ~(x : Field.t) ~(r : Field.t) =
-  let alpha = 1e-3 and beta = 0.5 in
-  match (plan.mode, plan.geometry) with
-  | Linalg.Fused.Unfused, None ->
-    ignore (Field.dot_re p ap : float);
-    Field.axpy alpha p x;
-    Field.axpy (-.alpha) ap r;
-    let r2 = Field.norm2 r in
-    Field.xpay r beta p;
-    r2
-  | Linalg.Fused.Fused, None ->
-    ignore (Field.dot_re p ap : float);
-    let r2 = Linalg.Fused.cg_update alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot r beta p r : float);
-    r2
-  | Linalg.Fused.Tail_fused, None ->
-    let r2 = Linalg.Fused.cg_update alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot r beta p r : float);
-    r2
-  | Linalg.Fused.Unfused, Some (domains, chunk) ->
-    let pool = Util.Pool.shared ~domains in
-    ignore (Field.dot_re_with pool ~chunk p ap : float);
-    Field.axpy_with pool ~chunk alpha p x;
-    Field.axpy_with pool ~chunk (-.alpha) ap r;
-    let r2 = Field.norm2_with pool ~chunk r in
-    Field.xpay_with pool ~chunk r beta p;
-    r2
-  | Linalg.Fused.Fused, Some (domains, chunk) ->
-    let pool = Util.Pool.shared ~domains in
-    ignore (Field.dot_re_with pool ~chunk p ap : float);
-    let r2 = Linalg.Fused.cg_update_with pool ~chunk alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot_with pool ~chunk r beta p r : float);
-    r2
-  | Linalg.Fused.Tail_fused, Some (domains, chunk) ->
-    let pool = Util.Pool.shared ~domains in
-    let r2 = Linalg.Fused.cg_update_with pool ~chunk alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot_with pool ~chunk r beta p r : float);
-    r2
-
-(* Tune the mode × geometry space on the CG vector tail. Same
-   signature discipline as the other axes — and because the three
-   modes live under distinct label prefixes in ONE search for the
-   "cg_blas1" kernel, a winner can never be read back across the axis:
-   the label is the plan. The signature additionally carries a hash of
-   the candidate label space ("v%x"): when the space itself changes
-   shape (as it did when the tail-fused mode landed), cache entries
-   keyed to the old space go stale instead of serving a winner the
-   space no longer contains — and Tuner.tune independently refuses a
-   cached winner whose label is absent from the live candidates.
-
-   [lint] vets each candidate BEFORE it enters the search: Tuner.tune
+(* [lint] vets each candidate BEFORE it enters the search: Tuner.tune
    caches its winner on first encounter, so this is the only point
-   where a statically invalid plan can be kept out of the cache. The
-   callback shape (rather than a direct Check.Plan_check call) is
-   forced by the library graph — check links core links autotune — and
-   callers close the loop with Check.Plan_check.lint_fusion. The
-   serial-unfused baseline is exempt: it must always be in the space
-   (tuner honesty), and a linter rejecting the reference plan is a
-   linter bug, not a tuning outcome. *)
+   where a statically invalid plan can be kept out of the cache. It is
+   a callback rather than a direct Check call so a test can substitute
+   a reject-all linter and prove the vetting happens before caching.
+   The baseline is exempt: it must always be in the space, and a
+   linter rejecting the reference plan is a linter bug, not a tuning
+   outcome.
+
+   The signature gains the domain cap and a hash of the label space,
+   taken over one string because Hashtbl.hash reads only the first
+   few elements of a list: a winner tuned for one machine width, or
+   cached before the space changed shape, never keys the same — and
+   Tuner.tune independently refuses a cached winner absent from the
+   live candidates. *)
+let tune ?max_domains ?lint tuner ~kernel ~signature ~space run =
+  let dmax = domain_cap max_domains in
+  let all = space ~dmax in
+  let labels = List.map label all in
+  if List.length (List.sort_uniq compare labels) <> List.length labels then
+    invalid_arg "Variants.tune: duplicate launches in the space";
+  let live =
+    match (all, lint) with
+    | [], _ -> invalid_arg "Variants.tune: empty space"
+    | _, None -> all
+    | base :: _, Some vet -> List.filter (fun l -> l = base || vet l = None) all
+  in
+  let winner =
+    Tuner.tune tuner ~kernel
+      ~signature:
+        (Printf.sprintf "%s:dmax%d:v%x" signature dmax
+           (Hashtbl.hash (String.concat " " labels)))
+      (List.map (fun l -> Tuner.candidate (label l) (fun () -> run l)) live)
+  in
+  List.find (fun l -> label l = winner) live
+
+(* ---- runners: the only code that executes a launch ---- *)
+
+let pool l =
+  Util.Pool.shared ~domains:(match l.geometry with None -> 1 | Some (d, _) -> d)
+
+let chunk l = Option.map snd l.geometry
+
+(* The full batch in sub-batches of the launch's width, on the
+   operator of its codec: a narrow width pays the gauge re-streaming
+   it costs and a packed codec its reconstruction on every right-hand
+   side, never on fewer vectors. *)
+let run_hop ops ~srcs ~dsts =
+  let kmax = Array.length srcs in
+  if kmax = 0 || Array.length dsts <> kmax then
+    invalid_arg "Variants.run_hop: batch width mismatch";
+  fun l ->
+    let w = List.find (fun w -> Wilson.recon w = l.recon) ops in
+    let off = ref 0 in
+    while !off < kmax do
+      let width = min l.k (kmax - !off) in
+      Wilson.hop_multi_with (pool l) ?chunk:(chunk l) w
+        ~srcs:(Array.sub srcs !off width)
+        ~dsts:(Array.sub dsts !off width);
+      off := !off + width
+    done
+
+let run_axpy ~x ~y l = Field.axpy_with (pool l) ?chunk:(chunk l) 0.5 x y
+
+(* One CG BLAS-1 tail iteration as each mode executes it: Unfused =
+   dot_re + axpy + axpy + norm2 + xpay (5 sweeps); Fused = dot_re +
+   cg_update + xpay_dot (3, the separate-dot fallback); Tail_fused =
+   cg_update + xpay_dot (2 — p·Ap rode the stencil). alpha/beta are
+   fixed small scalars so repeated timing runs do not drift the data
+   towards overflow. *)
+let run_fusion ~p ~ap ~x ~r l =
+  let pool = pool l and chunk = chunk l in
+  let alpha = 1e-3 and beta = 0.5 in
+  if l.mode <> Fused.Tail_fused then
+    ignore (Field.dot_re_with pool ?chunk p ap : float);
+  match l.mode with
+  | Fused.Unfused ->
+    Field.axpy_with pool ?chunk alpha p x;
+    Field.axpy_with pool ?chunk (-.alpha) ap r;
+    ignore (Field.norm2_with pool ?chunk r : float);
+    Field.xpay_with pool ?chunk r beta p
+  | Fused.Fused | Fused.Tail_fused ->
+    ignore (Fused.cg_update_with pool ?chunk alpha p ap x r : float);
+    ignore (Fused.xpay_dot_with pool ?chunk r beta p r : float)
+
+(* A whole campaign slice: Lanczos setup for the launch's rank inside
+   the run (the setup-vs-iterations amortization is the trade), then
+   one CG solve per right-hand side. Cg.solve takes no pool argument,
+   so the launch's pool is installed as the default for the run. *)
+let run_deflation ~tol ~apply ~bs =
+  if Array.length bs = 0 then invalid_arg "Variants.run_deflation: no right-hand sides";
+  let n = Field.length bs.(0) in
+  fun l ->
+    let prev = Util.Pool.get_default () in
+    Util.Pool.set_default (pool l);
+    Fun.protect
+      ~finally:(fun () -> Util.Pool.set_default prev)
+      (fun () ->
+        let deflate =
+          if l.rank = 0 then None
+          else
+            Some
+              (Solver.Deflate.of_lanczos ~config_hash:0
+                 (Solver.Lanczos.lowest ~tol:1e-6 ~rank:l.rank ~apply ~n
+                    ~rng:(Util.Rng.create (7 + l.rank))
+                    ()))
+        in
+        Array.iter
+          (fun b ->
+            ignore
+              (Solver.Cg.solve ?deflate ~apply ~b ~tol ~max_iter:(200 * n)
+                 ~flops_per_apply:1. ()
+                : Field.t * Solver.Cg.stats))
+          bs)
+
+(* ---- the kernel families: a space, a runner and a signature ---- *)
+
+let tune_hop ?max_domains tuner ops ~srcs ~dsts ~signature =
+  let run = run_hop ops ~srcs ~dsts in
+  let kmax = Array.length srcs in
+  let sites = Field.length dsts.(0) / Wilson.floats_per_site in
+  tune ?max_domains tuner ~kernel:"wilson_hop"
+    ~signature:(Printf.sprintf "%s:sites%d:kmax%d" signature sites kmax)
+    ~space:(fun ~dmax ->
+      space
+        ~codecs:(List.map Wilson.recon ops)
+        ~widths:(List.filter (fun k -> k <= kmax) [ 1; 2; 4; 8 ])
+        ~geometries:(pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n:sites ())
+        ())
+    run
+
+let tune_axpy ?max_domains tuner ~n =
+  let x = Field.create n and y = Field.create n in
+  Field.fill x 1.;
+  tune ?max_domains tuner ~kernel:"axpy" ~signature:(Printf.sprintf "n%d" n)
+    ~space:(fun ~dmax ->
+      space ~geometries:(pool_geometries ~max_domains:dmax ~n ()) ())
+    (run_axpy ~x ~y)
+
 let tune_fusion ?max_domains ?lint tuner ~n =
   let p = Field.create n and ap = Field.create n in
   let x = Field.create n and r = Field.create n in
   Field.fill p 1e-3;
   Field.fill ap 1e-3;
   Field.fill r 1e-3;
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let all = fusion_space ~max_domains:dmax ~n () in
-  let plans =
-    match lint with
-    | None -> all
-    | Some vet ->
-      List.filter
-        (fun (_, (plan : fusion_plan)) ->
-          (plan = { mode = Linalg.Fused.Unfused; geometry = None })
-          || vet ~mode:plan.mode ~geometry:plan.geometry = None)
-        all
-  in
-  let signature =
-    Printf.sprintf "n%d:dmax%d:v%x" n dmax
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"cg_blas1" ~signature
-      (List.map
-         (fun (label, plan) ->
-           Tuner.candidate label (fun () ->
-               ignore (run_fusion_plan plan ~p ~ap ~x ~r : float)))
-         plans)
-  in
-  (winner, List.assoc winner plans)
+  tune ?max_domains ?lint tuner ~kernel:"cg_blas1"
+    ~signature:(Printf.sprintf "n%d" n)
+    ~space:(fun ~dmax ->
+      space
+        ~modes:Fused.[ Unfused; Fused; Tail_fused ]
+        ~geometries:(pool_geometries ~max_domains:dmax ~n ())
+        ())
+    (run_fusion ~p ~ap ~x ~r)
 
-(* ---- batch-width (multi-RHS) axis ----
-   The launch dimension opened by Wilson.hop_multi: how many
-   right-hand sides ride one gauge-link stream, crossed with the pool
-   geometries. The width is part of BOTH the label (so a winner names
-   its k) and the cache signature (the batch ceiling kmax plus the
-   label-space hash) — a single-RHS winner can never be served for a
-   batched space or vice versa; Check.Mrhs_check rule MRHS003 audits
-   exactly that aliasing on extracted plans. *)
-
-type mrhs_plan = {
-  k : int;
-  geometry : (int * int) option;
-}
-
-let mrhs_label (plan : mrhs_plan) =
-  match plan.geometry with
-  | None -> Printf.sprintf "k%d_serial" plan.k
-  | Some g -> geom_label (Printf.sprintf "k%d" plan.k) g
-
-let mrhs_widths = [ 1; 2; 4; 8 ]
-
-let mrhs_space ?max_domains ?(widths = mrhs_widths) ~sites () =
-  let geoms = pool_geometries ?max_domains ~chunk_floor:16 ~n:sites () in
-  List.concat_map
-    (fun k ->
-      { k; geometry = None }
-      :: List.map (fun g -> { k; geometry = Some g }) geoms)
-    widths
-  |> List.map (fun p -> (mrhs_label p, p))
-
-(* Tune the batch width × pool geometry on a concrete batch of field
-   pairs. Fairness: every candidate processes the full [kmax]-wide
-   batch, a width-k plan as ceil(kmax/k) sub-batches — so a narrow
-   width is priced on the gauge re-streaming it actually costs, not
-   handed fewer vectors. A width-1 serial plan is always in the space
-   (the single-RHS baseline the tuner may keep). *)
-let tune_hop_multi ?max_domains tuner (w : Dirac.Wilson.t)
-    ~(srcs : Field.t array) ~(dsts : Field.t array) ~signature =
-  let kmax = Array.length srcs in
-  if kmax = 0 || Array.length dsts <> kmax then
-    invalid_arg "Variants.tune_hop_multi: batch width mismatch";
-  let n = Field.length dsts.(0) / Dirac.Wilson.floats_per_site in
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let widths = List.filter (fun k -> k <= kmax) mrhs_widths in
-  let widths = if widths = [] then [ kmax ] else widths in
-  let all = mrhs_space ~max_domains:dmax ~widths ~sites:n () in
-  let run (plan : mrhs_plan) =
-    let off = ref 0 in
-    while !off < kmax do
-      let width = min plan.k (kmax - !off) in
-      let ss = Array.sub srcs !off width and ds = Array.sub dsts !off width in
-      (match plan.geometry with
-      | None ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs:ss
-          ~dsts:ds
-      | Some (d, c) ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:d) ~chunk:c w
-          ~srcs:ss ~dsts:ds);
-      off := !off + width
-    done
-  in
-  let signature =
-    Printf.sprintf "%s:sites%d:kmax%d:dmax%d:v%x" signature n kmax dmax
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"wilson_hop_multi" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         all)
-  in
-  (winner, List.assoc winner all)
-
-(* ---- gauge-codec (reconstruct) axis ----
-   The launch dimension opened by the compressed link stores
-   (Linalg.Su3_codec / Lattice.Recon): which codec the hop streams its
-   links through, crossed with batch width and pool geometry. The
-   codec is part of BOTH the label (a winner names its codec) and the
-   cache signature (via the label-space hash) — a full18 winner can
-   never be served for a compressed space or vice versa;
-   Check.Recon_check rule RECON002 audits exactly that aliasing on
-   executed plans. *)
-
-type recon_plan = {
-  recon : Linalg.Su3_codec.codec;
-  rk : int;
-  rgeometry : (int * int) option;
-}
-
-let recon_label (plan : recon_plan) =
-  Printf.sprintf "%s_%s"
-    (Linalg.Su3_codec.name plan.recon)
-    (mrhs_label { k = plan.rk; geometry = plan.rgeometry })
-
-let recon_space ?max_domains ?(codecs = Linalg.Su3_codec.all)
-    ?(widths = mrhs_widths) ~sites () =
-  let geoms = pool_geometries ?max_domains ~chunk_floor:16 ~n:sites () in
-  List.concat_map
-    (fun recon ->
-      List.concat_map
-        (fun rk ->
-          { recon; rk; rgeometry = None }
-          :: List.map (fun g -> { recon; rk; rgeometry = Some g }) geoms)
-        widths)
-    codecs
-  |> List.map (fun p -> (recon_label p, p))
-
-(* Tune codec × batch width × pool geometry on a concrete batch. One
-   Wilson operator is built per codec from the same geometry and gauge
-   (each owns its packed store); every candidate processes the full
-   [kmax]-wide batch as sub-batches of its width — the same fairness
-   rule as [tune_hop_multi], so a narrow width pays its gauge
-   re-streaming and a compressed codec pays its reconstruction flops
-   on the full batch. The uncompressed single-RHS serial baseline
-   (full18_k1_serial) is always in the space: the tuner can refuse
-   compression wholesale. [codecs] restricts the axis (e.g. dropping
-   Recon8 for a gauge with degenerate links). *)
-let tune_hop_recon ?max_domains ?codecs tuner geom gauge
-    ~(srcs : Field.t array) ~(dsts : Field.t array) ~signature =
-  let kmax = Array.length srcs in
-  if kmax = 0 || Array.length dsts <> kmax then
-    invalid_arg "Variants.tune_hop_recon: batch width mismatch";
-  let n = Field.length dsts.(0) / Dirac.Wilson.floats_per_site in
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let widths = List.filter (fun k -> k <= kmax) mrhs_widths in
-  let widths = if widths = [] then [ kmax ] else widths in
-  let all = recon_space ~max_domains:dmax ?codecs ~widths ~sites:n () in
-  let ops =
-    List.map
-      (fun recon -> (recon, Dirac.Wilson.of_geometry ~recon geom gauge))
-      (match codecs with None -> Linalg.Su3_codec.all | Some cs -> cs)
-  in
-  let run (plan : recon_plan) =
-    let w = List.assoc plan.recon ops in
-    let off = ref 0 in
-    while !off < kmax do
-      let width = min plan.rk (kmax - !off) in
-      let ss = Array.sub srcs !off width and ds = Array.sub dsts !off width in
-      (match plan.rgeometry with
-      | None ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs:ss
-          ~dsts:ds
-      | Some (d, c) ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:d) ~chunk:c w
-          ~srcs:ss ~dsts:ds);
-      off := !off + width
-    done
-  in
-  let signature =
-    Printf.sprintf "%s:sites%d:kmax%d:dmax%d:v%x" signature n kmax dmax
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"wilson_hop_recon" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         all)
-  in
-  (winner, List.assoc winner all)
-
-(* Tune axpy on vectors of a given size: serial unroll variants plus
-   pooled geometries in one search space. The signature carries both
-   the length and the domain cap (the cache-key audit: a winner tuned
-   at one (n, machine width) is never served for another). *)
-let tune_axpy ?max_domains tuner ~n =
-  let x = Field.create n and y = Field.create n in
-  Field.fill x 1.;
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let pooled =
-    List.map
-      (fun (d, c) ->
-        ( geom_label "pool" (d, c),
-          fun alpha x y ->
-            Field.axpy_with (Util.Pool.shared ~domains:d) ~chunk:c alpha x y ))
-      (pool_geometries ~max_domains:dmax ~n ())
-  in
-  let variants = axpy_variants @ pooled in
-  let signature = Printf.sprintf "n%d:dmax%d" n dmax in
-  let winner =
-    Tuner.tune tuner ~kernel:"axpy" ~signature
-      (List.map
-         (fun (label, f) -> Tuner.candidate label (fun () -> f 0.5 x y))
-         variants)
-  in
-  (winner, List.assoc winner variants)
-
-(* ---- deflation-rank axis ----
-   The iteration-count axis opened by Solver.Deflate: how many low
-   modes to compute once per gauge configuration and deflate out of
-   every solve on it. Unlike the traffic axes above, the trade here is
-   setup cost vs per-solve iteration reduction, so a candidate is
-   priced on a whole campaign slice: Lanczos setup for its rank PLUS
-   [solves] deflated solves on the same right-hand-side stream — the
-   rank only wins if its setup amortizes within the campaign's solve
-   count. The rank is part of BOTH the label (a winner names its r;
-   Check.Deflate_check rule DEF003 audits executed plans against it)
-   and the cache signature (solve count + label-space hash). The
-   rank-0 undeflated baseline is always in the space — the tuner can
-   refuse deflation wholesale (e.g. heavy quark masses, where the low
-   modes are not separated and setup never pays). *)
-
-type deflation_plan = {
-  rank : int;
-  solves : int;  (* campaign solves the setup amortizes over *)
-}
-
-let deflation_ranks = [ 0; 2; 4; 8 ]
-
-let deflation_label (plan : deflation_plan) =
-  Printf.sprintf "defl_r%d_s%d" plan.rank plan.solves
-
-let deflation_space ?(ranks = deflation_ranks) ~solves () =
-  let ranks = List.sort_uniq compare (0 :: ranks) in
-  List.map (fun rank -> (deflation_label { rank; solves }, { rank; solves })) ranks
-
-let tune_deflation ?ranks ?(solves = 24) ?(tol = 1e-8) ?(lanczos_tol = 1e-6)
-    ?(seed = 11) tuner ~apply ~n ~signature =
-  if solves < 1 then invalid_arg "Variants.tune_deflation: solves >= 1";
-  let all = deflation_space ?ranks ~solves () in
-  (* the campaign's right-hand-side stream: one fixed deterministic
-     draw, identical for every candidate (fairness) *)
-  let bs =
-    let rng = Util.Rng.create seed in
-    Array.init solves (fun _ ->
-        let b = Field.create n in
-        Field.gaussian rng b;
-        b)
-  in
-  let max_iter = 200 * n in
-  let run (plan : deflation_plan) =
-    (* setup is INSIDE the timed region: that is the amortization
-       being tuned *)
-    let deflate =
-      if plan.rank = 0 then None
-      else begin
-        let rng = Util.Rng.create (seed + plan.rank) in
-        let res =
-          Solver.Lanczos.lowest ~tol:lanczos_tol ~rank:plan.rank ~apply ~n
-            ~rng ()
-        in
-        Some (Solver.Deflate.of_lanczos ~config_hash:0 res)
-      end
-    in
-    Array.iter
-      (fun b ->
-        ignore
-          (Solver.Cg.solve ?deflate ~apply ~b ~tol ~max_iter
-             ~flops_per_apply:1. ()
-            : Field.t * Solver.Cg.stats))
-      bs
-  in
-  let signature =
-    Printf.sprintf "%s:n%d:s%d:v%x" signature n solves
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"cg_deflate" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         all)
-  in
-  (winner, List.assoc winner all)
+let tune_deflation ?(tol = 1e-8) tuner ~apply ~bs ~signature =
+  let run = run_deflation ~tol ~apply ~bs in
+  tune tuner ~kernel:"cg_deflate"
+    ~signature:
+      (Printf.sprintf "%s:n%d:s%d" signature (Field.length bs.(0))
+         (Array.length bs))
+    ~space:(fun ~dmax:_ -> space ~ranks:[ 0; 2; 4; 8 ] ())
+    run

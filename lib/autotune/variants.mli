@@ -1,264 +1,160 @@
-(** Launch-parameter spaces for the real OCaml kernels — the analogue
-    of CUDA block/grid shape: BLAS-1 unroll depth and stencil
-    site-traversal orderings, each a verified drop-in replacement. *)
+(** Launch configurations for the real OCaml kernels — the analogue of
+    CUDA block/grid shape. One record names a launch on every axis a
+    kernel family can have; a family's space crosses the axes it has,
+    {!tune} returns the winning record, and the family's runner is the
+    only code that executes one — for the tuner and the benches alike.
+    Launches of a family differ only in speed: results are
+    bit-identical across geometries, widths and modes, and agree within
+    tolerance across codecs (link round-trip) and deflation ranks
+    (solver tolerance). *)
 
-val axpy_plain : float -> Linalg.Field.t -> Linalg.Field.t -> unit
-val axpy_unroll4 : float -> Linalg.Field.t -> Linalg.Field.t -> unit
-val axpy_unroll8 : float -> Linalg.Field.t -> Linalg.Field.t -> unit
+type launch = {
+  mode : Linalg.Fused.mode;
+      (** BLAS-1 tail of a CG iteration ([Unfused] 5 sweeps, [Fused]
+          3, [Tail_fused] 2 with p·Ap riding the stencil) *)
+  k : int;  (** right-hand sides per gauge-link stream *)
+  recon : Linalg.Su3_codec.codec;  (** gauge-link codec the hop streams *)
+  geometry : (int * int) option;
+      (** (domains, chunk) from [Util.Pool.shared]; [None] = serial, a
+          one-lane pool *)
+  rank : int;  (** deflation rank; 0 = undeflated *)
+}
 
-val axpy_variants :
-  (string * (float -> Linalg.Field.t -> Linalg.Field.t -> unit)) list
+val baseline : launch
+(** [Unfused], [k = 1], [Full18], serial, rank 0: the reference launch
+    at the head of every family's space. *)
 
-val site_order_natural : int -> int array
-val site_order_tiled : tile:int -> int -> int array
-val site_order_strided : stride:int -> int -> int array
-
-val hop_orders : int -> (string * int array) list
-(** The candidate traversal orders for [n] sites. *)
+val label : launch -> string
+(** ["<mode>_<codec>_k<k>_r<rank>_<serial | d<d>_c<c>>"], e.g.
+    ["unfused_recon12_k4_r0_d2_c4096"]: injective, so a cached winner
+    names exactly one launch. *)
 
 val pool_geometries :
   ?max_domains:int -> ?chunk_floor:int -> n:int -> unit -> (int * int) list
 (** The multicore launch axis: (ndomains, chunk) candidates for a
     problem of [n] elements. Domain counts are powers of two capped by
-    [Domain.recommended_domain_count] (or [max_domains]); chunks are
-    the per-lane share and a quarter of it, floored at [chunk_floor]
-    (default 1024). Empty on a single-core cap. *)
+    [Domain.recommended_domain_count] (or [max_domains]) and
+    [Util.Pool.max_domains]; chunks are the per-lane share and a
+    quarter of it, floored at [chunk_floor] (default 1024). Empty on a
+    single-core cap. *)
 
-val geom_label : string -> int * int -> string
-(** ["prefix_d<domains>_c<chunk>"] — the label a pooled candidate is
-    cached under. *)
-
-(** Winning hop execution plan: a serial traversal order or a pooled
-    site-partitioned launch. *)
-type hop_plan =
-  | Serial_order of int array
-  | Pooled of { domains : int; chunk : int }
-
-val tune_hop :
-  ?max_domains:int ->
-  Tuner.t ->
-  Dirac.Wilson.t ->
-  src:Linalg.Field.t ->
-  dst:Linalg.Field.t ->
-  signature:string ->
-  string * hop_plan
-(** Tune the Wilson hop on a concrete field pair over serial traversal
-    orders and pooled geometries; returns the winning label and plan.
-    The cache signature is extended with [":n<sites>:dmax<cap>"] so a
-    winner never leaks across problem shapes or machine widths. *)
-
-(** The batch-width launch axis opened by [Dirac.Wilson.hop_multi]:
-    how many right-hand sides ride one gauge-link stream, crossed
-    with the pool geometries. [geometry = None] is a serial plan. *)
-type mrhs_plan = {
-  k : int;
-  geometry : (int * int) option;
-}
-
-val mrhs_label : mrhs_plan -> string
-(** ["k<k>_serial"] or ["k<k>_d<d>_c<c>"] — the batch width is part
-    of every label, so cached winners name their k and can never
-    alias across widths. *)
-
-val mrhs_widths : int list
-(** The candidate batch widths: [[1; 2; 4; 8]]. *)
-
-val mrhs_space :
-  ?max_domains:int ->
+val space :
+  ?modes:Linalg.Fused.mode list ->
   ?widths:int list ->
-  sites:int ->
+  ?codecs:Linalg.Su3_codec.codec list ->
+  ?geometries:(int * int) list ->
+  ?ranks:int list ->
   unit ->
-  (string * mrhs_plan) list
-(** All (label, plan) candidates for a stencil of [sites] sites:
-    every width crossed with serial + the pool geometries. The
-    width-1 serial single-RHS baseline is present whenever [1] is in
-    [widths] (the default). *)
+  launch list
+(** The cross product of the given axes, each defaulting to its
+    {!baseline} value alone, with the serial geometry ahead of
+    [geometries]. The first launch takes the head of every axis: it is
+    the baseline whenever each axis leads with its baseline value. *)
 
-val tune_hop_multi :
+val tune :
   ?max_domains:int ->
+  ?lint:(launch -> string option) ->
   Tuner.t ->
-  Dirac.Wilson.t ->
+  kernel:string ->
+  signature:string ->
+  space:(dmax:int -> launch list) ->
+  (launch -> unit) ->
+  launch
+(** The one tune path. Clamps the domain cap ([max_domains], default
+    [Domain.recommended_domain_count], at most [Util.Pool.max_domains])
+    and builds [space ~dmax]; its first launch is the tuner's baseline.
+    Candidates for which [lint] returns [Some reason] are dropped
+    before anything is priced or cached — except the baseline, which
+    is always searchable. [Tuner.tune] then times [run] on each under
+    [signature ^ ":dmax<cap>:v<space-hash>"], and the winning launch
+    itself is returned.
+    @raise Invalid_argument on an empty space or two launches with one
+    label. *)
+
+(** {2 Runners} — each is the only code that executes its family's
+    launches; a serial launch runs on [Util.Pool.shared ~domains:1]. *)
+
+val run_hop :
+  Dirac.Wilson.t list ->
   srcs:Linalg.Field.t array ->
   dsts:Linalg.Field.t array ->
-  signature:string ->
-  string * mrhs_plan
-(** Tune batch width × pool geometry on a concrete batch of field
-    pairs (kernel ["wilson_hop_multi"]). Every candidate processes
-    the full batch — a width-k plan as ceil(kmax/k) sub-batches — so
-    narrow widths are priced on the gauge re-streaming they cost.
-    The cache signature is extended with
-    [":sites<n>:kmax<w>:dmax<cap>:v<space-hash>"]: the batch ceiling
-    and the label-space hash keep a winner tuned for one batch shape
-    from ever being served for another, and [Tuner.tune]
-    independently refuses a cached winner absent from the live
-    space — the aliasing [Check.Mrhs_check] rule MRHS003 audits on
-    extracted plans. *)
+  launch ->
+  unit
+(** Hop the whole batch as sub-batches of the launch's [k]
+    ([Dirac.Wilson.hop_multi_with]) on the operator of its [recon] —
+    the ops hold one [Dirac.Wilson.t] per codec, same geometry and
+    gauge. A narrow width pays the gauge re-streaming it costs and a
+    packed codec its reconstruction on every right-hand side.
+    @raise Invalid_argument on an empty or mismatched batch. *)
 
-(** The gauge-codec (reconstruct) launch axis opened by the compressed
-    link stores ([Linalg.Su3_codec] / [Lattice.Recon]): which codec
-    the hop streams links through, crossed with batch width and pool
-    geometry. [rgeometry = None] is a serial plan. *)
-type recon_plan = {
-  recon : Linalg.Su3_codec.codec;
-  rk : int;
-  rgeometry : (int * int) option;
-}
+val run_axpy : x:Linalg.Field.t -> y:Linalg.Field.t -> launch -> unit
+(** [y <- y + 0.5·x] through [Linalg.Field.axpy_with] on the launch's
+    geometry — the kernel every solve runs. *)
 
-val recon_label : recon_plan -> string
-(** ["<codec>_k<k>_serial"] or ["<codec>_k<k>_d<d>_c<c>"] (e.g.
-    ["recon12_k4_d2_c4096"]) — the codec is part of every label, so
-    cached winners name their codec and can never alias across the
-    axis ([Check.Recon_check] rule RECON002 audits executed plans
-    against the tuned winner's codec). *)
-
-val recon_space :
-  ?max_domains:int ->
-  ?codecs:Linalg.Su3_codec.codec list ->
-  ?widths:int list ->
-  sites:int ->
-  unit ->
-  (string * recon_plan) list
-(** All (label, plan) candidates: every codec (default
-    [Su3_codec.all]) × every width × serial + pool geometries. The
-    uncompressed single-RHS serial baseline ([full18_k1_serial]) is
-    present under the defaults — the tuner can refuse compression
-    wholesale. *)
-
-val tune_hop_recon :
-  ?max_domains:int ->
-  ?codecs:Linalg.Su3_codec.codec list ->
-  Tuner.t ->
-  Lattice.Geometry.t ->
-  Lattice.Gauge.t ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  signature:string ->
-  string * recon_plan
-(** Tune codec × batch width × pool geometry on a concrete batch
-    (kernel ["wilson_hop_recon"]). One Wilson operator is built per
-    codec from the same geometry and gauge (each owns its packed
-    store); every candidate processes the full batch as sub-batches of
-    its width — the [tune_hop_multi] fairness rule, so compressed
-    codecs pay their reconstruction flops on the whole batch. The
-    cache signature is extended with
-    [":sites<n>:kmax<w>:dmax<cap>:v<space-hash>"]. [codecs] restricts
-    the axis (e.g. dropping [Recon8] for a gauge with degenerate
-    links — [Recon8] packing raises [Su3_codec.Degenerate] on such
-    fields). *)
-
-val tune_axpy :
-  ?max_domains:int ->
-  Tuner.t ->
-  n:int ->
-  string * (float -> Linalg.Field.t -> Linalg.Field.t -> unit)
-(** Tune axpy on vectors of [n] floats over unroll variants and pooled
-    geometries (pools drawn from [Util.Pool.shared]). The cache
-    signature is ["n<n>:dmax<cap>"]. *)
-
-(** The fusion launch axis: the [Linalg.Fused.mode] of the BLAS-1
-    tail ([Unfused] classic 5-sweep / [Fused] separate-dot 3-sweep /
-    [Tail_fused] 2-sweep with p·Ap riding the stencil), crossed with
-    the pool geometries. [geometry = None] is a serial plan. *)
-type fusion_plan = {
-  mode : Linalg.Fused.mode;
-  geometry : (int * int) option;
-}
-
-val fusion_label : fusion_plan -> string
-(** ["<mode>_serial"] or ["<mode>_d<d>_c<c>"] with the
-    [Linalg.Fused.mode_name] prefix (["unfused"], ["fused"],
-    ["tailfused"]) — the three modes are labelled disjointly, so
-    cached winners can never alias across the axis. *)
-
-val fusion_space :
-  ?max_domains:int ->
-  ?chunk_floor:int ->
-  n:int ->
-  unit ->
-  (string * fusion_plan) list
-(** All (label, plan) candidates for vectors of [n] floats, all three
-    modes. The serial-unfused baseline is always present (tuner
-    honesty: the search may refuse every pooled/fused candidate). *)
-
-val run_fusion_plan :
-  fusion_plan ->
+val run_fusion :
   p:Linalg.Field.t ->
   ap:Linalg.Field.t ->
   x:Linalg.Field.t ->
   r:Linalg.Field.t ->
-  float
-(** Execute one CG BLAS-1 tail iteration under the plan, returning
-    |r|² — sized to what each mode runs per iteration on the host:
-    [Unfused] dot_re + axpy + axpy + norm2 + xpay (5 sweeps), [Fused]
-    dot_re + cg_update + xpay_dot (3), [Tail_fused] cg_update +
-    xpay_dot (2; p·Ap rides the stencil). All plans are bit-identical
-    in the recurrence; only traffic differs. *)
+  launch ->
+  unit
+(** One CG BLAS-1 tail iteration in the launch's [mode]: [Unfused]
+    dot_re + axpy + axpy + norm2 + xpay (5 sweeps), [Fused] dot_re +
+    cg_update + xpay_dot (3), [Tail_fused] cg_update + xpay_dot (2;
+    p·Ap rides the stencil). All modes are bit-identical in the
+    recurrence; only traffic differs. *)
+
+val run_deflation :
+  tol:float ->
+  apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
+  bs:Linalg.Field.t array ->
+  launch ->
+  unit
+(** A campaign slice: the Lanczos setup for the launch's [rank] (none
+    at rank 0), then one CG solve to [tol] per right-hand side in
+    [bs], with the launch's pool installed as the default pool.
+    @raise Invalid_argument on an empty [bs]. *)
+
+(** {2 Kernel families} — each builds a space, a runner and a
+    signature, and hands them to {!tune}. *)
+
+val tune_hop :
+  ?max_domains:int ->
+  Tuner.t ->
+  Dirac.Wilson.t list ->
+  srcs:Linalg.Field.t array ->
+  dsts:Linalg.Field.t array ->
+  signature:string ->
+  launch
+(** Kernel ["wilson_hop"]: codec (one operator per codec, the first
+    the baseline) × width ([1; 2; 4; 8] up to the batch size) ×
+    serial + {!pool_geometries} at a 16-site chunk floor, timed by
+    {!run_hop}. Signature [signature ^ ":sites<n>:kmax<batch>"]. *)
+
+val tune_axpy : ?max_domains:int -> Tuner.t -> n:int -> launch
+(** Kernel ["axpy"]: serial + {!pool_geometries} for vectors of [n]
+    floats, timed by {!run_axpy}. Signature ["n<n>"]. *)
 
 val tune_fusion :
   ?max_domains:int ->
-  ?lint:
-    (mode:Linalg.Fused.mode ->
-    geometry:(int * int) option ->
-    string option) ->
+  ?lint:(launch -> string option) ->
   Tuner.t ->
   n:int ->
-  string * fusion_plan
-(** Tune the mode × geometry space on the CG vector tail for vectors
-    of [n] floats (kernel ["cg_blas1"], signature
-    ["n<n>:dmax<cap>:v<space-hash>"] — the hash of the candidate label
-    space invalidates cache entries when the space changes shape, and
-    [Tuner.tune] independently refuses a cached winner absent from the
-    live candidates). Returns the winning label and its plan.
-
-    [lint] vets every candidate before the search: a candidate for
-    which it returns [Some reason] is dropped, so it can never be
-    priced — or cached as a winner by [Tuner.tune], which caches on
-    first encounter. Callers close the library-graph loop with
-    [Check.Plan_check.lint_fusion]. The serial-unfused baseline is
-    exempt (it must always be searchable — tuner honesty). *)
-
-(** The deflation-rank axis opened by [Solver.Deflate]: how many low
-    modes to compute once per configuration ([Solver.Lanczos]) and
-    deflate out of every solve on it. The trade is setup cost vs
-    per-solve iteration reduction, priced over a campaign slice. *)
-type deflation_plan = {
-  rank : int;
-  solves : int;  (** campaign solves the setup amortizes over *)
-}
-
-val deflation_ranks : int list
-(** The candidate ranks: [[0; 2; 4; 8]] (0 = undeflated). *)
-
-val deflation_label : deflation_plan -> string
-(** ["defl_r<rank>_s<solves>"] — the rank is part of every label, so
-    cached winners name their rank and can never alias across the
-    axis ([Check.Deflate_check] rule DEF003 audits executed plans
-    against the tuned winner's rank). *)
-
-val deflation_space :
-  ?ranks:int list -> solves:int -> unit -> (string * deflation_plan) list
-(** All (label, plan) candidates. The rank-0 undeflated baseline is
-    always present, whatever [ranks] says — the tuner can refuse
-    deflation wholesale (tuner honesty). *)
+  launch
+(** Kernel ["cg_blas1"]: the three modes × serial + {!pool_geometries}
+    for vectors of [n] floats, timed by {!run_fusion}. Signature
+    ["n<n>"]. Callers wrap [Check.Plan_check.lint_fusion] as [lint] so
+    no plan the static analyzer rejects can be priced or cached. *)
 
 val tune_deflation :
-  ?ranks:int list ->
-  ?solves:int ->
   ?tol:float ->
-  ?lanczos_tol:float ->
-  ?seed:int ->
   Tuner.t ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
-  n:int ->
+  bs:Linalg.Field.t array ->
   signature:string ->
-  string * deflation_plan
-(** Tune the deflation rank for an operator (kernel ["cg_deflate"]).
-    Every candidate is priced on a whole campaign slice — Lanczos
-    setup for its rank (inside the timed region: the amortization IS
-    the trade) plus [solves] (default 24, the paper's 12 spin-color
-    columns × 2 sources) CG solves to [tol] on one fixed
-    right-hand-side stream shared by all candidates. The cache
-    signature is extended with [":n<n>:s<solves>:v<space-hash>"], so
-    a winner tuned for one campaign length or candidate space is
-    never served for another, and [Tuner.tune] independently refuses
-    a cached winner absent from the live space. *)
+  launch
+(** Kernel ["cg_deflate"]: ranks [0; 2; 4; 8], each priced by
+    {!run_deflation} on the caller's right-hand sides [bs] to [tol]
+    (default 1e-8) — setup inside the timed region, since the
+    amortization is the trade. Signature
+    [signature ^ ":n<n>:s<solves>"]. *)

@@ -35,12 +35,6 @@ let probe_mixed_solve = Numeric_check.probe_mixed_solve
 let workflow_spec = Spec_check.workflow_spec
 let mixed_config = Spec_check.mixed_config
 let pool_plan = Pool_check.verify_plan
-let fused_plan = Fuse_check.verify_plan
-let mrhs_plan = Mrhs_check.verify_plan
-let recon_plan = Recon_check.verify_plan
-let recon_gauge = Recon_check.verify_gauge
-let deflate_plan = Deflate_check.verify_plan
-let deflate_space = Deflate_check.verify_space
 let solver_plan = Plan_check.verify
 
 let all_rules =
@@ -241,7 +235,6 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     Mrhs_check.verify_plans
       [
         Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n ~block:blk
-          ~tuned_k:4
           ~active:[| true; true; true; true |]
           ~converged:[| false; false; false; false |]
           ();
@@ -258,9 +251,9 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
      diagnostic here (warnings included) is a regression. *)
   let plan_ds = Plan_check.catalog_diagnostics () in
   (* the compressed gauge-link executions the recon path runs: a
-     reunitarized hot field audited at every codec, a correctly tuned
-     recon12 launch with a freshly packed compressed halo, and an
-     untuned recon8 launch — the clean twins of the recon-* fixtures *)
+     reunitarized hot field audited at every codec, a recon12 launch
+     with a freshly packed compressed halo, and a recon8 launch — the
+     clean twins of the recon-* fixtures *)
   let recon_ds =
     let g = Lattice.Gauge.random geom rng in
     Lattice.Gauge.reunitarize g;
@@ -271,8 +264,7 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     @ Recon_check.verify_plans
         [
           Recon_check.plan ~kernel:"wilson_hop_recon"
-            ~recon:Linalg.Su3_codec.Recon12
-            ~tuned_recon:Linalg.Su3_codec.Recon12 ~max_violation:v
+            ~recon:Linalg.Su3_codec.Recon12 ~max_violation:v
             ~gauge_epoch:5 ~halo_epoch:5 ~halo_compressed:true ();
           Recon_check.plan ~kernel:"wilson_hop_recon"
             ~recon:Linalg.Su3_codec.Recon8 ~max_violation:v ();
@@ -281,8 +273,8 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
   (* the deflated-solve path the ?deflate hooks run: a real Lanczos
      space on a small-eigenvalue SPD operator, audited live against
      the operator and the configuration hash it was built from, plus
-     a correctly tuned static plan — the clean twins of the deflate-*
-     fixtures. Must verify silent. *)
+     a static plan — the clean twins of the deflate-* fixtures. Must
+     verify silent. *)
   let deflate_ds =
     let n = 96 in
     let diag =
@@ -307,12 +299,12 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
       Solver.Deflate.field_hash probe
     in
     let space = Solver.Deflate.of_lanczos ~bound:1e-6 ~config_hash:hash res in
-    Deflate_check.verify_space ~tuned_rank:2 ~config_hash:hash ~apply space
+    Deflate_check.verify_space ~config_hash:hash ~apply space
     @ Deflate_check.verify_plans
         [
           Deflate_check.plan ~kernel:"cg_deflate" ~rank:4 ~n:(1 lsl 16)
             ~space_hash:0x5eed ~config_hash:0x5eed ~ortho_drift:1e-14
-            ~max_residual:1e-9 ~bound:1e-6 ~tuned_rank:4 ();
+            ~max_residual:1e-9 ~bound:1e-6 ();
         ]
   in
   [

@@ -40,25 +40,6 @@ val probe_mixed_solve :
 val workflow_spec : Core.Workflow.spec -> Diagnostic.t list
 val mixed_config : n:int -> Solver.Mixed.config -> Diagnostic.t list
 val pool_plan : Pool_check.plan -> Diagnostic.t list
-val fused_plan : Fuse_check.plan -> Diagnostic.t list
-val mrhs_plan : Mrhs_check.plan -> Diagnostic.t list
-val recon_plan : Recon_check.plan -> Diagnostic.t list
-
-val recon_gauge :
-  recon:Linalg.Su3_codec.codec -> Lattice.Gauge.t -> Diagnostic.t list
-(** Direct RECON001 audit ({!Recon_check.verify_gauge}). *)
-
-val deflate_plan : Deflate_check.plan -> Diagnostic.t list
-
-val deflate_space :
-  ?tuned_rank:int ->
-  ?kernel:string ->
-  config_hash:int ->
-  apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
-  Solver.Deflate.t ->
-  Diagnostic.t list
-(** Live DEF001–003 audit of a real deflation space
-    ({!Deflate_check.verify_space}). *)
 
 val solver_plan : Plan_ir.plan -> Diagnostic.t list
 (** The full static analyzer ({!Plan_check.verify}) over one plan. *)

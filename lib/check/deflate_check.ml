@@ -2,10 +2,10 @@
    Solver.Deflate threaded through Cg.solve / Cg.solve_multi /
    Mixed.solve). A deflated solve is summarized as a [plan] — which
    solver kernel, the executed rank, the hash of the configuration the
-   space was built from vs the live one, the basis's measured
+   space was built from vs the live one, and the basis's measured
    orthonormality drift and worst eigen-residual against the bound it
-   was built to, and the rank of the tuner's recorded winner — and the
-   pass verifies the contract a deflated guess rests on:
+   was built to — and the pass verifies the contract a deflated guess
+   rests on:
 
    DEF001  the space was built from a different gauge configuration
            than the one being solved: a stale basis is not a low-mode
@@ -16,12 +16,7 @@
    DEF002  the basis has drifted beyond the bound it was built to:
            non-orthonormal vectors double-count modes in the Galerkin
            coefficients, and a large |A v − λ v| means the stored
-           Ritz value misprices its mode's contribution 1/λ
-   DEF003  the executed rank disagrees with the tuner's recorded
-           winner: the setup-vs-iteration trade was priced at another
-           rank, so the bench rows and the Perf_model amortization
-           (deflation_setup_flops / deflation_break_even_solves) do
-           not describe what runs *)
+           Ritz value misprices its mode's contribution 1/λ *)
 
 type plan = {
   kernel : string;  (* deflated solver kernel, e.g. "cg_deflate" *)
@@ -32,19 +27,15 @@ type plan = {
   ortho_drift : float;  (* measured max |v_i·v_j − δ_ij| *)
   max_residual : float;  (* measured worst |A v − λ v| over the basis *)
   bound : float;  (* the drift/residual bound the space was built to *)
-  tuned_rank : int option;
-      (* rank of the tuner's recorded winner for this kernel and
-         shape; [None]: no tuning record, DEF003 is skipped *)
 }
 
 let rules =
   [
     ("DEF001", "deflation space is stale against the live gauge configuration");
     ("DEF002", "deflation basis drifted beyond its orthonormality/residual bound");
-    ("DEF003", "deflated plan aliases a tuner winner of another rank");
   ]
 
-let plan ?tuned_rank ~kernel ~rank ~n ~space_hash ~config_hash ~ortho_drift
+let plan ~kernel ~rank ~n ~space_hash ~config_hash ~ortho_drift
     ~max_residual ~bound () =
   {
     kernel;
@@ -55,7 +46,6 @@ let plan ?tuned_rank ~kernel ~rank ~n ~space_hash ~config_hash ~ortho_drift
     ortho_drift;
     max_residual;
     bound;
-    tuned_rank;
   }
 
 let loc p = Printf.sprintf "%s[rank=%d,n=%d]" p.kernel p.rank p.n
@@ -96,37 +86,18 @@ let check_drift p =
     [ bad "eigen-residual max |A v − λ v|" p.max_residual ]
   else []
 
-let check_tuned p =
-  match p.tuned_rank with
-  | None -> []
-  | Some rt when rt = p.rank -> []
-  | Some rt ->
-    [
-      Diagnostic.error ~rule:"DEF003" ~loc:(loc p)
-        ~hint:
-          "key the tuner cache on the rank (Variants.tune_deflation puts \
-           the rank in the label and the solve count in the signature) and \
-           re-tune at this rank"
-        (Printf.sprintf
-           "deflated plan of rank %d runs under a tuner winner recorded for \
-            rank %d: the setup-vs-iteration trade was never priced at this \
-            rank, so bench rows and the Perf_model amortization do not \
-            describe it"
-           p.rank rt);
-    ]
-
-let verify_plan p = check_stale p @ check_drift p @ check_tuned p
+let verify_plan p = check_stale p @ check_drift p
 let verify_plans ps = List.concat_map verify_plan ps
 
 (* Live audit: measure a real space against a live operator and
    configuration hash, then verify the resulting plan. The drift and
    residual are computed here (Deflate.ortho_drift / max_residual), so
    a caller cannot accidentally report stale audit numbers. *)
-let verify_space ?tuned_rank ?(kernel = "cg_deflate") ~config_hash ~apply
+let verify_space ?(kernel = "cg_deflate") ~config_hash ~apply
     (d : Solver.Deflate.t) =
   let basis = Solver.Deflate.basis d in
   verify_plan
-    (plan ?tuned_rank ~kernel ~rank:(Solver.Deflate.rank d)
+    (plan ~kernel ~rank:(Solver.Deflate.rank d)
        ~n:(Linalg.Field.length basis.(0))
        ~space_hash:(Solver.Deflate.config_hash d)
        ~config_hash

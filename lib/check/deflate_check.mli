@@ -1,9 +1,8 @@
 (** Static checker for low-mode deflation executions ([Solver.Lanczos]
     / [Solver.Deflate] through the [?deflate] solver hooks): verifies
-    the space matches the live gauge configuration, that the basis
-    still honors the orthonormality/residual bound it was built to,
-    and that the executed rank matches the tuner's recorded winner.
-    Rule ids [DEF001]–[DEF003]. *)
+    the space matches the live gauge configuration and that the basis
+    still honors the orthonormality/residual bound it was built to.
+    Rule ids [DEF001]–[DEF002]. *)
 
 type plan = {
   kernel : string;  (** deflated solver kernel, e.g. ["cg_deflate"] *)
@@ -16,15 +15,11 @@ type plan = {
   ortho_drift : float;  (** measured max |vᵢ·vⱼ − δᵢⱼ| over the basis *)
   max_residual : float;  (** measured worst |A v − λ v| over the basis *)
   bound : float;  (** drift/residual bound the space was built to *)
-  tuned_rank : int option;
-      (** rank of the tuner's recorded winner for this kernel and
-          shape; [None]: no tuning record, DEF003 is skipped *)
 }
 
 val rules : (string * string) list
 
 val plan :
-  ?tuned_rank:int ->
   kernel:string ->
   rank:int ->
   n:int ->
@@ -40,7 +35,6 @@ val verify_plan : plan -> Diagnostic.t list
 val verify_plans : plan list -> Diagnostic.t list
 
 val verify_space :
-  ?tuned_rank:int ->
   ?kernel:string ->
   config_hash:int ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->

@@ -1,23 +1,21 @@
-(* Seeded defect fixtures: thirty-four artifacts, each carrying
-   exactly the class of bug its pass exists to catch (six of them
+(* Seeded defect fixtures: thirty artifacts, each carrying exactly
+   the class of bug its pass exists to catch (six of them
    nonblocking-halo defects: early boundary read, send-buffer race,
    lost completion, zero-copy corruption, wasted double-buffering,
    transport/policy mismatch; three pool-determinism defects:
    completion-order reduction, broken chunk partition, under-cutoff
-   pooled launch; four fused-kernel defects: non-canonical reduction
+   pooled launch; three fused-kernel defects: non-canonical reduction
    block, aliased output operand, stencil-tail output aliasing the
-   hop dst, untuned launch geometry; three batched multi-RHS defects:
-   converged RHS left active, mask width mismatching the batch,
-   stale single-RHS tuner winner aliased onto a batched plan; seven
-   plan-level defects caught statically from the IR alone: partition
-   overlap, aliased fused output, tail output aliasing the stencil
-   dst, zero-copy window write, model/IR sweep mismatch, half-codec
-   range violation, stale-precision read; three compressed gauge-link
-   defects: non-unitary source link beyond the codec tolerance, codec
-   mismatch against the tuned winner, stale compressed halo; three
-   low-mode deflation defects: space stale against the live gauge
-   configuration, basis drifted beyond its build bound, executed rank
-   aliasing a tuner winner of another rank). The
+   hop dst; two batched multi-RHS defects: converged RHS left active,
+   mask width mismatching the batch; seven plan-level defects caught
+   statically from the IR alone: partition overlap, aliased fused
+   output, tail output aliasing the stencil dst, zero-copy window
+   write, model/IR sweep mismatch, half-codec range violation,
+   stale-precision read; two compressed gauge-link defects:
+   non-unitary source link beyond the codec tolerance, stale
+   compressed halo; two low-mode deflation defects: space stale
+   against the live gauge configuration, basis drifted beyond its
+   build bound). The
    CLI's --selftest and the test suite assert every one is detected,
    which keeps the checker honest — a pass that silently stops firing
    fails CI. *)
@@ -251,27 +249,9 @@ let fused_tail_aliased () =
          ]
        ())
 
-(* 7b. A fused launch on a 4-domain geometry when the tuner's recorded
-   winner for this kernel and shape is 2 domains: running a plan the
-   autotuner never priced. *)
-let fused_untuned_geometry () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"cg_update" ~n:(1 lsl 20)
-       ~block:Linalg.Field.reduce_block
-       ~geometry:(4, 131072)
-       ~tuned:(Some (2, 524288))
-       ~buffers:
-         [
-           ("p", Fuse_check.Read);
-           ("ap", Fuse_check.Read);
-           ("x", Fuse_check.Update);
-           ("r", Fuse_check.Update);
-         ]
-       ())
-
 (* ---- 7'. batched multi-RHS defects ---- *)
 
-(* 7c. A batched CG update whose RHS 1 met its stopping criterion but
+(* 7b. A batched CG update whose RHS 1 met its stopping criterion but
    was never dropped from the active set: the batched kernels keep
    advancing an iterate the independent solve froze — the trajectory
    silently diverges from the k-independent-solves reference. *)
@@ -283,7 +263,7 @@ let mrhs_masked_update () =
        ~converged:[| false; true; false; true |]
        ())
 
-(* 7d. A width-4 batched hop carrying width-3 masks: the RHS at the
+(* 7c. A width-4 batched hop carrying width-3 masks: the RHS at the
    batch boundary is silently dropped (or invented) by every masked
    loop. *)
 let mrhs_block_mismatch () =
@@ -292,18 +272,6 @@ let mrhs_block_mismatch () =
        ~block:Linalg.Field.reduce_block
        ~active:[| true; true; true |]
        ~converged:[| false; false; false |]
-       ())
-
-(* 7e. A width-4 batched launch running under the tuner winner that
-   was recorded for the single-RHS space: the batched plan was never
-   priced, so bench rows and the amortized-traffic model describe a
-   different launch. *)
-let mrhs_stale_tuned () =
-  Mrhs_check.verify_plan
-    (Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:(1 lsl 16)
-       ~block:Linalg.Field.reduce_block ~tuned_k:1
-       ~active:[| true; true; true; true |]
-       ~converged:[| false; false; false; false |]
        ())
 
 (* ---- 8. plan-level defects: the same bug classes caught statically,
@@ -432,16 +400,7 @@ let recon_nonunitary_link () =
   done;
   Recon_check.verify_gauge ~recon:Linalg.Su3_codec.Recon12 g
 
-(* 9b. A recon12 launch under the tuner winner recorded for full18:
-   the launch was never priced at this link-traffic point, so bench
-   rows and the model's recon term describe a different kernel. *)
-let recon_tuned_mismatch () =
-  Recon_check.verify_plan
-    (Recon_check.plan ~kernel:"wilson_hop_recon"
-       ~recon:Linalg.Su3_codec.Recon12
-       ~tuned_recon:Linalg.Su3_codec.Full18 ~max_violation:1e-15 ())
-
-(* 9c. A compressed halo packed two gauge epochs before the live
+(* 9b. A compressed halo packed two gauge epochs before the live
    field: ghost links decode to mutated-away values — the gauge twin
    of the stale-halo spinor race. *)
 let recon_stale_halo () =
@@ -491,16 +450,6 @@ let deflate_drifted_basis () =
       (values, basis, stats)
   in
   Deflate_check.verify_space ~config_hash:0x5eed ~apply space
-
-(* 10c. A rank-8 deflated solve under the tuner winner recorded for
-   rank 4: the setup amortization was priced at another point of the
-   rank axis, so bench rows and the break-even count describe a
-   different campaign. *)
-let deflate_rank_mismatch () =
-  Deflate_check.verify_plan
-    (Deflate_check.plan ~kernel:"cg_deflate" ~rank:8 ~n:(1 lsl 16)
-       ~space_hash:0x5eed ~config_hash:0x5eed ~ortho_drift:1e-14
-       ~max_residual:1e-9 ~bound:1e-6 ~tuned_rank:4 ())
 
 let all =
   [
@@ -607,12 +556,6 @@ let all =
       run = fused_tail_aliased;
     };
     {
-      name = "fuse-untuned-geometry";
-      defect = "fused launch on a geometry the tuner's winner disagrees with";
-      expect = "FUSE003";
-      run = fused_untuned_geometry;
-    };
-    {
       name = "mrhs-masked-update";
       defect = "batched CG update with a converged RHS still active";
       expect = "MRHS001";
@@ -623,12 +566,6 @@ let all =
       defect = "width-4 batched hop carrying width-3 per-RHS masks";
       expect = "MRHS002";
       run = mrhs_block_mismatch;
-    };
-    {
-      name = "mrhs-stale-tuned";
-      defect = "width-4 batched launch under a single-RHS tuner winner";
-      expect = "MRHS003";
-      run = mrhs_stale_tuned;
     };
     {
       name = "plan-partition-overlap";
@@ -679,12 +616,6 @@ let all =
       run = recon_nonunitary_link;
     };
     {
-      name = "recon-tuned-mismatch";
-      defect = "recon12 launch under a tuner winner recorded for full18";
-      expect = "RECON002";
-      run = recon_tuned_mismatch;
-    };
-    {
       name = "recon-stale-halo";
       defect = "compressed halo packed two gauge epochs before the field";
       expect = "RECON003";
@@ -701,12 +632,6 @@ let all =
       defect = "basis vector rescaled by 1.1 after the Lanczos build";
       expect = "DEF002";
       run = deflate_drifted_basis;
-    };
-    {
-      name = "deflate-rank-mismatch";
-      defect = "rank-8 deflated solve under a tuner winner recorded for rank 4";
-      expect = "DEF003";
-      run = deflate_rank_mismatch;
     };
   ]
 

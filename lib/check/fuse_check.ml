@@ -2,8 +2,7 @@
    fused launch is summarized as a [plan] — which fused kernel, the
    vector length, the reduction block its single-pass term accumulates
    over, the pool geometry it will run on, the operand roles — and the
-   pass verifies the contract the fused≡unfused bit-identity and the
-   autotuner's bookkeeping rest on:
+   pass verifies the contract the fused≡unfused bit-identity rests on:
 
    FUSE001  the fused reduction accumulates over a block size other
             than the canonical Field.reduce_block: partials associate
@@ -15,12 +14,7 @@
             registers across the update+reduce pass, so the aliased
             reader observes half-updated data (the host fallback
             happens to agree element-wise; an accelerator build does
-            not)
-   FUSE003  the plan's pool geometry disagrees with the geometry the
-            tuner recorded for this kernel and shape: someone is
-            running a fusion plan the autotuner never priced, so the
-            bench rows and the Perf_model traffic term no longer
-            describe the launch *)
+            not) *)
 
 type role = Read | Update
 
@@ -30,10 +24,6 @@ type plan = {
   block : int;  (* reduction block the fused term accumulates over *)
   geometry : (int * int) option;  (* (domains, chunk); None = serial *)
   buffers : (string * role) list;  (* operand name -> role *)
-  tuned : (int * int) option option;
-      (* [Some g]: the tuner's recorded winner geometry for this
-         kernel and shape ([None] = the serial plan won); [None]: no
-         tuning record to compare against, FUSE003 is skipped *)
 }
 
 let rules =
@@ -41,11 +31,10 @@ let rules =
     ( "FUSE001",
       "fused reduction block diverges from the canonical unfused association" );
     ("FUSE002", "output operand of a fused kernel aliases a different role");
-    ("FUSE003", "fusion plan geometry inconsistent with the tuned winner");
   ]
 
-let plan ?geometry ?tuned ~kernel ~n ~block ~buffers () =
-  { kernel; n; block; geometry; buffers; tuned }
+let plan ?geometry ~kernel ~n ~block ~buffers () =
+  { kernel; n; block; geometry; buffers }
 
 let geom_str = function
   | None -> "serial"
@@ -126,22 +115,5 @@ let check_aliasing p =
     arr;
   List.rev !ds
 
-let check_tuned p =
-  match p.tuned with
-  | None -> []
-  | Some tuned when tuned = p.geometry -> []
-  | Some tuned ->
-    [
-      Diagnostic.error ~rule:"FUSE003" ~loc:(loc p)
-        ~hint:
-          "run the geometry the tuner picked for this kernel and shape (or \
-           re-tune with the new shape in the cache signature)"
-        (Printf.sprintf
-           "fusion plan runs geometry %s but the tuner's winner for this \
-            shape is %s: the launch was never priced, so bench rows and the \
-            Perf_model traffic term do not describe it"
-           (geom_str p.geometry) (geom_str tuned));
-    ]
-
-let verify_plan p = check_association p @ check_aliasing p @ check_tuned p
+let verify_plan p = check_association p @ check_aliasing p
 let verify_plans ps = List.concat_map verify_plan ps

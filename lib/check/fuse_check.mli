@@ -1,8 +1,7 @@
 (** Static checker for fused BLAS-1 kernel plans ([Linalg.Fused]):
     verifies that a fused launch keeps the canonical reduction
-    association (bit-identity with the unfused kernels), that no
-    output operand aliases another role, and that the geometry agrees
-    with the autotuner's recorded winner. Rule ids [FUSE001]–[FUSE003]. *)
+    association (bit-identity with the unfused kernels) and that no
+    output operand aliases another role. Rule ids [FUSE001]–[FUSE002]. *)
 
 type role = Read | Update
 
@@ -12,17 +11,12 @@ type plan = {
   block : int;  (** reduction block the fused term accumulates over *)
   geometry : (int * int) option;  (** (domains, chunk); [None] = serial *)
   buffers : (string * role) list;  (** operand name → role *)
-  tuned : (int * int) option option;
-      (** [Some g]: the tuner's winner geometry for this kernel and
-          shape ([None] = serial won); [None]: no tuning record,
-          FUSE003 is skipped *)
 }
 
 val rules : (string * string) list
 
 val plan :
   ?geometry:int * int ->
-  ?tuned:(int * int) option ->
   kernel:string ->
   n:int ->
   block:int ->

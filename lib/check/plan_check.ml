@@ -505,9 +505,9 @@ let verify_plans plans =
    separate-dot fallback (not model-priced; PLAN001/002 still vet the
    fused kernels). Autotune.Variants.tune_fusion runs this over its
    candidate space BEFORE Tuner.tune prices and caches a winner, so a
-   plan the analyzer rejects can never be cached. (The dependency
-   points this way — autotune cannot link check without a cycle
-   through core, so the tuner takes the linter as a callback.) *)
+   plan the analyzer rejects can never be cached. The tuner takes the
+   linter as a callback so a test can substitute a reject-all linter
+   and prove the vetting happens before caching. *)
 let lint_fusion ~n ~(mode : Linalg.Fused.mode) ~geometry =
   let plan =
     match mode with

@@ -47,9 +47,10 @@ val lint_fusion :
     the given mode/geometry choice, errors only. [Unfused] lints the
     5-sweep classic tail, [Tail_fused] the 2-sweep model-priced tail
     (strict PLAN005), [Fused] the 3-sweep separate-dot fallback (not
-    model-priced; PLAN001/002 still vet). Pass as
-    [Autotune.Variants.tune_fusion ~lint] so no plan the analyzer
-    rejects can be priced or cached. *)
+    model-priced; PLAN001/002 still vet). Wrapped as the [~lint] of
+    [Autotune.Variants.tune_fusion], which runs it over every launch's
+    [mode] and [geometry] so no plan the analyzer rejects can be
+    priced or cached. *)
 
 val catalog_diagnostics : unit -> Diagnostic.t list
 (** Verify every plan in {!Plan_extract.catalog} — the standard-suite

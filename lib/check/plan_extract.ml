@@ -80,17 +80,18 @@ let cg_buffers =
     buffer ~prec:Double "r";
   ]
 
-(* Just the vector tail, model-priced: what Autotune.Variants.tune_fusion
-   candidates execute, and what the PLAN005 sweep cross-check diffs
-   against Perf_model.blas1_sweeps — strict equality, both columns. *)
+(* Just the vector tail, model-priced: what Autotune.Variants.run_fusion
+   executes for the Unfused and Tail_fused modes, and what the PLAN005
+   sweep cross-check diffs against Perf_model.blas1_sweeps — strict
+   equality, both columns. *)
 let cg_tail ?(n = 1 lsl 16) ?geometry ~fused () =
   plan ~fusion:fused ~n ~buffers:cg_buffers
     ~steps:(cg_tail_launches ~fused ?geometry ())
     (if fused then "cg-tail-fused" else "cg-tail")
 
-(* The separate-dot fallback tail Autotune.Variants runs as its Fused
-   (3-sweep) candidate: a fused solve without a tail-capable operator
-   keeps the p·Ap dot as its own sweep. Not model-priced (fusion =
+(* The separate-dot fallback tail Autotune.Variants.run_fusion runs
+   for the Fused (3-sweep) mode: a fused solve without a tail-capable
+   operator keeps the p·Ap dot as its own sweep. Not model-priced (fusion =
    None — Perf_model has no 3-sweep column), but PLAN001/002 still vet
    the fused kernels' aliasing and association. *)
 let cg_tail_separate ?(n = 1 lsl 16) ?geometry () =

@@ -11,17 +11,18 @@
 val cg_tail :
   ?n:int -> ?geometry:int * int -> fused:bool -> unit -> Plan_ir.plan
 (** The BLAS-1 tail of one CG iteration on buffers p/ap/x/r — what
-    [Autotune.Variants.tune_fusion] candidates execute and what the
-    PLAN005 sweep cross-check diffs against
-    [Machine.Perf_model.blas1_sweeps] (strict equality: fused is
-    cg_update + xpay_dot, 2 sweeps — the p·Ap reduction rides the
+    [Autotune.Variants.run_fusion] executes for the [Unfused] and
+    [Tail_fused] modes, and what the PLAN005 sweep cross-check diffs
+    against [Machine.Perf_model.blas1_sweeps] (strict equality: fused
+    is cg_update + xpay_dot, 2 sweeps — the p·Ap reduction rides the
     stencil). *)
 
 val cg_tail_separate : ?n:int -> ?geometry:int * int -> unit -> Plan_ir.plan
 (** The separate-dot fallback tail (dot_re + cg_update + xpay_dot,
     3 sweeps): what a fused solve without a tail-capable operator
-    executes, and [Autotune.Variants]' [Fused] candidate. Not
-    model-priced ([fusion = None]); PLAN001/002 still vet it. *)
+    executes, and what [Autotune.Variants.run_fusion] executes for the
+    [Fused] mode. Not model-priced ([fusion = None]); PLAN001/002
+    still vet it. *)
 
 val cg_iteration :
   ?n:int -> ?geometry:int * int -> fused:bool -> unit -> Plan_ir.plan

@@ -1,9 +1,9 @@
 (** Static checker for compressed gauge-link (reconstruct) executions
     ([Linalg.Su3_codec] / [Lattice.Recon] packed stores and
     [Vrank.Comm] compressed halo payloads): verifies source links are
-    unitary within the codec's tolerance, that the executed codec
-    matches the tuner's recorded winner, and that compressed halos are
-    repacked after gauge mutation. Rule ids [RECON001]–[RECON003]. *)
+    unitary within the codec's tolerance and that compressed halos are
+    repacked after gauge mutation. Rule ids [RECON001] and
+    [RECON003]. *)
 
 type plan = {
   kernel : string;  (** e.g. ["wilson_hop_recon"] *)
@@ -11,9 +11,6 @@ type plan = {
   max_violation : float;
       (** worst Frobenius unitarity violation over the source links
           ([Lattice.Gauge.max_unitarity_violation]) *)
-  tuned_recon : Linalg.Su3_codec.codec option;
-      (** codec of the tuner's recorded winner for this kernel and
-          shape; [None]: no tuning record, RECON002 is skipped *)
   gauge_epoch : int;  (** write epoch of the live gauge field *)
   halo_epoch : int;
       (** gauge epoch at which the packed store / compressed halo was
@@ -26,7 +23,6 @@ type plan = {
 val rules : (string * string) list
 
 val plan :
-  ?tuned_recon:Linalg.Su3_codec.codec ->
   ?gauge_epoch:int ->
   ?halo_epoch:int ->
   ?halo_compressed:bool ->

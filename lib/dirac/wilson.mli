@@ -55,8 +55,7 @@ val hop : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 
 val hop_with :
   Util.Pool.t -> ?chunk:int -> t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** [hop] on an explicit pool with an explicit chunk (in sites) — the
-    autotuner's pooled hop candidates. *)
+(** [hop] on an explicit pool with an explicit chunk (in sites). *)
 
 val hop_multi :
   t -> srcs:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
@@ -80,8 +79,8 @@ val hop_multi_with :
   dsts:Linalg.Field.t array ->
   unit
 (** [hop_multi] on an explicit pool with an explicit chunk (in sites)
-    — the batch-width autotuner's pooled candidates
-    ([Autotune.Variants.tune_hop_multi]). *)
+    — what the autotuner's hop runner ([Autotune.Variants.run_hop])
+    launches for every codec, batch width and geometry. *)
 
 val hop_tail :
   t ->

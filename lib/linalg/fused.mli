@@ -89,8 +89,9 @@ val caxpy_norm2 : float * float -> t -> t -> float
     ≡ [Field.caxpy (re, im) x y; Field.norm2 y] bit-for-bit. *)
 
 (** Explicit pooled variants, mirroring [Field]'s [_with] kernels:
-    same results on a caller-chosen pool and chunk (in floats). These
-    are the autotuner's fused candidates ([Autotune.Variants.fusion]). *)
+    same results on a caller-chosen pool and chunk (in floats). The
+    autotuner's fusion runner ([Autotune.Variants.run_fusion]) launches
+    these. *)
 
 val axpy_norm2_with : Util.Pool.t -> ?chunk:int -> float -> t -> t -> float
 val xpay_dot_with : Util.Pool.t -> ?chunk:int -> t -> float -> t -> t -> float

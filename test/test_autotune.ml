@@ -1,5 +1,5 @@
-(* Tests for Autotune: caching semantics, persistence, variant
-   equivalence, and communication-policy tuning. *)
+(* Tests for Autotune: the win rule, caching semantics, persistence,
+   the launch spaces, and communication-policy tuning. *)
 
 module Tuner = Autotune.Tuner
 module Variants = Autotune.Variants
@@ -31,7 +31,9 @@ let test_tuner_distinguishes_signatures () =
   Alcotest.(check int) "two searches" 2 (Tuner.tune_count t)
 
 let test_tuner_picks_faster () =
-  let t = Tuner.create ~repeats:3 () in
+  (* five repeats: one preempted sample of the slow baseline cannot
+     widen its quartile spread past the gap *)
+  let t = Tuner.create ~repeats:5 () in
   let slow () =
     let acc = ref 0. in
     for i = 1 to 2_000_000 do
@@ -46,17 +48,19 @@ let test_tuner_picks_faster () =
   in
   Alcotest.(check string) "fast wins" "fast" w
 
-let test_tuner_backup_restore () =
-  let t = Tuner.create ~repeats:2 () in
-  let data = ref 0 in
-  let snapshots = ref 0 in
-  let backup () = incr snapshots in
-  let restore () = data := 0 in
-  ignore
-    (Tuner.tune t ~backup ~restore ~kernel:"destructive" ~signature:"s"
-       [ Tuner.candidate "only" (fun () -> data := !data + 1) ]);
-  Alcotest.(check int) "data restored" 0 !data;
-  Alcotest.(check int) "backup per trial" 2 !snapshots
+let test_tuner_pick () =
+  (* baseline median 1.0 with q3 - q1 = 0.05 (linear quartiles) *)
+  let base = ("base", [| 0.95; 1.0; 1.05 |]) in
+  Alcotest.(check string) "1% faster inside a 5% spread keeps the baseline"
+    "base"
+    (fst (Tuner.pick [ base; ("cand", [| 0.98; 0.99; 1.0 |]) ]));
+  Alcotest.(check string) "20% faster wins" "cand"
+    (fst (Tuner.pick [ base; ("cand", [| 0.79; 0.8; 0.81 |]) ]));
+  Alcotest.(check (pair string (float 0.)))
+    "repeats = 1: the strictly fastest wins" ("cand", 0.999)
+    (Tuner.pick [ ("base", [| 1.0 |]); ("slow", [| 1.5 |]); ("cand", [| 0.999 |]) ]);
+  Alcotest.(check string) "repeats = 1: a tie keeps the baseline" "base"
+    (fst (Tuner.pick [ ("base", [| 1.0 |]); ("cand", [| 1.0 |]) ]))
 
 let test_tuner_save_load () =
   let t = Tuner.create ~repeats:1 () in
@@ -87,68 +91,43 @@ let test_tuner_save_load () =
   Alcotest.(check string) "stale winner re-tuned" "other" w';
   Alcotest.(check int) "stale entry forced a search" 1 (Tuner.tune_count t2)
 
-let test_axpy_variants_agree () =
-  let rng = Util.Rng.create 5 in
-  let n = 1000 in
-  let x = Field.create n in
-  Field.gaussian rng x;
-  let reference = Field.create n in
-  Field.gaussian rng reference;
-  List.iter
-    (fun (label, f) ->
-      let y1 = Field.copy reference in
-      let y2 = Field.copy reference in
-      Field.axpy 0.7 x y1;
-      f 0.7 x y2;
-      Alcotest.(check (float 0.)) (label ^ " equals Field.axpy") 0.
-        (Field.max_abs_diff y1 y2))
-    Variants.axpy_variants
+(* Fault injection: a damaged tunecache raises a typed error naming
+   the file and the line, never a skipped entry or a bare Failure. The
+   damage sits on line 2, after one good entry. *)
+let expect_corrupt what damaged =
+  let text = "k1\ts1\tw\t1.000000000e-03\t4\t1700000000.000\n" ^ damaged in
+  let path = Filename.temp_file "tunecache" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      match Tuner.load (Tuner.create ()) path with
+      | () -> Alcotest.failf "%s loaded silently" what
+      | exception Tuner.Corrupt { path = p; line; _ } ->
+        Alcotest.(check string) (what ^ " names the file") path p;
+        Alcotest.(check int) (what ^ " names the line") 2 line)
 
-let test_site_orders_are_permutations () =
-  let n = 100 in
-  List.iter
-    (fun (label, order) ->
-      let seen = Array.make n false in
-      Array.iter (fun s -> seen.(s) <- true) order;
-      Alcotest.(check int) (label ^ " length") n (Array.length order);
-      Alcotest.(check bool) (label ^ " covers all sites") true
-        (Array.for_all Fun.id seen))
-    (Variants.hop_orders n)
+let test_tunecache_truncated () =
+  expect_corrupt "truncated last line" "k2\ts2\tw\t1.0e-03"
 
-let test_hop_orders_same_result () =
-  let geom = Lattice.Geometry.create [| 4; 4; 2; 2 |] in
-  let gauge = Lattice.Gauge.random geom (Util.Rng.create 9) in
-  let w = Dirac.Wilson.of_geometry geom gauge in
-  let n = Lattice.Geometry.volume geom * 24 in
-  let src = Field.create n in
-  Field.gaussian (Util.Rng.create 10) src;
-  let reference = Field.create n in
-  Dirac.Wilson.hop w ~src ~dst:reference;
-  List.iter
-    (fun (label, sites) ->
-      let dst = Field.create n in
-      Dirac.Wilson.hop_sites w ~sites ~src ~dst ();
-      Alcotest.(check (float 0.)) (label ^ " matches") 0.
-        (Field.max_abs_diff reference dst))
-    (Variants.hop_orders (Lattice.Geometry.volume geom))
+let test_tunecache_non_numeric () =
+  expect_corrupt "non-numeric time_s" "k2\ts2\tw\tfast\t4\t1700000000.000\n"
 
-let test_tune_hop_returns_valid_order () =
+let test_tune_hop_returns_valid_plan () =
   let tuner = Tuner.create ~repeats:1 () in
   let geom = Lattice.Geometry.create [| 4; 4; 2; 2 |] in
   let gauge = Lattice.Gauge.unit geom in
   let w = Dirac.Wilson.of_geometry geom gauge in
-  let vol = Lattice.Geometry.volume geom in
-  let n = vol * 24 in
-  let src = Field.create n and dst = Field.create n in
-  let label, plan = Variants.tune_hop tuner w ~src ~dst ~signature:"4422" in
-  match plan with
-  | Variants.Serial_order sites ->
-    Alcotest.(check bool) "label known" true
-      (List.mem_assoc label (Variants.hop_orders vol));
-    Alcotest.(check int) "sites cover volume" vol (Array.length sites)
-  | Variants.Pooled { domains; chunk } ->
-    Alcotest.(check bool) "pooled label" true
-      (label = Variants.geom_label "pool" (domains, chunk));
+  let n = Lattice.Geometry.volume geom * 24 in
+  let plan =
+    Variants.tune_hop tuner [ w ] ~srcs:[| Field.create n |]
+      ~dsts:[| Field.create n |] ~signature:"4422"
+  in
+  Alcotest.(check string) "single-RHS full18 plan" (Variants.label Variants.baseline)
+    (Variants.label { plan with geometry = None });
+  match plan.geometry with
+  | None -> ()
+  | Some (domains, chunk) ->
     Alcotest.(check bool) "sane geometry" true (domains >= 2 && chunk >= 1)
 
 let test_pool_geometries_shape () =
@@ -166,6 +145,93 @@ let test_pool_geometries_shape () =
     floored;
   Alcotest.(check (list (pair int int))) "empty on single-core cap" []
     (Variants.pool_geometries ~max_domains:1 ~n:(1 lsl 20) ())
+
+(* The executed plan is the tuned plan, for every kernel family at toy
+   sizes: the labels of the space are pairwise distinct, the baseline
+   leads it, the returned launch is in it, and the cached winner is
+   that launch's label. The spaces are rebuilt from the axes each
+   family documents; the cached candidate count pins them to what the
+   tuner searched. *)
+let test_executed_is_tuned () =
+  let dmax = 4 in
+  let tuner = Tuner.create ~repeats:1 () in
+  let check_family kernel space (launch : Variants.launch) =
+    let labels = List.map Variants.label space in
+    Alcotest.(check int) (kernel ^ " labels distinct") (List.length labels)
+      (List.length (List.sort_uniq compare labels));
+    Alcotest.(check bool) (kernel ^ " baseline first") true
+      (List.hd space = Variants.baseline);
+    Alcotest.(check bool) (kernel ^ " returned plan in space") true
+      (List.mem launch space);
+    match
+      List.filter (fun (e : Tuner.entry) -> e.Tuner.kernel = kernel)
+        (Tuner.entries tuner)
+    with
+    | [ e ] ->
+      Alcotest.(check string) (kernel ^ " cached winner is the returned plan")
+        (Variants.label launch) e.Tuner.winner;
+      Alcotest.(check int) (kernel ^ " whole space searched")
+        (List.length space) e.Tuner.candidates_tried
+    | es -> Alcotest.failf "%s: %d cache entries" kernel (List.length es)
+  in
+  let geom = Lattice.Geometry.create [| 4; 4; 2; 2 |] in
+  let gauge = Lattice.Gauge.random geom (Util.Rng.create 9) in
+  let codecs = Linalg.Su3_codec.[ Full18; Recon12 ] in
+  let ops =
+    List.map (fun recon -> Dirac.Wilson.of_geometry ~recon geom gauge) codecs
+  in
+  let sites = Lattice.Geometry.volume geom in
+  let mk seed n =
+    let v = Field.create n in
+    Field.gaussian (Util.Rng.create seed) v;
+    v
+  in
+  let srcs = [| mk 10 (sites * 24); mk 11 (sites * 24) |] in
+  let dsts = Array.init 2 (fun _ -> Field.create (sites * 24)) in
+  check_family "wilson_hop"
+    (Variants.space ~codecs ~widths:[ 1; 2 ]
+       ~geometries:
+         (Variants.pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n:sites ())
+       ())
+    (Variants.tune_hop ~max_domains:dmax tuner ops ~srcs ~dsts ~signature:"toy");
+  let n = 4096 in
+  let geometries = Variants.pool_geometries ~max_domains:dmax ~n () in
+  check_family "axpy"
+    (Variants.space ~geometries ())
+    (Variants.tune_axpy ~max_domains:dmax tuner ~n);
+  check_family "cg_blas1"
+    (Variants.space ~modes:Linalg.Fused.[ Unfused; Fused; Tail_fused ]
+       ~geometries ())
+    (Variants.tune_fusion ~max_domains:dmax tuner ~n);
+  let n = 64 in
+  let apply (x : Field.t) (y : Field.t) =
+    for i = 0 to n - 1 do
+      y.{i} <- (0.05 +. float_of_int i) *. x.{i}
+    done
+  in
+  check_family "cg_deflate"
+    (Variants.space ~ranks:[ 0; 2; 4; 8 ] ())
+    (Variants.tune_deflation tuner ~apply ~bs:[| mk 12 n; mk 13 n |]
+       ~signature:"toy")
+
+let test_tune_refuses_bad_space () =
+  (* an empty space has no baseline, and two launches with one label
+     would make the cached winner ambiguous: both are caller bugs and
+     raise before anything is timed or cached *)
+  let tuner = Tuner.create ~repeats:1 () in
+  let runs = ref 0 in
+  let tune space =
+    Variants.tune ~max_domains:2 tuner ~kernel:"bad" ~signature:"s"
+      ~space:(fun ~dmax:_ -> space)
+      (fun _ -> incr runs)
+  in
+  Alcotest.check_raises "empty space"
+    (Invalid_argument "Variants.tune: empty space") (fun () -> ignore (tune []));
+  Alcotest.check_raises "duplicate launches"
+    (Invalid_argument "Variants.tune: duplicate launches in the space")
+    (fun () -> ignore (tune Variants.[ baseline; baseline ]));
+  Alcotest.(check int) "nothing timed" 0 !runs;
+  Alcotest.(check int) "nothing cached" 0 (List.length (Tuner.entries tuner))
 
 let test_tune_axpy_key_isolation () =
   (* the cache-key audit: winners must never be served across vector
@@ -193,8 +259,8 @@ let test_tune_hop_key_isolation () =
     let gauge = Lattice.Gauge.unit geom in
     let w = Dirac.Wilson.of_geometry geom gauge in
     let n = Lattice.Geometry.volume geom * 24 in
-    let src = Field.create n and dst = Field.create n in
-    ignore (Variants.tune_hop tuner w ~src ~dst ~signature:"same")
+    let srcs = [| Field.create n |] and dsts = [| Field.create n |] in
+    ignore (Variants.tune_hop tuner [ w ] ~srcs ~dsts ~signature:"same")
   in
   tune [| 4; 4; 2; 2 |];
   tune [| 4; 4; 4; 2 |];
@@ -263,13 +329,18 @@ let suite =
     Alcotest.test_case "tuner caches" `Quick test_tuner_caches;
     Alcotest.test_case "tuner signatures" `Quick test_tuner_distinguishes_signatures;
     Alcotest.test_case "tuner picks faster" `Quick test_tuner_picks_faster;
-    Alcotest.test_case "backup/restore" `Quick test_tuner_backup_restore;
+    Alcotest.test_case "tuner pick: spread-aware win rule" `Quick test_tuner_pick;
     Alcotest.test_case "save/load" `Quick test_tuner_save_load;
-    Alcotest.test_case "axpy variants agree" `Quick test_axpy_variants_agree;
-    Alcotest.test_case "site orders permute" `Quick test_site_orders_are_permutations;
-    Alcotest.test_case "hop orders same result" `Quick test_hop_orders_same_result;
-    Alcotest.test_case "tune_hop valid" `Quick test_tune_hop_returns_valid_order;
+    Alcotest.test_case "corrupt tunecache: truncated last line" `Quick
+      test_tunecache_truncated;
+    Alcotest.test_case "corrupt tunecache: non-numeric time_s" `Quick
+      test_tunecache_non_numeric;
+    Alcotest.test_case "tune_hop valid" `Quick test_tune_hop_returns_valid_plan;
     Alcotest.test_case "pool geometries" `Quick test_pool_geometries_shape;
+    Alcotest.test_case "executed plan is the tuned plan" `Quick
+      test_executed_is_tuned;
+    Alcotest.test_case "tune refuses empty or duplicate space" `Quick
+      test_tune_refuses_bad_space;
     Alcotest.test_case "tune_axpy key isolation" `Quick test_tune_axpy_key_isolation;
     Alcotest.test_case "tune_hop key isolation" `Quick test_tune_hop_key_isolation;
     (* the tuning sweeps above spawn shared pools; quiesce them so the

@@ -295,53 +295,38 @@ let test_combined_guess () =
 
 (* ---------- tuning axis ---------- *)
 
-let test_deflation_space_baseline () =
-  let labels =
-    List.map fst (Autotune.Variants.deflation_space ~solves:24 ())
-  in
-  Alcotest.(check bool)
-    "rank-0 undeflated baseline present" true
-    (List.mem "defl_r0_s24" labels);
-  let labels8 =
-    List.map fst (Autotune.Variants.deflation_space ~ranks:[ 8 ] ~solves:6 ())
-  in
+let test_rank_axis_baseline () =
+  let module V = Autotune.Variants in
   Alcotest.(check (list string))
-    "baseline survives a custom rank list"
-    [ "defl_r0_s6"; "defl_r8_s6" ]
-    labels8
+    "rank-0 undeflated baseline leads the rank axis"
+    [ "unfused_full18_k1_r0_serial"; "unfused_full18_k1_r8_serial" ]
+    (List.map V.label (V.space ~ranks:[ 0; 8 ] ()))
 
 let test_tune_deflation () =
+  let module V = Autotune.Variants in
   let n = 192 in
   let _, apply = diag_op n in
+  let bs = Array.init 4 (fun i -> gaussian n (11 + i)) in
   let tuner = Autotune.Tuner.create ~repeats:1 () in
-  let winner, plan =
-    Autotune.Variants.tune_deflation tuner ~solves:4 ~apply ~n
-      ~signature:"test"
-  in
-  Alcotest.(check string)
-    "winner label carries the plan's rank"
-    (Autotune.Variants.deflation_label plan)
-    winner;
+  let plan = V.tune_deflation tuner ~apply ~bs ~signature:"test" in
+  let winner = V.label plan in
   Alcotest.(check bool)
     "winner is in the candidate space" true
-    (List.mem winner
-       (List.map fst (Autotune.Variants.deflation_space ~solves:4 ())));
-  (* the cache key names the campaign shape: same signature hits, a
-     different solve count misses *)
-  let w2, _ =
-    Autotune.Variants.tune_deflation tuner ~solves:4 ~apply ~n
-      ~signature:"test"
-  in
+    (List.mem plan (V.space ~ranks:[ 0; 2; 4; 8 ] ()));
+  (* the cache key names the campaign shape: the same signature and
+     right-hand sides hit, a different solve count misses *)
+  let w2 = V.label (V.tune_deflation tuner ~apply ~bs ~signature:"test") in
   Alcotest.(check string) "cache hit returns the same winner" winner w2;
   Alcotest.(check int) "one hit recorded" 1 (Autotune.Tuner.hit_count tuner);
-  let entry =
-    Autotune.Tuner.entries tuner
-    |> List.find (fun e -> e.Autotune.Tuner.kernel = "cg_deflate")
-  in
+  ignore (V.tune_deflation tuner ~apply ~bs:(Array.sub bs 0 2) ~signature:"test");
+  Alcotest.(check int) "two solves search again" 2
+    (Autotune.Tuner.tune_count tuner);
   Alcotest.(check bool)
     "signature extended with n and solves" true
-    (String.length entry.Autotune.Tuner.signature > String.length "test"
-    && String.sub entry.Autotune.Tuner.signature 0 4 = "test")
+    (List.exists
+       (fun (e : Autotune.Tuner.entry) ->
+         String.starts_with ~prefix:"test:n192:s4:dmax" e.signature)
+       (Autotune.Tuner.entries tuner))
 
 (* ---------- Perf_model pricing ---------- *)
 
@@ -387,8 +372,8 @@ let test_perf_model_amortization () =
 
 (* ---------- checker ---------- *)
 
-let clean_plan ?(rank = 4) ?tuned_rank () =
-  DC.plan ?tuned_rank ~kernel:"cg_deflate" ~rank ~n:192 ~space_hash:0x5eed
+let clean_plan () =
+  DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x5eed
     ~config_hash:0x5eed ~ortho_drift:1e-14 ~max_residual:1e-9 ~bound:1e-6 ()
 
 let rules_of ds = List.map (fun d -> d.Check.Diagnostic.rule) ds
@@ -396,7 +381,7 @@ let rules_of ds = List.map (fun d -> d.Check.Diagnostic.rule) ds
 let test_deflate_check_rules () =
   Alcotest.(check (list string))
     "clean plan is silent" []
-    (rules_of (DC.verify_plan (clean_plan ~tuned_rank:4 ())));
+    (rules_of (DC.verify_plan (clean_plan ())));
   Alcotest.(check (list string))
     "stale space fires DEF001" [ "DEF001" ]
     (rules_of
@@ -410,17 +395,14 @@ let test_deflate_check_rules () =
        (DC.verify_plan
           (DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x5eed
              ~config_hash:0x5eed ~ortho_drift:1e-3 ~max_residual:1e-2
-             ~bound:1e-6 ())));
-  Alcotest.(check (list string))
-    "rank mismatch fires DEF003" [ "DEF003" ]
-    (rules_of (DC.verify_plan (clean_plan ~rank:8 ~tuned_rank:4 ())))
+             ~bound:1e-6 ())))
 
 let test_verify_space_live () =
   let apply, space = space_of ~hash:0xfeed () in
   Alcotest.(check (list string))
     "live clean space is silent" []
     (rules_of
-       (DC.verify_space ~tuned_rank:4 ~config_hash:0xfeed ~apply space));
+       (DC.verify_space ~config_hash:0xfeed ~apply space));
   Alcotest.(check (list string))
     "live stale space fires DEF001" [ "DEF001" ]
     (rules_of (DC.verify_space ~config_hash:0xbad ~apply space))
@@ -436,7 +418,7 @@ let test_fixtures_detected () =
           (Printf.sprintf "%s fires %s" name f.Check.Fixtures.expect)
           true
           (List.mem f.Check.Fixtures.expect fired))
-    [ "deflate-stale-space"; "deflate-drifted-basis"; "deflate-rank-mismatch" ]
+    [ "deflate-stale-space"; "deflate-drifted-basis" ]
 
 let test_plan_catalog_entry () =
   match Check.Plan_extract.find "deflate" with
@@ -500,15 +482,15 @@ let suite =
       test_mixed_deflated_fewer_iterations;
     Alcotest.test_case "combined_guess: forecast then deflation" `Quick
       test_combined_guess;
-    Alcotest.test_case "deflation_space keeps the rank-0 baseline" `Quick
-      test_deflation_space_baseline;
+    Alcotest.test_case "rank axis keeps the rank-0 baseline first" `Quick
+      test_rank_axis_baseline;
     Alcotest.test_case "tune_deflation: labels, cache, signature" `Quick
       test_tune_deflation;
     Alcotest.test_case "perf model: setup pricing pins" `Quick
       test_perf_model_setup;
     Alcotest.test_case "perf model: amortization and break-even" `Quick
       test_perf_model_amortization;
-    Alcotest.test_case "deflate_check: DEF001-003 on static plans" `Quick
+    Alcotest.test_case "deflate_check: DEF001-002 on static plans" `Quick
       test_deflate_check_rules;
     Alcotest.test_case "verify_space: live audit" `Quick test_verify_space_live;
     Alcotest.test_case "seeded deflate fixtures detected" `Quick

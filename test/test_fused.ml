@@ -386,15 +386,21 @@ let test_alias_guards () =
 
 (* ---- autotuner: fusion axis ---- *)
 
+let fusion_space ?max_domains n =
+  Variants.space ~modes:Fused.[ Unfused; Fused; Tail_fused ]
+    ~geometries:(Variants.pool_geometries ?max_domains ~n ())
+    ()
+
 (* the winner the tuner picks must not lose to the always-present
    serial-unfused baseline (1.5x noise margin: these are real timings
    on a shared box) *)
 let test_tuner_honesty () =
   let n = 1 lsl 18 in
   let tuner = Autotune.Tuner.create () in
-  let winner, plan = Variants.tune_fusion tuner ~n in
+  let plan = Variants.tune_fusion tuner ~n in
+  let winner = Variants.label plan in
   Alcotest.(check bool) "winner is in the space" true
-    (List.mem_assoc winner (Variants.fusion_space ~n ()));
+    (List.mem plan (fusion_space n));
   let p = mk_vec 71 n and ap = mk_vec 72 n in
   let x = mk_vec 73 n and r = mk_vec 74 n in
   let time f =
@@ -408,13 +414,8 @@ let test_tuner_honesty () =
     done;
     !best
   in
-  let baseline = { Variants.mode = Fused.Unfused; geometry = None } in
-  let t_base =
-    time (fun () -> ignore (Variants.run_fusion_plan baseline ~p ~ap ~x ~r : float))
-  in
-  let t_win =
-    time (fun () -> ignore (Variants.run_fusion_plan plan ~p ~ap ~x ~r : float))
-  in
+  let t_base = time (fun () -> Variants.run_fusion ~p ~ap ~x ~r Variants.baseline) in
+  let t_win = time (fun () -> Variants.run_fusion ~p ~ap ~x ~r plan) in
   Alcotest.(check bool)
     (Printf.sprintf "winner %s (%.0fns) not slower than baseline (%.0fns) \
                      beyond noise" winner (t_win *. 1e9) (t_base *. 1e9))
@@ -425,16 +426,18 @@ let test_fusion_space_and_cache_keys () =
   (* all three serial modes are always present, labels are unique, and
      every label leads with its plan's mode_name — the three modes are
      labelled disjointly so cached winners can never alias *)
-  let space = Variants.fusion_space ~max_domains:4 ~n:(1 lsl 16) () in
-  let labels = List.map fst space in
+  let space = fusion_space ~max_domains:4 (1 lsl 16) in
+  let labels = List.map Variants.label space in
   List.iter
-    (fun l ->
-      Alcotest.(check bool) (l ^ " present") true (List.mem l labels))
-    [ "unfused_serial"; "fused_serial"; "tailfused_serial" ];
+    (fun mode ->
+      Alcotest.(check bool) (Fused.mode_name mode ^ " serial present") true
+        (List.mem { Variants.baseline with mode } space))
+    Fused.[ Unfused; Fused; Tail_fused ];
   Alcotest.(check int) "labels unique" (List.length labels)
     (List.length (List.sort_uniq compare labels));
   List.iter
-    (fun (label, (plan : Variants.fusion_plan)) ->
+    (fun (plan : Variants.launch) ->
+      let label = Variants.label plan in
       let prefix = Fused.mode_name plan.Variants.mode in
       let plen = String.length prefix in
       Alcotest.(check bool) (label ^ " label encodes its mode") true
@@ -445,12 +448,12 @@ let test_fusion_space_and_cache_keys () =
   (* distinct shapes tune under distinct cache keys: two sizes, two
      entries, and re-tuning the first is a cache hit *)
   let tuner = Autotune.Tuner.create () in
-  let w1, _ = Variants.tune_fusion ~max_domains:2 tuner ~n:4096 in
-  let _ = Variants.tune_fusion ~max_domains:2 tuner ~n:8192 in
+  let w1 = Variants.label (Variants.tune_fusion ~max_domains:2 tuner ~n:4096) in
+  ignore (Variants.tune_fusion ~max_domains:2 tuner ~n:8192 : Variants.launch);
   Alcotest.(check int) "two cache entries" 2
     (List.length (Autotune.Tuner.entries tuner));
   let hits_before = Autotune.Tuner.hit_count tuner in
-  let w1', _ = Variants.tune_fusion ~max_domains:2 tuner ~n:4096 in
+  let w1' = Variants.label (Variants.tune_fusion ~max_domains:2 tuner ~n:4096) in
   Alcotest.(check string) "stable winner on re-tune" w1 w1';
   Alcotest.(check int) "cache hit" (hits_before + 1)
     (Autotune.Tuner.hit_count tuner);

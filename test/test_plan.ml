@@ -335,15 +335,17 @@ let test_quantize_block_mismatch () =
 let test_lint_fusion () =
   (* every real candidate — all three modes crossed with the pool
      geometries — lints clean *)
+  let module V = Autotune.Variants in
   List.iter
-    (fun (label, (plan : Autotune.Variants.fusion_plan)) ->
+    (fun (plan : V.launch) ->
       Alcotest.(check (list string))
-        (Printf.sprintf "candidate %s lints clean" label)
+        (Printf.sprintf "candidate %s lints clean" (V.label plan))
         []
-        (rules
-           (Pc.lint_fusion ~n:65536 ~mode:plan.Autotune.Variants.mode
-              ~geometry:plan.Autotune.Variants.geometry)))
-    (Autotune.Variants.fusion_space ~max_domains:4 ~n:65536 ());
+        (rules (Pc.lint_fusion ~n:65536 ~mode:plan.mode ~geometry:plan.geometry)))
+    (V.space
+       ~modes:Linalg.Fused.[ Unfused; Fused; Tail_fused ]
+       ~geometries:(V.pool_geometries ~max_domains:4 ~n:65536 ())
+       ());
   (* a degenerate geometry is rejected by the analyzer, in every mode *)
   List.iter
     (fun mode ->
@@ -356,40 +358,27 @@ let test_tune_fusion_lints_before_cache () =
      tuner must settle on an unfused winner and cache it under that
      label — a rejected plan never enters the search, hence never the
      cache *)
+  let module V = Autotune.Variants in
   let tuner = Autotune.Tuner.create () in
-  let lint ~mode ~geometry =
-    ignore geometry;
-    if mode <> Linalg.Fused.Unfused then Some "rejected by test lint"
+  let lint (l : V.launch) =
+    if l.mode <> Linalg.Fused.Unfused then Some "rejected by test lint"
     else None
   in
-  let winner, plan = Autotune.Variants.tune_fusion ~max_domains:2 ~lint tuner ~n:4096 in
-  if plan.Autotune.Variants.mode <> Linalg.Fused.Unfused then
+  let plan = V.tune_fusion ~max_domains:2 ~lint tuner ~n:4096 in
+  if plan.mode <> Linalg.Fused.Unfused then
     Alcotest.failf "lint rejected all fused candidates yet winner %s is fused"
-      winner;
+      (V.label plan);
   (* the cached winner replayed on a second call is still unfused *)
-  let winner', plan' =
-    Autotune.Variants.tune_fusion ~max_domains:2 ~lint tuner ~n:4096
-  in
-  Alcotest.(check string) "cached winner stable" winner winner';
-  if plan'.Autotune.Variants.mode <> Linalg.Fused.Unfused then
-    Alcotest.failf "cached winner %s is fused" winner';
+  let plan' = V.tune_fusion ~max_domains:2 ~lint tuner ~n:4096 in
+  Alcotest.(check string) "cached winner stable" (V.label plan) (V.label plan');
   (* a lint rejecting everything still leaves the serial-unfused
      baseline searchable (tuner honesty) *)
-  let reject_all ~mode ~geometry =
-    ignore mode;
-    ignore geometry;
-    Some "rejected"
-  in
-  let winner_base, plan_base =
-    Autotune.Variants.tune_fusion ~max_domains:2 ~lint:reject_all
+  let plan_base =
+    V.tune_fusion ~max_domains:2 ~lint:(fun _ -> Some "rejected")
       (Autotune.Tuner.create ()) ~n:4096
   in
   Alcotest.(check string) "baseline survives a reject-all lint"
-    "unfused_serial" winner_base;
-  if
-    plan_base.Autotune.Variants.mode <> Linalg.Fused.Unfused
-    || plan_base.Autotune.Variants.geometry <> None
-  then Alcotest.fail "reject-all winner is not the serial baseline"
+    (V.label V.baseline) (V.label plan_base)
 
 (* ---- bench JSON merge (rides along: the dedup contract) ---- *)
 

@@ -159,23 +159,18 @@ let test_recon_check_rules () =
   Alcotest.(check bool) "recon12 flags them" true
     (fired "RECON001" (R.verify_gauge ~recon:Codec.Recon12 bad));
   (* plan rules *)
-  Alcotest.(check bool) "RECON002 fires" true
-    (fired "RECON002"
-       (R.verify_plan
-          (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon12
-             ~tuned_recon:Codec.Full18 ~max_violation:0. ())));
   Alcotest.(check bool) "RECON003 fires" true
     (fired "RECON003"
        (R.verify_plan
           (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon8
              ~max_violation:0. ~gauge_epoch:2 ~halo_epoch:1
              ~halo_compressed:true ())));
-  Alcotest.(check int) "matching codec + fresh halo is clean" 0
+  Alcotest.(check int) "fresh halo is clean" 0
     (List.length
        (R.verify_plan
           (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon12
-             ~tuned_recon:Codec.Recon12 ~max_violation:0. ~gauge_epoch:2
-             ~halo_epoch:2 ~halo_compressed:true ())))
+             ~max_violation:0. ~gauge_epoch:2 ~halo_epoch:2
+             ~halo_compressed:true ())))
 
 let test_recon_fixtures_fire () =
   List.iter
@@ -188,13 +183,12 @@ let test_recon_fixtures_fire () =
           (fired rule (f.Check.Fixtures.run ())))
     [
       ("recon-nonunitary-link", "RECON001");
-      ("recon-tuned-mismatch", "RECON002");
       ("recon-stale-halo", "RECON003");
     ]
 
 (* ---------- plan IR: Su3 precision tag ---------- *)
 
-let test_recon_plan_ir () =
+let test_recon_ir () =
   let module PI = Check.Plan_ir in
   let module PC = Check.Plan_check in
   let module PE = Check.Plan_extract in
@@ -292,15 +286,19 @@ let test_compress_breakdown () =
 
 let test_recon_space_and_labels () =
   let module V = Autotune.Variants in
-  Alcotest.(check string) "pooled label" "recon12_k4_d2_c4096"
-    (V.recon_label
-       { V.recon = Codec.Recon12; rk = 4; rgeometry = Some (2, 4096) });
-  Alcotest.(check string) "serial label" "recon8_k2_serial"
-    (V.recon_label { V.recon = Codec.Recon8; rk = 2; rgeometry = None });
-  let space = V.recon_space ~sites:4096 () in
-  let labels = List.map fst space in
-  Alcotest.(check bool) "uncompressed serial baseline present" true
-    (List.mem "full18_k1_serial" labels);
+  Alcotest.(check string) "pooled label" "unfused_recon12_k4_r0_d2_c4096"
+    (V.label
+       { V.baseline with recon = Codec.Recon12; k = 4; geometry = Some (2, 4096) });
+  Alcotest.(check string) "serial label" "unfused_recon8_k2_r0_serial"
+    (V.label { V.baseline with recon = Codec.Recon8; k = 2 });
+  let space =
+    V.space ~codecs:Codec.all ~widths:[ 1; 2; 4; 8 ]
+      ~geometries:(V.pool_geometries ~chunk_floor:16 ~n:4096 ())
+      ()
+  in
+  let labels = List.map V.label space in
+  Alcotest.(check string) "uncompressed serial baseline first"
+    "unfused_full18_k1_r0_serial" (List.hd labels);
   Alcotest.(check int) "labels distinct"
     (List.length labels)
     (List.length (List.sort_uniq compare labels));
@@ -310,7 +308,7 @@ let test_recon_space_and_labels () =
       Alcotest.(check bool)
         (Codec.name c ^ " in space")
         true
-        (List.exists (fun (_, pl) -> pl.V.recon = c) space))
+        (List.exists (fun (pl : V.launch) -> pl.recon = c) space))
     Codec.all
 
 (* ---------- compressed halo payloads ---------- *)
@@ -376,7 +374,7 @@ let suite =
     Alcotest.test_case "recon_check: seeded fixtures fire" `Quick
       test_recon_fixtures_fire;
     Alcotest.test_case "plan: su3 precision tag and PREC004" `Quick
-      test_recon_plan_ir;
+      test_recon_ir;
     Alcotest.test_case "perf_model: recon link-byte pricing" `Quick
       test_recon_pricing;
     Alcotest.test_case "perf_model: compressed-wire breakdown" `Quick
