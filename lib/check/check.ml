@@ -14,9 +14,6 @@ module Dag_check = Dag_check
 module Halo_check = Halo_check
 module Numeric_check = Numeric_check
 module Spec_check = Spec_check
-module Pool_check = Pool_check
-module Fuse_check = Fuse_check
-module Mrhs_check = Mrhs_check
 module Recon_check = Recon_check
 module Deflate_check = Deflate_check
 module Plan_ir = Plan_ir
@@ -34,7 +31,6 @@ let half_blocks = Numeric_check.half_blocks
 let probe_mixed_solve = Numeric_check.probe_mixed_solve
 let workflow_spec = Spec_check.workflow_spec
 let mixed_config = Spec_check.mixed_config
-let pool_plan = Pool_check.verify_plan
 let solver_plan = Plan_check.verify
 
 let all_rules =
@@ -43,9 +39,6 @@ let all_rules =
     ("halo", Halo_check.rules);
     ("numeric", Numeric_check.rules);
     ("spec", Spec_check.rules);
-    ("pool", Pool_check.rules);
-    ("fuse", Fuse_check.rules);
-    ("mrhs", Mrhs_check.rules);
     ("recon", Recon_check.rules);
     ("deflate", Deflate_check.rules);
     ("plan", Plan_check.rules);
@@ -158,92 +151,6 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     F.gaussian rng b;
     codec_ds @ Numeric_check.probe_mixed_solve ~apply ~b ()
   in
-  (* the launch plans the multicore kernel engine actually runs: the
-     default-chunk BLAS-1 geometry and the Mobius site launch, both
-     with the deterministic ordered reduction *)
-  let pool_ds =
-    let pool = Util.Pool.get_default () in
-    let d = Util.Pool.size pool in
-    let n = 1 lsl 16 in
-    Pool_check.verify_plans
-      [
-        Pool_check.plan ~kernel:"axpy" ~n ~domains:d
-          ~chunk:(Util.Pool.default_chunk pool n) ();
-        Pool_check.plan ~reduction:Pool_check.Ordered ~kernel:"norm2" ~n
-          ~domains:d ~chunk:(Util.Pool.default_chunk pool n) ();
-        Pool_check.plan ~kernel:"mobius_hop_sites" ~n:256 ~domains:1 ~chunk:256 ();
-      ]
-  in
-  (* the fused BLAS-1 plans the ~fused solvers actually run: the CG
-     tail kernels on the canonical reduction block, serial and on the
-     default-pool geometry, operand roles as Cg.solve passes them
-     (xpay_dot's q = r read/read repetition included — it must verify
-     clean). Static plans only: live tuning here would make the
-     standard suite timing-dependent. *)
-  let fuse_ds =
-    let pool = Util.Pool.get_default () in
-    let d = Util.Pool.size pool in
-    let n = 1 lsl 16 in
-    let geometry =
-      if d > 1 then Some (d, Util.Pool.default_chunk pool n) else None
-    in
-    let blk = Linalg.Field.reduce_block in
-    Fuse_check.verify_plans
-      [
-        Fuse_check.plan ~kernel:"cg_update" ~n ~block:blk ?geometry
-          ~buffers:
-            [
-              ("p", Fuse_check.Read);
-              ("ap", Fuse_check.Read);
-              ("x", Fuse_check.Update);
-              ("r", Fuse_check.Update);
-            ]
-          ();
-        Fuse_check.plan ~kernel:"xpay_dot" ~n ~block:blk ?geometry
-          ~buffers:
-            [
-              ("r", Fuse_check.Read);
-              ("p", Fuse_check.Update);
-              ("r", Fuse_check.Read);  (* q = r: the free monitor *)
-            ]
-          ();
-        Fuse_check.plan ~kernel:"axpy_norm2" ~n ~block:blk
-          ~buffers:[ ("ap", Fuse_check.Read); ("r", Fuse_check.Update) ]
-          ();
-        Fuse_check.plan ~kernel:"caxpy_norm2" ~n ~block:blk
-          ~buffers:[ ("v", Fuse_check.Read); ("s", Fuse_check.Update) ]
-          ();
-        (* the tail-fused hop: stencil dst written, tail xpay output
-           and dot operand distinct — the clean twin of the
-           fuse-tail-aliased fixture *)
-        Fuse_check.plan ~kernel:"hop_tail" ~n ~block:blk
-          ~buffers:
-            [
-              ("u", Fuse_check.Read);
-              ("src", Fuse_check.Read);
-              ("dst", Fuse_check.Update);
-              ("out", Fuse_check.Update);
-              ("q", Fuse_check.Read);
-            ]
-          ();
-      ]
-    @
-    (* the batched multi-RHS launches the solve_multi path runs: a
-       width-4 hop with correct masking bookkeeping and a batched CG
-       tail mid-solve with one RHS already retired — both must verify
-       clean (the seeded-defect twins live in Fixtures) *)
-    Mrhs_check.verify_plans
-      [
-        Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n ~block:blk
-          ~active:[| true; true; true; true |]
-          ~converged:[| false; false; false; false |]
-          ();
-        Mrhs_check.plan ~kernel:"multi_cg_update" ~k:4 ~n ~block:blk
-          ~active:[| true; false; true; true |]
-          ~converged:[| false; true; false; false |]
-          ();
-      ]
-  in
   (* every extractable solver/transport plan through the static
      analyzer — effects, windows, sweep pricing, precision flow. Clean
      since the stencil-tail fusion closed the PLAN005 gap: the fused
@@ -313,8 +220,6 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     ("halo runtime audit", audit_ds);
     ("workflow + solver specs", spec_ds);
     ("numeric sanitizer + half codec", numeric_ds);
-    ("pool launch plans", pool_ds);
-    ("fused kernel plans", fuse_ds);
     ("compressed gauge links (recon)", recon_ds);
     ("deflated solves (low-mode spaces)", deflate_ds);
     ("solver plans (static analyzer)", plan_ds);
@@ -322,8 +227,9 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
 
 (* Selftest: every seeded defect fixture must be detected. Returns
    (fixture, fired rule ids, detected?) rows. Warnings count as fired:
-   some defect classes (wasted double-buffer copies, HALO012) are
-   warnings by design, and a fixture must still prove they trigger. *)
+   some defect classes (wasted double-buffer copies, HALO012; an
+   under-cutoff pooled launch, PLAN008) are warnings by design, and a
+   fixture must still prove they trigger. *)
 let selftest () =
   List.map
     (fun (f : Fixtures.t) ->

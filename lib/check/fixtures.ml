@@ -1,24 +1,19 @@
-(* Seeded defect fixtures: thirty artifacts, each carrying exactly
-   the class of bug its pass exists to catch (six of them
+(* Seeded defect fixtures: twenty-four artifacts, each carrying
+   exactly the class of bug its pass exists to catch (six of them
    nonblocking-halo defects: early boundary read, send-buffer race,
    lost completion, zero-copy corruption, wasted double-buffering,
-   transport/policy mismatch; three pool-determinism defects:
-   completion-order reduction, broken chunk partition, under-cutoff
-   pooled launch; three fused-kernel defects: non-canonical reduction
-   block, aliased output operand, stencil-tail output aliasing the
-   hop dst; two batched multi-RHS defects: converged RHS left active,
-   mask width mismatching the batch; seven plan-level defects caught
+   transport/policy mismatch; nine plan-level defects caught
    statically from the IR alone: partition overlap, aliased fused
    output, tail output aliasing the stencil dst, zero-copy window
    write, model/IR sweep mismatch, half-codec range violation,
-   stale-precision read; two compressed gauge-link defects:
-   non-unitary source link beyond the codec tolerance, stale
-   compressed halo; two low-mode deflation defects: space stale
-   against the live gauge configuration, basis drifted beyond its
-   build bound). The
-   CLI's --selftest and the test suite assert every one is detected,
-   which keeps the checker honest — a pass that silently stops firing
-   fails CI. *)
+   stale-precision read, non-canonical reduction block, under-cutoff
+   pooled launch; two compressed gauge-link defects: non-unitary
+   source link beyond the codec tolerance, stale compressed halo; two
+   low-mode deflation defects: space stale against the live gauge
+   configuration, basis drifted beyond its build bound). The CLI's
+   --selftest and the test suite assert every one is detected, which
+   keeps the checker honest — a pass that silently stops firing fails
+   CI. *)
 
 module P = Jobman.Pipeline
 module F = Linalg.Field
@@ -176,104 +171,6 @@ let bad_half_block () =
   done;
   Numeric_check.half_blocks ~block:24 v
 
-(* 6. A multi-domain norm2 whose partials are combined in completion
-   order: the exact nondeterminism Pool.parallel_reduce ~ordered:false
-   has, and the reason the engine defaults to the ordered combine. *)
-let unordered_reduce () =
-  Pool_check.verify_plan
-    (Pool_check.plan ~reduction:Pool_check.Completion_order ~kernel:"norm2"
-       ~n:(1 lsl 17) ~domains:4 ~chunk:8192 ())
-
-(* 6a. A hand-scheduled partition that drops a range and double-covers
-   another: chunk 2 was never launched and chunk 1 launched twice (the
-   classic off-by-one in a custom scheduler). *)
-let bad_partition () =
-  Pool_check.verify_plan
-    {
-      Pool_check.kernel = "axpy";
-      n = 4096;
-      domains = 2;
-      chunk = 1024;
-      partition = [| (0, 1024); (1024, 2048); (1024, 2048); (3072, 4096) |];
-      reduction = None;
-    }
-
-(* 6b. A 512-element axpy forked across 4 domains: bit-identical but
-   slower than the serial loop — the geometry the tuner must reject. *)
-let tiny_pooled () =
-  Pool_check.verify_plan
-    (Pool_check.plan ~kernel:"axpy" ~n:512 ~domains:4 ~chunk:128 ())
-
-(* 7. A fused axpy_norm2 accumulating 4096-float blocks: every partial
-   sums twice the canonical span, so the fused |y|2 associates
-   differently from the standalone norm2 — the bit-drift the fusion
-   layer exists to rule out. *)
-let fused_wrong_block () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"axpy_norm2" ~n:(1 lsl 20) ~block:4096
-       ~buffers:[ ("x", Fuse_check.Read); ("y", Fuse_check.Update) ]
-       ())
-
-(* 7a. A tripleCGUpdate whose solution output x is handed the same
-   buffer as the stencil result Ap: the single pass updates x while
-   the r-recurrence still reads Ap from it. *)
-let fused_aliased_output () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"cg_update" ~n:(1 lsl 20)
-       ~block:Linalg.Field.reduce_block
-       ~buffers:
-         [
-           ("p", Fuse_check.Read);
-           ("ap", Fuse_check.Read);
-           ("ap", Fuse_check.Update);  (* x given the ap buffer *)
-           ("r", Fuse_check.Update);
-         ]
-       ())
-
-(* 7a'. A tail-fused hop whose xpay output is handed the same buffer
-   as the stencil dst: the tail's closing loop reads the freshly
-   written stencil block while overwriting it in place — the runtime
-   guard (Fused.tail_check's same_data probe) rejects the call, and
-   this static plan carries the same duplicate-Update hazard. *)
-let fused_tail_aliased () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"hop_tail" ~n:(256 * 24)
-       ~block:Linalg.Field.reduce_block
-       ~buffers:
-         [
-           ("u", Fuse_check.Read);
-           ("src", Fuse_check.Read);
-           ("dst", Fuse_check.Update);
-           ("dst", Fuse_check.Update);  (* tail out given the dst buffer *)
-           ("q", Fuse_check.Read);
-         ]
-       ())
-
-(* ---- 7'. batched multi-RHS defects ---- *)
-
-(* 7b. A batched CG update whose RHS 1 met its stopping criterion but
-   was never dropped from the active set: the batched kernels keep
-   advancing an iterate the independent solve froze — the trajectory
-   silently diverges from the k-independent-solves reference. *)
-let mrhs_masked_update () =
-  Mrhs_check.verify_plan
-    (Mrhs_check.plan ~kernel:"multi_cg_update" ~k:4 ~n:(1 lsl 16)
-       ~block:Linalg.Field.reduce_block
-       ~active:[| true; true; true; false |]
-       ~converged:[| false; true; false; true |]
-       ())
-
-(* 7c. A width-4 batched hop carrying width-3 masks: the RHS at the
-   batch boundary is silently dropped (or invented) by every masked
-   loop. *)
-let mrhs_block_mismatch () =
-  Mrhs_check.verify_plan
-    (Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:(1 lsl 16)
-       ~block:Linalg.Field.reduce_block
-       ~active:[| true; true; true |]
-       ~converged:[| false; false; false |]
-       ())
-
 (* ---- 8. plan-level defects: the same bug classes caught statically,
    from the IR alone, before any kernel runs ---- *)
 
@@ -292,8 +189,9 @@ let plan_partition_overlap () =
        ~buffers:[ buffer ~prec:Double "x"; buffer ~prec:Double "y" ]
        ~steps:[ Launch k ] "overlap-fixture")
 
-(* 8b. The fused CG tail with the solution output aliasing the Ap
-   input — FUSE002's bug class, caught from the plan. *)
+(* 8b. The fused CG tail (tripleCGUpdate) with the solution output
+   handed the Ap input's buffer: the single pass updates x while the
+   r-recurrence still reads Ap from it. *)
 let plan_aliased_output () =
   let open Plan_ir in
   let p = Plan_extract.cg_tail ~fused:true () in
@@ -313,8 +211,10 @@ let plan_aliased_output () =
   Plan_check.verify { p with steps = List.map alias p.steps }
 
 (* 8b'. The tail-fused Wilson hop with the tail's xpay output renamed
-   onto the stencil dst — the plan-level twin of 7a': PLAN002 catches
-   the duplicate name with a writing role from the IR alone. *)
+   onto the stencil dst: the tail's closing loop would read the freshly
+   written stencil block while overwriting it in place. The runtime
+   guard (Fused.tail_check's same_data probe) rejects the call; PLAN002
+   catches the duplicate name with a writing role from the IR alone. *)
 let plan_tail_aliased () =
   let open Plan_ir in
   let p = Plan_extract.wilson_hop_tail () in
@@ -334,8 +234,8 @@ let plan_tail_aliased () =
   Plan_check.verify { p with steps = List.map alias p.steps }
 
 (* 8c. The zero-copy halo schedule with a kernel writing the posted
-   buffer inside the open window — HALO011/DET002's corruption, from
-   the schedule alone. *)
+   buffer inside the open window — HALO011's corruption, from the
+   schedule alone. *)
 let plan_zero_copy_write () =
   let open Plan_ir in
   let p = Plan_extract.dd_zero_copy () in
@@ -384,6 +284,25 @@ let plan_stale_precision () =
       p.steps
   in
   Plan_check.verify { p with steps }
+
+(* 8g. The fused CG tail with cg_update folding its |r|^2 partials
+   over 4096-float blocks: every partial sums twice the canonical span,
+   so the fused residual associates differently from the standalone
+   norm2 — the bit-drift the fusion layer exists to rule out. *)
+let plan_wrong_block () =
+  let open Plan_ir in
+  let p = Plan_extract.cg_tail ~fused:true () in
+  let widen = function
+    | Launch k when k.kname = "cg_update" -> Launch { k with block = Some 4096 }
+    | s -> s
+  in
+  Plan_check.verify { p with steps = List.map widen p.steps }
+
+(* 8h. A 512-float axpy forked across 4 lanes: bit-identical but
+   slower than the serial loop, and a launch the kernels never make —
+   they run anything under Field.parallel_cutoff serially. *)
+let plan_tiny_pooled () =
+  Plan_check.verify (Plan_extract.pooled_axpy ~n:512 ~geometry:(4, 128) ())
 
 (* ---- 9. compressed gauge-link (reconstruct) defects ---- *)
 
@@ -520,54 +439,6 @@ let all =
       run = bad_half_block;
     };
     {
-      name = "det-unordered-reduce";
-      defect = "multi-domain norm2 combining partials in completion order";
-      expect = "DET001";
-      run = unordered_reduce;
-    };
-    {
-      name = "det-bad-partition";
-      defect = "chunk partition with a dropped range and a double-covered one";
-      expect = "DET002";
-      run = bad_partition;
-    };
-    {
-      name = "det-tiny-pooled";
-      defect = "512-element axpy forked across 4 domains (under the cutoff)";
-      expect = "DET003";
-      run = tiny_pooled;
-    };
-    {
-      name = "fuse-wrong-block";
-      defect = "fused axpy_norm2 reducing 4096-float blocks (canonical is 2048)";
-      expect = "FUSE001";
-      run = fused_wrong_block;
-    };
-    {
-      name = "fuse-aliased-output";
-      defect = "cg_update with the solution output aliasing the Ap input";
-      expect = "FUSE002";
-      run = fused_aliased_output;
-    };
-    {
-      name = "fuse-tail-aliased";
-      defect = "tail-fused hop with the xpay output aliasing the stencil dst";
-      expect = "FUSE002";
-      run = fused_tail_aliased;
-    };
-    {
-      name = "mrhs-masked-update";
-      defect = "batched CG update with a converged RHS still active";
-      expect = "MRHS001";
-      run = mrhs_masked_update;
-    };
-    {
-      name = "mrhs-block-mismatch";
-      defect = "width-4 batched hop carrying width-3 per-RHS masks";
-      expect = "MRHS002";
-      run = mrhs_block_mismatch;
-    };
-    {
       name = "plan-partition-overlap";
       defect = "pooled plan whose partition double-covers [512, 1024)";
       expect = "PLAN001";
@@ -608,6 +479,18 @@ let all =
       defect = "mixed plan reading Ap past a dropped quantize point";
       expect = "PREC003";
       run = plan_stale_precision;
+    };
+    {
+      name = "plan-wrong-block";
+      defect = "fused CG tail whose cg_update reduces 4096-float blocks";
+      expect = "PLAN007";
+      run = plan_wrong_block;
+    };
+    {
+      name = "plan-tiny-pooled";
+      defect = "512-float axpy forked across 4 lanes (under the cutoff)";
+      expect = "PLAN008";
+      run = plan_tiny_pooled;
     };
     {
       name = "recon-nonunitary-link";

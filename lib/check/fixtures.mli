@@ -17,9 +17,6 @@ val send_buffer_race : unit -> Diagnostic.t list
 val lost_completion : unit -> Diagnostic.t list
 val nan_solve : unit -> Diagnostic.t list
 val bad_half_block : unit -> Diagnostic.t list
-val fused_wrong_block : unit -> Diagnostic.t list
-val fused_aliased_output : unit -> Diagnostic.t list
-val fused_tail_aliased : unit -> Diagnostic.t list
 val plan_partition_overlap : unit -> Diagnostic.t list
 val plan_aliased_output : unit -> Diagnostic.t list
 val plan_tail_aliased : unit -> Diagnostic.t list
@@ -27,6 +24,8 @@ val plan_zero_copy_write : unit -> Diagnostic.t list
 val plan_sweep_mismatch : unit -> Diagnostic.t list
 val plan_half_range : unit -> Diagnostic.t list
 val plan_stale_precision : unit -> Diagnostic.t list
+val plan_wrong_block : unit -> Diagnostic.t list
+val plan_tiny_pooled : unit -> Diagnostic.t list
 val recon_nonunitary_link : unit -> Diagnostic.t list
 val recon_stale_halo : unit -> Diagnostic.t list
 val deflate_stale_space : unit -> Diagnostic.t list

@@ -1,15 +1,24 @@
 (* Static analyses over the plan IR: every rule here fires from the
-   plan alone, before a single kernel runs. Three pass families:
+   plan alone, before a single kernel runs. It is the one analyzer for
+   launch plans — pooled, fused, batched and stencil launches all lift
+   into the IR. Pass families:
 
    - PLAN001/002/006: effect and aliasing — pooled partitions must
-     tile [0, n) disjointly, a kernel's outputs must never alias its
-     inputs (the static counterpart of FUSE002's runtime probe), every
-     step must reference declared buffers.
+     tile [0, n) with no overlap (racing writes) and no gap
+     (unprocessed elements), a kernel's outputs must never alias
+     another operand (the static mirror of Fused.same_data's runtime
+     probe), every step must reference declared buffers.
+
+   - PLAN007/008: launch parameters — a declared reduction block must
+     be the canonical Field.reduce_block (any other block associates
+     the partials differently from the standalone reductions), and a
+     pooled launch under Field.parallel_cutoff wastes its fork/join
+     (a warning: the kernels themselves run such a launch serially).
 
    - PLAN003/004: transport windows — no write into a buffer whose
      halo post window is open (under zero-copy the payload aliases the
-     field in flight: the static counterpart of HALO011/DET002), and
-     the post/complete protocol must balance.
+     field in flight: the static counterpart of HALO011), and the
+     post/complete protocol must balance.
 
    - PLAN005: model consistency — the IR's BLAS-1 sweep total must
      equal what Machine.Perf_model prices, exactly. The old
@@ -35,6 +44,8 @@ let rules =
     ("PLAN004", "halo post/complete windows must balance");
     ("PLAN005", "IR BLAS-1 sweeps must match the performance model");
     ("PLAN006", "steps must reference declared buffers");
+    ("PLAN007", "declared reduction block must be Field.reduce_block");
+    ("PLAN008", "pooled launch below the parallel cutoff (wasted fork/join)");
     ("PREC001", "half-codec dynamic range must fit the int16 mantissa");
     ("PREC002", "half-codec block norm must not underflow float32");
     ("PREC003", "no kernel may mix stale and quantized half operands");
@@ -83,6 +94,13 @@ let check_declared p =
            (step_refs step))
        p.steps)
 
+(* Concatenate [f ~loc k] over the plan's kernel launches. *)
+let per_launch p f =
+  List.concat
+    (List.mapi
+       (fun i -> function Launch k -> f ~loc:(loc_of_step p i) k | _ -> [])
+       p.steps)
+
 (* ---- PLAN001: partition geometry ---- *)
 
 let effective_partition p k =
@@ -96,102 +114,112 @@ let effective_partition p k =
       else Some (Array.to_list (Util.Pool.chunks ~n:p.n ~chunk)))
 
 let check_partitions p =
-  List.concat
-    (List.mapi
-       (fun i step ->
-         match step with
-         | Launch k -> (
-           match effective_partition p k with
-           | None -> []
-           | Some parts ->
-             let loc = loc_of_step p i in
-             let bad =
-               List.filter_map
-                 (fun (lo, hi) ->
-                   if lo < 0 || hi <= lo || hi > p.n then
-                     Some
-                       (D.error ~rule:"PLAN001" ~loc
-                          (Printf.sprintf
-                             "chunk [%d, %d) is not a valid slice of [0, %d)"
-                             lo hi p.n)
-                          ~hint:"chunk bounds must satisfy 0 <= lo < hi <= n")
-                   else None)
-                 parts
-             in
-             if bad <> [] then bad
-             else begin
-               let sorted =
-                 List.sort (fun (a, _) (b, _) -> compare a b) parts
-               in
-               let rec tile pos = function
-                 | [] ->
-                   if pos = p.n then []
-                   else
-                     [
-                       D.error ~rule:"PLAN001" ~loc
-                         (Printf.sprintf
-                            "partition leaves [%d, %d) uncovered" pos p.n)
-                         ~hint:"chunks must tile the full index range";
-                     ]
-                 | (lo, hi) :: rest ->
-                   if lo < pos then
-                     [
-                       D.error ~rule:"PLAN001" ~loc
-                         (Printf.sprintf
-                            "chunk [%d, %d) overlaps the previous chunk \
-                             ending at %d"
-                            lo hi pos)
-                         ~hint:
-                           "two pool domains would race on the overlap: \
-                            make the chunks disjoint";
-                     ]
-                   else if lo > pos then
-                     [
-                       D.error ~rule:"PLAN001" ~loc
-                         (Printf.sprintf "partition leaves [%d, %d) uncovered"
-                            pos lo)
-                         ~hint:"chunks must tile the full index range";
-                     ]
-                   else tile hi rest
-               in
-               tile 0 sorted
-             end)
-         | _ -> [])
-       p.steps)
+  per_launch p (fun ~loc k ->
+      match effective_partition p k with
+      | None -> []
+      | Some parts ->
+        let bad =
+          List.filter_map
+            (fun (lo, hi) ->
+              if lo < 0 || hi <= lo || hi > p.n then
+                Some
+                  (D.error ~rule:"PLAN001" ~loc
+                     (Printf.sprintf
+                        "chunk [%d, %d) is not a valid slice of [0, %d)" lo hi
+                        p.n)
+                     ~hint:"chunk bounds must satisfy 0 <= lo < hi <= n")
+              else None)
+            parts
+        in
+        if bad <> [] then bad
+        else begin
+          let sorted = List.sort (fun (a, _) (b, _) -> compare a b) parts in
+          let gap lo hi =
+            [
+              D.error ~rule:"PLAN001" ~loc
+                (Printf.sprintf "partition leaves [%d, %d) uncovered" lo hi)
+                ~hint:"chunks must tile the full index range";
+            ]
+          in
+          let rec tile pos = function
+            | [] -> if pos = p.n then [] else gap pos p.n
+            | (lo, hi) :: rest ->
+              if lo < pos then
+                [
+                  D.error ~rule:"PLAN001" ~loc
+                    (Printf.sprintf
+                       "chunk [%d, %d) overlaps the previous chunk ending at %d"
+                       lo hi pos)
+                    ~hint:
+                      "two pool domains would race on the overlap: make the \
+                       chunks disjoint";
+                ]
+              else if lo > pos then gap pos lo
+              else tile hi rest
+          in
+          tile 0 sorted
+        end)
 
 (* ---- PLAN002: output aliasing ---- *)
 
 let writes role = role = Write || role = Update
 
 let check_aliasing p =
-  List.concat
-    (List.mapi
-       (fun i step ->
-         match step with
-         | Launch k ->
-           let loc = loc_of_step p i in
-           let names = List.sort_uniq compare (List.map fst k.args) in
-           List.filter_map
-             (fun name ->
-               let roles =
-                 List.filter_map
-                   (fun (a, r) -> if a = name then Some r else None)
-                   k.args
-               in
-               if List.length roles > 1 && List.exists writes roles then
-                 Some
-                   (D.error ~rule:"PLAN002" ~loc
-                      (Printf.sprintf
-                         "buffer %s appears as both an output and another \
-                          operand"
-                         name)
-                      ~hint:
-                        "an in-place alias makes the fused result depend on \
-                         evaluation order (FUSE002's static counterpart)")
-               else None)
-             names
-         | _ -> [])
-       p.steps)
+  per_launch p (fun ~loc k ->
+      let names = List.sort_uniq compare (List.map fst k.args) in
+      List.filter_map
+        (fun name ->
+          let roles =
+            List.filter_map
+              (fun (a, r) -> if a = name then Some r else None)
+              k.args
+          in
+          if List.length roles > 1 && List.exists writes roles then
+            Some
+              (D.error ~rule:"PLAN002" ~loc
+                 (Printf.sprintf
+                    "buffer %s appears as both an output and another operand"
+                    name)
+                 ~hint:
+                   "an in-place alias makes the fused result depend on \
+                    evaluation order: give each role its own buffer")
+          else None)
+        names)
+
+(* ---- PLAN007/PLAN008: launch block and pool width ---- *)
+
+(* A reduction over any block but the canonical one associates its
+   partials differently from Field.norm2/dot_re, so the launch is not
+   bit-identical to the unfused sequence or the single-RHS path.
+   PLAN008 reads [n] as floats, like Field.parallel_cutoff: every
+   kernel runs a launch under the cutoff serially, so a pooled
+   geometry there describes a launch the code never makes. *)
+let check_launch_params p =
+  per_launch p (fun ~loc k ->
+      (match k.block with
+      | Some b when b <> Linalg.Field.reduce_block ->
+        [
+          D.error ~rule:"PLAN007" ~loc
+            (Printf.sprintf
+               "reduction accumulates %d-float blocks where the standalone \
+                reductions accumulate %d: the partials associate differently \
+                and the result is not bit-identical"
+               b Linalg.Field.reduce_block)
+            ~hint:"fold through Field.block_fold with ~block:Field.reduce_block";
+        ]
+      | _ -> [])
+      @
+      match k.geometry with
+      | Some (d, _) when d > 1 && p.n < Linalg.Field.parallel_cutoff ->
+        [
+          D.warning ~rule:"PLAN008" ~loc
+            (Printf.sprintf
+               "%d-lane launch over %d floats is under Field.parallel_cutoff \
+                (%d): the fork/join costs more than the parallelism recovers"
+               d p.n Linalg.Field.parallel_cutoff)
+            ~hint:"declare the launch serial, as the kernels run it";
+        ]
+      | _ -> [])
 
 (* ---- PLAN003/PLAN004: transport windows ---- *)
 
@@ -214,7 +242,7 @@ let check_windows p =
                 buf)
              ~hint:
                "the transport aliases the payload in flight: the neighbour \
-                reads torn data (HALO011/DET002 at plan level)")
+                reads torn data (HALO011 at plan level)")
       | Machine.Transport.Staged ->
         add
           (D.warning ~rule:"PLAN003" ~loc
@@ -492,7 +520,8 @@ let check_precision p =
 let verify p =
   D.sort
     (check_declared p @ check_partitions p @ check_aliasing p
-   @ check_windows p @ check_sweeps p @ check_precision p)
+   @ check_launch_params p @ check_windows p @ check_sweeps p
+   @ check_precision p)
 
 let verify_plans plans =
   List.concat_map (fun p -> verify p) plans

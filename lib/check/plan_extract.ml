@@ -344,7 +344,12 @@ let dwf ?(n = 24 * 4096) ?(mixed_precision = false) ~fused () =
 
 (* ---- Stencil hop launches (pooled Field/Dirac kernels) ---- *)
 
-let wilson_hop ?(sites = 256) ?(geometry = (4, 1536)) () =
+(* The pooled hop defaults describe a launch Wilson.hop / hop_tail
+   really pool: 2048 sites is 49152 floats, above Field.parallel_cutoff
+   (a smaller pooled launch is a PLAN008 warning — the kernels run it
+   serially), split into 12288-float chunks of 512 sites, two whole
+   256-site tail tiles. *)
+let wilson_hop ?(sites = 2048) ?(geometry = (4, 12288)) () =
   let n = sites * 24 in
   plan ~n
     ~buffers:
@@ -371,7 +376,7 @@ let wilson_hop ?(sites = 256) ?(geometry = (4, 1536)) () =
    the freshly written stencil block while updating out, so aliasing
    them is a read-write hazard (the seeded plan_tail_aliased fixture,
    PLAN002). *)
-let wilson_hop_tail ?(sites = 256) ?(geometry = (4, 6144)) () =
+let wilson_hop_tail ?(sites = 2048) ?(geometry = (4, 12288)) () =
   let n = sites * 24 in
   plan ~n
     ~buffers:

@@ -114,9 +114,9 @@ let validate_spec s =
   List.rev !problems
 
 let time_into acc f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Util.Clock.now_s () in
   let v = f () in
-  acc := !acc +. (Unix.gettimeofday () -. t0);
+  acc := !acc +. (Util.Clock.now_s () -. t0);
   v
 
 (* Measure one configuration: 24 solves + contractions. *)

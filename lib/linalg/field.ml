@@ -102,7 +102,7 @@ end
 (* ---- pooled execution ----
    [parallel_cutoff]: below this many floats a fork/join costs more
    than it hides — the implicit kernels stay serial and
-   Check.Pool_check DET003 warns about pooled launches under it. *)
+   Check.Plan_check PLAN008 warns about pooled launches under it. *)
 
 let parallel_cutoff = 32_768
 

@@ -18,7 +18,7 @@ val to_array : t -> float array
 val parallel_cutoff : int
 (** Vectors shorter than this stay serial on the implicit pooled
     paths: the fork/join costs more than it hides.
-    [Check.Pool_check] DET003 warns about pooled launches under it. *)
+    [Check.Plan_check] PLAN008 warns about pooled launches under it. *)
 
 val reduce_block : int
 (** Canonical reduction block (in floats). [norm2]/[dot_re]/[cdot] sum

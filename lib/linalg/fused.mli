@@ -9,7 +9,7 @@
     Stricter aliasing contract than the unfused kernels: an output
     vector sharing storage with an input of a different role raises
     [Invalid_argument] (a real fused kernel caches in registers; see
-    [Check.Fuse_check] FUSE002). The guard probes the underlying data
+    [Check.Plan_check] PLAN002). The guard probes the underlying data
     through element 0, so distinct Bigarray handles over the same
     buffer are rejected too — not just physical equality. Passing the
     same vector where the *spec* says so — e.g. [xpay_dot r beta p r],
@@ -34,7 +34,7 @@ val same_data : t -> t -> bool
 (** Do the two fields share their underlying storage? Physical
     equality, or a write-probe through element 0 that catches distinct
     Bigarray handles over the same data. Staggered overlaps that cover
-    neither element 0 escape (modeled statically by FUSE002). *)
+    neither element 0 escape (modeled statically by PLAN002). *)
 
 (** {2 Stencil output tail}
 
@@ -59,7 +59,7 @@ val tail_check : string -> n:int -> dst:t -> tail -> unit
     launch: every tail operand must span the [n]-float stencil output,
     and the xpay output must not alias the stencil [dst] (probed via
     {!same_data}; raises [Invalid_argument] — the runtime counterpart
-    of the FUSE002/PLAN002 tail-alias hazard). *)
+    of the PLAN002 tail-alias hazard). *)
 
 val tail_term : tail -> dst:t -> int -> int -> float
 (** [tail_term tl ~dst lo hi]: the serial per-block pass over floats
@@ -108,4 +108,4 @@ val operand_roles : string -> (string * bool) list option
     mirror of the runtime aliasing guards — [Check.Plan_extract]
     builds fused-launch effects from it, and a plan whose output
     operand shares a buffer with any other position is the
-    FUSE002/PLAN002 hazard. *)
+    PLAN002 hazard. *)

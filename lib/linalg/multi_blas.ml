@@ -21,7 +21,7 @@
    Aliasing contract: like [Fused] but across the whole set — an
    output vector sharing storage with any input of a different role,
    or with another output, raises [Invalid_argument] (probed via
-   [Fused.same_data]; see Check.Mrhs_check for the static mirror). *)
+   [Fused.same_data]; Check.Plan_check PLAN002 is the static mirror). *)
 
 open Bigarray
 

@@ -11,13 +11,11 @@
      scheduling noise (an Atomic counter), but chunk boundaries are a
      pure function of (n, chunk), so any kernel whose writes depend
      only on the element index is bit-identical to the serial loop.
-   - [parallel_reduce ~ordered:true] (the default) stores each chunk's
-     partial in a slot indexed by chunk id and combines the partials
-     in index order on the calling domain — bit-stable run to run for
-     a fixed (n, chunk). [~ordered:false] combines in completion
-     order under a mutex: faster (no partials array) but
-     nondeterministic; Check.Pool_check rule DET001 exists to flag
-     plans that rely on it.
+   - Reductions keep their own ordered per-block partials on
+     [parallel_for] (Field.block_fold, Multi_blas.batch_fold,
+     Wilson.hop_tail): each partial lands in a slot indexed by block
+     and the slots fold in index order on the calling domain —
+     bit-stable run to run for any geometry.
    - A pool of size 1 has no workers: jobs run inline on the caller,
      chunk by chunk in index order — today's serial code by
      construction.
@@ -49,7 +47,7 @@ let size t = t.n_workers + 1
 
 let max_domains = 64
 
-(* ---- chunk geometry (pure, shared with Check.Pool_check) ---- *)
+(* ---- chunk geometry (pure, shared with Check.Plan_check) ---- *)
 
 let chunks ~n ~chunk =
   if n <= 0 then [||]
@@ -177,38 +175,6 @@ let parallel_for t ?chunk ~n f =
       t.failed <- None;
       Mutex.unlock t.m;
       match failed with Some e -> raise e | None -> ()
-    end
-  end
-
-let parallel_reduce t ?chunk ?(ordered = true) ~n ~init ~f ~combine () =
-  if n <= 0 then init
-  else begin
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | Some _ -> invalid_arg "Pool.parallel_reduce: chunk must be positive"
-      | None -> default_chunk t n
-    in
-    if ordered then begin
-      (* fixed-order combination: slot per chunk, folded in index
-         order by the calling domain — deterministic for a fixed
-         (n, chunk) whatever the scheduling *)
-      let n_chunks = (n + chunk - 1) / chunk in
-      let partials = Array.make n_chunks init in
-      parallel_for t ~chunk ~n (fun lo hi -> partials.(lo / chunk) <- f lo hi);
-      Array.fold_left combine init partials
-    end
-    else begin
-      (* completion-order combination: cheaper, nondeterministic —
-         what Check.Pool_check's DET001 exists to flag *)
-      let acc = ref init in
-      let am = Mutex.create () in
-      parallel_for t ~chunk ~n (fun lo hi ->
-          let p = f lo hi in
-          Mutex.lock am;
-          acc := combine !acc p;
-          Mutex.unlock am);
-      !acc
     end
   end
 

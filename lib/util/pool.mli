@@ -1,14 +1,17 @@
 (** Persistent domain pool for the multicore kernel engine: workers
     spawned once and parked on a Condition, one fork/join per kernel
-    launch, deterministic fixed-order reductions.
+    launch.
 
     Determinism contract: chunk boundaries are a pure function of
-    (n, chunk); [parallel_reduce] (ordered, the default) combines
-    per-chunk partials in chunk-index order on the calling domain, so
-    results are bit-stable run to run for a fixed geometry. A pool of
-    size 1 runs jobs inline, chunk by chunk in index order. Nested
-    launches (from a worker, or from the owner while a job is live)
-    degrade to the inline serial path instead of deadlocking. *)
+    (n, chunk), so element-wise kernels are bit-identical to the
+    serial loop; the reductions built on [parallel_for]
+    ([Linalg.Field.block_fold], the [Linalg.Multi_blas] batch
+    kernels, [Dirac.Wilson.hop_tail]) store per-block partials in index slots
+    and fold them in index order on the calling domain, bit-stable
+    for any geometry. A pool of size 1 runs jobs inline, chunk by
+    chunk in index order. Nested launches (from a worker, or from the
+    owner while a job is live) degrade to the inline serial path
+    instead of deadlocking. *)
 
 type t
 
@@ -31,7 +34,7 @@ val shutdown : t -> unit
 val chunks : n:int -> chunk:int -> (int * int) array
 (** The exact partition of [0, n) a launch with this geometry uses:
     [(i·chunk, min n ((i+1)·chunk))]. Pure; shared with
-    [Check.Pool_check] so the verifier audits the real geometry. *)
+    [Check.Plan_check] so the verifier audits the real geometry. *)
 
 val default_chunk : t -> int -> int
 (** Chunk chosen when the caller does not pin one: ~4 chunks per lane
@@ -43,23 +46,6 @@ val parallel_for : t -> ?chunk:int -> n:int -> (int -> int -> unit) -> unit
     writes depend only on the element index is bit-identical to the
     serial loop. Exceptions from chunks are re-raised (first one) on
     the calling domain after the join. *)
-
-val parallel_reduce :
-  t ->
-  ?chunk:int ->
-  ?ordered:bool ->
-  n:int ->
-  init:'a ->
-  f:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  unit ->
-  'a
-(** [parallel_reduce t ~n ~init ~f ~combine ()]: each chunk is reduced
-    serially by [f lo hi]; with [ordered] (default [true]) the
-    partials land in a slot per chunk and are combined in chunk-index
-    order on the calling domain — deterministic for a fixed (n, chunk).
-    [~ordered:false] combines in completion order under a mutex:
-    nondeterministic, exists as the defect class DET001 catches. *)
 
 val set_default : t -> unit
 

@@ -371,7 +371,7 @@ let test_selftest_detects_all () =
   (* the expected defect-class count is wired here on purpose: a
      fixture silently dropped from the list (so --selftest would print
      n/n for a smaller n) fails the suite *)
-  Alcotest.(check int) "30 seeded defect classes" 30 (List.length rows);
+  Alcotest.(check int) "24 seeded defect classes" 24 (List.length rows);
   List.iter
     (fun (rule : string) ->
       Alcotest.(check bool) (rule ^ " has a fixture") true
@@ -379,10 +379,9 @@ let test_selftest_detects_all () =
            (fun ((f : Check.Fixtures.t), _, _) -> f.Check.Fixtures.expect = rule)
            rows))
     [
-      "HALO011"; "HALO012"; "HALO013"; "DET001"; "DET002"; "DET003";
-      "FUSE001"; "FUSE002";
-      "MRHS001"; "MRHS002";
-      "PLAN001"; "PLAN002"; "PLAN003"; "PLAN005"; "PREC001"; "PREC003";
+      "HALO011"; "HALO012"; "HALO013";
+      "PLAN001"; "PLAN002"; "PLAN003"; "PLAN005"; "PLAN007"; "PLAN008";
+      "PREC001"; "PREC003";
       "RECON001"; "RECON003";
       "DEF001"; "DEF002";
     ];
@@ -397,10 +396,33 @@ let test_selftest_detects_all () =
 
 let test_standard_suite_clean () =
   let report = Check.standard_suite () in
-  Alcotest.(check int) "ten passes" 10 (List.length report);
+  Alcotest.(check int) "eight passes" 8 (List.length report);
   Alcotest.(check int) "zero errors on shipped artifacts" 0
     (D.report_errors report);
+  (* silent, not just error-free: a warning-only rule (HALO012,
+     PLAN008) firing on a shipped artifact is a regression too *)
+  Alcotest.(check int) "zero warnings on shipped artifacts" 0
+    (D.report_warnings report);
   Alcotest.(check int) "exit code 0" 0 (D.exit_code report)
+
+let test_rule_ids_catalogued () =
+  (* every id a fixture fires is listed by --rules, and no id is
+     listed twice: a pass cannot emit a rule the catalog forgot *)
+  let ids =
+    List.concat_map (fun (_, rules) -> List.map fst rules) Check.all_rules
+  in
+  List.iter
+    (fun (f : Check.Fixtures.t) ->
+      List.iter
+        (fun (d : D.t) ->
+          if not (List.mem d.D.rule ids) then
+            Alcotest.failf "fixture %s fires %s, missing from Check.all_rules"
+              f.Check.Fixtures.name d.D.rule)
+        (f.Check.Fixtures.run ()))
+    Check.Fixtures.all;
+  Alcotest.(check int) "no rule id listed twice"
+    (List.length ids)
+    (List.length (List.sort_uniq compare ids))
 
 let suite =
   [
@@ -443,5 +465,6 @@ let suite =
     Alcotest.test_case "fixtures: selftest detects all" `Quick
       test_selftest_detects_all;
     Alcotest.test_case "standard suite clean" `Quick test_standard_suite_clean;
+    Alcotest.test_case "rule ids catalogued once" `Quick test_rule_ids_catalogued;
     QCheck_alcotest.to_alcotest prop_campaign_always_verifies;
   ]

@@ -32,7 +32,21 @@ let test_workflow_completes () =
 let test_workflow_time_budget_shape () =
   (* propagators dominate, like the paper's 96.5 / 3 / 0.5 split *)
   let r = Lazy.force workflow_result in
-  let prop, contract, io = Workflow.time_fractions r.Workflow.timing in
+  let t = r.Workflow.timing in
+  (* monotonic-clock buckets: never negative, never NaN *)
+  List.iter
+    (fun (bucket, s) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %g finite and >= 0" bucket s)
+        true
+        (Float.is_finite s && s >= 0.))
+    [
+      ("gauge_s", t.Workflow.gauge_s);
+      ("propagator_s", t.Workflow.propagator_s);
+      ("contraction_s", t.Workflow.contraction_s);
+      ("io_s", t.Workflow.io_s);
+    ];
+  let prop, contract, io = Workflow.time_fractions t in
   Alcotest.(check (float 1e-9)) "fractions sum to 1" 1. (prop +. contract +. io);
   Alcotest.(check bool) (Printf.sprintf "propagators dominate (%.3f)" prop) true
     (prop > 0.7);

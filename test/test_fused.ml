@@ -149,7 +149,7 @@ let prop_hop_tail_bit_identical =
         s = s_ref && bytes_equal dst dst_ref
       end)
 
-(* the runtime twin of the FUSE002/PLAN002 tail-alias fixtures: a tail
+(* the runtime twin of the plan-tail-aliased fixture (PLAN002): a tail
    whose xpay output is the stencil dst must be rejected before launch *)
 let test_hop_tail_alias_guard () =
   let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in

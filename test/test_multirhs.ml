@@ -417,36 +417,6 @@ let test_mrhs_catalog_clean_and_priced () =
       | Some f -> ignore (f () : Check.Plan_ir.plan))
     [ "wilson-hop-multi"; "cg-tail-multi"; "cg-tail-multi-fused" ]
 
-let test_mrhs_check_rules () =
-  let module M = Check.Mrhs_check in
-  let clean =
-    M.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:1024
-      ~block:Linalg.Field.reduce_block
-      ~active:[| true; false; true; true |]
-      ~converged:[| false; true; false; false |]
-      ()
-  in
-  Alcotest.(check int) "clean mrhs plan" 0 (List.length (M.verify_plan clean));
-  let fired rule p =
-    List.exists
-      (fun (d : Check.Diagnostic.t) -> d.Check.Diagnostic.rule = rule)
-      (M.verify_plan p)
-  in
-  Alcotest.(check bool) "MRHS001 fires" true
-    (fired "MRHS001"
-       (M.plan ~kernel:"multi_cg_update" ~k:2 ~n:1024
-          ~block:Linalg.Field.reduce_block
-          ~active:[| true; true |]
-          ~converged:[| false; true |]
-          ()));
-  Alcotest.(check bool) "MRHS002 fires" true
-    (fired "MRHS002"
-       (M.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:1024
-          ~block:Linalg.Field.reduce_block
-          ~active:[| true; true |]
-          ~converged:[| false; false |]
-          ()))
-
 let test_shutdown () = Util.Pool.shutdown_shared ()
 
 let suite =
@@ -478,7 +448,5 @@ let suite =
       test_perf_model_mrhs_formulas;
     Alcotest.test_case "plan: multi-RHS catalog entries priced clean" `Quick
       test_mrhs_catalog_clean_and_priced;
-    Alcotest.test_case "mrhs_check: rules fire and clean plan passes" `Quick
-      test_mrhs_check_rules;
     Alcotest.test_case "pool shutdown" `Quick test_shutdown;
   ]

@@ -271,6 +271,10 @@ let test_defect_fixture_pairs () =
      fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
     ("plan-tail-aliased", "PLAN002", Check.Fixtures.plan_tail_aliased,
      fun () -> Pc.verify (Extract.wilson_hop_tail ()));
+    ("plan-wrong-block", "PLAN007", Check.Fixtures.plan_wrong_block,
+     fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
+    ("plan-tiny-pooled", "PLAN008", Check.Fixtures.plan_tiny_pooled,
+     fun () -> Pc.verify (Extract.pooled_axpy ()));
     ("plan-zero-copy-write", "PLAN003", Check.Fixtures.plan_zero_copy_write,
      fun () -> Pc.verify (Extract.dd_zero_copy ()));
     ("plan-sweep-mismatch", "PLAN005", Check.Fixtures.plan_sweep_mismatch,
@@ -286,6 +290,61 @@ let test_defect_fixture_pairs () =
       check_fires ("fixture " ^ name) rule (defective ());
       check_clean ("clean counterpart of " ^ name) (clean ()))
     fires
+
+let launch_plan ?geometry ?partition ?block n =
+  let open Ir in
+  plan ~n
+    ~buffers:[ buffer ~prec:Double "x"; buffer ~prec:Double "y" ]
+    ~steps:
+      [
+        Launch
+          (kernel ?geometry ?partition ?block
+             ~args:[ ("x", Read); ("y", Update); ("y2", Reduce) ]
+             "axpy_norm2");
+      ]
+    "launch-fixture"
+
+let test_partition_gap () =
+  (* a dropped range is PLAN001 as surely as an overlap: the elements
+     no chunk covers are never processed *)
+  let gaps partition =
+    List.map
+      (fun (d : D.t) -> (d.D.rule, d.D.message))
+      (errors (Pc.verify (launch_plan ~partition 4096)))
+  in
+  Alcotest.(check (list (pair string string))) "interior gap"
+    [ ("PLAN001", "partition leaves [2048, 3072) uncovered") ]
+    (gaps [| (0, 1024); (1024, 2048); (3072, 4096) |]);
+  Alcotest.(check (list (pair string string))) "trailing gap"
+    [ ("PLAN001", "partition leaves [3072, 4096) uncovered") ]
+    (gaps [| (0, 1024); (1024, 3072) |]);
+  Alcotest.(check (list (pair string string))) "exact tiling" []
+    (gaps [| (0, 1024); (1024, 2048); (2048, 3072); (3072, 4096) |])
+
+let test_launch_params () =
+  (* PLAN007 is an error on a declared block other than the canonical
+     one; PLAN008 is a warning on a multi-lane launch under the cutoff
+     (the pre-fix wilson-hop catalog geometry), and silent at the
+     cutoff or on one lane *)
+  let severities rule p =
+    List.filter_map
+      (fun (d : D.t) -> if d.D.rule = rule then Some d.D.severity else None)
+      (Pc.verify p)
+  in
+  let n = 1 lsl 16 and cutoff = Linalg.Field.parallel_cutoff in
+  Alcotest.(check bool) "PLAN007 errors on a 4096-float block" true
+    (severities "PLAN007" (launch_plan ~block:4096 n) = [ D.Error ]);
+  Alcotest.(check int) "canonical block silent" 0
+    (List.length (Pc.verify (launch_plan ~block:Linalg.Field.reduce_block n)));
+  Alcotest.(check int) "undeclared block silent" 0
+    (List.length (Pc.verify (launch_plan n)));
+  Alcotest.(check bool) "4-lane hop over 256 sites warns" true
+    (severities "PLAN008" (Extract.wilson_hop ~sites:256 ~geometry:(4, 1536) ())
+    = [ D.Warning ]);
+  Alcotest.(check int) "4 lanes at the cutoff silent" 0
+    (List.length (Pc.verify (launch_plan ~geometry:(4, cutoff / 4) cutoff)));
+  Alcotest.(check int) "1 lane under the cutoff silent" 0
+    (List.length (Pc.verify (launch_plan ~geometry:(1, 512) 512)))
 
 let test_window_protocol () =
   (* the staged overlapped schedule is clean; dropping a complete
@@ -424,6 +483,8 @@ let suite =
       test_sweep_accounting;
     Alcotest.test_case "seeded defects fire, clean counterparts verify" `Quick
       test_defect_fixture_pairs;
+    Alcotest.test_case "partition gap rejected" `Quick test_partition_gap;
+    Alcotest.test_case "launch block and pool cutoff" `Quick test_launch_params;
     Alcotest.test_case "window protocol balance" `Quick test_window_protocol;
     Alcotest.test_case "undeclared buffer rejected" `Quick test_undeclared_buffer;
     Alcotest.test_case "quantize block mismatch rejected" `Quick

@@ -79,31 +79,6 @@ let test_exception_propagates () =
       done);
   ignore !sum
 
-let test_parallel_reduce_ordered_deterministic () =
-  (* the ordered combine is a pure function of (n, chunk) — identical
-     across pool widths, and equal to the serial fold for the same
-     blocking *)
-  let n = 100_000 in
-  let f lo hi =
-    let acc = ref 0. in
-    for i = lo to hi - 1 do
-      acc := !acc +. (1. /. float_of_int (i + 1))
-    done;
-    !acc
-  in
-  let reference =
-    Pool.parallel_reduce (Pool.shared ~domains:1) ~chunk:4096 ~n ~init:0. ~f
-      ~combine:( +. ) ()
-  in
-  List.iter
-    (fun domains ->
-      let r =
-        Pool.parallel_reduce (Pool.shared ~domains) ~chunk:4096 ~n ~init:0. ~f
-          ~combine:( +. ) ()
-      in
-      exact (Printf.sprintf "d=%d bit-identical" domains) reference r)
-    [ 2; 3; 4 ]
-
 let test_parse_domains () =
   let ok = Alcotest.(check (result int string)) in
   ok "plain" (Ok 4) (Pool.parse_domains "4");
@@ -274,8 +249,6 @@ let suite =
     Alcotest.test_case "parallel_for covers" `Quick test_parallel_for_runs_all;
     Alcotest.test_case "nested launch inlines" `Quick test_nested_parallel_for;
     Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
-    Alcotest.test_case "ordered reduce deterministic" `Quick
-      test_parallel_reduce_ordered_deterministic;
     Alcotest.test_case "NEUTRON_DOMAINS parser" `Quick test_parse_domains;
     QCheck_alcotest.to_alcotest prop_elementwise_bit_identical;
     QCheck_alcotest.to_alcotest prop_reductions_bit_stable;
