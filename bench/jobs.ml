@@ -122,12 +122,12 @@ let autotune () =
       (Autotune.Variants.tune_hop tuner [ w ] ~srcs:[| src |] ~dsts:[| dst |]
          ~signature:"8888/double")
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Util.Clock.now_s () in
   let winner = tune_hop () in
-  let t_first = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
+  let t_first = Util.Clock.now_s () -. t0 in
+  let t1 = Util.Clock.now_s () in
   let winner2 = tune_hop () in
-  let t_cached = Unix.gettimeofday () -. t1 in
+  let t_cached = Util.Clock.now_s () -. t1 in
   Printf.printf
     "wilson_hop on 8^4: brute-force search picked '%s' in %s; cached lookup '%s' in %s\n"
     winner (Ascii.seconds t_first) winner2 (Ascii.seconds t_cached);

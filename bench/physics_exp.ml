@@ -39,19 +39,19 @@ let sequential_cost () =
   let gauge = Gauge.unit geom in
   let params = Dirac.Mobius.mobius ~l5:6 ~m5:1.3 ~alpha:1.5 ~mass:0.2 in
   let solver = Solver.Dwf_solve.create params geom (Gauge.with_antiperiodic_time gauge) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Util.Clock.now_s () in
   let prop = Physics.Propagator.point_propagator ~tol:1e-9 solver ~src_site:0 in
-  let t_prop = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
+  let t_prop = Util.Clock.now_s () -. t0 in
+  let t1 = Util.Clock.now_s () in
   let _fh = Physics.Fh.fh_propagator ~tol:1e-9 solver prop in
-  let t_fh = Unix.gettimeofday () -. t1 in
+  let t_fh = Util.Clock.now_s () -. t1 in
   let nt = Geometry.time_extent geom in
-  let t2 = Unix.gettimeofday () in
+  let t2 = Util.Clock.now_s () in
   (* two representative sequential solves; the full traditional set
      needs one per insertion time *)
   let _s1 = Physics.Fh.sequential_propagator ~tol:1e-9 solver ~tau:2 prop in
   let _s2 = Physics.Fh.sequential_propagator ~tol:1e-9 solver ~tau:3 prop in
-  let t_seq2 = Unix.gettimeofday () -. t2 in
+  let t_seq2 = Util.Clock.now_s () -. t2 in
   let t_seq_full = t_seq2 /. 2. *. float_of_int nt in
   Ascii.print_table
     ~header:[ "method"; "solves"; "wall (measured/projected)" ]

@@ -45,12 +45,12 @@ let run ?(out = "BENCH_kernels.json") () =
      packed store, the stencil tables are identical *)
   let ops = List.map (fun c -> Wilson.of_geometry ~recon:c geom gauge) Codec.all in
   let run = V.run_hop ops ~srcs ~dsts in
-  let hop_with recon () = run { V.baseline with recon; k = kbench } in
-  let t_full = time_ns (hop_with Codec.Full18) in
+  let hop_launch recon () = run { V.baseline with recon; k = kbench } in
+  let t_full = time_ns (hop_launch Codec.Full18) in
   let hop_rows =
     List.map
       (fun c ->
-        let t = if c = Codec.Full18 then t_full else time_ns (hop_with c) in
+        let t = if c = Codec.Full18 then t_full else time_ns (hop_launch c) in
         {
           kernel = "wilson_hop_recon";
           n = vol;

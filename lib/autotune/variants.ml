@@ -138,13 +138,13 @@ let run_hop ops ~srcs ~dsts =
     let off = ref 0 in
     while !off < kmax do
       let width = min l.k (kmax - !off) in
-      Wilson.hop_multi_with (pool l) ?chunk:(chunk l) w
+      Wilson.hop_multi ~pool:(pool l) ?chunk:(chunk l) w
         ~srcs:(Array.sub srcs !off width)
         ~dsts:(Array.sub dsts !off width);
       off := !off + width
     done
 
-let run_axpy ~x ~y l = Field.axpy_with (pool l) ?chunk:(chunk l) 0.5 x y
+let run_axpy ~x ~y l = Field.axpy ~pool:(pool l) ?chunk:(chunk l) 0.5 x y
 
 (* One CG BLAS-1 tail iteration as each mode executes it: Unfused =
    dot_re + axpy + axpy + norm2 + xpay (5 sweeps); Fused = dot_re +
@@ -156,16 +156,16 @@ let run_fusion ~p ~ap ~x ~r l =
   let pool = pool l and chunk = chunk l in
   let alpha = 1e-3 and beta = 0.5 in
   if l.mode <> Fused.Tail_fused then
-    ignore (Field.dot_re_with pool ?chunk p ap : float);
+    ignore (Field.dot_re ~pool ?chunk p ap : float);
   match l.mode with
   | Fused.Unfused ->
-    Field.axpy_with pool ?chunk alpha p x;
-    Field.axpy_with pool ?chunk (-.alpha) ap r;
-    ignore (Field.norm2_with pool ?chunk r : float);
-    Field.xpay_with pool ?chunk r beta p
+    Field.axpy ~pool ?chunk alpha p x;
+    Field.axpy ~pool ?chunk (-.alpha) ap r;
+    ignore (Field.norm2 ~pool ?chunk r : float);
+    Field.xpay ~pool ?chunk r beta p
   | Fused.Fused | Fused.Tail_fused ->
-    ignore (Fused.cg_update_with pool ?chunk alpha p ap x r : float);
-    ignore (Fused.xpay_dot_with pool ?chunk r beta p r : float)
+    ignore (Fused.cg_update ~pool ?chunk alpha p ap x r : float);
+    ignore (Fused.xpay_dot ~pool ?chunk r beta p r : float)
 
 (* A whole campaign slice: Lanczos setup for the launch's rank inside
    the run (the setup-vs-iterations amortization is the trade), then

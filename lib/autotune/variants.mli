@@ -81,14 +81,14 @@ val run_hop :
   launch ->
   unit
 (** Hop the whole batch as sub-batches of the launch's [k]
-    ([Dirac.Wilson.hop_multi_with]) on the operator of its [recon] —
+    ([Dirac.Wilson.hop_multi ~pool]) on the operator of its [recon] —
     the ops hold one [Dirac.Wilson.t] per codec, same geometry and
     gauge. A narrow width pays the gauge re-streaming it costs and a
     packed codec its reconstruction on every right-hand side.
     @raise Invalid_argument on an empty or mismatched batch. *)
 
 val run_axpy : x:Linalg.Field.t -> y:Linalg.Field.t -> launch -> unit
-(** [y <- y + 0.5·x] through [Linalg.Field.axpy_with] on the launch's
+(** [y <- y + 0.5·x] through [Linalg.Field.axpy ~pool] on the launch's
     geometry — the kernel every solve runs. *)
 
 val run_fusion :

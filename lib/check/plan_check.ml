@@ -205,7 +205,7 @@ let check_launch_params p =
                 reductions accumulate %d: the partials associate differently \
                 and the result is not bit-identical"
                b Linalg.Field.reduce_block)
-            ~hint:"fold through Field.block_fold with ~block:Field.reduce_block";
+            ~hint:"reduce through Field.fold, whose blocks are Field.reduce_block";
         ]
       | _ -> [])
       @

@@ -230,7 +230,7 @@ let scratch_like (srcs : Linalg.Field.t array) =
    src, none aliasing a src or dst), because the stencil reads it at
    neighbouring sites. *)
 let apply_hop p kernel ~n4 ~(srcs : Linalg.Field.t array) ~phis ~dsts ~accumulate =
-  Wilson.launch_sites ~cols:(p.l5 * Array.length srcs) ~n:n4 (fun lo hi ->
+  Wilson.launch ~cols:(p.l5 * Array.length srcs) ~n:n4 (fun lo hi ->
       Array.iteri
         (fun v src -> chiral_mix Phi ~dagger:false p ~n4 ~src ~dst:phis.(v) lo hi)
         srcs);
@@ -427,39 +427,29 @@ let schur_dagger_chain eo ~srcs ~dsts =
 (* The dagger's finishing pass (dst <- M5d^dag src - t1), with the
    optional output tail fused into the same sweep: the subtraction and
    the tail's xpay/dot run per canonical [Field.reduce_block] while
-   the block is hot, partials folded in index order — the exact
-   association of the standalone [Field.dot_re], so the fused chain is
-   bit-identical to apply_schur_dagger-then-dot for any geometry (the
-   subtraction itself is element-local and unchanged). This is the 5d
-   analogue of [Wilson.hop_tail]: it is where the CG p·Ap reduction
-   rides the Schur-normal stencil instead of costing its own
-   full-vector sweep. *)
+   the block is hot, the partials summed by [Field.fold_partials] —
+   the exact association of the standalone [Field.dot_re], so the
+   fused chain is bit-identical to apply_schur_dagger-then-dot for any
+   geometry (the subtraction itself is element-local and unchanged).
+   This is the 5d analogue of [Wilson.hop_tail]: it is where the CG
+   p·Ap reduction rides the Schur-normal stencil instead of costing
+   its own full-vector sweep. *)
 let schur_dagger_finish ?tail (dst : Linalg.Field.t) (t1 : Linalg.Field.t) len =
   match tail with
   | None ->
     sub_into dst t1 0 len;
     0.
   | Some tl ->
-    Linalg.Fused.tail_check "Mobius.apply_schur_dagger_tail" ~n:len ~dst tl;
-    let block = Linalg.Field.reduce_block in
-    let n_blocks = max 1 ((len + block - 1) / block) in
-    let partials = Array.make n_blocks 0. in
-    for b = 0 to n_blocks - 1 do
-      let lo = b * block and hi = min len ((b + 1) * block) in
-      sub_into dst t1 lo hi;
-      partials.(b) <- Linalg.Fused.tail_term tl ~dst lo hi
-    done;
+    Linalg.Fused.tail_check "Mobius.apply_schur_normal_tail" ~n:len ~dst tl;
     let s =
-      if n_blocks <= 1 then partials.(0)
-      else begin
-        let acc = ref 0. in
-        for b = 0 to n_blocks - 1 do
-          acc := !acc +. partials.(b)
-        done;
-        !acc
-      end
+      Linalg.Field.fold_partials ~n:len (fun record ->
+          record
+            (fun lo hi ->
+              sub_into dst t1 lo hi;
+              Linalg.Fused.tail_term tl ~dst lo hi)
+            0 len)
     in
-    Linalg.Field.Sanitize.check_scalar "Mobius.apply_schur_dagger_tail" s
+    Linalg.Field.Sanitize.check_scalar "Mobius.apply_schur_normal_tail" s
 
 let schur_dagger_gen ?tail eo ~src ~dst =
   let t1s = schur_dagger_chain eo ~srcs:[| src |] ~dsts:[| dst |] in
@@ -476,10 +466,6 @@ let apply_schur eo ~src ~dst =
 let apply_schur_dagger eo ~src ~dst =
   check_eo "Mobius.apply_schur_dagger" eo ~srcs:[ src ] ~dsts:[ dst ];
   ignore (schur_dagger_gen eo ~src ~dst : float)
-
-let apply_schur_dagger_tail eo ~src ~dst ~tail =
-  check_eo "Mobius.apply_schur_dagger_tail" eo ~srcs:[ src ] ~dsts:[ dst ];
-  schur_dagger_gen ~tail eo ~src ~dst
 
 let schur_normal_gen ?tail eo ~src ~dst =
   let tmp = create_eo_field eo in

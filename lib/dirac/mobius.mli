@@ -72,7 +72,8 @@ val field_length : t -> int
 val create_field : t -> Linalg.Field.t
 val apply : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 val apply_dagger : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** D† = G5R5·D·G5R5. *)
+(** D† = M5d† + Hop†, each adjoint taken explicitly. It equals
+    G5R5·D·G5R5 only for Shamir (c5 = 0). *)
 
 val apply_normal : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 (** D†D — the CG operator. *)
@@ -102,30 +103,22 @@ val apply_schur : eo -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 val apply_schur_dagger : eo -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 val apply_schur_normal : eo -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 
-val apply_schur_dagger_tail :
-  eo ->
-  src:Linalg.Field.t ->
-  dst:Linalg.Field.t ->
-  tail:Linalg.Fused.tail ->
-  float
-(** [apply_schur_dagger] with the output tail (optional xpay + dot,
-    [Linalg.Fused.tail]) fused into the closing
-    [dst <- M5d† src − hop-chain] sweep, per canonical
-    [Field.reduce_block] while each block is hot. Returns the dot —
-    bit-identical to running the dagger then [Field.dot_re q dst]
-    (resp. [Fused.xpay_dot dst beta out q]) for any pool geometry.
-    The tail output must not alias [dst] ([Invalid_argument]). *)
-
 val apply_schur_normal_tail :
   eo ->
   src:Linalg.Field.t ->
   dst:Linalg.Field.t ->
   tail:Linalg.Fused.tail ->
   float
-(** S†S with the tail riding the closing dagger sweep — with
+(** S†S with the output tail (optional xpay + dot,
+    [Linalg.Fused.tail]) fused into the closing
+    [dst <- M5d† tmp − hop-chain] sweep, per canonical
+    [Field.reduce_block] while each block is hot. Returns the dot —
+    bit-identical to running [apply_schur_normal] then
+    [Field.dot_re q dst] (resp. [Fused.xpay_dot dst beta out q]). With
     [~tail:(Fused.tail ~dot:src ())] this returns src·(S†S src), the
     CG p·Ap, without the separate full-vector reduction sweep
-    ([Solver.Cg]'s [apply_dot]). *)
+    ([Solver.Cg]'s [apply_dot]). The tail output must not alias [dst]
+    ([Invalid_argument]). *)
 
 (** {2 Batched multi-RHS chain}
 

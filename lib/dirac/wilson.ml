@@ -309,21 +309,30 @@ let check_batch name t (srcs : Linalg.Field.t array) (dsts : Linalg.Field.t arra
     invalid_arg (name ^ ": batch width mismatch");
   check_srcs name t ~l5:1 ~src_stride:0 srcs;
   Array.iter (check_dst name t) dsts;
-  check_no_alias name srcs dsts
+  check_no_alias name srcs dsts;
+  (* a repeated dst would take two columns' results, losing one *)
+  Array.iteri
+    (fun i d ->
+      for j = 0 to i - 1 do
+        if Linalg.Fused.same_data d dsts.(j) then
+          invalid_arg (name ^ ": dsts share storage")
+      done)
+    dsts
 
-(* Site chunk for [cols] columns per site: the pool's default rule on
-   the column-site count, so chunking follows the work, not the 4D
-   volume alone. *)
-let chunk_sites pool ~cols n = max 1 (Util.Pool.default_chunk pool (n * cols) / cols)
-
-(* The implicit dispatch rule of every stencil launch: the default pool
-   when it has more than one lane and the launch's float count (cols
-   columns of n sites) clears [Field.parallel_cutoff]. *)
-let launch_sites ~cols ~n range =
-  let pool = Util.Pool.get_default () in
-  if Util.Pool.size pool > 1 && cols * n * fps >= Linalg.Field.parallel_cutoff
-  then Util.Pool.parallel_for pool ~chunk:(chunk_sites pool ~cols n) ~n range
-  else range 0 n
+(* The launch of every stencil entry: [Field.launch_pool]'s pick for
+   the launch's floats (cols columns of n sites), in chunks of sites —
+   by default the pool's default rule on the column-site count, so
+   chunking follows the work, not the 4D volume alone. *)
+let launch ?pool ?chunk ~cols ~n range =
+  match Linalg.Field.launch_pool pool (cols * n * fps) with
+  | None -> range 0 n
+  | Some p ->
+    let chunk =
+      match chunk with
+      | Some c -> c
+      | None -> max 1 (Util.Pool.default_chunk p (n * cols) / cols)
+    in
+    Util.Pool.parallel_for p ~chunk ~n range
 
 let body_range t ~l5 ~src_stride ~g5 ~srcs ~store lo hi =
   let body = make_body t ~l5 ~src_stride ~g5 ~srcs ~store in
@@ -333,7 +342,7 @@ let body_range t ~l5 ~src_stride ~g5 ~srcs ~store lo hi =
 
 let stencil t ~l5 ~src_stride ~g5 ~srcs ~store =
   check_srcs "Wilson.stencil" t ~l5 ~src_stride srcs;
-  launch_sites ~cols:(l5 * Array.length srcs) ~n:t.n_sites
+  launch ~cols:(l5 * Array.length srcs) ~n:t.n_sites
     (body_range t ~l5 ~src_stride ~g5 ~srcs ~store)
 
 (* dsts.(v)[x] <- acc column v: the plain hop's store. *)
@@ -349,28 +358,16 @@ let store_set (dsts : Linalg.Field.t array) (acc : float array) x =
 let plain_body t ~srcs ~dsts =
   make_body t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts)
 
-let hop_gen name pool chunk t ~srcs ~dsts =
+let hop_batch name ?pool ?chunk t ~srcs ~dsts =
   check_batch name t srcs dsts;
-  let range = body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts) in
-  match pool with
-  | None -> launch_sites ~cols:(Array.length srcs) ~n:t.n_sites range
-  | Some pool ->
-    let chunk =
-      match chunk with
-      | Some c -> c
-      | None -> chunk_sites pool ~cols:(Array.length srcs) t.n_sites
-    in
-    Util.Pool.parallel_for pool ~chunk ~n:t.n_sites range
+  launch ?pool ?chunk ~cols:(Array.length srcs) ~n:t.n_sites
+    (body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts))
 
-let hop t ~src ~dst = hop_gen "Wilson.hop" None None t ~srcs:[| src |] ~dsts:[| dst |]
+let hop ?pool ?chunk t ~src ~dst =
+  hop_batch "Wilson.hop" ?pool ?chunk t ~srcs:[| src |] ~dsts:[| dst |]
 
-let hop_with pool ?chunk t ~src ~dst =
-  hop_gen "Wilson.hop" (Some pool) chunk t ~srcs:[| src |] ~dsts:[| dst |]
-
-let hop_multi t ~srcs ~dsts = hop_gen "Wilson.hop_multi" None None t ~srcs ~dsts
-
-let hop_multi_with pool ?chunk t ~srcs ~dsts =
-  hop_gen "Wilson.hop_multi" (Some pool) chunk t ~srcs ~dsts
+let hop_multi ?pool ?chunk t ~srcs ~dsts =
+  hop_batch "Wilson.hop_multi" ?pool ?chunk t ~srcs ~dsts
 
 let hop_sites t ?(sites : int array option) ~(src : Linalg.Field.t)
     ~(dst : Linalg.Field.t) () =
@@ -393,85 +390,45 @@ let hop_sites t ?(sites : int array option) ~(src : Linalg.Field.t)
    [Field.reduce_block]s (lcm(24, 2048)/24 = 256 sites = 3 blocks):
    chunk boundaries rounded to tiles can never split a reduction
    block, each block partial is accumulated serially in index order by
-   exactly one worker, and the partials fold in block order on the
-   caller — [Field.block_fold]'s association for every geometry. *)
+   exactly one worker, and [Field.fold_partials] sums the partials in
+   block order on the caller for every geometry. *)
 
 let tail_tile_sites =
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
   Linalg.Field.reduce_block / gcd fps Linalg.Field.reduce_block
 
-let hop_tail_range t ~src ~dst ~tail ~(partials : float array) lo hi =
+let hop_tail_range t ~src ~dst ~tail ~record lo hi =
   let body = plain_body t ~srcs:[| src |] ~dsts:[| dst |] in
-  let block = Linalg.Field.reduce_block in
   let s = ref lo in
   while !s < hi do
     let s1 = min hi (!s + tail_tile_sites) in
     for x = !s to s1 - 1 do
       body x
     done;
-    let f1 = s1 * fps in
-    let b = ref (!s * fps / block) in
-    while !b * block < f1 do
-      let blo = !b * block in
-      partials.(!b) <-
-        Linalg.Fused.tail_term tail ~dst blo (min f1 ((!b + 1) * block));
-      incr b
-    done;
+    record (Linalg.Fused.tail_term tail ~dst) (!s * fps) (s1 * fps);
     s := s1
   done
 
-(* Fold the block partials in index order on the calling domain —
-   including block_fold's single-block shortcut (the raw partial, no
-   0-seeded fold), so the result is the standalone reduction's bits. *)
-let tail_fold (partials : float array) n_blocks =
-  if n_blocks <= 1 then partials.(0)
-  else begin
-    let acc = ref 0. in
-    for b = 0 to n_blocks - 1 do
-      acc := !acc +. partials.(b)
-    done;
-    !acc
-  end
-
 let round_to_tiles c = (max 1 c + tail_tile_sites - 1) / tail_tile_sites * tail_tile_sites
 
-let hop_tail_launch pool chunk t ~src ~dst ~tail =
+let hop_tail ?pool ?chunk t ~src ~dst ~tail =
   check_batch "Wilson.hop_tail" t [| src |] [| dst |];
-  let n_floats = t.n_sites * fps in
-  Linalg.Fused.tail_check "Wilson.hop_tail" ~n:n_floats ~dst tail;
-  let n_blocks =
-    max 1 ((n_floats + Linalg.Field.reduce_block - 1) / Linalg.Field.reduce_block)
+  let n = t.n_sites * fps in
+  Linalg.Fused.tail_check "Wilson.hop_tail" ~n ~dst tail;
+  let s =
+    Linalg.Field.fold_partials ~n (fun record ->
+        let range = hop_tail_range t ~src ~dst ~tail ~record in
+        match Linalg.Field.launch_pool pool n with
+        | None -> range 0 t.n_sites
+        | Some p ->
+          let c = Option.value chunk ~default:(Util.Pool.default_chunk p t.n_sites) in
+          Util.Pool.parallel_for p ~chunk:(round_to_tiles c) ~n:t.n_sites range)
   in
-  let partials = Array.make n_blocks 0. in
-  (match pool with
-  | Some pool ->
-    let chunk =
-      round_to_tiles
-        (match chunk with
-        | Some c -> c
-        | None -> Util.Pool.default_chunk pool t.n_sites)
-    in
-    Util.Pool.parallel_for pool ~chunk ~n:t.n_sites
-      (hop_tail_range t ~src ~dst ~tail ~partials)
-  | None -> hop_tail_range t ~src ~dst ~tail ~partials 0 t.n_sites);
-  let s = tail_fold partials n_blocks in
   Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" dst;
   (match tail.Linalg.Fused.t_xpay with
   | Some (out, _) -> Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" out
   | None -> ());
   Linalg.Field.Sanitize.check_scalar "Wilson.hop_tail" s
-
-let hop_tail_with pool ?chunk t ~src ~dst ~tail =
-  hop_tail_launch (Some pool) chunk t ~src ~dst ~tail
-
-let hop_tail t ~src ~dst ~tail =
-  let pool = Util.Pool.get_default () in
-  let pooled =
-    if Util.Pool.size pool > 1 && t.n_sites * fps >= Linalg.Field.parallel_cutoff
-    then Some pool
-    else None
-  in
-  hop_tail_launch pooled None t ~src ~dst ~tail
 
 (* ---- full Wilson operator ----
    M psi = (4 + mass) psi - (1/2) H psi, and M^dag = g5 M g5 by
@@ -496,7 +453,7 @@ let store_apply ~dagger ~mass ~(srcs : Linalg.Field.t array) ~(dsts : Linalg.Fie
 
 let apply_gen name ~dagger t ~mass ~srcs ~dsts =
   check_batch name t srcs dsts;
-  launch_sites ~cols:(Array.length srcs) ~n:t.n_sites
+  launch ~cols:(Array.length srcs) ~n:t.n_sites
     (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs
        ~store:(store_apply ~dagger ~mass ~srcs ~dsts))
 

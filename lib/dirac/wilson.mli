@@ -15,8 +15,8 @@
     Every entry checks its fields: a dst shorter than the written
     sites, a src shorter than the sites the tables read (the source
     extent recorded at construction), a [hop_sites] site outside
-    [\[0, n_sites)], or a src sharing storage with a dst
-    ([Linalg.Fused.same_data]) raises [Invalid_argument]. *)
+    [\[0, n_sites)], or a dst sharing storage with a src or another
+    dst ([Linalg.Fused.same_data]) raises [Invalid_argument]. *)
 
 type t
 
@@ -47,18 +47,24 @@ val of_checkerboard :
 (** Hopping from the opposite parity onto sites of [parity]; fields are
     indexed by checkerboard (eo) index, half_volume×24 floats. *)
 
-val hop : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** dst <- H src (the full hopping sum). Dispatches to the
-    default pool ([Util.Pool.get_default]) when it has more than one
-    lane and the field clears [Linalg.Field.parallel_cutoff];
-    site-partitioned, so pooled and serial results are bit-identical. *)
-
-val hop_with :
-  Util.Pool.t -> ?chunk:int -> t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** [hop] on an explicit pool with an explicit chunk (in sites). *)
+val hop :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t ->
+  src:Linalg.Field.t ->
+  dst:Linalg.Field.t ->
+  unit
+(** dst <- H src (the full hopping sum), on {!launch}'s pool with
+    [chunk] in sites; site-partitioned, so results are bit-identical
+    for every pool and chunk. *)
 
 val hop_multi :
-  t -> srcs:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t ->
+  srcs:Linalg.Field.t array ->
+  dsts:Linalg.Field.t array ->
+  unit
 (** Batched multi-RHS hop: [dsts.(v) <- H srcs.(v)] for every v, with
     each gauge-link element loaded once per site and applied to all k
     half-spinors before the next — the k-fold link-traffic
@@ -66,23 +72,15 @@ val hop_multi :
     RHS the float operations are exactly [hop]'s (same operands, same
     order), so every dst is bit-identical to the independent [hop] for
     any batch width and pool geometry. Batch must be non-empty, srcs
-    and dsts the same width, no dst sharing storage with a src
-    ([Invalid_argument]); dsts must be pairwise distinct (unchecked).
-    Dispatches to the default pool when the *batch* float count clears
-    [Linalg.Field.parallel_cutoff]. *)
-
-val hop_multi_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  t ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  unit
-(** [hop_multi] on an explicit pool with an explicit chunk (in sites)
-    — what the autotuner's hop runner ([Autotune.Variants.run_hop])
-    launches for every codec, batch width and geometry. *)
+    and dsts the same width, no dst sharing storage with a src or with
+    another dst ([Invalid_argument]). Without a pool, the *batch*
+    float count decides ({!launch}). The autotuner's hop runner
+    ([Autotune.Variants.run_hop]) launches it for every codec, batch
+    width and geometry. *)
 
 val hop_tail :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
   t ->
   src:Linalg.Field.t ->
   dst:Linalg.Field.t ->
@@ -96,22 +94,11 @@ val hop_tail :
     sweep the p·Ap reduction otherwise costs ([Check.Plan_check]
     PLAN005). Returns the dot. Bit-identical to
     [hop; Fused.xpay_dot dst beta out q] (resp. [hop; Field.dot_re q
-    dst] without the xpay) for any pool geometry: the tail is tiled at
-    whole [Field.reduce_block]s and the block partials fold in index
-    order — the canonical reduction association. The tail output must
+    dst] without the xpay) for any pool geometry: [chunk] (in sites)
+    is rounded up to whole reduction tiles (256 sites), so the tail
+    runs on whole [Field.reduce_block]s whose partials
+    [Field.fold_partials] sums in index order. The tail output must
     not alias [dst] ([Invalid_argument], probed through the data). *)
-
-val hop_tail_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  t ->
-  src:Linalg.Field.t ->
-  dst:Linalg.Field.t ->
-  tail:Linalg.Fused.tail ->
-  float
-(** [hop_tail] on an explicit pool; [chunk] (in sites) is rounded up
-    to whole reduction tiles (256 sites) so a chunk boundary can never
-    split a canonical block. *)
 
 val hop_sites :
   t -> ?sites:int array -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit -> unit
@@ -166,12 +153,18 @@ val stencil :
     so [store] must negate spins 2, 3 itself. Each column's floats are
     bit-identical to [hop] on that slice alone. [store] must write only
     at site [x] (site-partitioned launches run it concurrently).
-    Dispatches like {!launch_sites} with [cols = l5·k]; a source
-    shorter than its last column raises [Invalid_argument]. *)
+    Dispatches like {!launch} with [cols = l5·k]; a source shorter
+    than its last column raises [Invalid_argument]. *)
 
-val launch_sites : cols:int -> n:int -> (int -> int -> unit) -> unit
-(** [launch_sites ~cols ~n range]: run [range lo hi] over [\[0, n)]
-    sites, on the default pool when it has more than one lane and
-    [cols·n·24] floats clear [Linalg.Field.parallel_cutoff] (chunks of
-    the pool's default size counted in column-sites), else serially.
-    The dispatch rule of every implicit stencil launch. *)
+val launch :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  cols:int ->
+  n:int ->
+  (int -> int -> unit) ->
+  unit
+(** [launch ~cols ~n range]: run [range lo hi] over [\[0, n)] sites on
+    [Linalg.Field.launch_pool pool (cols·n·24)], in chunks of [chunk]
+    sites (default: the pool's default size counted in column-sites),
+    or serially when that is [None]. The launch of every stencil
+    entry. *)

@@ -8,15 +8,15 @@
    Multicore: every kernel has a pooled path over disjoint Bigarray
    slices (Util.Pool). Element-wise kernels are bit-identical to the
    serial loop for any pool geometry because each element's arithmetic
-   is independent. Reductions (norm2/dot_re/cdot) always sum in
-   canonical blocks of [reduce_block] floats whose partials are
-   combined in block-index order on the calling domain — serial and
-   pooled paths share that order, so the result is bit-identical
-   across all pool geometries and bit-stable run to run (FP addition
-   is not associative; fixing the association is what buys
-   reproducibility). The implicit paths dispatch on
-   [Util.Pool.get_default] above [parallel_cutoff]; the [_with]
-   variants take an explicit pool + chunk for the autotuner. *)
+   is independent. Every reduction in the tree (norm2/dot_re/cdot
+   here, the Fused and Multi_blas kernels, the stencil tails) sums
+   through [fold_k]/[fold_partials]: canonical blocks of
+   [reduce_block] floats whose partials are combined in block-index
+   order on the calling domain — serial and pooled paths share that
+   order, so the result is bit-identical across all pool geometries
+   and bit-stable run to run (FP addition is not associative; fixing
+   the association is what buys reproducibility). Each kernel takes
+   [?pool ?chunk]; without a pool it runs where [launch_pool] says. *)
 
 open Bigarray
 
@@ -101,7 +101,7 @@ end
 
 (* ---- pooled execution ----
    [parallel_cutoff]: below this many floats a fork/join costs more
-   than it hides — the implicit kernels stay serial and
+   than it hides — kernels without an explicit pool stay serial and
    Check.Plan_check PLAN008 warns about pooled launches under it. *)
 
 let parallel_cutoff = 32_768
@@ -112,11 +112,24 @@ let parallel_cutoff = 32_768
    depend on the pool geometry. *)
 let reduce_block = 2048
 
-let implicit_pool n =
-  let pool = Util.Pool.get_default () in
-  if Util.Pool.size pool > 1 && n >= parallel_cutoff then Some pool else None
+(* The one pool rule: the caller's pool, else the default pool when it
+   has more than one lane and the launch's [n] floats reach
+   [parallel_cutoff]; [None] runs serially. *)
+let launch_pool pool n =
+  match pool with
+  | Some _ -> pool
+  | None ->
+    let p = Util.Pool.get_default () in
+    if Util.Pool.size p > 1 && n >= parallel_cutoff then Some p else None
 
-(* ---- element-wise kernels: range bodies + dispatch ---- *)
+(* [range lo hi] over [0, n) on the pool [launch_pool] picks for a
+   launch over [floats] floats. *)
+let run pool chunk ~floats ~n range =
+  match launch_pool pool floats with
+  | Some p -> Util.Pool.parallel_for p ?chunk ~n range
+  | None -> range 0 n
+
+(* ---- element-wise kernels ---- *)
 
 let axpy_range alpha (x : t) (y : t) lo hi =
   for i = lo to hi - 1 do
@@ -150,104 +163,93 @@ let caxpy_range (ar, ai) (x : t) (y : t) lo hi =
       (Array1.unsafe_get y ((2 * k) + 1) +. ((ar *. xi) +. (ai *. xr)))
   done
 
-let run_pooled pool chunk ~n f =
-  match pool with
-  | Some p -> Util.Pool.parallel_for p ?chunk ~n f
-  | None -> f 0 n
-
 (* y <- y + alpha x *)
-let axpy alpha (x : t) (y : t) =
+let axpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.axpy" x y;
   let n = length x in
-  run_pooled (implicit_pool n) None ~n (axpy_range alpha x y);
-  Sanitize.check_vec "Field.axpy" y
-
-let axpy_with pool ?chunk alpha (x : t) (y : t) =
-  check2 "Field.axpy" x y;
-  Util.Pool.parallel_for pool ?chunk ~n:(length x) (axpy_range alpha x y);
+  run pool chunk ~floats:n ~n (axpy_range alpha x y);
   Sanitize.check_vec "Field.axpy" y
 
 (* y <- x + alpha y *)
-let xpay (x : t) alpha (y : t) =
+let xpay ?pool ?chunk (x : t) alpha (y : t) =
   check2 "Field.xpay" x y;
   let n = length x in
-  run_pooled (implicit_pool n) None ~n (xpay_range x alpha y);
+  run pool chunk ~floats:n ~n (xpay_range x alpha y);
   Sanitize.check_vec "Field.xpay" y
 
-let xpay_with pool ?chunk (x : t) alpha (y : t) =
-  check2 "Field.xpay" x y;
-  Util.Pool.parallel_for pool ?chunk ~n:(length x) (xpay_range x alpha y);
-  Sanitize.check_vec "Field.xpay" y
-
-let scale alpha (v : t) =
+let scale ?pool ?chunk alpha (v : t) =
   let n = length v in
-  run_pooled (implicit_pool n) None ~n (scale_range alpha v);
-  Sanitize.check_vec "Field.scale" v
-
-let scale_with pool ?chunk alpha (v : t) =
-  Util.Pool.parallel_for pool ?chunk ~n:(length v) (scale_range alpha v);
+  run pool chunk ~floats:n ~n (scale_range alpha v);
   Sanitize.check_vec "Field.scale" v
 
 (* z <- x - y *)
-let sub (x : t) (y : t) (z : t) =
+let sub ?pool ?chunk (x : t) (y : t) (z : t) =
   check2 "Field.sub" x y;
   check2 "Field.sub" x z;
   let n = length x in
-  run_pooled (implicit_pool n) None ~n (sub_range x y z);
+  run pool chunk ~floats:n ~n (sub_range x y z);
   Sanitize.check_vec "Field.sub" z
 
-let sub_with pool ?chunk (x : t) (y : t) (z : t) =
-  check2 "Field.sub" x y;
-  check2 "Field.sub" x z;
-  Util.Pool.parallel_for pool ?chunk ~n:(length x) (sub_range x y z);
-  Sanitize.check_vec "Field.sub" z
-
-(* A chunk given in floats is halved to pairs for the complex kernels
-   (and floored at one pair) so one tuned chunk axis serves both. *)
-let pair_chunk = Option.map (fun c -> max 1 (c / 2))
-
-(* y <- y + alpha x with complex alpha; vectors are interleaved re/im. *)
-let caxpy alpha (x : t) (y : t) =
+(* y <- y + alpha x with complex alpha; vectors are interleaved re/im.
+   A chunk given in floats is halved to pairs (and floored at one pair)
+   so one tuned chunk axis serves both. *)
+let caxpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.caxpy" x y;
-  let n = length x / 2 in
-  run_pooled (implicit_pool (length x)) None ~n (caxpy_range alpha x y);
+  let chunk = Option.map (fun c -> max 1 (c / 2)) chunk in
+  run pool chunk ~floats:(length x) ~n:(length x / 2) (caxpy_range alpha x y);
   Sanitize.check_vec "Field.caxpy" y
 
-let caxpy_with pool ?chunk alpha (x : t) (y : t) =
-  check2 "Field.caxpy" x y;
-  Util.Pool.parallel_for pool ?chunk:(pair_chunk chunk) ~n:(length x / 2)
-    (caxpy_range alpha x y);
-  Sanitize.check_vec "Field.caxpy" y
+(* ---- reductions: the one canonical blocked summation ----
+   Floats [0, n) are cut into blocks of [reduce_block]; each block's
+   partial is accumulated serially in index order by one lane, and the
+   partials are summed from 0. in block order on the calling domain —
+   a lone block's partial is returned as is (no [0. +.] normalisation
+   of a -0. partial). The association is identical on every path, so
+   serial and pooled results agree to the bit. *)
 
-(* ---- reductions: canonical blocked summation ----
-   [term lo hi] is the serial partial over elements [lo, hi);
-   [block_fold] cuts [0, n) into [reduce_block]-sized blocks, computes
-   each block's partial (possibly in parallel — slots are disjoint)
-   and folds the partials in block-index order on the calling domain.
-   The association is identical on every path, so serial and pooled
-   results agree to the bit. *)
+let n_blocks n = (n + reduce_block - 1) / reduce_block
 
-let block_fold pool chunk ~n ~block term =
-  let n_blocks = (n + block - 1) / block in
-  if n_blocks <= 1 then (if n <= 0 then 0. else term 0 n)
-  else begin
-    let partials = Array.make n_blocks 0. in
-    let fill blo bhi =
-      for b = blo to bhi - 1 do
-        partials.(b) <- term (b * block) (min n ((b + 1) * block))
+let sum_partials (partials : float array) =
+  if Array.length partials = 1 then partials.(0)
+  else Array.fold_left ( +. ) 0. partials
+
+(* k results at once, slot i summing [term i lo hi]; the block loop is
+   outside the slot loop, so one pass over block b runs every slot
+   while the block is hot. Block slots are disjoint, so pooled lanes
+   fill them race-free; the chunk (in floats) is counted in blocks. *)
+let fold_k ?pool ?chunk ~n ~k term =
+  let nb = n_blocks n in
+  let partials = Array.make_matrix k nb 0. in
+  let fill blo bhi =
+    for b = blo to bhi - 1 do
+      let lo = b * reduce_block in
+      let hi = min n (lo + reduce_block) in
+      for i = 0 to k - 1 do
+        partials.(i).(b) <- term i lo hi
       done
-    in
-    (match pool with
-    | Some p ->
-      let chunk_blocks = Option.map (fun c -> max 1 (c / block)) chunk in
-      Util.Pool.parallel_for p ?chunk:chunk_blocks ~n:n_blocks fill
-    | None -> fill 0 n_blocks);
-    let acc = ref 0. in
-    for b = 0 to n_blocks - 1 do
-      acc := !acc +. partials.(b)
-    done;
-    !acc
-  end
+    done
+  in
+  (match launch_pool pool n with
+  | Some p when nb > 1 ->
+    let chunk = Option.map (fun c -> max 1 (c / reduce_block)) chunk in
+    Util.Pool.parallel_for p ?chunk ~n:nb fill
+  | _ -> fill 0 nb);
+  Array.map sum_partials partials
+
+let fold ?pool ?chunk ~n term = (fold_k ?pool ?chunk ~n ~k:1 (fun _ -> term)).(0)
+
+(* For callers that launch their own passes (a stencil tiled at whole
+   blocks): [run record] hands them [record term lo hi], which stores
+   [term] of every block in floats [lo, hi) — [lo] block-aligned —
+   into that block's slot; the slots are then summed as above. *)
+let fold_partials ~n run =
+  let partials = Array.make (n_blocks n) 0. in
+  run (fun term lo hi ->
+      for b = lo / reduce_block to n_blocks (min n hi) - 1 do
+        let blo = b * reduce_block in
+        partials.(b) <- term blo (min hi (blo + reduce_block))
+      done);
+  sum_partials partials
 
 let norm2_term (v : t) lo hi =
   let acc = ref 0. in
@@ -257,14 +259,8 @@ let norm2_term (v : t) lo hi =
   done;
   !acc
 
-let norm2 (v : t) =
-  let n = length v in
-  Sanitize.check_scalar "Field.norm2"
-    (block_fold (implicit_pool n) None ~n ~block:reduce_block (norm2_term v))
-
-let norm2_with pool ?chunk (v : t) =
-  Sanitize.check_scalar "Field.norm2"
-    (block_fold (Some pool) chunk ~n:(length v) ~block:reduce_block (norm2_term v))
+let norm2 ?pool ?chunk (v : t) =
+  Sanitize.check_scalar "Field.norm2" (fold ?pool ?chunk ~n:(length v) (norm2_term v))
 
 let norm v = sqrt (norm2 v)
 
@@ -277,68 +273,32 @@ let dot_re_term (x : t) (y : t) lo hi =
 
 (* Real part of <x|y> — for interleaved complex this equals the plain
    euclidean dot product. *)
-let dot_re (x : t) (y : t) =
-  check2 "Field.dot_re" x y;
-  let n = length x in
-  Sanitize.check_scalar "Field.dot_re"
-    (block_fold (implicit_pool n) None ~n ~block:reduce_block (dot_re_term x y))
-
-let dot_re_with pool ?chunk (x : t) (y : t) =
+let dot_re ?pool ?chunk (x : t) (y : t) =
   check2 "Field.dot_re" x y;
   Sanitize.check_scalar "Field.dot_re"
-    (block_fold (Some pool) chunk ~n:(length x) ~block:reduce_block
-       (dot_re_term x y))
+    (fold ?pool ?chunk ~n:(length x) (dot_re_term x y))
 
-(* cdot needs two accumulators per block; blocks are counted in pairs
-   ([reduce_block / 2] pairs = [reduce_block] floats, same canonical
-   boundaries as the real reductions). *)
-let cdot_blocked pool chunk (x : t) (y : t) =
-  let np = length x / 2 in
-  let block = reduce_block / 2 in
-  let term lo hi =
-    let re = ref 0. and im = ref 0. in
-    for k = lo to hi - 1 do
-      let xr = Array1.unsafe_get x (2 * k) and xi = Array1.unsafe_get x ((2 * k) + 1) in
-      let yr = Array1.unsafe_get y (2 * k) and yi = Array1.unsafe_get y ((2 * k) + 1) in
-      re := !re +. ((xr *. yr) +. (xi *. yi));
-      im := !im +. ((xr *. yi) -. (xi *. yr))
-    done;
-    (!re, !im)
-  in
-  let n_blocks = if np = 0 then 0 else (np + block - 1) / block in
-  if n_blocks <= 1 then (if np = 0 then (0., 0.) else term 0 np)
-  else begin
-    let pre = Array.make n_blocks 0. and pim = Array.make n_blocks 0. in
-    let fill blo bhi =
-      for b = blo to bhi - 1 do
-        let re, im = term (b * block) (min np ((b + 1) * block)) in
-        pre.(b) <- re;
-        pim.(b) <- im
-      done
-    in
-    (match pool with
-    | Some p ->
-      let chunk_blocks = Option.map (fun c -> max 1 (c / reduce_block)) chunk in
-      Util.Pool.parallel_for p ?chunk:chunk_blocks ~n:n_blocks fill
-    | None -> fill 0 n_blocks);
-    let re = ref 0. and im = ref 0. in
-    for b = 0 to n_blocks - 1 do
-      re := !re +. pre.(b);
-      im := !im +. pim.(b)
-    done;
-    (!re, !im)
-  end
+(* Two slots over the pairs of floats [lo, hi): 0 sums the real part
+   of conj(x_k) y_k, 1 the imaginary part. *)
+let cdot_term (x : t) (y : t) slot lo hi =
+  let acc = ref 0. in
+  for k = lo / 2 to (hi / 2) - 1 do
+    let xr = Array1.unsafe_get x (2 * k) and xi = Array1.unsafe_get x ((2 * k) + 1) in
+    let yr = Array1.unsafe_get y (2 * k) and yi = Array1.unsafe_get y ((2 * k) + 1) in
+    acc :=
+      !acc
+      +. if slot = 0 then (xr *. yr) +. (xi *. yi) else (xr *. yi) -. (xi *. yr)
+  done;
+  !acc
 
-(* Full complex <x|y> = sum conj(x_k) y_k over interleaved pairs. *)
-let cdot (x : t) (y : t) =
+(* Full complex <x|y> = sum conj(x_k) y_k over interleaved pairs; a
+   dangling odd float is outside every pair. *)
+let cdot ?pool ?chunk (x : t) (y : t) =
   check2 "Field.cdot" x y;
-  let re, im = cdot_blocked (implicit_pool (length x)) None x y in
-  Cplx.make (Sanitize.check_scalar "Field.cdot" re) (Sanitize.check_scalar "Field.cdot" im)
-
-let cdot_with pool ?chunk (x : t) (y : t) =
-  check2 "Field.cdot" x y;
-  let re, im = cdot_blocked (Some pool) chunk x y in
-  Cplx.make (Sanitize.check_scalar "Field.cdot" re) (Sanitize.check_scalar "Field.cdot" im)
+  let s = fold_k ?pool ?chunk ~n:(length x land lnot 1) ~k:2 (cdot_term x y) in
+  Cplx.make
+    (Sanitize.check_scalar "Field.cdot" s.(0))
+    (Sanitize.check_scalar "Field.cdot" s.(1))
 
 let gaussian rng (v : t) =
   for i = 0 to length v - 1 do

@@ -16,77 +16,88 @@ val of_array : float array -> t
 val to_array : t -> float array
 
 val parallel_cutoff : int
-(** Vectors shorter than this stay serial on the implicit pooled
-    paths: the fork/join costs more than it hides.
+(** Launches over fewer floats stay serial unless the caller passes a
+    pool: the fork/join costs more than it hides.
     [Check.Plan_check] PLAN008 warns about pooled launches under it. *)
 
 val reduce_block : int
-(** Canonical reduction block (in floats). [norm2]/[dot_re]/[cdot] sum
-    each block serially and combine block partials in index order on
+(** Canonical reduction block (in floats). Every reduction sums each
+    block serially and combines block partials in index order on
     every path — serial and pooled results are bit-identical for any
     pool geometry. *)
 
-val block_fold :
-  Util.Pool.t option ->
-  int option ->
+val launch_pool : Util.Pool.t option -> int -> Util.Pool.t option
+(** [launch_pool pool n]: the pool a launch over [n] floats runs on —
+    [pool] when given, else [Util.Pool.get_default] when it has more
+    than one lane and [n] is at least [parallel_cutoff], else [None]
+    (serial). The one dispatch rule of every kernel in the tree. *)
+
+(** {2 The canonical reduction}
+
+    Floats [\[0, n)] are cut into blocks of [reduce_block]; each
+    block's partial is accumulated serially in index order by one
+    lane, and the partials are summed from [0.] in block order on the
+    calling domain, a lone block's partial returned as is. Any [term]
+    that updates a block element-wise and then accumulates it in index
+    order is bit-identical to running the update kernel followed by
+    the standalone reduction, for every pool geometry — the contract
+    the fused kernels ([Fused], [Multi_blas], the stencil tails) rest
+    on. [?chunk] is in floats, counted in whole blocks. *)
+
+val fold :
+  ?pool:Util.Pool.t -> ?chunk:int -> n:int -> (int -> int -> float) -> float
+(** [fold ~n term]: the sum of [term lo hi] over the blocks of
+    [\[0, n)], on [launch_pool pool n]. *)
+
+val fold_k :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
   n:int ->
-  block:int ->
-  (int -> int -> float) ->
-  float
-(** The canonical blocked-reduction engine behind [norm2]/[dot_re]:
-    cuts [0, n) into [block]-sized blocks, evaluates [term lo hi] per
-    block (in parallel when a pool is given — the slots are disjoint)
-    and folds the partials in block-index order on the calling domain.
-    Exported so the fused solver kernels ([Fused]) share the exact
-    association of the unfused reductions: any [term] that updates a
-    block element-wise and then accumulates it in index order is
-    bit-identical to running the update kernel followed by the
-    standalone reduction, for every pool geometry. *)
+  k:int ->
+  (int -> int -> int -> float) ->
+  float array
+(** [fold_k ~n ~k term]: [k] sums at once, slot [i] summing
+    [term i lo hi] — each slot bit-identical to [fold ~n (term i)].
+    The block loop is outside the slot loop, so one pass over a block
+    runs every slot while it is hot. *)
 
-val implicit_pool : int -> Util.Pool.t option
-(** The pool the implicit kernels dispatch on: [Util.Pool.get_default]
-    when it has more than one lane and [n] is at least
-    [parallel_cutoff], else [None] (serial). *)
+val fold_partials :
+  n:int -> (((int -> int -> float) -> int -> int -> unit) -> unit) -> float
+(** [fold_partials ~n run]: the fold for callers that launch their own
+    passes. [run record] calls [record term lo hi] on float ranges
+    with [lo] block-aligned (a stencil tiled at whole blocks), which
+    stores [term blo bhi] for every block in [\[lo, hi)]; the partials
+    of [\[0, n)] are then summed as in [fold]. *)
 
-val axpy : float -> t -> t -> unit
+(** {2 Kernels}
+
+    Every kernel takes [?pool ?chunk] ([chunk] in floats; [caxpy]
+    halves it to pairs) and runs on [launch_pool pool n]. All are
+    bit-identical across pools and chunks, and the [Sanitize] hooks
+    run on every path. *)
+
+val axpy : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> unit
 (** [axpy a x y]: y <- y + a·x. *)
 
-val xpay : t -> float -> t -> unit
+val xpay : ?pool:Util.Pool.t -> ?chunk:int -> t -> float -> t -> unit
 (** [xpay x a y]: y <- x + a·y. *)
 
-val scale : float -> t -> unit
+val scale : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> unit
 
-val sub : t -> t -> t -> unit
+val sub : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> t -> unit
 (** [sub x y z]: z <- x − y. *)
 
-val caxpy : float * float -> t -> t -> unit
+val caxpy : ?pool:Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> unit
 (** [caxpy (re, im) x y]: y <- y + a·x with complex a. *)
 
-val norm2 : t -> float
+val norm2 : ?pool:Util.Pool.t -> ?chunk:int -> t -> float
 val norm : t -> float
 
-val dot_re : t -> t -> float
+val dot_re : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> float
 (** Real part of the complex inner product. *)
 
-val cdot : t -> t -> Cplx.t
-(** Complex inner product sum conj(x_k)·y_k. *)
-
-(** Explicit pooled variants — same kernels run on a caller-chosen
-    pool and chunk (in floats; the complex kernels halve it to pairs).
-    These are the autotuner's pooled candidates; the plain kernels
-    above dispatch implicitly on [Util.Pool.get_default] for vectors
-    of at least [parallel_cutoff] floats. All are bit-identical to
-    their serial counterparts for any geometry, and the [Sanitize]
-    hooks run on these paths too. *)
-
-val axpy_with : Util.Pool.t -> ?chunk:int -> float -> t -> t -> unit
-val xpay_with : Util.Pool.t -> ?chunk:int -> t -> float -> t -> unit
-val scale_with : Util.Pool.t -> ?chunk:int -> float -> t -> unit
-val sub_with : Util.Pool.t -> ?chunk:int -> t -> t -> t -> unit
-val caxpy_with : Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> unit
-val norm2_with : Util.Pool.t -> ?chunk:int -> t -> float
-val dot_re_with : Util.Pool.t -> ?chunk:int -> t -> t -> float
-val cdot_with : Util.Pool.t -> ?chunk:int -> t -> t -> Cplx.t
+val cdot : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> Cplx.t
+(** Complex inner product sum conj(x_k)·y_k: two [fold_k] slots. *)
 
 val gaussian : Util.Rng.t -> t -> unit
 (** Fill with unit-variance Gaussian noise. *)

@@ -10,7 +10,7 @@
      caxpy_norm2 a x y   ==  Field.caxpy a x y; Field.norm2 y
 
    The identity holds to the bit for any pool geometry because each
-   kernel runs through [Field.block_fold]: the update is element-wise
+   kernel runs through [Field.fold]: the update is element-wise
    (independent per element, so interleaving it with the reduction
    changes nothing) and the reduction accumulates each canonical
    [Field.reduce_block]-float block in index order, with the block
@@ -87,7 +87,8 @@ let no_alias name outs ins =
 
 (* ---- fused range terms: update the block, reduce it, in one pass.
    Accumulation visits elements in index order, one float at a time —
-   the same association as Field.norm2_term/dot_re_term. ---- *)
+   the same association as Field.norm2/dot_re. Multi_blas runs these
+   same loops per batch slot. ---- *)
 
 let axpy_norm2_term alpha (x : t) (y : t) lo hi =
   let acc = ref 0. in
@@ -120,7 +121,7 @@ let cg_update_term alpha (p : t) (ap : t) (x : t) (r : t) lo hi =
   !acc
 
 (* Complex pairs inside [lo, hi) of floats. Block bounds from
-   block_fold are even (reduce_block is), except a final odd [hi] on
+   Field.fold are even (reduce_block is), except a final odd [hi] on
    an odd-length vector: that dangling float is exactly the one
    Field.caxpy never updates, so it enters the norm read-only. The
    norm accumulates re then im separately to keep Field.norm2's
@@ -143,60 +144,27 @@ let caxpy_norm2_term (ar, ai) (x : t) (y : t) lo hi =
   end;
   !acc
 
-(* ---- dispatch: implicit (default pool above the cutoff) and
-   explicit [_with] paths, both through the canonical engine ---- *)
-
-let fold pool chunk ~n term =
-  Field.block_fold pool chunk ~n ~block:Field.reduce_block term
-
 let finish kernel (v : t) s =
   Field.Sanitize.check_vec kernel v;
   Field.Sanitize.check_scalar kernel s
 
 (* y <- y + alpha x; returns |y|^2 *)
-let axpy_norm2 alpha (x : t) (y : t) =
-  check2 "Fused.axpy_norm2" x y;
-  no_alias "Fused.axpy_norm2" [ y ] [ x ];
-  let n = Field.length x in
-  finish "Fused.axpy_norm2" y
-    (fold (Field.implicit_pool n) None ~n (axpy_norm2_term alpha x y))
-
-let axpy_norm2_with pool ?chunk alpha (x : t) (y : t) =
+let axpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.axpy_norm2" x y;
   no_alias "Fused.axpy_norm2" [ y ] [ x ];
   finish "Fused.axpy_norm2" y
-    (fold (Some pool) chunk ~n:(Field.length x) (axpy_norm2_term alpha x y))
+    (Field.fold ?pool ?chunk ~n:(Field.length x) (axpy_norm2_term alpha x y))
 
 (* p <- x + beta p; returns p.q *)
-let xpay_dot (x : t) beta (p : t) (q : t) =
-  check2 "Fused.xpay_dot" x p;
-  check2 "Fused.xpay_dot" x q;
-  no_alias "Fused.xpay_dot" [ p ] [ x ];
-  let n = Field.length x in
-  finish "Fused.xpay_dot" p
-    (fold (Field.implicit_pool n) None ~n (xpay_dot_term x beta p q))
-
-let xpay_dot_with pool ?chunk (x : t) beta (p : t) (q : t) =
+let xpay_dot ?pool ?chunk (x : t) beta (p : t) (q : t) =
   check2 "Fused.xpay_dot" x p;
   check2 "Fused.xpay_dot" x q;
   no_alias "Fused.xpay_dot" [ p ] [ x ];
   finish "Fused.xpay_dot" p
-    (fold (Some pool) chunk ~n:(Field.length x) (xpay_dot_term x beta p q))
+    (Field.fold ?pool ?chunk ~n:(Field.length x) (xpay_dot_term x beta p q))
 
 (* x <- x + alpha p; r <- r - alpha ap; returns |r|^2 *)
-let cg_update alpha (p : t) (ap : t) (x : t) (r : t) =
-  check2 "Fused.cg_update" p ap;
-  check2 "Fused.cg_update" p x;
-  check2 "Fused.cg_update" p r;
-  no_alias "Fused.cg_update" [ x; r ] [ p; ap ];
-  if same_data x r then
-    invalid_arg "Fused.cg_update: output aliases an input of a different role";
-  let n = Field.length p in
-  let s = fold (Field.implicit_pool n) None ~n (cg_update_term alpha p ap x r) in
-  Field.Sanitize.check_vec "Fused.cg_update" x;
-  finish "Fused.cg_update" r s
-
-let cg_update_with pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
+let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
   check2 "Fused.cg_update" p ap;
   check2 "Fused.cg_update" p x;
   check2 "Fused.cg_update" p r;
@@ -204,24 +172,17 @@ let cg_update_with pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
   if same_data x r then
     invalid_arg "Fused.cg_update: output aliases an input of a different role";
   let s =
-    fold (Some pool) chunk ~n:(Field.length p) (cg_update_term alpha p ap x r)
+    Field.fold ?pool ?chunk ~n:(Field.length p) (cg_update_term alpha p ap x r)
   in
   Field.Sanitize.check_vec "Fused.cg_update" x;
   finish "Fused.cg_update" r s
 
 (* y <- y + alpha x (complex alpha, interleaved); returns |y|^2 *)
-let caxpy_norm2 alpha (x : t) (y : t) =
-  check2 "Fused.caxpy_norm2" x y;
-  no_alias "Fused.caxpy_norm2" [ y ] [ x ];
-  let n = Field.length x in
-  finish "Fused.caxpy_norm2" y
-    (fold (Field.implicit_pool n) None ~n (caxpy_norm2_term alpha x y))
-
-let caxpy_norm2_with pool ?chunk alpha (x : t) (y : t) =
+let caxpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.caxpy_norm2" x y;
   no_alias "Fused.caxpy_norm2" [ y ] [ x ];
   finish "Fused.caxpy_norm2" y
-    (fold (Some pool) chunk ~n:(Field.length x) (caxpy_norm2_term alpha x y))
+    (Field.fold ?pool ?chunk ~n:(Field.length x) (caxpy_norm2_term alpha x y))
 
 (* ---- stencil output tail ----
    The closure a hop kernel applies per site-block right after the
@@ -238,8 +199,8 @@ let caxpy_norm2_with pool ?chunk alpha (x : t) (y : t) =
    The dot pairs [q] with the tail result (out when the xpay runs, the
    raw stencil output otherwise). Bit-identity holds for any pool
    geometry because the stencil callers tile the tail at whole
-   [Field.reduce_block]s and fold the block partials in index order —
-   [Field.block_fold]'s canonical association. *)
+   [Field.reduce_block]s and sum the block partials through
+   [Field.fold_partials] — the canonical association. *)
 type tail = {
   t_xpay : (t * float) option;  (* (out, beta): out <- dst + beta*out *)
   t_dot : t;  (* q: the reduction operand *)
@@ -268,9 +229,9 @@ let tail_check name ~n ~(dst : t) tl =
       invalid_arg (name ^ ": tail output aliases the stencil dst")
 
 (* The serial per-block term: callers hand it canonical-block [lo, hi)
-   float ranges of dst in index order and fold the results in block
-   order. Accumulation is one float at a time — Field.dot_re_term's
-   association; the xpay matches Fused.xpay_dot_term element-wise. *)
+   float ranges of dst through Field.fold_partials. Accumulation is one
+   float at a time — Field.dot_re's association; the xpay matches
+   xpay_dot_term element-wise. *)
 let tail_term tl ~(dst : t) lo hi =
   let q = tl.t_dot in
   let acc = ref 0. in

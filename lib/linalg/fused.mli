@@ -3,8 +3,8 @@
     pool geometry, serial or pooled — to the unfused sequence it
     replaces, because all of them run the canonical
     [Field.reduce_block]-float blocked, index-ordered reduction
-    ([Field.block_fold]) with the element-wise update folded into the
-    block pass.
+    ([Field.fold]) with the element-wise update folded into the
+    block pass. Each kernel takes [?pool ?chunk] like [Field]'s.
 
     Stricter aliasing contract than the unfused kernels: an output
     vector sharing storage with an input of a different role raises
@@ -65,42 +65,41 @@ val tail_term : tail -> dst:t -> int -> int -> float
 (** [tail_term tl ~dst lo hi]: the serial per-block pass over floats
     [lo, hi) of the written stencil output — xpay (if any) then the
     dot partial, one element at a time in index order. Callers hand it
-    canonical [Field.reduce_block] ranges and fold the partials in
-    block order ([Field.block_fold]'s association). *)
+    canonical [Field.reduce_block] ranges through
+    [Field.fold_partials]. *)
 
-val axpy_norm2 : float -> t -> t -> float
+val axpy_norm2 : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> float
 (** [axpy_norm2 a x y]: y <- y + a·x; returns |y|².
     ≡ [Field.axpy a x y; Field.norm2 y] bit-for-bit. *)
 
-val xpay_dot : t -> float -> t -> t -> float
+val xpay_dot :
+  ?pool:Util.Pool.t -> ?chunk:int -> t -> float -> t -> t -> float
 (** [xpay_dot x beta p q]: p <- x + β·p; returns p·q (real part under
     the flat-float view, i.e. [Field.dot_re]).
     ≡ [Field.xpay x beta p; Field.dot_re p q] bit-for-bit. *)
 
-val cg_update : float -> t -> t -> t -> t -> float
+val cg_update :
+  ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> t -> t -> float
 (** [cg_update alpha p ap x r]: x <- x + α·p; r <- r − α·Ap; returns
     |r|² — QUDA's tripleCGUpdate, the whole CG vector tail in one
     sweep. ≡ [Field.axpy alpha p x; Field.axpy (−alpha) ap r;
     Field.norm2 r] bit-for-bit (IEEE negation is exact). *)
 
-val caxpy_norm2 : float * float -> t -> t -> float
+val caxpy_norm2 :
+  ?pool:Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> float
 (** [caxpy_norm2 (re, im) x y]: y <- y + a·x with complex [a] over the
     interleaved layout; returns |y|².
     ≡ [Field.caxpy (re, im) x y; Field.norm2 y] bit-for-bit. *)
 
-(** Explicit pooled variants, mirroring [Field]'s [_with] kernels:
-    same results on a caller-chosen pool and chunk (in floats). The
-    autotuner's fusion runner ([Autotune.Variants.run_fusion]) launches
-    these. *)
+(** {2 Range terms}
 
-val axpy_norm2_with : Util.Pool.t -> ?chunk:int -> float -> t -> t -> float
-val xpay_dot_with : Util.Pool.t -> ?chunk:int -> t -> float -> t -> t -> float
+    The serial loop of a kernel over floats [\[lo, hi)]: update, then
+    return the block's partial. [Multi_blas] runs these per batch
+    slot, so its slot [i] is the single kernel by construction. *)
 
-val cg_update_with :
-  Util.Pool.t -> ?chunk:int -> float -> t -> t -> t -> t -> float
-
-val caxpy_norm2_with :
-  Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> float
+val axpy_norm2_term : float -> t -> t -> int -> int -> float
+val xpay_dot_term : t -> float -> t -> t -> int -> int -> float
+val cg_update_term : float -> t -> t -> t -> t -> int -> int -> float
 
 val operand_roles : string -> (string * bool) list option
 (** Operand-role table of a fused kernel by name, in call order:

@@ -10,13 +10,13 @@
      bit-for-bit (the j-accumulation order is the same per element).
 
    - batched reduction kernels [axpy_norm2]/[xpay_dot]/[cg_update]:
-     the Fused kernels over vector sets. Each RHS i runs the *same*
-     canonical [Field.reduce_block]-float blocked, index-ordered
-     reduction as its single-vector [Linalg.Fused] twin — the batch
-     merely interleaves the block passes across RHS — so result i is
-     bit-identical to the independent fused call, serial or pooled,
-     for any pool geometry. That is the invariant [Cg.solve_multi]
-     leans on for per-RHS trajectory identity.
+     the Fused kernels over vector sets. Slot i runs the Fused kernel's
+     own range loop through [Field.fold_k] — the same canonical
+     [Field.reduce_block]-float blocked, index-ordered reduction, the
+     batch merely interleaving the block passes across RHS — so result
+     i is the independent fused call by construction, serial or
+     pooled, for any pool geometry. That is the invariant
+     [Cg.solve_multi] leans on for per-RHS trajectory identity.
 
    Aliasing contract: like [Fused] but across the whole set — an
    output vector sharing storage with any input of a different role,
@@ -60,88 +60,16 @@ let no_alias_sets name (outs : t array) (ins : t array) =
         ins)
     outs
 
-(* ---- the batched reduction engine ----
-   Per-RHS [Field.block_fold] semantics, with the block loop hoisted
-   outside the RHS loop so one pass over block [b] touches every
-   vector's slice while it is hot. The single-block shortcut and the
-   block-index-order fold are replicated exactly (including the
-   [term i 0 n] direct return — no [0. +.] normalisation of a -0.
-   partial), so result i is bit-identical to
-   [Field.block_fold pool chunk ~n ~block:reduce_block (term i)]. *)
-let batch_fold pool chunk ~n ~k term =
-  let block = Field.reduce_block in
-  let n_blocks = (n + block - 1) / block in
-  if n_blocks <= 1 then
-    Array.init k (fun i -> if n <= 0 then 0. else term i 0 n)
-  else begin
-    let partials = Array.make_matrix k n_blocks 0. in
-    let fill blo bhi =
-      for b = blo to bhi - 1 do
-        let lo = b * block and hi = min n ((b + 1) * block) in
-        for i = 0 to k - 1 do
-          partials.(i).(b) <- term i lo hi
-        done
-      done
-    in
-    (match pool with
-    | Some p ->
-      let chunk_blocks = Option.map (fun c -> max 1 (c / block)) chunk in
-      Util.Pool.parallel_for p ?chunk:chunk_blocks ~n:n_blocks fill
-    | None -> fill 0 n_blocks);
-    Array.init k (fun i ->
-        let acc = ref 0. in
-        for b = 0 to n_blocks - 1 do
-          acc := !acc +. partials.(i).(b)
-        done;
-        !acc)
-  end
-
 let finish kernel (vs : t array) (ss : float array) =
   Array.iter (Field.Sanitize.check_vec kernel) vs;
   Array.iter (fun s -> ignore (Field.Sanitize.check_scalar kernel s : float)) ss;
   ss
 
-(* ---- per-RHS range terms: exactly the Fused terms, per set slot ---- *)
-
-let axpy_norm2_term alphas (xs : t array) (ys : t array) i lo hi =
-  let alpha = alphas.(i) and x = xs.(i) and y = ys.(i) in
-  let acc = ref 0. in
-  for e = lo to hi - 1 do
-    let ye = Array1.unsafe_get y e +. (alpha *. Array1.unsafe_get x e) in
-    Array1.unsafe_set y e ye;
-    acc := !acc +. (ye *. ye)
-  done;
-  !acc
-
-let xpay_dot_term (xs : t array) betas (ps : t array) (qs : t array) i lo hi =
-  let x = xs.(i) and beta = betas.(i) and p = ps.(i) and q = qs.(i) in
-  let acc = ref 0. in
-  for e = lo to hi - 1 do
-    let pe = Array1.unsafe_get x e +. (beta *. Array1.unsafe_get p e) in
-    Array1.unsafe_set p e pe;
-    acc := !acc +. (pe *. Array1.unsafe_get q e)
-  done;
-  !acc
-
-let cg_update_term alphas (ps : t array) (aps : t array) (xs : t array)
-    (rs : t array) i lo hi =
-  let alpha = alphas.(i) in
-  let nalpha = -.alpha in
-  let p = ps.(i) and ap = aps.(i) and x = xs.(i) and r = rs.(i) in
-  let acc = ref 0. in
-  for e = lo to hi - 1 do
-    Array1.unsafe_set x e
-      (Array1.unsafe_get x e +. (alpha *. Array1.unsafe_get p e));
-    let re = Array1.unsafe_get r e +. (nalpha *. Array1.unsafe_get ap e) in
-    Array1.unsafe_set r e re;
-    acc := !acc +. (re *. re)
-  done;
-  !acc
-
 (* ---- batched axpy_norm2: ys.(i) <- ys.(i) + alphas.(i) xs.(i);
    returns per-RHS |y|^2 ---- *)
 
-let axpy_norm2_checked name alphas (xs : t array) (ys : t array) =
+let axpy_norm2 ?pool ?chunk alphas (xs : t array) (ys : t array) =
+  let name = "Multi_blas.axpy_norm2" in
   let k = Array.length ys in
   let n = check_batch name ys in
   check_width name k xs;
@@ -149,23 +77,15 @@ let axpy_norm2_checked name alphas (xs : t array) (ys : t array) =
   if Field.length xs.(0) <> n then invalid_arg (name ^ ": length mismatch");
   check_scalars name k alphas;
   no_alias_sets name ys xs;
-  (n, k)
-
-let axpy_norm2 alphas (xs : t array) (ys : t array) =
-  let n, k = axpy_norm2_checked "Multi_blas.axpy_norm2" alphas xs ys in
-  finish "Multi_blas.axpy_norm2" ys
-    (batch_fold (Field.implicit_pool n) None ~n ~k
-       (axpy_norm2_term alphas xs ys))
-
-let axpy_norm2_with pool ?chunk alphas (xs : t array) (ys : t array) =
-  let n, k = axpy_norm2_checked "Multi_blas.axpy_norm2" alphas xs ys in
-  finish "Multi_blas.axpy_norm2" ys
-    (batch_fold (Some pool) chunk ~n ~k (axpy_norm2_term alphas xs ys))
+  finish name ys
+    (Field.fold_k ?pool ?chunk ~n ~k (fun i ->
+         Fused.axpy_norm2_term alphas.(i) xs.(i) ys.(i)))
 
 (* ---- batched xpay_dot: ps.(i) <- xs.(i) + betas.(i) ps.(i);
    returns per-RHS p.q ---- *)
 
-let xpay_dot_checked name (xs : t array) betas (ps : t array) (qs : t array) =
+let xpay_dot ?pool ?chunk (xs : t array) betas (ps : t array) (qs : t array) =
+  let name = "Multi_blas.xpay_dot" in
   let k = Array.length ps in
   let n = check_batch name ps in
   check_width name k xs;
@@ -182,25 +102,16 @@ let xpay_dot_checked name (xs : t array) betas (ps : t array) (qs : t array) =
   (* q is a read-only role: q = p (the monitor idiom) stays legal, so
      only the x inputs are in the alias cross-check *)
   no_alias_sets name ps xs;
-  (n, k)
-
-let xpay_dot (xs : t array) betas (ps : t array) (qs : t array) =
-  let n, k = xpay_dot_checked "Multi_blas.xpay_dot" xs betas ps qs in
-  finish "Multi_blas.xpay_dot" ps
-    (batch_fold (Field.implicit_pool n) None ~n ~k
-       (xpay_dot_term xs betas ps qs))
-
-let xpay_dot_with pool ?chunk (xs : t array) betas (ps : t array) (qs : t array)
-    =
-  let n, k = xpay_dot_checked "Multi_blas.xpay_dot" xs betas ps qs in
-  finish "Multi_blas.xpay_dot" ps
-    (batch_fold (Some pool) chunk ~n ~k (xpay_dot_term xs betas ps qs))
+  finish name ps
+    (Field.fold_k ?pool ?chunk ~n ~k (fun i ->
+         Fused.xpay_dot_term xs.(i) betas.(i) ps.(i) qs.(i)))
 
 (* ---- batched cg_update: xs.(i) += alphas.(i) ps.(i);
    rs.(i) -= alphas.(i) aps.(i); returns per-RHS |r|^2 ---- *)
 
-let cg_update_checked name alphas (ps : t array) (aps : t array) (xs : t array)
+let cg_update ?pool ?chunk alphas (ps : t array) (aps : t array) (xs : t array)
     (rs : t array) =
+  let name = "Multi_blas.cg_update" in
   let k = Array.length ps in
   let n = check_batch name ps in
   List.iter
@@ -213,26 +124,12 @@ let cg_update_checked name alphas (ps : t array) (aps : t array) (xs : t array)
     [ aps; xs; rs ];
   check_scalars name k alphas;
   no_alias_sets name (Array.append xs rs) (Array.append ps aps);
-  (n, k)
-
-let cg_update alphas (ps : t array) (aps : t array) (xs : t array)
-    (rs : t array) =
-  let n, k = cg_update_checked "Multi_blas.cg_update" alphas ps aps xs rs in
   let ss =
-    batch_fold (Field.implicit_pool n) None ~n ~k
-      (cg_update_term alphas ps aps xs rs)
+    Field.fold_k ?pool ?chunk ~n ~k (fun i ->
+        Fused.cg_update_term alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i))
   in
-  Array.iter (Field.Sanitize.check_vec "Multi_blas.cg_update") xs;
-  finish "Multi_blas.cg_update" rs ss
-
-let cg_update_with pool ?chunk alphas (ps : t array) (aps : t array)
-    (xs : t array) (rs : t array) =
-  let n, k = cg_update_checked "Multi_blas.cg_update" alphas ps aps xs rs in
-  let ss =
-    batch_fold (Some pool) chunk ~n ~k (cg_update_term alphas ps aps xs rs)
-  in
-  Array.iter (Field.Sanitize.check_vec "Multi_blas.cg_update") xs;
-  finish "Multi_blas.cg_update" rs ss
+  Array.iter (Field.Sanitize.check_vec name) xs;
+  finish name rs ss
 
 (* ---- the multi-blas tile: ys.(i) <- ys.(i) + sum_j a.(i).(j) xs.(j)
    No reduction, so the pooled path is race-free by element
@@ -255,8 +152,9 @@ let block_axpy_range (a : float array array) (xs : t array) (ys : t array) lo
       done)
     ys
 
-let block_axpy_checked name (a : float array array) (xs : t array)
+let block_axpy ?pool ?chunk (a : float array array) (xs : t array)
     (ys : t array) =
+  let name = "Multi_blas.block_axpy" in
   let n = check_batch name ys in
   ignore (check_batch name xs : int);
   if Field.length xs.(0) <> n then invalid_arg (name ^ ": length mismatch");
@@ -268,20 +166,10 @@ let block_axpy_checked name (a : float array array) (xs : t array)
         invalid_arg (name ^ ": coefficient columns must match inputs"))
     a;
   no_alias_sets name ys xs;
-  n
-
-let block_axpy (a : float array array) (xs : t array) (ys : t array) =
-  let n = block_axpy_checked "Multi_blas.block_axpy" a xs ys in
-  (match Field.implicit_pool n with
-  | Some pool -> Util.Pool.parallel_for pool ~n (block_axpy_range a xs ys)
+  (match Field.launch_pool pool n with
+  | Some p -> Util.Pool.parallel_for p ?chunk ~n (block_axpy_range a xs ys)
   | None -> block_axpy_range a xs ys 0 n);
-  Array.iter (Field.Sanitize.check_vec "Multi_blas.block_axpy") ys
-
-let block_axpy_with pool ?chunk (a : float array array) (xs : t array)
-    (ys : t array) =
-  let n = block_axpy_checked "Multi_blas.block_axpy" a xs ys in
-  Util.Pool.parallel_for pool ?chunk ~n (block_axpy_range a xs ys);
-  Array.iter (Field.Sanitize.check_vec "Multi_blas.block_axpy") ys
+  Array.iter (Field.Sanitize.check_vec name) ys
 
 (* Operand-role table for the batched kernels, by plan-IR kernel name:
    (formal, is_output) in call order, one formal per *set*. The static

@@ -1,12 +1,14 @@
 (** Multi-vector fused BLAS-1 over vector *sets* — QUDA's multi-blas
     idiom on the host. One launch streams a batch of k vectors,
     interleaving the per-vector block passes so the working set stays
-    hot, while each RHS keeps the canonical
-    [Field.reduce_block]-blocked, index-ordered reduction of its
-    single-vector [Linalg.Fused] twin. Consequence (the invariant the
-    batched solver leans on): result [i] of every kernel here is
-    bit-identical to the independent fused call on vector [i], serial
-    or pooled, for any pool geometry.
+    hot, while each RHS runs its single-vector [Linalg.Fused] kernel's
+    range loop through the canonical [Field.reduce_block]-blocked,
+    index-ordered reduction ([Field.fold_k]). Consequence (the
+    invariant the batched solver leans on): result [i] of every kernel
+    here is bit-identical to the independent fused call on vector [i],
+    serial or pooled, for any pool geometry. Every kernel takes
+    [?pool ?chunk] ([chunk] in floats, applied to each RHS's block
+    space) like [Field]'s.
 
     Aliasing contract, set-wide: an output sharing storage with an
     input of a different role, or with another output, raises
@@ -17,7 +19,8 @@
 
 type t = Field.t
 
-val block_axpy : float array array -> t array -> t array -> unit
+val block_axpy :
+  ?pool:Util.Pool.t -> ?chunk:int -> float array array -> t array -> t array -> unit
 (** [block_axpy a xs ys]: the multi-blas tile
     [ys.(i) <- ys.(i) + sum_j a.(i).(j)·xs.(j)], with [a] an
     [Array.length ys × Array.length xs] coefficient matrix. Per output
@@ -26,52 +29,38 @@ val block_axpy : float array array -> t array -> t array -> unit
     (j ascending) bit-for-bit — with one pass over memory instead of
     [Array.length xs]. *)
 
-val axpy_norm2 : float array -> t array -> t array -> float array
+val axpy_norm2 :
+  ?pool:Util.Pool.t -> ?chunk:int -> float array -> t array -> t array -> float array
 (** [axpy_norm2 alphas xs ys]: per RHS,
     [ys.(i) <- ys.(i) + alphas.(i)·xs.(i)]; returns the per-RHS |y|².
     Slot [i] ≡ [Fused.axpy_norm2 alphas.(i) xs.(i) ys.(i)] to the
     bit. *)
 
-val xpay_dot : t array -> float array -> t array -> t array -> float array
+val xpay_dot :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t array ->
+  float array ->
+  t array ->
+  t array ->
+  float array
 (** [xpay_dot xs betas ps qs]: per RHS,
     [ps.(i) <- xs.(i) + betas.(i)·ps.(i)]; returns the per-RHS p·q.
     Slot [i] ≡ [Fused.xpay_dot xs.(i) betas.(i) ps.(i) qs.(i)]. *)
 
 val cg_update :
-  float array -> t array -> t array -> t array -> t array -> float array
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  float array ->
+  t array ->
+  t array ->
+  t array ->
+  t array ->
+  float array
 (** [cg_update alphas ps aps xs rs]: per RHS, the whole CG vector tail
     [xs.(i) += alphas.(i)·ps.(i); rs.(i) -= alphas.(i)·aps.(i)];
     returns the per-RHS |r|². Slot [i] ≡
     [Fused.cg_update alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i)]. *)
-
-(** Explicit pooled variants on a caller-chosen pool and chunk (in
-    floats, applied to each RHS's block space) — the batched
-    autotuner candidates. Same per-RHS results as above. *)
-
-val block_axpy_with :
-  Util.Pool.t -> ?chunk:int -> float array array -> t array -> t array -> unit
-
-val axpy_norm2_with :
-  Util.Pool.t -> ?chunk:int -> float array -> t array -> t array -> float array
-
-val xpay_dot_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  t array ->
-  float array ->
-  t array ->
-  t array ->
-  float array
-
-val cg_update_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  float array ->
-  t array ->
-  t array ->
-  t array ->
-  t array ->
-  float array
 
 val operand_roles : string -> (string * bool) list option
 (** Operand-role table of a batched kernel by plan-IR name

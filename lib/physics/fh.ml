@@ -28,8 +28,8 @@ let fh_propagator ?precision ?tol (solver : Solver.Dwf_solve.t)
   Propagator.map prop (fun column ->
       let inserted = Source.apply_spin_matrix axial_matrix column in
       let rhs = Source.to_5d ~l5 geom inserted in
-      let x5, _ = Solver.Dwf_solve.solve ?precision ?tol:(tol) solver ~rhs in
-      Source.to_4d ~l5 geom x5)
+      let x5, st = Solver.Dwf_solve.solve ?precision ?tol solver ~rhs in
+      (Source.to_4d ~l5 geom x5, st))
 
 (* d/dlambda of the proton correlator for the isovector axial current
    (u-bar A u - d-bar A d): the FH leg substitutes each u line (two
@@ -90,8 +90,8 @@ let sequential_propagator ?precision ?tol (solver : Solver.Dwf_solve.t) ~tau
       let inserted = Source.apply_spin_matrix axial_matrix column in
       let restricted = restrict_timeslice geom ~tau inserted in
       let rhs = Source.to_5d ~l5 geom restricted in
-      let x5, _ = Solver.Dwf_solve.solve ?precision ?tol solver ~rhs in
-      Source.to_4d ~l5 geom x5)
+      let x5, st = Solver.Dwf_solve.solve ?precision ?tol solver ~rhs in
+      (Source.to_4d ~l5 geom x5, st))
 
 (* Traditional three-point correlator at fixed insertion time [tau]:
    returns C3(tau, t) for all sink times t (read off at t = t_sep).

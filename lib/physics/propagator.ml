@@ -86,9 +86,18 @@ let total_iterations t =
 let total_seconds t =
   List.fold_left (fun acc st -> acc +. st.Solver.Cg.seconds) 0. t.stats
 
-(* Build a derived propagator by applying a map to every column
-   (e.g. a Feynman-Hellmann solve). Midpoint data does not transport. *)
-let map t f = { t with columns = Array.map f t.columns; midpoint = None }
+(* Build a derived propagator from one solve per column (e.g. a
+   Feynman-Hellmann solve): [f] returns the new column and its solve's
+   stats, which replace the input's. Midpoint data does not
+   transport. *)
+let map t f =
+  let solved = Array.map f t.columns in
+  {
+    t with
+    columns = Array.map fst solved;
+    midpoint = None;
+    stats = Array.to_list (Array.map snd solved);
+  }
 
 (* Pseudoscalar-density correlators used by the residual-mass
    measurement: sum_x <J(x,t) J(0)> built from column overlaps. *)

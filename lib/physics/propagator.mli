@@ -40,9 +40,11 @@ val total_flops : t -> float
 val total_iterations : t -> int
 val total_seconds : t -> float
 
-val map : t -> (Linalg.Field.t -> Linalg.Field.t) -> t
-(** Column-wise derived propagator (e.g. an FH solve). Midpoint data
-    does not transport. *)
+val map : t -> (Linalg.Field.t -> Linalg.Field.t * Solver.Cg.stats) -> t
+(** Column-wise derived propagator, one solve per column (e.g. an FH
+    solve): [f column] returns the new column and the stats of the
+    solve that built it. The result carries those stats in column
+    order, not the input's. Midpoint data does not transport. *)
 
 val residual_mass : t -> float
 (** m_res = Σt ⟨J5q(t)P(0)⟩ / Σt ⟨P(t)P(0)⟩ — the standard domain-wall

@@ -67,19 +67,11 @@ let gauge_hash (u : Lattice.Gauge.t) = field_hash (Lattice.Gauge.data u)
 
 (* x += sum_i v_i (v_i·r)/λ_i — the Galerkin low-mode correction of
    the guess x given the residual r at x. One batched combination. *)
-let augment t ~(r : Field.t) (x : Field.t) =
+let augment ?pool ?chunk t ~(r : Field.t) (x : Field.t) =
   let g =
-    Array.mapi (fun i v -> Field.dot_re v r /. t.values.(i)) t.basis
+    Array.mapi (fun i v -> Field.dot_re ?pool ?chunk v r /. t.values.(i)) t.basis
   in
-  Linalg.Multi_blas.block_axpy [| g |] t.basis [| x |]
-
-let augment_with pool ?chunk t ~(r : Field.t) (x : Field.t) =
-  let g =
-    Array.mapi
-      (fun i v -> Field.dot_re_with pool ?chunk v r /. t.values.(i))
-      t.basis
-  in
-  Linalg.Multi_blas.block_axpy_with pool ?chunk [| g |] t.basis [| x |]
+  Linalg.Multi_blas.block_axpy ?pool ?chunk [| g |] t.basis [| x |]
 
 let deflated_guess t ~(b : Field.t) =
   let x = Field.create (Field.length b) in

@@ -12,10 +12,10 @@
      pure function of (n, chunk), so any kernel whose writes depend
      only on the element index is bit-identical to the serial loop.
    - Reductions keep their own ordered per-block partials on
-     [parallel_for] (Field.block_fold, Multi_blas.batch_fold,
-     Wilson.hop_tail): each partial lands in a slot indexed by block
-     and the slots fold in index order on the calling domain —
-     bit-stable run to run for any geometry.
+     [parallel_for] (Field.fold_k, the one reduction engine, and
+     Field.fold_partials under Wilson.hop_tail): each partial lands in
+     a slot indexed by block and the slots fold in index order on the
+     calling domain — bit-stable run to run for any geometry.
    - A pool of size 1 has no workers: jobs run inline on the caller,
      chunk by chunk in index order — today's serial code by
      construction.

@@ -5,8 +5,8 @@
     Determinism contract: chunk boundaries are a pure function of
     (n, chunk), so element-wise kernels are bit-identical to the
     serial loop; the reductions built on [parallel_for]
-    ([Linalg.Field.block_fold], the [Linalg.Multi_blas] batch
-    kernels, [Dirac.Wilson.hop_tail]) store per-block partials in index slots
+    ([Linalg.Field.fold_k], and [Linalg.Field.fold_partials] under
+    [Dirac.Wilson.hop_tail]) store per-block partials in index slots
     and fold them in index order on the calling domain, bit-stable
     for any geometry. A pool of size 1 runs jobs inline, chunk by
     chunk in index order. Nested launches (from a worker, or from the

@@ -116,7 +116,7 @@ let prop_augment_pool_identity =
       let x1 = gaussian n 92 in
       let x2 = Field.copy x1 in
       Deflate.augment space ~r x1;
-      Deflate.augment_with (Pool.shared ~domains) ~chunk space ~r x2;
+      Deflate.augment ~pool:(Pool.shared ~domains) ~chunk space ~r x2;
       Field.max_abs_diff x1 x2 = 0.)
 
 let test_augment_multi_rows () =

@@ -399,6 +399,93 @@ let prop_mobius_adjoint_random_params =
       let lhs = Field.cdot u dv and rhs = Field.cdot du v in
       Cplx.abs (Cplx.sub lhs rhs) < 1e-6 *. (1. +. Cplx.abs lhs))
 
+(* ---- gauge covariance: an independent ground truth ----
+   Under a random SU(3) rotation Omega(x), U_mu(x) -> Omega(x) U_mu(x)
+   Omega(x + mu)^dag and psi(x) -> Omega(x) psi(x) (every spin, every
+   s-slice), the stencil must commute with the rotation:
+   H[U^Omega](Omega psi) = Omega H[U] psi. *)
+
+let gauge_rotation geom =
+  let r = Util.Rng.create 4242 in
+  let omegas = Array.init (Geometry.volume geom) (fun _ -> Linalg.Su3.random r) in
+  let links u =
+    let out = Gauge.copy u in
+    Geometry.iter_sites geom (fun site ->
+        for mu = 0 to 3 do
+          let xf = Geometry.fwd geom site mu in
+          Gauge.set out site mu
+            (Linalg.Su3.mul omegas.(site)
+               (Linalg.Su3.mul (Gauge.get u site mu) (Linalg.Su3.adj omegas.(xf))))
+        done);
+    out
+  in
+  (* 5D fields are slice-major, so 4D site = field site mod volume *)
+  let spinor (v : Field.t) =
+    let out = Field.create (Field.length v) in
+    for x = 0 to (Field.length v / 24) - 1 do
+      let om = omegas.(x mod Geometry.volume geom) in
+      for spin = 0 to 3 do
+        let o = (x * 24) + (spin * 6) in
+        Array.iteri
+          (fun i c -> out.{o + i} <- c)
+          (Linalg.Su3.mul_vec om (Array.init 6 (fun i -> v.{o + i})))
+      done
+    done;
+    out
+  in
+  (links, spinor)
+
+let covariance_setup () =
+  let geom = Geometry.create [| 4; 4; 2; 4 |] in
+  let gauge = Gauge.with_antiperiodic_time (Gauge.warm geom (rng ()) ~eps:0.4) in
+  let links, spinor = gauge_rotation geom in
+  (geom, gauge, links gauge, spinor)
+
+let test_wilson_gauge_covariance () =
+  let geom, gauge, gauge', spinor = covariance_setup () in
+  let w = Wilson.of_geometry geom gauge and w' = Wilson.of_geometry geom gauge' in
+  let psi = Field.create (Geometry.volume geom * 24) in
+  Field.gaussian (rng ()) psi;
+  let h = Field.create (Field.length psi) and h' = Field.create (Field.length psi) in
+  Wilson.hop w ~src:psi ~dst:h;
+  Wilson.hop w' ~src:(spinor psi) ~dst:h';
+  let d = Field.max_abs_diff h' (spinor h) in
+  Alcotest.(check bool) (Printf.sprintf "H[U'] (O psi) = O H[U] psi (max diff %g)" d)
+    true (d < 1e-12)
+
+let test_mobius_gauge_covariance () =
+  let geom, gauge, gauge', spinor = covariance_setup () in
+  let p = Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1 in
+  let d = Mobius.of_geometry p geom gauge and d' = Mobius.of_geometry p geom gauge' in
+  let psi = Mobius.create_field d in
+  Field.gaussian (rng ()) psi;
+  let y = Mobius.create_field d and y' = Mobius.create_field d in
+  Mobius.apply d ~src:psi ~dst:y;
+  Mobius.apply d' ~src:(spinor psi) ~dst:y';
+  let diff = Field.max_abs_diff y' (spinor y) in
+  Alcotest.(check bool) (Printf.sprintf "D[U'] (O psi) = O D[U] psi (max diff %g)" diff)
+    true (diff < 1e-12)
+
+(* D^dag = (g5 R5) D (g5 R5) holds for Shamir (c5 = 0) only: with
+   c5 <> 0 the projectors do not commute with the stencil's spin
+   structure, which is why apply_dagger is built explicitly. *)
+let test_shamir_g5r5_hermiticity () =
+  let geom, gauge, _ = mobius_setup ~dims:[| 4; 4; 2; 4 |] () in
+  let p = Mobius.shamir ~l5:4 ~m5:1.8 ~mass:0.1 in
+  let d = Mobius.of_geometry p geom gauge in
+  let l5 = p.Mobius.l5 and n4 = Geometry.volume geom in
+  let v = Mobius.create_field d in
+  Field.gaussian (rng ()) v;
+  let a = Mobius.create_field d and b = Mobius.create_field d in
+  let sandwich = Mobius.create_field d and dagger = Mobius.create_field d in
+  Mobius.apply_g5r5 ~l5 ~n4 ~src:v ~dst:a;
+  Mobius.apply d ~src:a ~dst:b;
+  Mobius.apply_g5r5 ~l5 ~n4 ~src:b ~dst:sandwich;
+  Mobius.apply_dagger d ~src:v ~dst:dagger;
+  let diff = Field.max_abs_diff sandwich dagger in
+  Alcotest.(check bool) (Printf.sprintf "g5R5 D g5R5 = D^dag (max diff %g)" diff)
+    true (diff < 1e-12)
+
 (* ---- entry checks: lengths, site indices, aliasing ---- *)
 
 let raises name f =
@@ -416,7 +503,7 @@ let test_wilson_rejects_short_src () =
   let n = Geometry.half_volume geom * Wilson.floats_per_site in
   let short = Field.create (n - 1) and dst = Field.create n in
   raises "hop" (fun () -> Wilson.hop w ~src:short ~dst);
-  raises "hop_with" (fun () -> Wilson.hop_with (Util.Pool.shared ~domains:1) w ~src:short ~dst);
+  raises "pooled hop" (fun () -> Wilson.hop ~pool:(Util.Pool.shared ~domains:1) w ~src:short ~dst);
   raises "hop_sites" (fun () -> Wilson.hop_sites w ~src:short ~dst ());
   raises "hop_multi" (fun () -> Wilson.hop_multi w ~srcs:[| short |] ~dsts:[| dst |]);
   raises "hop_tail" (fun () ->
@@ -440,7 +527,16 @@ let test_wilson_rejects_aliasing () =
       Wilson.hop w ~src:v ~dst:(Bigarray.Array1.sub v 0 (Field.length v)));
   raises "apply src == dst" (fun () -> Wilson.apply w ~mass:0.1 ~src:v ~dst:v);
   raises "apply_dagger src == dst" (fun () -> Wilson.apply_dagger w ~mass:0.1 ~src:v ~dst:v);
-  raises "hop_multi" (fun () -> Wilson.hop_multi w ~srcs:[| v |] ~dsts:[| v |])
+  raises "hop_multi" (fun () -> Wilson.hop_multi w ~srcs:[| v |] ~dsts:[| v |]);
+  (* a repeated dst would store both columns into one field *)
+  let u = Field.copy v and d = Field.create (Field.length v) in
+  raises "hop_multi repeated dst" (fun () ->
+      Wilson.hop_multi w ~srcs:[| v; u |] ~dsts:[| d; d |]);
+  raises "hop_multi dst through a sub view" (fun () ->
+      Wilson.hop_multi w ~srcs:[| v; u |]
+        ~dsts:[| d; Bigarray.Array1.sub d 0 (Field.length d) |]);
+  raises "apply_multi repeated dst" (fun () ->
+      Wilson.apply_multi w ~mass:0.1 ~srcs:[| v; u |] ~dsts:[| d; d |])
 
 let eo_setup () =
   let geom, gauge, _ = cb_setup () in
@@ -505,6 +601,9 @@ let suite =
     Alcotest.test_case "eo/full consistency" `Quick test_mobius_eo_full_consistency;
     Alcotest.test_case "split/merge roundtrip" `Quick test_split_merge_roundtrip;
     QCheck_alcotest.to_alcotest prop_mobius_adjoint_random_params;
+    Alcotest.test_case "wilson gauge covariance" `Quick test_wilson_gauge_covariance;
+    Alcotest.test_case "mobius gauge covariance" `Quick test_mobius_gauge_covariance;
+    Alcotest.test_case "shamir g5r5-hermiticity" `Quick test_shamir_g5r5_hermiticity;
     Alcotest.test_case "wilson rejects short src" `Quick test_wilson_rejects_short_src;
     Alcotest.test_case "wilson rejects out-of-range sites" `Quick
       test_wilson_rejects_bad_sites;

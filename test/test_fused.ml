@@ -56,7 +56,7 @@ let prop_fused_kernels_bit_identical =
             (Fused.axpy_norm2 alpha x y, y))
           (fun pool chunk ->
             let y = mk () in
-            (Fused.axpy_norm2_with pool ~chunk alpha x y, y))
+            (Fused.axpy_norm2 ~pool ~chunk alpha x y, y))
           (fun () ->
             let y = mk () in
             Field.axpy alpha x y;
@@ -70,7 +70,7 @@ let prop_fused_kernels_bit_identical =
             (Fused.xpay_dot x beta p q, p))
           (fun pool chunk ->
             let p = mk_vec 5 n in
-            (Fused.xpay_dot_with pool ~chunk x beta p q, p))
+            (Fused.xpay_dot ~pool ~chunk x beta p q, p))
           (fun () ->
             let p = mk_vec 5 n in
             Field.xpay x beta p;
@@ -85,7 +85,7 @@ let prop_fused_kernels_bit_identical =
             (s +. Field.norm2 x, r))
           (fun pool chunk ->
             let x = mk_vec 8 n and r = mk_vec 9 n in
-            let s = Fused.cg_update_with pool ~chunk alpha p ap x r in
+            let s = Fused.cg_update ~pool ~chunk alpha p ap x r in
             (s +. Field.norm2 x, r))
           (fun () ->
             let x = mk_vec 8 n and r = mk_vec 9 n in
@@ -101,7 +101,7 @@ let prop_fused_kernels_bit_identical =
             (Fused.caxpy_norm2 (0.3, -0.8) x y, y))
           (fun pool chunk ->
             let y = mk_vec 11 n in
-            (Fused.caxpy_norm2_with pool ~chunk (0.3, -0.8) x y, y))
+            (Fused.caxpy_norm2 ~pool ~chunk (0.3, -0.8) x y, y))
           (fun () ->
             let y = mk_vec 11 n in
             Field.caxpy (0.3, -0.8) x y;
@@ -113,7 +113,7 @@ let prop_fused_kernels_bit_identical =
 
 (* The tail-fused Wilson hop against the unfused sequence it replaces,
    over random pool widths and chunk sizes (in sites, deliberately not
-   tile-aligned — hop_tail_with must round them itself), with and
+   tile-aligned — hop_tail must round them itself), with and
    without the xpay half of the tail. The dot must come out
    bit-identical because the tail folds through the same canonical
    2048-float blocked reduction Field.dot_re runs. *)
@@ -135,7 +135,7 @@ let prop_hop_tail_bit_identical =
         let out_ref = mk_vec 94 nf and out = mk_vec 94 nf in
         let s_ref = Fused.xpay_dot dst_ref beta out_ref q in
         let s =
-          Dirac.Wilson.hop_tail_with pool ~chunk w ~src ~dst
+          Dirac.Wilson.hop_tail ~pool ~chunk w ~src ~dst
             ~tail:(Fused.tail ~xpay:(out, beta) ~dot:q ())
         in
         s = s_ref && bytes_equal dst dst_ref && bytes_equal out out_ref
@@ -143,7 +143,7 @@ let prop_hop_tail_bit_identical =
       else begin
         let s_ref = Field.dot_re q dst_ref in
         let s =
-          Dirac.Wilson.hop_tail_with pool ~chunk w ~src ~dst
+          Dirac.Wilson.hop_tail ~pool ~chunk w ~src ~dst
             ~tail:(Fused.tail ~dot:q ())
         in
         s = s_ref && bytes_equal dst dst_ref

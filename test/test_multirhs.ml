@@ -81,7 +81,7 @@ let test_multi_blas_pooled_matches_serial () =
       let xs1 = copies xs and rs1 = copies rs in
       let xs2 = copies xs and rs2 = copies rs in
       let a = Multi.cg_update alphas ps aps xs1 rs1 in
-      let b = Multi.cg_update_with pool ~chunk alphas ps aps xs2 rs2 in
+      let b = Multi.cg_update ~pool ~chunk alphas ps aps xs2 rs2 in
       check_floats (Printf.sprintf "pooled |r|2 chunk=%d" chunk) a b;
       Array.iteri (fun i x -> check_bits "pooled x" x xs2.(i)) xs1;
       Array.iteri (fun i rr -> check_bits "pooled r" rr rs2.(i)) rs1)
@@ -138,12 +138,12 @@ let prop_hop_multi_bit_identical =
       (match geom_idx with
       | 0 -> Wilson.hop_multi w ~srcs ~dsts
       | 1 ->
-        Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs ~dsts
+        Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:1) w ~srcs ~dsts
       | 2 ->
-        Wilson.hop_multi_with (Util.Pool.shared ~domains:2) ~chunk:7 w ~srcs
+        Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:2) ~chunk:7 w ~srcs
           ~dsts
       | _ ->
-        Wilson.hop_multi_with (Util.Pool.shared ~domains:4) ~chunk:33 w ~srcs
+        Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:4) ~chunk:33 w ~srcs
           ~dsts);
       Array.for_all2
         (fun d rf -> Field.max_abs_diff d rf = 0.)

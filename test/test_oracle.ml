@@ -177,18 +177,18 @@ let prop_wilson_matches_oracle =
       let o_apply = oracle (Oracle.wilson_apply ok ~mass:0.1) in
       let o_dagger = oracle (Oracle.wilson_apply_dagger ok ~mass:0.1) in
       let pool = Pool.shared ~domains:widths.(w) in
-      let hop_with = fresh () and hop = fresh () and hop_multi = fresh () in
-      let hop_multi_with = fresh () and apply = fresh () and dagger = fresh () in
-      Array.iteri (fun v x -> Wilson.hop_with pool ~chunk:37 wk ~src:x ~dst:hop_with.(v)) xs;
-      Wilson.hop_multi_with pool ~chunk:29 wk ~srcs:xs ~dsts:hop_multi_with;
+      let hop_pooled = fresh () and hop = fresh () and hop_multi = fresh () in
+      let hop_multi_pooled = fresh () and apply = fresh () and dagger = fresh () in
+      Array.iteri (fun v x -> Wilson.hop ~pool ~chunk:37 wk ~src:x ~dst:hop_pooled.(v)) xs;
+      Wilson.hop_multi ~pool ~chunk:29 wk ~srcs:xs ~dsts:hop_multi_pooled;
       with_pool widths.(w) (fun () ->
           Array.iteri (fun v x -> Wilson.hop wk ~src:x ~dst:hop.(v)) xs;
           Wilson.hop_multi wk ~srcs:xs ~dsts:hop_multi;
           Wilson.apply_multi wk ~mass:0.1 ~srcs:xs ~dsts:apply;
           Wilson.apply_dagger_multi wk ~mass:0.1 ~srcs:xs ~dsts:dagger);
       let all o got = Array.for_all2 same_bits o got in
-      all o_hop hop && all o_hop hop_with && all o_hop hop_multi
-      && all o_hop hop_multi_with && all o_apply apply && all o_dagger dagger)
+      all o_hop hop && all o_hop hop_pooled && all o_hop hop_multi
+      && all o_hop hop_multi_pooled && all o_apply apply && all o_dagger dagger)
 
 let test_shutdown () = Pool.shutdown_shared ()
 

@@ -162,6 +162,31 @@ let test_sequential_sums_to_fh () =
       true (rel < 1e-6)
   done
 
+(* A derived propagator reports the solves that built it: each FH
+   column's stats are those of a direct solve of that column's FH
+   source (same iterations, same true-residual bits), not the point
+   solve the column was derived from. *)
+let test_fh_stats_are_fh_solves () =
+  let geom, solver = Lazy.force tiny_solver in
+  let l5 = (Solver.Dwf_solve.params_of solver).Dirac.Mobius.l5 in
+  let prop = Prop.point_propagator ~tol:1e-9 solver ~src_site:0 in
+  let fh = Fh.fh_propagator ~tol:1e-9 solver prop in
+  Alcotest.(check int) "one stats per column" 12 (List.length fh.Prop.stats);
+  let bits = Option.map Int64.bits_of_float in
+  List.iteri
+    (fun col (st : Solver.Cg.stats) ->
+      let inserted = Src.apply_spin_matrix Fh.axial_matrix prop.Prop.columns.(col) in
+      let rhs = Src.to_5d ~l5 geom inserted in
+      let _, direct = Solver.Dwf_solve.solve ~tol:1e-9 solver ~rhs in
+      Alcotest.(check int)
+        (Printf.sprintf "col %d iterations" col)
+        direct.Solver.Cg.iterations st.Solver.Cg.iterations;
+      Alcotest.(check (option int64))
+        (Printf.sprintf "col %d true residual bits" col)
+        (bits direct.Solver.Cg.true_relative_residual)
+        (bits st.Solver.Cg.true_relative_residual))
+    fh.Prop.stats
+
 let test_sequential_cost_ratio () =
   (* the economics: nt sequential solves vs 1 FH solve per column *)
   let geom, _ = Lazy.force tiny_solver in
@@ -380,6 +405,7 @@ let suite =
     Alcotest.test_case "proton heavier than pion" `Slow test_proton_heavier_than_pion;
     Alcotest.test_case "free-field axial coupling" `Slow test_free_field_axial_coupling;
     Alcotest.test_case "sequential sums to FH" `Slow test_sequential_sums_to_fh;
+    Alcotest.test_case "FH stats are the FH solves" `Slow test_fh_stats_are_fh_solves;
     Alcotest.test_case "sequential cost" `Quick test_sequential_cost_ratio;
     Alcotest.test_case "residual mass vs L5" `Slow test_residual_mass_positive_and_decreasing;
     Alcotest.test_case "residual mass guard" `Slow test_residual_mass_requires_midpoint;

@@ -135,11 +135,11 @@ let prop_elementwise_bit_identical =
           run_pooled (fun p -> kern p ~chunk x yp);
           bytes_equal ys yp)
         [
-          (fun p ~chunk x y -> Field.axpy_with p ~chunk 0.7 x y);
-          (fun p ~chunk x y -> Field.xpay_with p ~chunk x (-0.3) y);
-          (fun p ~chunk _ y -> Field.scale_with p ~chunk 1.1 y);
-          (fun p ~chunk x y -> Field.sub_with p ~chunk x y y);
-          (fun p ~chunk x y -> Field.caxpy_with p ~chunk (0.4, -0.9) x y);
+          (fun p ~chunk x y -> Field.axpy ~pool:p ~chunk 0.7 x y);
+          (fun p ~chunk x y -> Field.xpay ~pool:p ~chunk x (-0.3) y);
+          (fun p ~chunk _ y -> Field.scale ~pool:p ~chunk 1.1 y);
+          (fun p ~chunk x y -> Field.sub ~pool:p ~chunk x y y);
+          (fun p ~chunk x y -> Field.caxpy ~pool:p ~chunk (0.4, -0.9) x y);
         ])
 
 let prop_reductions_bit_stable =
@@ -152,14 +152,14 @@ let prop_reductions_bit_stable =
       let pool = Pool.shared ~domains in
       let serial = Pool.shared ~domains:1 in
       let x = mk_vec 3 n and y = mk_vec 4 n in
-      let n2_s = Field.norm2_with serial x in
-      let n2_p = Field.norm2_with pool ~chunk x in
-      let n2_p2 = Field.norm2_with pool ~chunk x in
-      let dr_s = Field.dot_re_with serial x y in
-      let dr_p = Field.dot_re_with pool ~chunk x y in
-      let cd_s = Field.cdot_with serial x y in
-      let cd_p = Field.cdot_with pool ~chunk x y in
-      let cd_p2 = Field.cdot_with pool ~chunk x y in
+      let n2_s = Field.norm2 ~pool:serial x in
+      let n2_p = Field.norm2 ~pool ~chunk x in
+      let n2_p2 = Field.norm2 ~pool ~chunk x in
+      let dr_s = Field.dot_re ~pool:serial x y in
+      let dr_p = Field.dot_re ~pool ~chunk x y in
+      let cd_s = Field.cdot ~pool:serial x y in
+      let cd_p = Field.cdot ~pool ~chunk x y in
+      let cd_p2 = Field.cdot ~pool ~chunk x y in
       n2_s = n2_p && n2_p = n2_p2 && dr_s = dr_p && cd_s = cd_p && cd_p = cd_p2)
 
 let prop_reductions_geometry_independent =
@@ -170,7 +170,7 @@ let prop_reductions_geometry_independent =
     (fun ((domains, chunk), half) ->
       let n = 2 * half in
       let x = mk_vec 5 n in
-      Field.norm2 x = Field.norm2_with (Pool.shared ~domains) ~chunk x)
+      Field.norm2 x = Field.norm2 ~pool:(Pool.shared ~domains) ~chunk x)
 
 let prop_wilson_hop_bit_identical =
   QCheck.Test.make ~name:"pooled Wilson hop bit-identical to serial" ~count:10
@@ -183,7 +183,7 @@ let prop_wilson_hop_bit_identical =
       let src = mk_vec 7 n in
       let ds = Field.create n and dp = Field.create n in
       Dirac.Wilson.hop_sites w ~src ~dst:ds ();
-      Dirac.Wilson.hop_with (Pool.shared ~domains)
+      Dirac.Wilson.hop ~pool:(Pool.shared ~domains)
         ~chunk:(1 + (chunk mod Lattice.Geometry.volume geom))
         w ~src ~dst:dp;
       bytes_equal ds dp)
@@ -237,7 +237,7 @@ let test_sanitize_on_pooled_path () =
   let trapped =
     try
       Field.Sanitize.scoped (fun () ->
-          Field.axpy_with (Pool.shared ~domains:4) ~chunk:256 2.0 x y);
+          Field.axpy ~pool:(Pool.shared ~domains:4) ~chunk:256 2.0 x y);
       false
     with Field.Sanitize.Non_finite ("Field.axpy", _, _) -> true
   in

@@ -115,12 +115,11 @@ let test_hop_bit_identical_across_pools () =
       let w = Wilson.of_geometry ~recon:c geom gauge in
       let srcs = batch_of (rng ()) k n in
       let refs = Array.init k (fun _ -> Field.create n) in
-      Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs ~dsts:refs;
+      Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:1) w ~srcs ~dsts:refs;
       List.iter
         (fun (d, chunk) ->
           let dsts = Array.init k (fun _ -> Field.create n) in
-          Wilson.hop_multi_with
-            (Util.Pool.shared ~domains:d)
+          Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:d)
             ~chunk w ~srcs ~dsts;
           Array.iteri
             (fun i dst ->
