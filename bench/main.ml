@@ -25,11 +25,6 @@ let experiments =
     ("placement", "Sec VII: GPU-granular placement", fun () -> Jobs.placement ());
     ("autotune", "Sec IV-V: autotuning demos", fun () -> Jobs.autotune ());
     ("kernels", "measured OCaml kernels (Bechamel)", fun () -> Kernels.run ());
-    ("pool", "multicore pool: serial vs pooled kernels", fun () -> Pool_bench.run ());
-    ("fused", "fused BLAS-1 solver kernels vs unfused sweeps", fun () -> Fused_bench.run ());
-    ("multirhs", "batched multi-RHS engine vs single-RHS path", fun () -> Multirhs_bench.run ());
-    ("recon", "compressed gauge links: recon-12/8 vs full-18", fun () -> Recon_bench.run ());
-    ("deflate", "low-mode deflated CG vs undeflated", fun () -> Deflate_bench.run ());
     ("ablation", "design-decision ablations", fun () -> Kernels.ablation ());
     ("solvers", "solver ablations + critical slowing", fun () -> Kernels.solver_ablation ());
     ("physics", "m_res, FH economics, mesons, gradient flow", fun () -> Physics_exp.run ());

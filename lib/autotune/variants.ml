@@ -132,7 +132,7 @@ let chunk l = Option.map snd l.geometry
 let run_hop ops ~srcs ~dsts =
   let kmax = Array.length srcs in
   if kmax = 0 || Array.length dsts <> kmax then
-    invalid_arg "Variants.run_hop: batch width mismatch";
+    invalid_arg "Variants.tune_hop: batch width mismatch";
   fun l ->
     let w = List.find (fun w -> Wilson.recon w = l.recon) ops in
     let off = ref 0 in
@@ -172,7 +172,7 @@ let run_fusion ~p ~ap ~x ~r l =
    one CG solve per right-hand side. Cg.solve takes no pool argument,
    so the launch's pool is installed as the default for the run. *)
 let run_deflation ~tol ~apply ~bs =
-  if Array.length bs = 0 then invalid_arg "Variants.run_deflation: no right-hand sides";
+  if Array.length bs = 0 then invalid_arg "Variants.tune_deflation: no right-hand sides";
   let n = Field.length bs.(0) in
   fun l ->
     let prev = Util.Pool.get_default () in

@@ -2,11 +2,10 @@
     CUDA block/grid shape. One record names a launch on every axis a
     kernel family can have; a family's space crosses the axes it has,
     {!tune} returns the winning record, and the family's runner is the
-    only code that executes one — for the tuner and the benches alike.
-    Launches of a family differ only in speed: results are
-    bit-identical across geometries, widths and modes, and agree within
-    tolerance across codecs (link round-trip) and deflation ranks
-    (solver tolerance). *)
+    only code that executes one. Launches of a family differ only in
+    speed: results are bit-identical across geometries, widths and
+    modes, and agree within tolerance across codecs (link round-trip)
+    and deflation ranks (solver tolerance). *)
 
 type launch = {
   mode : Linalg.Fused.mode;
@@ -71,25 +70,8 @@ val tune :
     @raise Invalid_argument on an empty space or two launches with one
     label. *)
 
-(** {2 Runners} — each is the only code that executes its family's
-    launches; a serial launch runs on [Util.Pool.shared ~domains:1]. *)
-
-val run_hop :
-  Dirac.Wilson.t list ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  launch ->
-  unit
-(** Hop the whole batch as sub-batches of the launch's [k]
-    ([Dirac.Wilson.hop_multi ~pool]) on the operator of its [recon] —
-    the ops hold one [Dirac.Wilson.t] per codec, same geometry and
-    gauge. A narrow width pays the gauge re-streaming it costs and a
-    packed codec its reconstruction on every right-hand side.
-    @raise Invalid_argument on an empty or mismatched batch. *)
-
-val run_axpy : x:Linalg.Field.t -> y:Linalg.Field.t -> launch -> unit
-(** [y <- y + 0.5·x] through [Linalg.Field.axpy ~pool] on the launch's
-    geometry — the kernel every solve runs. *)
+(** {2 Runner} — re-times a {!tune_fusion} winner; a serial launch
+    runs on [Util.Pool.shared ~domains:1]. *)
 
 val run_fusion :
   p:Linalg.Field.t ->
@@ -104,17 +86,6 @@ val run_fusion :
     p·Ap rides the stencil). All modes are bit-identical in the
     recurrence; only traffic differs. *)
 
-val run_deflation :
-  tol:float ->
-  apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
-  bs:Linalg.Field.t array ->
-  launch ->
-  unit
-(** A campaign slice: the Lanczos setup for the launch's [rank] (none
-    at rank 0), then one CG solve to [tol] per right-hand side in
-    [bs], with the launch's pool installed as the default pool.
-    @raise Invalid_argument on an empty [bs]. *)
-
 (** {2 Kernel families} — each builds a space, a runner and a
     signature, and hands them to {!tune}. *)
 
@@ -128,12 +99,14 @@ val tune_hop :
   launch
 (** Kernel ["wilson_hop"]: codec (one operator per codec, the first
     the baseline) × width ([1; 2; 4; 8] up to the batch size) ×
-    serial + {!pool_geometries} at a 16-site chunk floor, timed by
-    {!run_hop}. Signature [signature ^ ":sites<n>:kmax<batch>"]. *)
+    serial + {!pool_geometries} at a 16-site chunk floor. A launch
+    hops the batch in sub-batches of its [k] on the operator of its
+    [recon]. Signature [signature ^ ":sites<n>:kmax<batch>"].
+    @raise Invalid_argument on an empty or mismatched batch. *)
 
 val tune_axpy : ?max_domains:int -> Tuner.t -> n:int -> launch
 (** Kernel ["axpy"]: serial + {!pool_geometries} for vectors of [n]
-    floats, timed by {!run_axpy}. Signature ["n<n>"]. *)
+    floats, timed on [y <- y + 0.5·x]. Signature ["n<n>"]. *)
 
 val tune_fusion :
   ?max_domains:int ->
@@ -153,8 +126,9 @@ val tune_deflation :
   bs:Linalg.Field.t array ->
   signature:string ->
   launch
-(** Kernel ["cg_deflate"]: ranks [0; 2; 4; 8], each priced by
-    {!run_deflation} on the caller's right-hand sides [bs] to [tol]
-    (default 1e-8) — setup inside the timed region, since the
-    amortization is the trade. Signature
-    [signature ^ ":n<n>:s<solves>"]. *)
+(** Kernel ["cg_deflate"]: ranks [0; 2; 4; 8], each priced on the
+    Lanczos setup for the rank plus one CG solve to [tol] (default
+    1e-8) per right-hand side in [bs] — setup inside the timed
+    region, since the amortization is the trade. Signature
+    [signature ^ ":n<n>:s<solves>"].
+    @raise Invalid_argument on an empty [bs]. *)

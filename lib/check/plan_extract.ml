@@ -478,36 +478,36 @@ let multi_args name ~buffers ~reduce =
       @ [ (reduce, red) ]
 
 (* The per-iteration BLAS-1 tail of Cg.solve_multi, driven by
-   Cg.multi_tail_kernels: fused it is the two Multi_blas batch kernels
-   (2 sweeps per vector — matching Perf_model.blas1_sweeps ~fused:true,
-   so the PLAN005 cross-check must report a zero gap), unfused the
-   five scalar kernels per RHS. Buffers name the per-RHS quadruple;
+   Cg.multi_tail_kernels: the p·Ap dot_re per RHS, then fused the two
+   Multi_blas batch kernels (3 sweeps, unpriced — fusion = None like
+   cg_tail_separate), unfused the four scalar kernels per RHS (the
+   5-sweep plan the model prices). Buffers name the per-RHS quadruple;
    the batch width multiplies volume, not sweep count. *)
 let cg_tail_multi ?(n = 1 lsl 16) ?geometry ~fused () =
   let rows = Solver.Cg.multi_tail_kernels ~fused in
   let argss =
-    if fused then
-      [
-        ( multi_args "multi_cg_update" ~buffers:[ "p"; "ap"; "x"; "r" ]
-            ~reduce:"r2",
-          1.0 );
-        (multi_args "multi_xpay_dot" ~buffers:[ "r"; "p"; "r" ] ~reduce:"pr", 1.0);
-      ]
-    else
-      [
-        ([ ("p", r_); ("ap", r_); ("pap", red) ], 1.0);
-        ([ ("p", r_); ("x", u_) ], 1.0);
-        ([ ("ap", r_); ("r", u_) ], 1.0);
-        ([ ("r", r_); ("r2", red) ], 1.0);
-        ([ ("r", r_); ("p", u_) ], 1.0);
-      ]
+    ([ ("p", r_); ("ap", r_); ("pap", red) ], 1.0)
+    :: (if fused then
+          [
+            ( multi_args "multi_cg_update" ~buffers:[ "p"; "ap"; "x"; "r" ]
+                ~reduce:"r2",
+              1.0 );
+            (multi_args "multi_xpay_dot" ~buffers:[ "r"; "p"; "r" ] ~reduce:"pr", 1.0);
+          ]
+        else
+          [
+            ([ ("p", r_); ("x", u_) ], 1.0);
+            ([ ("ap", r_); ("r", u_) ], 1.0);
+            ([ ("r", r_); ("r2", red) ], 1.0);
+            ([ ("r", r_); ("p", u_) ], 1.0);
+          ])
   in
   let steps =
     List.map
       (fun kr -> Launch { kr with geometry })
       (zip_args "cg_tail_multi" rows argss)
   in
-  plan ~fusion:fused ~n ~buffers:cg_buffers ~steps
+  plan ?fusion:(if fused then None else Some false) ~n ~buffers:cg_buffers ~steps
     (if fused then "cg-tail-multi-fused" else "cg-tail-multi")
 
 (* ---- Deflated CG entry (Cg.solve ?deflate) ---- *)

@@ -89,11 +89,11 @@ val wilson_hop_recon :
 val cg_tail_multi :
   ?n:int -> ?geometry:int * int -> fused:bool -> unit -> Plan_ir.plan
 (** The per-iteration BLAS-1 tail of [Solver.Cg.solve_multi], rows
-    from [Solver.Cg.multi_tail_kernels]: fused it is the two
-    [Linalg.Multi_blas] batch kernels (2 sweeps per vector — the
-    PLAN005 cross-check against [Machine.Perf_model.blas1_sweeps]
-    must report [sweep_gap = Some 0]), unfused the five scalar
-    kernels per RHS. *)
+    from [Solver.Cg.multi_tail_kernels]: the p·Ap dot_re per RHS, then
+    fused the two [Linalg.Multi_blas] batch kernels (3 sweeps, not
+    model-priced, like {!cg_tail_separate}), unfused the four scalar
+    kernels per RHS (5 sweeps; PLAN005 against
+    [Machine.Perf_model.blas1_sweeps] must report [sweep_gap = Some 0]). *)
 
 val cg_deflate : ?n:int -> ?rank:int -> ?geometry:int * int -> unit -> Plan_ir.plan
 (** The once-per-solve deflation prologue of [Solver.Cg.solve ?deflate]

@@ -74,8 +74,8 @@ val hop_multi :
     any batch width and pool geometry. Batch must be non-empty, srcs
     and dsts the same width, no dst sharing storage with a src or with
     another dst ([Invalid_argument]). Without a pool, the *batch*
-    float count decides ({!launch}). The autotuner's hop runner
-    ([Autotune.Variants.run_hop]) launches it for every codec, batch
+    float count decides ({!launch}). The autotuner's hop family
+    ([Autotune.Variants.tune_hop]) launches it for every codec, batch
     width and geometry. *)
 
 val hop_tail :

@@ -216,8 +216,7 @@ let recon_traffic_ratio ~recon ~k =
    of the campaign's correlated solves (24 = 12 spin-color columns × 2
    sources in the paper's workflow). The functions price the three
    legs separately — setup cost, amortization, predicted reduction —
-   so `bench deflate` and the tuner can report the break-even solve
-   count honestly. *)
+   so a caller can report the break-even solve count honestly. *)
 
 (* Operator applications of a thick-restart Lanczos build: the first
    cycle fills the whole working basis of [basis] vectors; each of the

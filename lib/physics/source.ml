@@ -11,12 +11,24 @@ module Geometry = Lattice.Geometry
 
 let fps = Dirac.Gamma.floats_per_site
 
+(* A spin or colour out of range would address a neighbouring
+   component, a time slice out of range give an empty source; a bad
+   site already fails the Bigarray bounds check. *)
+let in_range fn what v hi =
+  if v < 0 || v >= hi then
+    invalid_arg (Printf.sprintf "%s: %s %d outside [0, %d)" fn what v hi)
+
 let point geom ~site ~spin ~color =
+  in_range "Source.point" "spin" spin 4;
+  in_range "Source.point" "color" color 3;
   let v = Field.create (Geometry.volume geom * fps) in
   Bigarray.Array1.set v ((site * fps) + (((spin * 3) + color) * 2)) 1.;
   v
 
 let wall geom ~t ~spin ~color =
+  in_range "Source.wall" "spin" spin 4;
+  in_range "Source.wall" "color" color 3;
+  in_range "Source.wall" "t" t (Geometry.time_extent geom);
   let v = Field.create (Geometry.volume geom * fps) in
   Geometry.iter_sites geom (fun site ->
       if (Geometry.coords geom site).(3) = t then
@@ -25,6 +37,7 @@ let wall geom ~t ~spin ~color =
 
 (* Gaussian random noise source on one timeslice (stochastic methods). *)
 let noise geom rng ~t =
+  in_range "Source.noise" "t" t (Geometry.time_extent geom);
   let v = Field.create (Geometry.volume geom * fps) in
   Geometry.iter_sites geom (fun site ->
       if (Geometry.coords geom site).(3) = t then

@@ -5,9 +5,12 @@ val fps : int
 
 val point : Lattice.Geometry.t -> site:int -> spin:int -> color:int -> Linalg.Field.t
 val wall : Lattice.Geometry.t -> t:int -> spin:int -> color:int -> Linalg.Field.t
+(** Unit source at one site, or on every site of time slice [t].
+    @raise Invalid_argument on a spin, colour or [t] out of range. *)
 
 val noise : Lattice.Geometry.t -> Util.Rng.t -> t:int -> Linalg.Field.t
-(** Gaussian noise on one timeslice (stochastic estimators). *)
+(** Gaussian noise on one timeslice (stochastic estimators).
+    @raise Invalid_argument on a [t] out of range. *)
 
 val to_5d : l5:int -> Lattice.Geometry.t -> Linalg.Field.t -> Linalg.Field.t
 (** 4D source → 5D domain-wall source:

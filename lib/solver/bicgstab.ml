@@ -73,6 +73,7 @@ let solve ?(x0 : Field.t option) ?(fused = false) ?trace ~apply ~(b : Field.t)
     incr applies;
     Field.sub b tmp r);
   let b2 = Field.norm2 b in
+  if not (Float.is_finite b2) then invalid_arg "Bicgstab.solve: non-finite b";
   if b2 = 0. then begin
     Field.fill x 0.;
     (x, stats ~iterations:0 ~converged:true ~rel:0. ~true_rel:0. ~flops:0. ~t_start)
@@ -86,7 +87,10 @@ let solve ?(x0 : Field.t option) ?(fused = false) ?trace ~apply ~(b : Field.t)
     let t = Field.create n in
     let rho = ref (of_cplx (Field.cdot r_hat r)) in
     let iters = ref 0 in
-    let converged = ref (Field.norm2 r <= target) in
+    let r2 = Field.norm2 r in
+    if not (Float.is_finite r2) then
+      invalid_arg "Bicgstab.solve: non-finite initial residual";
+    let converged = ref (r2 <= target) in
     let broken = ref false in
     while (not !converged) && (not !broken) && !iters < max_iter do
       incr iters;

@@ -22,7 +22,8 @@ val solve :
   unit ->
   Linalg.Field.t * Cg.stats
 (** Converges when |r| ≤ tol·|b|; [converged = false] on breakdown
-    (vanishing ρ or ω) or max_iter.
+    (vanishing ρ or ω) or max_iter. Raises [Invalid_argument] when
+    |b|² or the starting |r|² is not finite.
 
     [fused] (default [false]) computes the two residual updates
     (s = r − α·v and r = s − ω·t) with [Linalg.Fused.caxpy_norm2],

@@ -48,14 +48,13 @@ let tail_kernels ~fused =
 
 (* The batched solve's per-iteration BLAS-1 tail over the active set,
    same convention: (kernel, per-RHS full-vector sweeps) rows in
-   launch order. The batched kernels run each RHS's canonical blocked
-   reduction, so the sweep counts per RHS equal the single-RHS tail's
-   — which is exactly why the multi-RHS catalog plans price to a zero
-   PLAN005 gap. *)
+   launch order. The batched operator has no tail, so p·Ap is a
+   dot_re per RHS in both modes: fused, the 3-sweep separate-dot tail
+   the model does not price; unfused, the 5 sweeps of [tail_kernels]. *)
 let multi_tail_kernels ~fused =
-  if fused then [ ("multi_cg_update", 1); ("multi_xpay_dot", 1) ]
-  else
-    [ ("dot_re", 1); ("axpy", 1); ("axpy", 1); ("norm2", 1); ("xpay", 1) ]
+  ("dot_re", 1)
+  :: (if fused then [ ("multi_cg_update", 1); ("multi_xpay_dot", 1) ]
+      else [ ("axpy", 1); ("axpy", 1); ("norm2", 1); ("xpay", 1) ])
 
 let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
     ~apply ~(b : Field.t) ~tol ~max_iter ~flops_per_apply () =
@@ -84,6 +83,7 @@ let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
     Field.sub b ap r);
   let p = Field.copy r in
   let b2 = Field.norm2 b in
+  if not (Float.is_finite b2) then invalid_arg "Cg.solve: non-finite b";
   if b2 = 0. then begin
     Field.fill x 0.;
     ( x,
@@ -100,6 +100,7 @@ let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
   else begin
     let target = tol *. tol *. b2 in
     let r2 = ref (Field.norm2 r) in
+    if not (Float.is_finite !r2) then invalid_arg "Cg.solve: non-finite initial residual";
     let iters = ref 0 in
     let applies = ref !pre_applies in
     while !r2 > target && !iters < max_iter do
@@ -228,6 +229,13 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
   let b2s = Array.map (fun b -> Field.norm2 b) bs in
   let targets = Array.map (fun b2 -> tol *. tol *. b2) b2s in
   let r2s = Array.map (fun r -> Field.norm2 r) rs in
+  (* [solve]'s entry checks; a zero b returns before its residual is read *)
+  Array.iteri
+    (fun i b2 ->
+      if not (Float.is_finite b2) then invalid_arg "Cg.solve_multi: non-finite b";
+      if b2 <> 0. && not (Float.is_finite r2s.(i)) then
+        invalid_arg "Cg.solve_multi: non-finite initial residual")
+    b2s;
   let iters = Array.make k 0 in
   let out = Array.make k None in
   let finalize i =

@@ -35,11 +35,10 @@ val multi_tail_kernels : fused:bool -> (string * int) list
 (** The per-iteration BLAS-1 tail of the batched solver as (kernel,
     full-vector sweeps) rows in launch order, the multi-RHS analogue
     of [tail_kernels] — the ground truth behind
-    [Check.Plan_extract.cg_tail_multi]. Unfused the batch runs the
-    scalar kernels per RHS (5 sweeps per vector); fused it runs the
-    two [Linalg.Multi_blas] batch kernels (multi_cg_update +
-    multi_xpay_dot, 2 sweeps per vector), matching
-    [Machine.Perf_model.blas1_sweeps ~fused:true]. *)
+    [Check.Plan_extract.cg_tail_multi]. The batched operator has no
+    tail, so both modes lead with a [dot_re] per RHS for p·Ap: unfused
+    the scalar kernels follow (5 sweeps per vector), fused the two
+    [Linalg.Multi_blas] batch kernels (3 sweeps, unpriced). *)
 
 val solve :
   ?x0:Linalg.Field.t ->
@@ -81,7 +80,8 @@ val solve :
     entry residual into the initial guess (one extra apply recomputes
     r exactly), cutting the iteration count on small-eigenvalue
     configurations; the CG recurrence itself is unchanged, and the
-    [deflate]-absent path is bit-identical to before. *)
+    [deflate]-absent path is bit-identical to before.
+    @raise Invalid_argument on a non-finite |b|² or starting |r|². *)
 
 val solve_multi :
   ?x0s:Linalg.Field.t array ->
@@ -119,4 +119,5 @@ val solve_multi :
     (one k×r coefficient tile, one [Multi_blas.block_axpy] launch,
     one batched apply for the exact residuals); per RHS the entry is
     bit-identical to [solve ?deflate] on that RHS, preserving the
-    trajectory-equality property. *)
+    trajectory-equality property.
+    @raise Invalid_argument as [solve] does, per nonzero [b]. *)

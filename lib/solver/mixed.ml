@@ -69,6 +69,7 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
   let r = Field.create n in
   Field.blit b r;
   let b2 = Field.norm2 b in
+  if not (Float.is_finite b2) then invalid_arg "Mixed.solve: non-finite b";
   let target = config.tol *. config.tol *. b2 in
   let ap = Field.create n in
   let applies = ref 0 in
@@ -87,6 +88,8 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
       incr applies;
       Field.sub b ap r);
     let r2 = ref (Field.norm2 r) in
+    if not (Float.is_finite !r2) then
+      invalid_arg "Mixed.solve: non-finite initial residual";
     let continue_outer = ref true in
     while !continue_outer && !r2 > target && !iters < config.max_iter do
       (* ---- inner half-precision CG cycle against current r ---- *)

@@ -61,7 +61,8 @@ val solve :
     cleaned out of the exact residual at every reliable update (one
     extra double-precision apply each), while the half-precision inner
     loop runs unmodified. Absent, the solve is bit-identical to
-    before. *)
+    before.
+    @raise Invalid_argument on a non-finite |b|² or starting |r|². *)
 
 val solve_multi :
   ?config:config ->

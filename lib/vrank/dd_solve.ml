@@ -156,6 +156,7 @@ let solve_normal ?(tol = 1e-10) ?(max_iter = 5000) t ~(b_global : Field.t) =
   let ap = create_local t in
   let b2 = dot t rhs rhs in
   let target = tol *. tol *. b2 in
+  if not (Float.is_finite b2) then invalid_arg "Dd_solve.solve_normal: non-finite b";
   let r2 = ref (dot t r r) in
   let iters = ref 0 in
   while !r2 > target && !iters < max_iter do

@@ -31,4 +31,5 @@ val solve_normal :
 (** Solve M†M x = M†b with b given in global layout; returns the
     gathered global solution plus communication counts. [`Exchanges]
     counts full-halo exchanges only, so it is comparable with
-    [Comm.halo_bytes_per_rank] estimates. *)
+    [Comm.halo_bytes_per_rank] estimates.
+    @raise Invalid_argument on a non-finite |M†b|². *)

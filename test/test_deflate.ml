@@ -4,8 +4,8 @@
    between the single and multi-RHS entries), the measured iteration
    reduction through ?deflate on Cg/Mixed, the forecast composition,
    the configuration hashing, the rank tuning axis, the Perf_model
-   amortization pricing, the DEF checker rules on clean/seeded pairs,
-   the deflate plan-IR catalog entry and the sorted Bench_json merge. *)
+   amortization pricing, the DEF checker rules on clean/seeded pairs
+   and the deflate plan-IR catalog entry. *)
 
 module Field = Linalg.Field
 module Lanczos = Solver.Lanczos
@@ -429,32 +429,6 @@ let test_plan_catalog_entry () =
     Alcotest.(check (list string))
       "deflate prologue plan verifies silent" [] (rules_of ds)
 
-(* ---------- Bench_json sorted merge ---------- *)
-
-let test_bench_json_sorted () =
-  let file = Filename.temp_file "bench_defl" ".json" in
-  let row kernel geometry =
-    { Bench_json.kernel; n = 8; geometry; ns_per_op = 1.; speedup = 1. }
-  in
-  Bench_json.write ~file ~replacing:[]
-    [ row "zeta" "a"; row "alpha" "b"; row "mid" "c" ];
-  Bench_json.write ~file ~replacing:[] [ row "beta" "d" ];
-  let ic = open_in file in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let rows =
-    List.rev !lines |> List.filter_map Bench_json.kernel_of_line
-  in
-  Sys.remove file;
-  Alcotest.(check (list string))
-    "merged rows in sorted order, preserved across reruns"
-    [ "alpha"; "beta"; "mid"; "zeta" ]
-    rows
-
 let suite =
   [
     Alcotest.test_case "lanczos: known diag eigenpairs" `Quick
@@ -497,6 +471,4 @@ let suite =
       test_fixtures_detected;
     Alcotest.test_case "plan catalog: deflate prologue verifies" `Quick
       test_plan_catalog_entry;
-    Alcotest.test_case "bench_json: sorted, rerun-stable merge" `Quick
-      test_bench_json_sorted;
   ]

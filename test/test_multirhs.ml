@@ -394,11 +394,19 @@ let test_perf_model_mrhs_formulas () =
 let test_mrhs_catalog_clean_and_priced () =
   let module PE = Check.Plan_extract in
   let module PC = Check.Plan_check in
-  (* the fused batched tail executes exactly the 2 sweeps the model
-     prices: zero gap, clean verify *)
+  (* the fused batched tail keeps p·Ap as its own dot_re per RHS
+     (the batched operator has no tail): 3 sweeps, the separate-dot
+     tail the model does not price. The unfused tail is the 5-sweep
+     plan the model prices: zero gap. Both verify clean. *)
   let fused = PE.cg_tail_multi ~fused:true () in
-  Alcotest.(check (option int)) "fused tail sweep gap" (Some 0)
+  Alcotest.(check (option int)) "fused tail unpriced" None
     (PC.sweep_gap fused);
+  let launches = Check.Plan_ir.launches fused in
+  Alcotest.(check (list string)) "fused tail launches"
+    [ "dot_re"; "multi_cg_update"; "multi_xpay_dot" ]
+    (List.map (fun k -> k.Check.Plan_ir.kname) launches);
+  Alcotest.(check int) "fused tail IR sweeps" 3
+    (List.fold_left (fun acc k -> acc + k.Check.Plan_ir.sweeps) 0 launches);
   let unfused = PE.cg_tail_multi ~fused:false () in
   Alcotest.(check (option int)) "unfused tail sweep gap" (Some 0)
     (PC.sweep_gap unfused);

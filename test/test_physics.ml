@@ -27,6 +27,30 @@ let test_wall_source_support () =
   let s = Src.wall geom ~t:2 ~spin:0 ~color:0 in
   Alcotest.(check (float 0.)) "one per spatial site" 8. (Field.norm2 s)
 
+(* an out-of-range spin or colour would address a neighbouring
+   component (spin 4 at site 0 is site 1's spin 0), a time slice past T
+   an all-zero source *)
+let test_sources_reject_out_of_range () =
+  let geom = Geometry.create [| 2; 2; 2; 4 |] in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (f () : Field.t))
+  in
+  raises "point spin 4" "Source.point: spin 4 outside [0, 4)" (fun () ->
+      Src.point geom ~site:0 ~spin:4 ~color:0);
+  raises "point spin -1" "Source.point: spin -1 outside [0, 4)" (fun () ->
+      Src.point geom ~site:0 ~spin:(-1) ~color:0);
+  raises "point color 3" "Source.point: color 3 outside [0, 3)" (fun () ->
+      Src.point geom ~site:0 ~spin:0 ~color:3);
+  raises "wall color -1" "Source.wall: color -1 outside [0, 3)" (fun () ->
+      Src.wall geom ~t:0 ~spin:0 ~color:(-1));
+  raises "wall t = 9 on T = 4" "Source.wall: t 9 outside [0, 4)" (fun () ->
+      Src.wall geom ~t:9 ~spin:0 ~color:0);
+  raises "noise t = 4 on T = 4" "Source.noise: t 4 outside [0, 4)" (fun () ->
+      Src.noise geom (rng ()) ~t:4);
+  Alcotest.(check (float 0.)) "last slot in range" 1.
+    (Field.norm2 (Src.point geom ~site:0 ~spin:3 ~color:2))
+
 let test_5d_4d_maps_inverse_on_walls () =
   (* to_4d . to_5d restores the 4D field (the walls carry disjoint
      chiralities). *)
@@ -131,13 +155,15 @@ let test_free_field_axial_coupling () =
 
 (* ---- sequential (traditional) insertion vs FH ---- *)
 
+let tiny_params = Dirac.Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.15
+
+let tiny_gauge geom =
+  Gauge.with_antiperiodic_time (Gauge.warm geom (Util.Rng.create 808) ~eps:0.4)
+
 let tiny_solver =
   lazy
     (let geom = Geometry.create [| 2; 2; 2; 4 |] in
-     let gauge = Gauge.warm geom (Util.Rng.create 808) ~eps:0.4 in
-     let params = Dirac.Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.15 in
-     let solver = Solver.Dwf_solve.create params geom (Gauge.with_antiperiodic_time gauge) in
-     (geom, solver))
+     (geom, Solver.Dwf_solve.create tiny_params geom (tiny_gauge geom)))
 
 let test_sequential_sums_to_fh () =
   (* sum over insertion times of the timeslice-restricted solves equals
@@ -186,6 +212,61 @@ let test_fh_stats_are_fh_solves () =
         (bits direct.Solver.Cg.true_relative_residual)
         (bits st.Solver.Cg.true_relative_residual))
     fh.Prop.stats
+
+(* Gauge covariance of the whole solve: under U_mu(x) ->
+   Omega(x) U_mu(x) Omega(x + mu)^dag the point propagator becomes
+   Omega(x) G(x, 0) Omega(0)^dag (colour blocks, every spin pair), and
+   the gauge-invariant pion correlator does not change. *)
+let test_propagator_gauge_covariance () =
+  let geom, solver = Lazy.force tiny_solver in
+  let module Su3 = Linalg.Su3 in
+  let r = Util.Rng.create 4242 in
+  let omegas = Array.init (Geometry.volume geom) (fun _ -> Su3.random r) in
+  let gauge = tiny_gauge geom in
+  let rotated = Gauge.copy gauge in
+  Geometry.iter_sites geom (fun site ->
+      for mu = 0 to 3 do
+        let xf = Geometry.fwd geom site mu in
+        Gauge.set rotated site mu
+          (Su3.mul omegas.(site) (Su3.mul (Gauge.get gauge site mu) (Su3.adj omegas.(xf))))
+      done);
+  let prop = Prop.point_propagator ~tol:1e-11 solver ~src_site:0 in
+  let prop' =
+    Prop.point_propagator ~tol:1e-11
+      (Solver.Dwf_solve.create tiny_params geom rotated)
+      ~src_site:0
+  in
+  let omega0_dag = Su3.adj omegas.(0) in
+  let max_diff = ref 0. in
+  Geometry.iter_sites geom (fun site ->
+      for spin = 0 to 3 do
+        for src_spin = 0 to 3 do
+          let block p =
+            Su3.of_fun (fun color src_color ->
+                Prop.get p ~site ~spin ~color ~src_spin ~src_color)
+          in
+          let want = Su3.mul omegas.(site) (Su3.mul (block prop) omega0_dag) in
+          let got = block prop' in
+          for a = 0 to 2 do
+            for b = 0 to 2 do
+              max_diff :=
+                Float.max !max_diff
+                  (Cplx.abs (Cplx.sub (Su3.get want a b) (Su3.get got a b)))
+            done
+          done
+        done
+      done);
+  Alcotest.(check bool)
+    (Printf.sprintf "G' = Omega G Omega(0)^dag (max diff %g)" !max_diff)
+    true (!max_diff < 1e-9);
+  let c = Contract.pion prop and c' = Contract.pion prop' in
+  Array.iteri
+    (fun t x ->
+      let rel = abs_float (c'.(t) -. x) /. abs_float x in
+      Alcotest.(check bool)
+        (Printf.sprintf "pion C(%d) unchanged (rel %g)" t rel)
+        true (rel < 1e-9))
+    c
 
 let test_sequential_cost_ratio () =
   (* the economics: nt sequential solves vs 1 FH solve per column *)
@@ -397,6 +478,8 @@ let suite =
   [
     Alcotest.test_case "point source" `Quick test_point_source_normalized;
     Alcotest.test_case "wall source" `Quick test_wall_source_support;
+    Alcotest.test_case "sources reject out-of-range" `Quick
+      test_sources_reject_out_of_range;
     Alcotest.test_case "5d/4d wall maps" `Quick test_5d_4d_maps_inverse_on_walls;
     Alcotest.test_case "spin matrix apply" `Quick test_apply_spin_matrix_matches_gamma;
     Alcotest.test_case "pion positive/decaying" `Slow test_pion_correlator_positive_decaying;
@@ -406,6 +489,8 @@ let suite =
     Alcotest.test_case "free-field axial coupling" `Slow test_free_field_axial_coupling;
     Alcotest.test_case "sequential sums to FH" `Slow test_sequential_sums_to_fh;
     Alcotest.test_case "FH stats are the FH solves" `Slow test_fh_stats_are_fh_solves;
+    Alcotest.test_case "propagator gauge covariance" `Quick
+      test_propagator_gauge_covariance;
     Alcotest.test_case "sequential cost" `Quick test_sequential_cost_ratio;
     Alcotest.test_case "residual mass vs L5" `Slow test_residual_mass_positive_and_decreasing;
     Alcotest.test_case "residual mass guard" `Slow test_residual_mass_requires_midpoint;

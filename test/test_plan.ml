@@ -439,34 +439,6 @@ let test_tune_fusion_lints_before_cache () =
   Alcotest.(check string) "baseline survives a reject-all lint"
     (V.label V.baseline) (V.label plan_base)
 
-(* ---- bench JSON merge (rides along: the dedup contract) ---- *)
-
-let test_bench_json_rerun_overwrites () =
-  let file = Filename.temp_file "bench_json_test" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () ->
-      let row kernel geometry ns =
-        { Bench_json.kernel; n = 1024; geometry; ns_per_op = ns; speedup = 1. }
-      in
-      (* two experiments write disjoint kernels *)
-      Bench_json.write ~file ~replacing:[ "axpy" ] [ row "axpy" "serial" 10. ];
-      Bench_json.write ~file ~replacing:[ "norm2" ] [ row "norm2" "serial" 20. ];
-      let count kernel =
-        List.length
-          (List.filter (( = ) (Some kernel))
-             (List.map Bench_json.kernel_of_line
-                (Bench_json.preserved_lines ~file ~replacing:[])))
-      in
-      Alcotest.(check int) "axpy row present" 1 (count "axpy");
-      Alcotest.(check int) "norm2 row preserved" 1 (count "norm2");
-      (* rerunning the axpy experiment with a stale replacing list must
-         overwrite its own rows, not duplicate them *)
-      Bench_json.write ~file ~replacing:[]
-        [ row "axpy" "serial" 11.; row "axpy" "d2_c512" 6. ];
-      Alcotest.(check int) "rerun overwrites, never duplicates" 2 (count "axpy");
-      Alcotest.(check int) "other experiment untouched" 1 (count "norm2"))
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -492,6 +464,4 @@ let suite =
     Alcotest.test_case "fusion candidates lint clean" `Quick test_lint_fusion;
     Alcotest.test_case "tune_fusion lints before caching" `Quick
       test_tune_fusion_lints_before_cache;
-    Alcotest.test_case "bench JSON rerun overwrites its rows" `Quick
-      test_bench_json_rerun_overwrites;
   ]

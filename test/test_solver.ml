@@ -4,6 +4,7 @@
 module Geometry = Lattice.Geometry
 module Gauge = Lattice.Gauge
 module Field = Linalg.Field
+module Cplx = Linalg.Cplx
 module Mobius = Dirac.Mobius
 module Cg = Solver.Cg
 module Mixed = Solver.Mixed
@@ -73,6 +74,58 @@ let test_cg_zero_rhs () =
   Alcotest.(check bool) "converged" true stats.Cg.converged;
   Alcotest.(check int) "0 iterations" 0 stats.Cg.iterations;
   Alcotest.(check (float 0.)) "x = 0" 0. (Field.norm2 x)
+
+(* A NaN or +Inf in b must not come back as a solution: every solver
+   front end raises at entry, before the first iteration. At +Inf the
+   CG target and |r|² are both +Inf, which read as converged. *)
+let test_non_finite_rhs_rejected () =
+  let n = 48 in
+  let apply (src : Field.t) (dst : Field.t) =
+    for i = 0 to n - 1 do
+      dst.{i} <- (1. +. float_of_int i) *. src.{i}
+    done
+  in
+  let poisoned v =
+    let b = Field.create n in
+    Field.gaussian (rng ()) b;
+    b.{7} <- v;
+    b
+  in
+  let rhs = "non-finite b" in
+  List.iter
+    (fun v ->
+      let b = poisoned v in
+      let raises name msg f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s, %g in b" name v)
+          (Invalid_argument (name ^ ": " ^ msg))
+          (fun () -> ignore (f () : Field.t * Cg.stats))
+      in
+      raises "Cg.solve" rhs (fun () ->
+          Cg.solve ~apply ~b ~tol:1e-10 ~max_iter:100 ~flops_per_apply:1. ());
+      raises "Mixed.solve" rhs (fun () ->
+          Mixed.solve ~apply ~b ~flops_per_apply:1. ());
+      raises "Bicgstab.solve" rhs (fun () ->
+          Solver.Bicgstab.solve ~apply ~b ~tol:1e-10 ~max_iter:100
+            ~flops_per_apply:1. ()))
+    [ Float.nan; Float.infinity ];
+  let good = poisoned 1. in
+  Alcotest.check_raises "Cg.solve_multi, NaN in one of two b"
+    (Invalid_argument ("Cg.solve_multi: " ^ rhs))
+    (fun () ->
+      ignore
+        (Cg.solve_multi
+           ~apply:(fun srcs dsts -> Array.iteri (fun i s -> apply s dsts.(i)) srcs)
+           ~bs:[| good; poisoned Float.nan |] ~tol:1e-10 ~max_iter:100
+           ~flops_per_apply:1. ()
+          : Field.t array * Cg.stats array));
+  Alcotest.check_raises "Cg.solve, NaN in x0"
+    (Invalid_argument "Cg.solve: non-finite initial residual")
+    (fun () ->
+      ignore
+        (Cg.solve ~x0:(poisoned Float.nan) ~apply ~b:good ~tol:1e-10
+           ~max_iter:100 ~flops_per_apply:1. ()
+          : Field.t * Cg.stats))
 
 let test_cg_initial_guess () =
   let n = 32 in
@@ -574,6 +627,147 @@ let test_dwf_eo_iterations_beat_full () =
     true
     (s_eo.Cg.iterations <= s_full.Cg.iterations)
 
+(* ---- free-field Möbius solve against its momentum-space form ----
+   On the unit gauge field D maps a plane wave e^{ipx} chi_s to
+   e^{ipx} (D(p) chi)_s, with D_W(p) = 4 - M5 - sum cos p_mu
+   + i sum gamma_mu sin p_mu and mobius.ml's s-structure:
+   D(p)_{s,s} = b5 D_W + 1, D(p)_{s,s+1} = (c5 D_W - 1) P-,
+   D(p)_{s,s-1} = (c5 D_W - 1) P+, the wrap-around terms times -m.
+   D(p) is colour-diagonal: one 4·L5 complex system per colour. *)
+
+let gauss_solve (a : Cplx.t array array) (b : Cplx.t array) =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  for col = 0 to n - 1 do
+    let piv = ref col in
+    for row = col + 1 to n - 1 do
+      if Cplx.abs a.(row).(col) > Cplx.abs a.(!piv).(col) then piv := row
+    done;
+    let swap v =
+      let tmp = v.(col) in
+      v.(col) <- v.(!piv);
+      v.(!piv) <- tmp
+    in
+    swap a;
+    swap b;
+    for row = col + 1 to n - 1 do
+      let f = Cplx.div a.(row).(col) a.(col).(col) in
+      for c = col to n - 1 do
+        a.(row).(c) <- Cplx.sub a.(row).(c) (Cplx.mul f a.(col).(c))
+      done;
+      b.(row) <- Cplx.sub b.(row) (Cplx.mul f b.(col))
+    done
+  done;
+  let x = Array.make n Cplx.zero in
+  for row = n - 1 downto 0 do
+    let acc = ref b.(row) in
+    for c = row + 1 to n - 1 do
+      acc := Cplx.sub !acc (Cplx.mul a.(row).(c) x.(c))
+    done;
+    x.(row) <- Cplx.div !acc a.(row).(row)
+  done;
+  x
+
+(* D(p) on (s, spin), row and column index s·4 + spin *)
+let free_mobius_matrix (p : Mobius.params) mom =
+  let cos_sum = Array.fold_left (fun acc pm -> acc +. cos pm) 0. mom in
+  let dw =
+    Array.init 4 (fun a ->
+        Array.init 4 (fun b ->
+            let diag = if a = b then 4. -. p.m5 -. cos_sum else 0. in
+            let acc = ref (Cplx.make diag 0.) in
+            for mu = 0 to 3 do
+              acc :=
+                Cplx.add !acc
+                  (Cplx.mul (Cplx.make 0. (sin mom.(mu))) (Dirac.Gamma.matrix mu).(a).(b))
+            done;
+            !acc))
+  in
+  (* c·D_W + d *)
+  let lin c d =
+    Array.init 4 (fun a ->
+        Array.init 4 (fun b ->
+            Cplx.add (Cplx.scale c dw.(a).(b)) (Cplx.make (if a = b then d else 0.) 0.)))
+  in
+  let l5 = p.l5 in
+  let m = Array.make_matrix (4 * l5) (4 * l5) Cplx.zero in
+  let add_block s s' blk scale spins =
+    for a = 0 to 3 do
+      Array.iter
+        (fun b ->
+          m.((s * 4) + a).((s' * 4) + b) <-
+            Cplx.add m.((s * 4) + a).((s' * 4) + b) (Cplx.scale scale blk.(a).(b)))
+        spins
+    done
+  in
+  let hop = lin p.c5 (-1.) in
+  for s = 0 to l5 - 1 do
+    add_block s s (lin p.b5 1.) 1. [| 0; 1; 2; 3 |];
+    (if s = l5 - 1 then add_block s 0 hop (-.p.mass) Dirac.Gamma.chirality_minus_spins
+     else add_block s (s + 1) hop 1. Dirac.Gamma.chirality_minus_spins);
+    if s = 0 then add_block s (l5 - 1) hop (-.p.mass) Dirac.Gamma.chirality_plus_spins
+    else add_block s (s - 1) hop 1. Dirac.Gamma.chirality_plus_spins
+  done;
+  m
+
+let test_free_mobius_momentum_space () =
+  let dims = [| 4; 4; 2; 4 |] in
+  let geom = Geometry.create dims in
+  let vol = Geometry.volume geom in
+  let p = Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1 in
+  let k = [| 1; 3; 1; 1 |] in
+  let r = rng () in
+  (* chi, and the expected solution, indexed s·12 + spin·3 + color *)
+  let chi =
+    Array.init (p.l5 * 12) (fun _ ->
+        let re = Util.Rng.gaussian r in
+        Cplx.make re (Util.Rng.gaussian r))
+  in
+  List.iter
+    (fun antiperiodic ->
+      let gauge = Gauge.unit geom in
+      let gauge = if antiperiodic then Gauge.with_antiperiodic_time gauge else gauge in
+      (* antiperiodic time shifts p_t by pi/T *)
+      let mom =
+        Array.init 4 (fun mu ->
+            let half = if mu = 3 && antiperiodic then 0.5 else 0. in
+            2. *. Float.pi *. (float_of_int k.(mu) +. half) /. float_of_int dims.(mu))
+      in
+      let plane (y : Cplx.t array) =
+        let v = Field.create (p.l5 * vol * 24) in
+        Geometry.iter_sites geom (fun site ->
+            let c = Geometry.coords geom site in
+            let phase = ref 0. in
+            for mu = 0 to 3 do
+              phase := !phase +. (mom.(mu) *. float_of_int c.(mu))
+            done;
+            let e = Cplx.exp_i !phase in
+            for s = 0 to p.l5 - 1 do
+              for comp = 0 to 11 do
+                let z = Cplx.mul e y.((s * 12) + comp) in
+                let o = (((s * vol) + site) * 24) + (comp * 2) in
+                v.{o} <- z.Cplx.re;
+                v.{o + 1} <- z.Cplx.im
+              done
+            done);
+        v
+      in
+      let x, _ = Dwf.solve (Dwf.create p geom gauge) ~tol:1e-12 ~rhs:(plane chi) in
+      let dp = free_mobius_matrix p mom in
+      let want = Array.make (p.l5 * 12) Cplx.zero in
+      for color = 0 to 2 do
+        (* row s·4 + spin of D(p) is entry (s·4 + spin)·3 + color *)
+        let y = gauss_solve dp (Array.init (4 * p.l5) (fun i -> chi.((i * 3) + color))) in
+        Array.iteri (fun i z -> want.((i * 3) + color) <- z) y
+      done;
+      let d = Field.max_abs_diff x (plane want) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s time: D x = b vs D(p)^-1 chi (max diff %g)"
+           (if antiperiodic then "antiperiodic" else "periodic")
+           d)
+        true (d < 1e-12))
+    [ false; true ]
+
 let test_dwf_linearity () =
   let t = dwf_setup () in
   let r = rng () in
@@ -598,6 +792,8 @@ let suite =
   [
     Alcotest.test_case "cg solves SPD" `Quick test_cg_solves_spd;
     Alcotest.test_case "cg zero rhs" `Quick test_cg_zero_rhs;
+    Alcotest.test_case "non-finite rhs rejected" `Quick
+      test_non_finite_rhs_rejected;
     Alcotest.test_case "solver seconds never negative" `Quick
       test_solver_seconds_non_negative;
     Alcotest.test_case "cg warm start" `Quick test_cg_initial_guess;
@@ -629,4 +825,6 @@ let suite =
     Alcotest.test_case "dwf mixed precision" `Quick test_dwf_mixed_precision_solve;
     Alcotest.test_case "dwf eo conditioning" `Quick test_dwf_eo_iterations_beat_full;
     Alcotest.test_case "dwf linearity" `Slow test_dwf_linearity;
+    Alcotest.test_case "free Mobius = momentum space" `Quick
+      test_free_mobius_momentum_space;
   ]

@@ -175,6 +175,24 @@ let test_dd_solve_trivial_grid () =
   Alcotest.(check bool) "M x = b" true
     (sqrt (Field.norm2 diff /. Field.norm2 b) < 1e-7)
 
+(* A NaN or +Inf in b raises at entry instead of returning x = 0
+   after 0 iterations *)
+let test_dd_solve_rejects_non_finite () =
+  let geom = Geometry.create [| 2; 2; 2; 4 |] in
+  let gauge = Gauge.warm geom (rng ()) ~eps:0.3 in
+  let dd = Dd.create (Domain.create geom [| 2; 1; 1; 1 |]) gauge in
+  let solver = Vrank.Dd_solve.create dd ~mass:0.5 in
+  List.iter
+    (fun v ->
+      let b = Field.create (Geometry.volume geom * 24) in
+      Field.gaussian (rng ()) b;
+      b.{5} <- v;
+      Alcotest.check_raises
+        (Printf.sprintf "%g in b" v)
+        (Invalid_argument "Dd_solve.solve_normal: non-finite b")
+        (fun () -> ignore (Vrank.Dd_solve.solve_normal solver ~b_global:b)))
+    [ Float.nan; Float.infinity ]
+
 let test_comm_stats_accumulate () =
   let geom = Geometry.create [| 4; 4; 2; 2 |] in
   let dom = Domain.create geom [| 2; 1; 1; 1 |] in
@@ -334,6 +352,8 @@ let suite =
     Alcotest.test_case "dd full operator" `Quick test_dd_full_wilson_apply;
     Alcotest.test_case "dd CG = single-domain" `Quick test_dd_solve_matches_single_domain;
     Alcotest.test_case "dd CG trivial grid" `Quick test_dd_solve_trivial_grid;
+    Alcotest.test_case "dd CG rejects non-finite b" `Quick
+      test_dd_solve_rejects_non_finite;
     Alcotest.test_case "stats accumulate" `Quick test_comm_stats_accumulate;
     Alcotest.test_case "partial vs full exchanges" `Quick
       test_partial_exchange_counted_separately;
