@@ -24,9 +24,7 @@ module Fixtures = Fixtures
 (* ---- pass aliases ---- *)
 
 let campaign = Dag_check.verify
-let halo_schedule = Halo_check.verify_schedule
 let halo_audit = Halo_check.audit
-let field_finite = Numeric_check.check_finite
 let half_blocks = Numeric_check.half_blocks
 let probe_mixed_solve = Numeric_check.probe_mixed_solve
 let workflow_spec = Spec_check.workflow_spec

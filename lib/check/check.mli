@@ -17,14 +17,7 @@ module Plan_check : module type of Plan_check
 module Fixtures : module type of Fixtures
 
 val campaign : ?n_nodes:int -> Jobman.Pipeline.task list -> Diagnostic.t list
-val halo_schedule :
-  ?transport:Machine.Transport.t ->
-  ?policy:Machine.Policy.t ->
-  Lattice.Domain.t ->
-  Halo_check.op list ->
-  Diagnostic.t list
 val halo_audit : Vrank.Comm.t -> Diagnostic.t list
-val field_finite : what:string -> Linalg.Field.t -> Diagnostic.t list
 val half_blocks : block:int -> Linalg.Field.t -> Diagnostic.t list
 
 val probe_mixed_solve :

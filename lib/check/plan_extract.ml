@@ -512,8 +512,9 @@ let cg_tail_multi ?(n = 1 lsl 16) ?geometry ~fused () =
 
 (* ---- Deflated CG entry (Cg.solve ?deflate) ---- *)
 
-(* The once-per-solve deflation prologue Deflate.augment + the exact
-   residual refresh that follows it in Cg.solve: rank Galerkin
+(* The once-per-solve deflation prologue Deflate.augment_multi (one
+   row per right-hand side; the row of Cg.solve's batch of one is
+   shown) + the exact residual refresh that follows it: rank Galerkin
    coefficients v_i·r through the canonical blocked reduction, one
    Multi_blas.block_axpy launch folding all rank corrections into x in
    index order, then the stencil apply and the b − Ax subtraction that

@@ -97,7 +97,8 @@ val cg_tail_multi :
 
 val cg_deflate : ?n:int -> ?rank:int -> ?geometry:int * int -> unit -> Plan_ir.plan
 (** The once-per-solve deflation prologue of [Solver.Cg.solve ?deflate]
-    ([Solver.Deflate.augment] plus the exact residual refresh): [rank]
+    (the one row of [Solver.Deflate.augment_multi] on its batch of one,
+    plus the exact residual refresh): [rank]
     (default 4) Galerkin coefficient dots through the canonical blocked
     reduction, one [Linalg.Multi_blas.block_axpy] launch folding the
     corrections into [x], then the stencil apply and [b − Ax]

@@ -65,8 +65,6 @@ let cg_blas1_fused_per_5d_site = cg_blas1_per_5d_site + (2 * 24)
 let cg_blas1_bytes_per_5d_site ~fused =
   (if fused then 9 else 12) * 24 * 8
 
-let cg_iteration_per_5d_site = schur_normal_per_5d_site + cg_blas1_per_5d_site
-
 (* ---- Paper conventions ---- *)
 
 (* "between 10,000-12,000 floating point operations per

@@ -24,8 +24,6 @@ val cg_blas1_bytes_per_5d_site : fused:bool -> int
     the stencil tail ([Dirac.Wilson.hop_tail]), so they are priced
     with the stencil traffic. *)
 
-val cg_iteration_per_5d_site : int
-
 val paper_stencil_per_5d_site : float
 (** "10,000–12,000 flops per five-dimensional lattice point". *)
 

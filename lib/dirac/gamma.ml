@@ -78,8 +78,6 @@ let chirality_minus_spins =
 
 let floats_per_site = 24
 
-let spinor_offset ~site = site * floats_per_site
-
 (* dst_site <- gamma_mu src_site (distinct fields or distinct sites). *)
 let apply_site a (src : Linalg.Field.t) src_base (dst : Linalg.Field.t) dst_base =
   for s = 0 to 3 do

@@ -21,8 +21,6 @@ val chirality_minus_spins : int array
 val floats_per_site : int
 (** 24 = 4 spins × 3 colors × 2. *)
 
-val spinor_offset : site:int -> int
-
 val apply_site :
   action -> Linalg.Field.t -> int -> Linalg.Field.t -> int -> unit
 (** [apply_site g src src_base dst dst_base] applies the 4×4 spin matrix

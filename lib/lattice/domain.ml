@@ -33,7 +33,6 @@ type t = {
   n_ranks : int;
   ranks : rank_geometry array;
   rank_of_site : int array;  (* global site -> owning rank *)
-  local_of_site : int array;  (* global site -> local index on owner *)
 }
 
 let n_dim = Geometry.n_dim
@@ -100,7 +99,6 @@ let create global grid =
   let local_dims = Array.init n_dim (fun mu -> gdims.(mu) / grid.(mu)) in
   let local_volume = Array.fold_left ( * ) 1 local_dims in
   let rank_of_site = Array.make (Geometry.volume global) 0 in
-  let local_of_site = Array.make (Geometry.volume global) 0 in
   let make_rank rank =
     let coords = grid_coords_of_rank grid rank in
     let global_offset = Array.init n_dim (fun mu -> coords.(mu) * local_dims.(mu)) in
@@ -121,8 +119,7 @@ let create global grid =
       let gc = Array.init n_dim (fun mu -> global_offset.(mu) + c.(mu)) in
       let gsite = Geometry.site global gc in
       local_to_global.(s) <- gsite;
-      rank_of_site.(gsite) <- rank;
-      local_of_site.(gsite) <- s
+      rank_of_site.(gsite) <- rank
     done;
     (* Face position of a boundary site: index within the face slice. *)
     let face_pos mu s =
@@ -221,14 +218,13 @@ let create global grid =
     }
   in
   let ranks = Array.init n_ranks make_rank in
-  { global; grid; n_ranks; ranks; rank_of_site; local_of_site }
+  { global; grid; n_ranks; ranks; rank_of_site }
 
 let global t = t.global
 let grid t = t.grid
 let n_ranks t = t.n_ranks
 let rank_geometry t r = t.ranks.(r)
 let owner t gsite = t.rank_of_site.(gsite)
-let local_index t gsite = t.local_of_site.(gsite)
 
 let fwd rg s mu = Array.unsafe_get rg.fwd ((s * n_dim) + mu)
 let bwd rg s mu = Array.unsafe_get rg.bwd ((s * n_dim) + mu)

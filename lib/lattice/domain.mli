@@ -39,9 +39,6 @@ val rank_geometry : t -> int -> rank_geometry
 val owner : t -> int -> int
 (** Owning rank of a global site. *)
 
-val local_index : t -> int -> int
-(** Local index of a global site on its owner. *)
-
 val fwd : rank_geometry -> int -> int -> int
 (** [fwd rg s mu] — extended index (local or ghost) of the forward hop. *)
 

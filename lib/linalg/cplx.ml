@@ -33,4 +33,3 @@ let inv a = div one a
 let exp_i theta = { re = cos theta; im = sin theta }
 let equal ?(eps = 1e-12) a b = abs (sub a b) <= eps
 let pp ppf a = Format.fprintf ppf "(%g%+gi)" a.re a.im
-let to_string a = Format.asprintf "%a" pp a

@@ -23,4 +23,3 @@ val exp_i : float -> t
 
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

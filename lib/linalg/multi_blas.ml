@@ -16,7 +16,7 @@
      batch merely interleaving the block passes across RHS — so result
      i is the independent fused call by construction, serial or
      pooled, for any pool geometry. That is the invariant
-     [Cg.solve_multi] leans on for per-RHS trajectory identity.
+     [Cg]'s one recurrence leans on for per-RHS trajectory identity.
 
    Aliasing contract: like [Fused] but across the whole set — an
    output vector sharing storage with any input of a different role,

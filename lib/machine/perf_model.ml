@@ -21,7 +21,6 @@ type problem = { dims : int array; l5 : int }
 
 let problem ~dims ~l5 = { dims; l5 }
 let sites_4d p = Array.fold_left ( * ) 1 p.dims
-let sites_5d p = sites_4d p * p.l5
 
 (* The paper's conventional units. *)
 let flops_per_site = Dirac.Flops.paper_stencil_per_5d_site
@@ -156,19 +155,6 @@ let blas1_bytes_per_site_sweep = 48.
    columns. *)
 let blas1_sweeps ~fused = if fused then 2. else 5.
 
-(* What the host actually executes — since the stencil tail fusion
-   (Dirac.Wilson.hop_tail / Mobius.apply_schur_normal_tail, threaded
-   through Solver.Cg's apply_dot) this matches blas1_sweeps: the fused
-   p.Ap is computed inside the stencil's closing sweep, bit-identical
-   to the standalone dot_re. The function survives as the host-side
-   cross-check Check.Plan_check's PLAN005 pass keeps honest: any drift
-   between an extracted plan's sweep total and blas1_sweeps is now an
-   error, not a whitelisted gap. (An operator that cannot carry the
-   tail — Mixed's inner half-precision loop, a bare closure without
-   apply_dot — falls back to a separate monitor dot at 3 sweeps; those
-   plans are not model-priced.) *)
-let blas1_host_sweeps ~fused = if fused then 2. else 5.
-
 (* ---- multi-RHS stencil traffic ----
    One double-precision Wilson hop moves, per site: the 8 neighbour
    gauge links (8 x 18 reals) and the spinor stream (8 projected
@@ -244,20 +230,6 @@ let deflation_setup_flops ~rank ~basis ~restarts ~n ~flops_per_apply =
   (applies *. flops_per_apply)
   +. (applies *. 8. *. nf *. float_of_int basis)
   +. (float_of_int (restarts + 1) *. float_of_int (basis * basis) *. 2. *. nf)
-
-(* Setup bytes of the BLAS-1 side, double precision: each dot or axpy
-   streams two vectors (16 bytes per float pair element); the CGS2
-   passes run 4 such sweeps per (slot, basis vector) and the
-   projection 1 per (basis, basis) pair per cycle. The stencil traffic
-   of the applies is the operator's own business (link/spinor bytes
-   above), exactly as the blas1/stencil split everywhere else. *)
-let deflation_setup_bytes ~rank ~basis ~restarts ~n =
-  let applies =
-    float_of_int (deflation_setup_applies ~rank ~basis ~restarts)
-  in
-  let sweep = 16. *. float_of_int n in
-  (applies *. 4. *. float_of_int basis *. sweep)
-  +. (float_of_int (restarts + 1) *. float_of_int (basis * basis) *. sweep)
 
 (* Per-application cost of the deflated guess itself: rank dots (2n
    each) plus the single rank-wide Multi_blas.block_axpy combination

@@ -8,7 +8,6 @@ type problem = { dims : int array; l5 : int }
 
 val problem : dims:int array -> l5:int -> problem
 val sites_4d : problem -> int
-val sites_5d : problem -> int
 
 val flops_per_site : float
 val bytes_per_site : float
@@ -57,15 +56,6 @@ val blas1_sweeps : fused:bool -> float
     (cg_update + xpay_dot; the model assumes the p·Ap reduction rides
     the stencil tail as in QUDA, so its sweep is accounted to the
     stencil in both columns). *)
-
-val blas1_host_sweeps : fused:bool -> float
-(** What the host implementation actually executes: 5 unfused, 2
-    fused — equal to {!blas1_sweeps} since the stencil-tail fusion
-    ([Dirac.Wilson.hop_tail], [Solver.Cg]'s [apply_dot]) moved the
-    p·Ap reduction into the stencil's closing sweep. Kept as the
-    host-side cross-check behind [Check.Plan_check]'s PLAN005 pass,
-    which now errors on any nonzero gap between an extracted plan and
-    {!blas1_sweeps}. *)
 
 val link_bytes_per_site : float
 (** Gauge-link bytes one double-precision Wilson hop reads per site:
@@ -125,13 +115,6 @@ val deflation_setup_flops :
     + applies·8n·basis (two CGS reorthogonalization passes of
     dot + axpy per filled slot) + (restarts+1)·basis²·2n (the
     Rayleigh–Ritz projection dots per cycle). *)
-
-val deflation_setup_bytes :
-  rank:int -> basis:int -> restarts:int -> n:int -> float
-(** Double-precision BLAS-1 bytes of the same build (two 8-byte
-    vectors streamed per dot/axpy sweep); the applies' stencil
-    traffic is priced by the link/spinor figures above, exactly the
-    blas1/stencil split used everywhere else. *)
 
 val deflation_guess_flops : rank:int -> n:int -> float
 (** Per-solve cost of the deflated guess: rank dots + one rank-wide

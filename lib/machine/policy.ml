@@ -15,7 +15,6 @@ type granularity = Coarse | Fine
 
 type t = { transfer : transfer; granularity : granularity }
 
-let all_transfers = [ Staged_mpi; Zero_copy; Gdr ]
 let all_granularities = [ Coarse; Fine ]
 
 (* Ordered best-path-first so that performance ties resolve toward the

@@ -5,7 +5,6 @@ type transfer = Staged_mpi | Zero_copy | Gdr
 type granularity = Coarse | Fine
 type t = { transfer : transfer; granularity : granularity }
 
-val all_transfers : transfer list
 val all_granularities : granularity list
 
 val all : t list

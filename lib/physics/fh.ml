@@ -92,16 +92,3 @@ let sequential_propagator ?precision ?tol (solver : Solver.Dwf_solve.t) ~tau
       let rhs = Source.to_5d ~l5 geom restricted in
       let x5, st = Solver.Dwf_solve.solve ?precision ?tol solver ~rhs in
       (Source.to_4d ~l5 geom x5, st))
-
-(* Traditional three-point correlator at fixed insertion time [tau]:
-   returns C3(tau, t) for all sink times t (read off at t = t_sep).
-   Needs one sequential_propagator per tau. *)
-let traditional_3pt ~(up : Propagator.t) ~(down : Propagator.t)
-    ~(seq_up : Propagator.t) ~(seq_down : Propagator.t) : float array =
-  fh_proton_correlator ~up ~down ~fh_up:seq_up ~fh_down:seq_down
-
-(* The traditional ratio g_eff(tau; t_sep) = C3(tau, t_sep) / C2(t_sep)
-   given the per-tau three-point functions. *)
-let traditional_ratio ~(c2 : float array) ~(c3 : (int * float array) list)
-    ~t_sep =
-  List.map (fun (tau, c3tau) -> (tau, c3tau.(t_sep) /. c2.(t_sep))) c3

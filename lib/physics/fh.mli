@@ -41,15 +41,3 @@ val sequential_propagator :
     traditional cost FH eliminates. By linearity Σ_τ ψ_τ = ψ_FH
     (checked exactly by the test suite). The result's [stats] are
     these solves'. *)
-
-val traditional_3pt :
-  up:Propagator.t ->
-  down:Propagator.t ->
-  seq_up:Propagator.t ->
-  seq_down:Propagator.t ->
-  float array
-(** C3(τ, t) for all sink times t, given the τ-restricted legs. *)
-
-val traditional_ratio :
-  c2:float array -> c3:(int * float array) list -> t_sep:int -> (int * float) list
-(** g_eff(τ; t_sep) = C3(τ, t_sep)/C2(t_sep). *)

@@ -83,9 +83,6 @@ let total_flops t =
 let total_iterations t =
   List.fold_left (fun acc st -> acc + st.Solver.Cg.iterations) 0 t.stats
 
-let total_seconds t =
-  List.fold_left (fun acc st -> acc +. st.Solver.Cg.seconds) 0. t.stats
-
 (* Build a derived propagator from one solve per column (e.g. a
    Feynman-Hellmann solve): [f] returns the new column and its solve's
    stats, which replace the input's. Midpoint data does not

@@ -38,7 +38,6 @@ val get :
 
 val total_flops : t -> float
 val total_iterations : t -> int
-val total_seconds : t -> float
 
 val map : t -> (Linalg.Field.t -> Linalg.Field.t * Solver.Cg.stats) -> t
 (** Column-wise derived propagator, one solve per column (e.g. an FH

@@ -10,7 +10,6 @@
 module Field = Linalg.Field
 module Cplx = Linalg.Cplx
 
-let cadd (ar, ai) (br, bi) = (ar +. br, ai +. bi)
 let cmul (ar, ai) (br, bi) = ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))
 
 let cdiv (ar, ai) (br, bi) =
@@ -165,5 +164,3 @@ let solve ?(x0 : Field.t option) ?(fused = false) ?trace ~apply ~(b : Field.t)
         ~rel:(sqrt (Field.norm2 r /. b2))
         ~true_rel ~flops ~t_start )
   end
-
-let _ = cadd

@@ -1,7 +1,9 @@
 (** Conjugate gradient on the normal equations — the paper's solver
     family. The operator is a closure: the same CG drives the Wilson
     normal operator, the full Möbius normal operator and the red-black
-    Schur normal operator. *)
+    Schur normal operator. One recurrence serves both entries:
+    [solve_multi] advances k right-hand sides in lockstep, and [solve]
+    is its batch of one. *)
 
 type stats = {
   iterations : int;
@@ -12,8 +14,6 @@ type stats = {
   seconds : float;
   reliable_updates : int;  (** mixed-precision solves only *)
 }
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val blas1_flops : ?fused:bool -> int -> float
 (** BLAS-1 flops of one CG iteration on vectors of [n] floats: 10n
@@ -29,16 +29,20 @@ val tail_kernels : fused:bool -> (string * int) list
     (2 sweeps) — the p·Ap reduction rides the stencil's closing sweep
     via [apply_dot], so the fused column matches
     [Machine.Perf_model.blas1_sweeps] exactly and
-    [Check.Plan_check]'s PLAN005 pass errors on any drift. *)
+    [Check.Plan_check]'s PLAN005 pass errors on any drift. [solve]
+    runs the fused tail as a batch of one through [Linalg.Multi_blas],
+    whose slot is the named per-vector [Linalg.Fused] kernel by
+    construction. *)
 
 val multi_tail_kernels : fused:bool -> (string * int) list
 (** The per-iteration BLAS-1 tail of the batched solver as (kernel,
-    full-vector sweeps) rows in launch order, the multi-RHS analogue
-    of [tail_kernels] — the ground truth behind
-    [Check.Plan_extract.cg_tail_multi]. The batched operator has no
-    tail, so both modes lead with a [dot_re] per RHS for p·Ap: unfused
-    the scalar kernels follow (5 sweeps per vector), fused the two
-    [Linalg.Multi_blas] batch kernels (3 sweeps, unpriced). *)
+    full-vector sweeps) rows in launch order, derived from
+    [tail_kernels] — the ground truth behind
+    [Check.Plan_extract.cg_tail_multi]. Unfused, the same five rows.
+    Fused, each row's [multi_] batch kernel from [Linalg.Multi_blas],
+    whose slot i is that per-vector kernel, led by a [dot_re] per RHS
+    for p·Ap because the batched operator has no tail (3 sweeps,
+    unpriced). *)
 
 val solve :
   ?x0:Linalg.Field.t ->
@@ -54,8 +58,11 @@ val solve :
   unit ->
   Linalg.Field.t * stats
 (** [solve ~apply ~b ~tol ~max_iter ~flops_per_apply ()] solves A x = b
-    for a hermitian positive-definite [apply]. Convergence criterion:
-    |r| ≤ tol·|b|. The true residual is recomputed at the end.
+    for a hermitian positive-definite [apply]: [solve_multi]'s
+    recurrence on a batch of one. Convergence criterion: |r| ≤ tol·|b|.
+    The true residual is recomputed at the end. A non-positive p·Ap
+    (an operator not positive along p) ends the solve with
+    [converged = false], reporting the iterations and flops it ran.
 
     [fused] (default [false]) runs the BLAS-1 tail through the
     single-pass [Linalg.Fused] kernels; the iterate, residual
@@ -79,8 +86,7 @@ val solve :
     [deflate] folds the low-mode correction Σᵢ vᵢ(vᵢ·r₀)/λᵢ of the
     entry residual into the initial guess (one extra apply recomputes
     r exactly), cutting the iteration count on small-eigenvalue
-    configurations; the CG recurrence itself is unchanged, and the
-    [deflate]-absent path is bit-identical to before.
+    configurations; the CG recurrence itself is unchanged.
     @raise Invalid_argument on a non-finite |b|² or starting |r|². *)
 
 val solve_multi :
@@ -102,12 +108,13 @@ val solve_multi :
     once for the whole surviving batch. Per-RHS convergence masking:
     a system that converges (or exhausts [max_iter], or hits a
     non-positive p·Ap breakdown) leaves the active set and stops
-    contributing updates, while each surviving trajectory — iterate,
-    residual sequence, iteration count, flop count — stays
-    bit-identical to the independent [solve] of that RHS, because the
-    per-RHS float operations (reductions through the canonical
-    blocked association, updates in the scalar kernels' element
-    order) are exactly [solve]'s whether batch-mates remain or not.
+    contributing updates, its stats counting the iterations it ran,
+    while each surviving trajectory — iterate, residual sequence,
+    iteration count, flop count — stays bit-identical to the
+    independent [solve] of that RHS, because the per-RHS float
+    operations (reductions through the canonical blocked association,
+    updates in the scalar kernels' element order) are exactly
+    [solve]'s whether batch-mates remain or not.
 
     [fused] routes the tail through [Linalg.Multi_blas] (per-RHS
     bit-identical to the [Linalg.Fused] path, hence to the unfused

@@ -40,10 +40,11 @@ let power_max ?(tol = 1e-6) ?(max_iter = 500) ~apply ~n ~rng () =
   (!lambda, !iters)
 
 (* Smallest eigenvalue by inverse power iteration; each step solves
-   A w = v with CG. [x0] warm-starts the iteration vector (e.g. the
-   previous gauge configuration's lowest mode, for deflation setup
-   reuse); absent, the start is the same gaussian draw as always —
-   the default path is bit-identical to before. *)
+   A w = v with CG, and an inner solve that does not converge raises:
+   it gives no estimate of the eigenvalue. [x0] warm-starts the
+   iteration vector (e.g. the previous gauge configuration's lowest
+   mode, for deflation setup reuse); absent, the start is a gaussian
+   draw from [rng]. *)
 let power_min ?(tol = 1e-6) ?(max_iter = 50) ?(cg_tol = 1e-8) ?x0 ~apply ~n
     ~rng () =
   let v = Field.create n in
@@ -62,17 +63,18 @@ let power_min ?(tol = 1e-6) ?(max_iter = 50) ?(cg_tol = 1e-8) ?x0 ~apply ~n
     let w, st =
       Cg.solve ~apply ~b:v ~tol:cg_tol ~max_iter:20_000 ~flops_per_apply:1. ()
     in
-    if not st.Cg.converged then converged := true
-    else begin
-      let nrm = Field.norm w in
-      Field.blit w v;
-      Field.scale (1. /. nrm) v;
-      apply v av;
-      let l = Field.dot_re v av in
-      if abs_float (l -. !lambda) <= tol *. Float.max 1e-30 (abs_float l) then
-        converged := true;
-      lambda := l
-    end
+    if not st.Cg.converged then
+      invalid_arg
+        (Printf.sprintf "Eigen.power_min: inner CG did not converge at step %d"
+           !iters);
+    let nrm = Field.norm w in
+    Field.blit w v;
+    Field.scale (1. /. nrm) v;
+    apply v av;
+    let l = Field.dot_re v av in
+    if abs_float (l -. !lambda) <= tol *. Float.max 1e-30 (abs_float l) then
+      converged := true;
+    lambda := l
   done;
   (!lambda, !iters)
 

@@ -34,7 +34,10 @@ val power_min :
     warm-starts the iteration vector (normalized copy) — e.g. the
     previous configuration's lowest mode when rebuilding a deflation
     space across a stream of configs; absent, the gaussian start is
-    bit-identical to before. *)
+    bit-identical to before.
+    @raise Invalid_argument naming the step when an inner CG solve
+    does not converge — an operator CG cannot invert (singular or
+    indefinite) has no estimate here. *)
 
 val condition_number :
   ?rng:Util.Rng.t ->
@@ -42,6 +45,8 @@ val condition_number :
   n:int ->
   unit ->
   estimate
+(** λ_max by {!power_max}, λ_min by {!power_min}, κ = λ_max/λ_min.
+    @raise Invalid_argument as {!power_min} does. *)
 
 val cg_iteration_bound : condition_number:float -> tol:float -> float
 (** Classical bound: ~(1/2)·sqrt(κ)·ln(2/tol) iterations. *)

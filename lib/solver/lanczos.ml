@@ -27,11 +27,6 @@ type stats = {
   converged : bool;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "applies=%d restarts=%d conv=%b max_res=%.2e" s.applies
-    s.restarts s.converged
-    (Array.fold_left Float.max 0. s.residuals)
-
 (* ---- dense symmetric eigensolver (cyclic Jacobi) ----
    Deterministic: fixed sweep order, fixed rotation formulas, fixed
    ascending sort with index tie-break. Plenty for the m ≤ a few dozen

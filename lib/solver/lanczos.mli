@@ -13,8 +13,6 @@ type stats = {
   converged : bool;
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 val sym_eig : float array array -> float array * float array array
 (** Dense symmetric eigensolver (deterministic cyclic Jacobi):
     [(vals, vecs)] with eigenvalues ascending and [vecs.(k)] the

@@ -172,21 +172,6 @@ let scatter t (global : Field.t) (fields : Field.t array) =
       mark_written t r)
     fields
 
-let gather t (fields : Field.t array) : Field.t =
-  let global = Field.create (Lattice.Geometry.volume (Domain.global t.dom) * t.dof) in
-  Array.iteri
-    (fun r (local : Field.t) ->
-      let rg = Domain.rank_geometry t.dom r in
-      for s = 0 to rg.Domain.local_volume - 1 do
-        let g = rg.Domain.local_to_global.(s) in
-        for d = 0 to t.dof - 1 do
-          Bigarray.Array1.unsafe_set global ((g * t.dof) + d)
-            (Bigarray.Array1.unsafe_get local ((s * t.dof) + d))
-        done
-      done)
-    fields;
-  global
-
 (* ---- nonblocking per-face protocol ---- *)
 
 (* One in-flight message. Under Staged/Double_buffered the payload was

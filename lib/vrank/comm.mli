@@ -63,8 +63,6 @@ val create_fields : t -> Linalg.Field.t array
 val scatter : t -> Linalg.Field.t -> Linalg.Field.t array -> unit
 (** Global field → per-rank local portions (ghosts left stale). *)
 
-val gather : t -> Linalg.Field.t array -> Linalg.Field.t
-
 (** {2 Nonblocking per-face protocol}
 
     [post] records each listed face of every rank as in flight —

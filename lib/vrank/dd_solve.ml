@@ -171,6 +171,8 @@ let solve_normal ?(tol = 1e-10) ?(max_iter = 5000) t ~(b_global : Field.t) =
     r2 := r2';
     xpay t r beta p
   done;
+  (* a zero M^dag b never enters the loop (r2 = b2 = 0): x = 0 solves
+     it exactly, so its residual is 0, not 0/0 *)
   let x_global = Domain.gather_field t.dom ~dof:fps x in
   (* full-halo exchanges only: the count that is comparable with
      [Comm.halo_bytes_per_rank]-based byte estimates (partial-face
@@ -180,7 +182,7 @@ let solve_normal ?(tol = 1e-10) ?(max_iter = 5000) t ~(b_global : Field.t) =
     {
       Solver.Cg.iterations = !iters;
       converged = !r2 <= target;
-      relative_residual = sqrt (!r2 /. b2);
+      relative_residual = (if b2 = 0. then 0. else sqrt (!r2 /. b2));
       true_relative_residual = None;
       flops = 0.;
       seconds = Util.Clock.now_s () -. t_start;

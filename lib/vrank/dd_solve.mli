@@ -31,5 +31,6 @@ val solve_normal :
 (** Solve M†M x = M†b with b given in global layout; returns the
     gathered global solution plus communication counts. [`Exchanges]
     counts full-halo exchanges only, so it is comparable with
-    [Comm.halo_bytes_per_rank] estimates.
+    [Comm.halo_bytes_per_rank] estimates. A zero M†b returns x = 0
+    after 0 iterations, converged, with relative residual 0.
     @raise Invalid_argument on a non-finite |M†b|². *)

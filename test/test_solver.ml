@@ -73,7 +73,76 @@ let test_cg_zero_rhs () =
   let x, stats = Cg.solve ~apply ~b ~tol:1e-10 ~max_iter:10 ~flops_per_apply:1. () in
   Alcotest.(check bool) "converged" true stats.Cg.converged;
   Alcotest.(check int) "0 iterations" 0 stats.Cg.iterations;
-  Alcotest.(check (float 0.)) "x = 0" 0. (Field.norm2 x)
+  Alcotest.(check (float 0.)) "x = 0" 0. (Field.norm2 x);
+  (* the distributed CG, 4^4 over two ranks: residual 0, not 0/0 *)
+  let geom = Geometry.create [| 4; 4; 4; 4 |] in
+  let dom = Lattice.Domain.create geom [| 2; 1; 1; 1 |] in
+  let dd = Vrank.Dd_solve.create (Vrank.Dd_wilson.create dom (Gauge.unit geom)) ~mass:0.1 in
+  let x, st, _, _ =
+    Vrank.Dd_solve.solve_normal dd ~b_global:(Field.create (Geometry.volume geom * 24))
+  in
+  Alcotest.(check bool) "dd converged" true st.Cg.converged;
+  Alcotest.(check int) "dd 0 iterations" 0 st.Cg.iterations;
+  Alcotest.(check (float 0.)) "dd relative residual" 0. st.Cg.relative_residual;
+  Alcotest.(check (float 0.)) "dd x = 0" 0. (Field.norm2 x)
+
+(* A non-positive p·Ap retires its right-hand side unconverged with
+   the iterations it ran. On diag(-1, +1, -1, ...) with b = 1, p·Ap = 0
+   at the first iteration. In a batch, the batch-mate's solve does not
+   change. Fused and unfused, with and without [apply_dot], and with
+   every RHS of the batch breaking down in the same iteration. *)
+let test_cg_breakdown () =
+  let n = 48 in
+  let d i = if i mod 2 = 0 then -1. else 1. in
+  let apply (src : Field.t) (dst : Field.t) =
+    for i = 0 to n - 1 do
+      dst.{i} <- d i *. src.{i}
+    done
+  in
+  let apply_dot src dst =
+    apply src dst;
+    Field.dot_re src dst
+  in
+  let ones = Field.of_array (Array.make n 1.) in
+  let plus = Field.of_array (Array.init n (fun i -> Float.max 0. (d i))) in
+  let bits (st : Cg.stats) =
+    ( st.Cg.iterations,
+      st.Cg.converged,
+      List.map Int64.bits_of_float
+        (st.Cg.relative_residual :: st.Cg.flops
+        :: Option.to_list st.Cg.true_relative_residual) )
+  in
+  List.iter
+    (fun fused ->
+      let solve ?apply_dot b =
+        Cg.solve ~fused ?apply_dot ~apply ~b ~tol:1e-10 ~max_iter:1000
+          ~flops_per_apply:1. ()
+      in
+      let solve_multi bs =
+        Cg.solve_multi ~fused
+          ~apply:(fun srcs dsts -> Array.iteri (fun i s -> apply s dsts.(i)) srcs)
+          ~bs ~tol:1e-10 ~max_iter:1000 ~flops_per_apply:1. ()
+      in
+      let broke_down name (st : Cg.stats) =
+        let name = Printf.sprintf "%s (fused=%b)" name fused in
+        Alcotest.(check int) (name ^ ": 1 iteration") 1 st.Cg.iterations;
+        Alcotest.(check bool) (name ^ ": not converged") false st.Cg.converged;
+        Alcotest.(check (float 0.)) (name ^ ": 2 applies + 1 tail")
+          (2. +. Cg.blas1_flops ~fused n) st.Cg.flops
+      in
+      broke_down "solve" (snd (solve ones));
+      broke_down "solve ~apply_dot" (snd (solve ~apply_dot ones));
+      Array.iter (broke_down "solve_multi, whole batch") (snd (solve_multi [| ones; ones |]));
+      let xs, sts = solve_multi [| ones; plus |] in
+      broke_down "solve_multi" sts.(0);
+      let x, st = solve plus in
+      let name = Printf.sprintf "batch-mate (fused=%b)" fused in
+      Alcotest.(check bool) (name ^ " stats bitwise") true (bits sts.(1) = bits st);
+      Alcotest.(check bool) (name ^ " x bitwise") true
+        (List.for_all
+           (fun i -> Int64.bits_of_float xs.(1).{i} = Int64.bits_of_float x.{i})
+           (List.init n Fun.id)))
+    [ false; true ]
 
 (* A NaN or +Inf in b must not come back as a solution: every solver
    front end raises at entry, before the first iteration. At +Inf the
@@ -447,6 +516,25 @@ let test_eigen_known_matrix () =
   Alcotest.(check bool) "condition ~ 16" true
     (abs_float (est.Solver.Eigen.condition_number -. 16.) < 1.)
 
+(* An operator CG cannot invert has no λ_min estimate: the inner solve
+   of the first inverse-iteration step does not converge, so
+   condition_number raises instead of reporting κ = 0. *)
+let test_eigen_rejects_uninvertible () =
+  let n = 48 in
+  List.iter
+    (fun lambda0 ->
+      let diag = Array.init n (fun i -> if i = 0 then lambda0 else 1. +. float_of_int i) in
+      let apply (src : Field.t) (dst : Field.t) =
+        for i = 0 to n - 1 do
+          dst.{i} <- diag.(i) *. src.{i}
+        done
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "lambda_0 = %g" lambda0)
+        (Invalid_argument "Eigen.power_min: inner CG did not converge at step 1")
+        (fun () -> ignore (Solver.Eigen.condition_number ~apply ~n () : Solver.Eigen.estimate)))
+    [ -0.5; 0. ]
+
 let test_eigen_power_iterations () =
   (* power_max / power_min individually against a known diagonal
      spectrum, including the iteration counts being live *)
@@ -799,6 +887,7 @@ let suite =
     Alcotest.test_case "cg warm start" `Quick test_cg_initial_guess;
     Alcotest.test_case "cg max_iter" `Quick test_cg_max_iter_respected;
     Alcotest.test_case "cg flops accounting" `Quick test_cg_flops_accounting;
+    Alcotest.test_case "cg breakdown reports iterations run" `Quick test_cg_breakdown;
     Alcotest.test_case "mixed cg converges" `Quick test_mixed_cg_converges;
     Alcotest.test_case "mixed = double" `Quick test_mixed_matches_double;
     Alcotest.test_case "bicgstab SPD" `Quick test_bicgstab_spd;
@@ -814,6 +903,8 @@ let suite =
       test_forecast_colinear_history;
     Alcotest.test_case "eigen known spectrum" `Quick test_eigen_known_matrix;
     Alcotest.test_case "eigen power iterations" `Quick test_eigen_power_iterations;
+    Alcotest.test_case "eigen rejects uninvertible operator" `Quick
+      test_eigen_rejects_uninvertible;
     Alcotest.test_case "eigen power_min warm start" `Quick
       test_eigen_power_min_warm_start;
     QCheck_alcotest.to_alcotest prop_eigen_condition_random_spd;
