@@ -12,7 +12,7 @@
                                    a missed defect)
      neutron_check --rules         print the rule catalog
      neutron_check --list          list the seeded fixtures
-     neutron_check --plan NAME     extract a named solver/transport plan,
+     neutron_check --plan NAME     extract a named solver plan,
                                    pretty-print it and run the static
                                    analyzer (exit 1 on errors); NAME=list
                                    lists the catalog
@@ -35,7 +35,7 @@ let spec =
     ("--selftest", Arg.Unit (fun () -> mode := `Selftest), " verify every seeded fixture is detected");
     ("--rules", Arg.Unit (fun () -> mode := `Rules), " print the rule catalog");
     ("--list", Arg.Unit (fun () -> mode := `List), " list the seeded fixtures");
-    ("--plan", Arg.String (fun n -> mode := `Plan n), "NAME lint a named plan (NAME=list for the catalog)");
+    ("--plan", Arg.String (fun n -> mode := `Plan n), "NAME lint a named solver plan (NAME=list for the catalog)");
     ("--plan-dump", Arg.String (fun n -> mode := `Plan_dump n), "NAME print a plan's exact IR text");
     ("--quiet", Arg.Set quiet, " only print the summary and failures");
     ("--verbose", Arg.Set verbose, " also print info-level findings");
@@ -128,7 +128,7 @@ let run_plan name =
   if name = "list" then plan_catalog ();
   let p = find_plan name in
   if not !quiet then print_string (Check.Plan_ir.pretty p);
-  let ds = Check.solver_plan p in
+  let ds = Check.Plan_check.verify p in
   print_diags ds;
   (* Belt and braces on PLAN005: even if the diagnostic pass were ever
      softened, a model-priced plan whose sweep total disagrees with

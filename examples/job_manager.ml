@@ -24,7 +24,7 @@ let () =
   (* pre-flight: run the static campaign verifier before spending any
      (simulated) allocation — the same pass `neutron_check` runs *)
   let preflight =
-    Check.campaign ~n_nodes:64
+    Check.Dag_check.verify ~n_nodes:64
       (List.map
          (fun (t : Task.t) ->
            {
@@ -99,7 +99,7 @@ let () =
     Jobman.Pipeline.campaign ~batch:4 ~n_props:64 ~prop_nodes:4 ~duration:1800.
       (Util.Rng.create 2)
   in
-  (match Check.campaign ~n_nodes:64 ptasks with
+  (match Check.Dag_check.verify ~n_nodes:64 ptasks with
   | [] -> print_endline "  DAG verified: no findings"
   | ds when not (Check.Diagnostic.has_errors ds) ->
     Printf.printf "  DAG verified: %d warning(s), no errors\n" (List.length ds)

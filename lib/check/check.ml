@@ -1,8 +1,9 @@
-(* Umbrella entry point: one call per artifact class, plus the
-   standard suite that verifies the repo's shipped example artifacts —
-   the campaign the examples build, the overlapped halo schedules the
-   domain-decomposed solver runs, the default workflow spec, and an
-   instrumented mixed-precision solve. bin/neutron_check drives this;
+(* Umbrella entry point: the re-exported passes, plus the standard
+   suite that verifies the repo's shipped example artifacts — the
+   campaign the examples build, the halo schedules the
+   domain-decomposed solver runs, the default workflow spec, an
+   instrumented mixed-precision solve, live recon and deflation audits
+   and the solver plan catalog. bin/neutron_check drives this;
    `dune build @check` and the test suite gate on it. *)
 
 module F = Linalg.Field
@@ -20,16 +21,6 @@ module Plan_ir = Plan_ir
 module Plan_extract = Plan_extract
 module Plan_check = Plan_check
 module Fixtures = Fixtures
-
-(* ---- pass aliases ---- *)
-
-let campaign = Dag_check.verify
-let halo_audit = Halo_check.audit
-let half_blocks = Numeric_check.half_blocks
-let probe_mixed_solve = Numeric_check.probe_mixed_solve
-let workflow_spec = Spec_check.workflow_spec
-let mixed_config = Spec_check.mixed_config
-let solver_plan = Plan_check.verify
 
 let all_rules =
   [
@@ -149,37 +140,26 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     F.gaussian rng b;
     codec_ds @ Numeric_check.probe_mixed_solve ~apply ~b ()
   in
-  (* every extractable solver/transport plan through the static
-     analyzer — effects, windows, sweep pricing, precision flow. Clean
-     since the stencil-tail fusion closed the PLAN005 gap: the fused
-     CG plans execute exactly the 2 sweeps the model prices, so any
-     diagnostic here (warnings included) is a regression. *)
+  (* every extractable solver plan through the static analyzer —
+     effects, sweep pricing, precision flow. Clean since the
+     stencil-tail fusion closed the PLAN005 gap: the fused CG plans
+     execute exactly the 2 sweeps the model prices, so any diagnostic
+     here (warnings included) is a regression. *)
   let plan_ds = Plan_check.catalog_diagnostics () in
-  (* the compressed gauge-link executions the recon path runs: a
-     reunitarized hot field audited at every codec, a recon12 launch
-     with a freshly packed compressed halo, and a recon8 launch — the
-     clean twins of the recon-* fixtures *)
+  (* the gauge fields the recon path packs: a reunitarized hot field
+     audited at every codec — the clean twin of the
+     recon-nonunitary-link fixture *)
   let recon_ds =
     let g = Lattice.Gauge.random geom rng in
     Lattice.Gauge.reunitarize g;
-    let v = Lattice.Gauge.max_unitarity_violation g in
     List.concat_map
       (fun c -> Recon_check.verify_gauge ~recon:c g)
       Linalg.Su3_codec.all
-    @ Recon_check.verify_plans
-        [
-          Recon_check.plan ~kernel:"wilson_hop_recon"
-            ~recon:Linalg.Su3_codec.Recon12 ~max_violation:v
-            ~gauge_epoch:5 ~halo_epoch:5 ~halo_compressed:true ();
-          Recon_check.plan ~kernel:"wilson_hop_recon"
-            ~recon:Linalg.Su3_codec.Recon8 ~max_violation:v ();
-        ]
   in
   (* the deflated-solve path the ?deflate hooks run: a real Lanczos
      space on a small-eigenvalue SPD operator, audited live against
-     the operator and the configuration hash it was built from, plus
-     a static plan — the clean twins of the deflate-* fixtures. Must
-     verify silent. *)
+     the operator and the configuration hash it was built from — the
+     clean twin of the deflate-* fixtures. Must verify silent. *)
   let deflate_ds =
     let n = 96 in
     let diag =
@@ -205,12 +185,6 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     in
     let space = Solver.Deflate.of_lanczos ~bound:1e-6 ~config_hash:hash res in
     Deflate_check.verify_space ~config_hash:hash ~apply space
-    @ Deflate_check.verify_plans
-        [
-          Deflate_check.plan ~kernel:"cg_deflate" ~rank:4 ~n:(1 lsl 16)
-            ~space_hash:0x5eed ~config_hash:0x5eed ~ortho_drift:1e-14
-            ~max_residual:1e-9 ~bound:1e-6 ();
-        ]
   in
   [
     ("campaign DAG (Jobman.Pipeline)", campaign_ds);

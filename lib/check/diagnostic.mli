@@ -1,9 +1,10 @@
 (** The unified diagnostic type every checker pass reports through:
     severity + stable rule id + artifact location + message + fix
     hint. Rule id families: [CAMP*] campaign/DAG, [HALO*] halo
-    exchange, [NUM*] numeric sanitizer, [SPEC*] spec validation,
-    [RECON*] compressed gauge links, [DEF*] deflation spaces,
-    [PLAN*]/[PREC*] static launch-plan analysis. *)
+    exchange schedules and live comms, [NUM*] numeric sanitizer,
+    [SPEC*] spec validation, [RECON*] gauge-link unitarity under the
+    recon codecs, [DEF*] live deflation spaces, [PLAN*]/[PREC*] static
+    launch-plan analysis. *)
 
 type severity = Error | Warning | Info
 

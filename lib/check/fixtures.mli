@@ -1,6 +1,8 @@
-(** Seeded defect fixtures — one artifact per pass, each carrying
-    exactly the bug class that pass detects. The CLI [--selftest] and
-    the test suite assert every fixture yields at least one error. *)
+(** Twenty-two seeded defect fixtures, each carrying exactly the bug
+    class its pass detects: seven halo schedules, two campaigns, two
+    numeric, eight plan-level, one recon and two deflation. The CLI
+    [--selftest] and the test suite assert every fixture fires its
+    expected rule (a warning for HALO012 and PLAN008, else an error). *)
 
 type t = {
   name : string;
@@ -20,14 +22,12 @@ val bad_half_block : unit -> Diagnostic.t list
 val plan_partition_overlap : unit -> Diagnostic.t list
 val plan_aliased_output : unit -> Diagnostic.t list
 val plan_tail_aliased : unit -> Diagnostic.t list
-val plan_zero_copy_write : unit -> Diagnostic.t list
 val plan_sweep_mismatch : unit -> Diagnostic.t list
 val plan_half_range : unit -> Diagnostic.t list
 val plan_stale_precision : unit -> Diagnostic.t list
 val plan_wrong_block : unit -> Diagnostic.t list
 val plan_tiny_pooled : unit -> Diagnostic.t list
 val recon_nonunitary_link : unit -> Diagnostic.t list
-val recon_stale_halo : unit -> Diagnostic.t list
 val deflate_stale_space : unit -> Diagnostic.t list
 val deflate_drifted_basis : unit -> Diagnostic.t list
 

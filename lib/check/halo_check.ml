@@ -64,6 +64,10 @@ let op_name = function
 
 let all_faces = [| 0; 1; 2; 3; 4; 5; 6; 7 |]
 
+(* The other face of the same dimension: what is sent through face f
+   lands in the neighbour's ghost face [opposite f]. *)
+let opposite = Vrank.Comm.send_face_of_recv
+
 (* One in-flight message in the replay: who posted it and at which
    write epoch (the epoch of the data the staging buffer carries). *)
 type in_flight = { src : int; epoch : int }
@@ -125,12 +129,11 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
               (Diagnostic.warning ~rule:"HALO005" ~loc
                  (Printf.sprintf "face %s listed twice" (face_name f)))
           else Hashtbl.add seen f ();
-          let opposite = (2 * (f / 2)) + (1 - (f mod 2)) in
-          if pairs && not (Array.exists (( = ) opposite) fs) then
+          if pairs && not (Array.exists (( = ) (opposite f)) fs) then
             add
               (Diagnostic.warning ~rule:"HALO002" ~loc
                  (Printf.sprintf "face %s exchanged without its opposite %s"
-                    (face_name f) (face_name opposite))
+                    (face_name f) (face_name (opposite f)))
                  ~hint:
                    "one direction's ghosts stay stale; exchange both faces \
                     of the dimension")
@@ -143,7 +146,7 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
      of the sender — name its first send site in global coordinates so
      the diagnostic points at lattice data, not just a face id. *)
   let describe_site src recv_fid =
-    let send_fid = (2 * (recv_fid / 2)) + (1 - (recv_fid mod 2)) in
+    let send_fid = opposite recv_fid in
     let rg = D.rank_geometry dom src in
     let face = rg.D.faces.(send_fid) in
     if Array.length face.D.send_sites = 0 then ""
@@ -308,15 +311,11 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
                "exchange before any scatter/write: ghosts refresh zero data");
         (* blocking = post + complete fused *)
         post_faces fids;
-        let recv_fids =
-          Array.map (fun f -> (2 * (f / 2)) + (1 - (f mod 2))) fids
-        in
+        let recv_fids = Array.map opposite fids in
         Array.iter (fun fid -> ignore (deliver fid)) recv_fids;
-        last_subset :=
-          Some
-            (match faces with
-            | None -> Array.to_list all_faces
-            | Some fs -> Array.to_list fs)
+        (* recv-side ids, as Complete records: exchanging x+ refreshes
+           the receivers' x- ghosts *)
+        last_subset := Some (Array.to_list recv_fids)
       | Post faces ->
         let fids =
           match faces with None -> all_faces | Some fs -> validate_subset loc fs
@@ -327,8 +326,8 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
                "post before any scatter/write: ghosts will refresh zero data");
         Array.iter
           (fun fid ->
-            let recv = (2 * (fid / 2)) + (1 - (fid mod 2)) in
-            if Array.exists (fun row -> row.(recv) <> None) pending then
+            if Array.exists (fun row -> row.(opposite fid) <> None) pending
+            then
               add
                 (Diagnostic.warning ~rule:"HALO005" ~loc
                    (Printf.sprintf
@@ -355,9 +354,10 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
             let missing = deliver fid in
             if missing = n && faces <> None then
               add
-                (Diagnostic.warning ~rule:"HALO010"
+                (Diagnostic.error ~rule:"HALO010"
                    ~loc:(Printf.sprintf "%s face %s" loc (face_name fid))
-                   "complete of a face that was never posted"
+                   "complete of a face that was never posted: \
+                    Comm.complete raises on it"
                    ~hint:"post the face first, or drop the completion"))
           fids;
         if Array.length fids > 0 then

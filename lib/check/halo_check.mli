@@ -3,8 +3,9 @@
     [Lattice.Domain] and flags stencil reads of stale or still-in-flight
     ghost zones, send-buffer races between post and complete (staged:
     HALO008; zero-copy, where the write genuinely corrupts the
-    delivered ghosts: HALO011), lost completions, unmatched send/recv
-    face pairs, incomplete [?faces] coverage, wasted double-buffer
+    delivered ghosts: HALO011), lost completions, completes without a
+    post (HALO010, which [Vrank.Comm.complete] rejects), unmatched
+    send/recv face pairs, incomplete [?faces] coverage, wasted double-buffer
     copies (HALO012) and transport/policy modeling mismatches
     (HALO013) — without touching field data. Rule ids
     [HALO001]–[HALO013]. *)

@@ -1,7 +1,8 @@
 (* Static analyses over the plan IR: every rule here fires from the
    plan alone, before a single kernel runs. It is the one analyzer for
    launch plans — pooled, fused, batched and stencil launches all lift
-   into the IR. Pass families:
+   into the IR; halo post/complete windows are Halo_check's. Pass
+   families:
 
    - PLAN001/002/006: effect and aliasing — pooled partitions must
      tile [0, n) with no overlap (racing writes) and no gap
@@ -14,11 +15,6 @@
      the partials differently from the standalone reductions), and a
      pooled launch under Field.parallel_cutoff wastes its fork/join
      (a warning: the kernels themselves run such a launch serially).
-
-   - PLAN003/004: transport windows — no write into a buffer whose
-     halo post window is open (under zero-copy the payload aliases the
-     field in flight: the static counterpart of HALO011), and the
-     post/complete protocol must balance.
 
    - PLAN005: model consistency — the IR's BLAS-1 sweep total must
      equal what Machine.Perf_model prices, exactly. The old
@@ -40,8 +36,6 @@ let rules =
   [
     ("PLAN001", "pooled partition must tile [0, n) disjointly");
     ("PLAN002", "kernel output must not alias another operand");
-    ("PLAN003", "no write into a buffer with an open halo post window");
-    ("PLAN004", "halo post/complete windows must balance");
     ("PLAN005", "IR BLAS-1 sweeps must match the performance model");
     ("PLAN006", "steps must reference declared buffers");
     ("PLAN007", "declared reduction block must be Field.reduce_block");
@@ -60,9 +54,6 @@ let float32_min_normal = 1.1754944e-38
 let loc_of_step p i =
   match List.nth p.steps i with
   | Launch k -> Printf.sprintf "%s step %d (launch %s)" p.pname i k.kname
-  | Post { pbuf; _ } -> Printf.sprintf "%s step %d (post %s)" p.pname i pbuf
-  | Complete { cbuf; _ } ->
-    Printf.sprintf "%s step %d (complete %s)" p.pname i cbuf
   | Quantize { qbuf; _ } ->
     Printf.sprintf "%s step %d (quantize %s)" p.pname i qbuf
 
@@ -76,8 +67,6 @@ let check_declared p =
       List.filter_map
         (fun (name, role) -> if role = Reduce then None else Some name)
         k.args
-    | Post { pbuf; _ } -> [ pbuf ]
-    | Complete { cbuf; _ } -> [ cbuf ]
     | Quantize { qbuf; _ } -> [ qbuf ]
   in
   List.concat
@@ -220,89 +209,6 @@ let check_launch_params p =
             ~hint:"declare the launch serial, as the kernels run it";
         ]
       | _ -> [])
-
-(* ---- PLAN003/PLAN004: transport windows ---- *)
-
-let check_windows p =
-  let open_faces : (string, int list) Hashtbl.t = Hashtbl.create 7 in
-  let faces_of buf =
-    Option.value ~default:[] (Hashtbl.find_opt open_faces buf)
-  in
-  let ds = ref [] in
-  let add d = ds := d :: !ds in
-  let write_in_window ~what i buf =
-    if faces_of buf <> [] then begin
-      let loc = loc_of_step p i in
-      match p.transport with
-      | Machine.Transport.Zero_copy ->
-        add
-          (D.error ~rule:"PLAN003" ~loc
-             (Printf.sprintf
-                "%s writes %s while its zero-copy post window is open" what
-                buf)
-             ~hint:
-               "the transport aliases the payload in flight: the neighbour \
-                reads torn data (HALO011 at plan level)")
-      | Machine.Transport.Staged ->
-        add
-          (D.warning ~rule:"PLAN003" ~loc
-             (Printf.sprintf "%s writes %s while its post window is open" what
-                buf)
-             ~hint:
-               "safe only because the staged transport copies at post time; \
-                the same plan breaks under zero-copy")
-      | Machine.Transport.Double_buffered -> ()
-    end
-  in
-  List.iteri
-    (fun i step ->
-      match step with
-      | Post { pbuf; faces } ->
-        let cur = faces_of pbuf in
-        let dup = List.filter (fun f -> List.mem f cur) (Array.to_list faces) in
-        if dup <> [] then
-          add
-            (D.warning ~rule:"PLAN004" ~loc:(loc_of_step p i)
-               (Printf.sprintf "face %d of %s is posted twice"
-                  (List.hd dup) pbuf)
-               ~hint:"a double post leaks a request handle");
-        Hashtbl.replace open_faces pbuf
-          (List.sort_uniq compare (cur @ Array.to_list faces))
-      | Complete { cbuf; faces } ->
-        let cur = faces_of cbuf in
-        let missing =
-          List.filter (fun f -> not (List.mem f cur)) (Array.to_list faces)
-        in
-        if missing <> [] then
-          add
-            (D.error ~rule:"PLAN004" ~loc:(loc_of_step p i)
-               (Printf.sprintf "face %d of %s completed without a post"
-                  (List.hd missing) cbuf)
-               ~hint:"completion would block forever or poll garbage");
-        Hashtbl.replace open_faces cbuf
-          (List.filter (fun f -> not (Array.exists (( = ) f) faces)) cur)
-      | Launch k ->
-        List.iter
-          (fun (name, role) ->
-            if writes role then
-              write_in_window ~what:("kernel " ^ k.kname) i name)
-          k.args
-      | Quantize { qbuf; _ } -> write_in_window ~what:"quantize" i qbuf)
-    p.steps;
-  let leftovers =
-    Hashtbl.fold
-      (fun buf faces acc -> if faces <> [] then (buf, faces) :: acc else acc)
-      open_faces []
-  in
-  List.iter
-    (fun (buf, faces) ->
-      add
-        (D.error ~rule:"PLAN004" ~loc:p.pname
-           (Printf.sprintf "%d face window(s) of %s never completed"
-              (List.length faces) buf)
-           ~hint:"every post needs a matching complete before the plan ends"))
-    (List.sort compare leftovers);
-  List.rev !ds
 
 (* ---- PLAN005: sweep consistency against the performance model ---- *)
 
@@ -512,16 +418,14 @@ let check_precision p =
               { v with err = v.hi /. (2. *. Linalg.Field.Half.max_q) })
             prev.interval
         in
-        Hashtbl.replace state qbuf { interval; dirty = false }
-      | Post _ | Complete _ -> ())
+        Hashtbl.replace state qbuf { interval; dirty = false })
     p.steps;
   List.rev !ds
 
 let verify p =
   D.sort
     (check_declared p @ check_partitions p @ check_aliasing p
-   @ check_launch_params p @ check_windows p @ check_sweeps p
-   @ check_precision p)
+   @ check_launch_params p @ check_sweeps p @ check_precision p)
 
 let verify_plans plans =
   List.concat_map (fun p -> verify p) plans

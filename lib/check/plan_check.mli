@@ -1,7 +1,7 @@
 (** Static analyses over the plan IR — every rule fires from the plan
     alone, before a single kernel runs. The one analyzer for launch
     plans: pooled, fused, batched and stencil launches all lift into
-    the IR.
+    the IR. Halo post/complete schedules are [Halo_check]'s.
 
     - [PLAN001/002/006] effect and aliasing: pooled partitions must
       tile [0, n) with neither overlap nor gap, kernel outputs must
@@ -13,10 +13,6 @@
       ([geometry = Some (d, _)], d > 1) over fewer than
       [Linalg.Field.parallel_cutoff] floats is a warning — the kernels
       run such a launch serially.
-    - [PLAN003/004] transport windows: no write into a buffer whose
-      halo post window is open (an error under zero-copy, where the
-      payload aliases the field in flight — HALO011 at plan level; a
-      warning under staged), and post/complete must balance.
     - [PLAN005] model consistency: the IR's BLAS-1 sweep total must
       equal [Machine.Perf_model.blas1_sweeps] exactly. The historical
       stencil-tail exemption is gone — [Dirac.Wilson.hop_tail] /

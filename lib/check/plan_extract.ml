@@ -8,7 +8,8 @@
    sweep-consistency pass diffs the sweep totals against
    Machine.Perf_model. Stencil launches carry sweeps=0 because the
    model prices their traffic separately (bytes_per_site), not as
-   BLAS-1 sweeps. *)
+   BLAS-1 sweeps. Halo exchange schedules are not lifted here:
+   Halo_check is the one static model of the post/complete protocol. *)
 
 open Plan_ir
 
@@ -588,58 +589,6 @@ let pooled_axpy ?(n = 1 lsl 16) ?(geometry = (4, 4096)) () =
       ]
     "pooled-axpy"
 
-(* ---- Vrank.Comm transport schedules ---- *)
-
-let all_faces = Array.init 8 Fun.id
-
-(* The fine-grained overlapped hop Dd_wilson.hop_overlapped runs: post
-   all faces, interior while in flight, per-face-group completes each
-   followed by the boundary sub-stencil reading only landed faces. *)
-let dd_overlapped ?(transport = Machine.Transport.Staged) () =
-  plan ~transport ~n:(256 * 24)
-    ~buffers:[ buffer ~prec:Double "spinor"; buffer ~prec:Double "dst" ]
-    ~steps:
-      [
-        Post { pbuf = "spinor"; faces = all_faces };
-        Launch
-          (kernel ~sweeps:1
-             ~args:[ ("spinor", r_); ("dst", w_) ]
-             "stencil_interior");
-        Complete { cbuf = "spinor"; faces = [| 0; 1 |] };
-        Launch
-          (kernel ~sweeps:1
-             ~args:[ ("spinor", r_); ("dst", u_) ]
-             "stencil_faces_x");
-        Complete { cbuf = "spinor"; faces = [| 2; 3; 4; 5; 6; 7 |] };
-        Launch
-          (kernel ~sweeps:1
-             ~args:[ ("spinor", r_); ("dst", u_) ]
-             "stencil_boundary");
-      ]
-    "dd-overlapped"
-
-(* The zero-copy discipline: the payload aliases the sender's field
-   until completion, so the window must close before any local write —
-   this schedule completes everything before the boundary pass and
-   never writes the posted buffer. *)
-let dd_zero_copy () =
-  plan ~transport:Machine.Transport.Zero_copy ~n:(256 * 24)
-    ~buffers:[ buffer ~prec:Double "spinor"; buffer ~prec:Double "dst" ]
-    ~steps:
-      [
-        Post { pbuf = "spinor"; faces = all_faces };
-        Launch
-          (kernel ~sweeps:1
-             ~args:[ ("spinor", r_); ("dst", w_) ]
-             "stencil_interior");
-        Complete { cbuf = "spinor"; faces = all_faces };
-        Launch
-          (kernel ~sweeps:1
-             ~args:[ ("spinor", r_); ("dst", u_) ]
-             "stencil_boundary");
-      ]
-    "dd-zero-copy"
-
 (* ---- Catalog ---- *)
 
 let catalog : (string * (unit -> plan)) list =
@@ -664,8 +613,6 @@ let catalog : (string * (unit -> plan)) list =
     ("cg-tail-multi-fused", fun () -> cg_tail_multi ~fused:true ());
     ("mobius-hop", fun () -> mobius_hop ());
     ("pooled-axpy", fun () -> pooled_axpy ());
-    ("dd-overlapped", fun () -> dd_overlapped ());
-    ("dd-zero-copy", fun () -> dd_zero_copy ());
   ]
 
 let find name = List.assoc_opt name catalog

@@ -112,15 +112,6 @@ val mobius_hop : ?n4:int -> unit -> Plan_ir.plan
 
 val pooled_axpy : ?n:int -> ?geometry:int * int -> unit -> Plan_ir.plan
 
-val dd_overlapped : ?transport:Machine.Transport.t -> unit -> Plan_ir.plan
-(** The fine-grained overlapped hop: post all faces, interior stencil
-    while in flight, per-face-group completes each followed by the
-    boundary sub-stencil reading only landed faces. *)
-
-val dd_zero_copy : unit -> Plan_ir.plan
-(** Zero-copy discipline: window closes before the boundary pass and
-    the posted buffer is never written while in flight. *)
-
 val catalog : (string * (unit -> Plan_ir.plan)) list
 (** Every named plan the analyzer knows how to extract, as exposed by
     [neutron_check --plan]. *)

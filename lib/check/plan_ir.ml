@@ -3,13 +3,13 @@
    plan is a vector length, a set of named buffers with storage
    precision tags (and optional abstract magnitude ranges for the
    precision-flow pass), and a step sequence — kernel launches with
-   per-operand effects, halo post/complete windows, and half-codec
-   quantize points. Plan_extract lifts the real front-ends (Cg.solve,
-   Mixed.solve, Bicgstab.solve, Dwf_solve.solve, the Wilson/Mobius hop
-   paths, Vrank.Comm transport schedules and the pooled Field/Fused
-   launches) into this IR; the printer/parser pair below is exact
-   (round-trip asserted by a qcheck property), so plans can be dumped
-   by `neutron_check --plan-dump`, diffed, and re-linted offline. *)
+   per-operand effects and half-codec quantize points. Plan_extract
+   lifts the real front-ends (Cg.solve, Mixed.solve, Bicgstab.solve,
+   Dwf_solve.solve, the Wilson/Mobius hop paths and the pooled
+   Field/Fused launches) into this IR; the printer/parser pair below
+   is exact (round-trip asserted by a qcheck property), so plans can be
+   dumped by `neutron_check --plan-dump`, diffed, and re-linted
+   offline. *)
 
 type precision =
   | Double
@@ -52,10 +52,6 @@ type kernel = {
 
 type step =
   | Launch of kernel
-  | Post of { pbuf : string; faces : int array }
-      (* the named buffer's listed faces go in flight (a zero-copy
-         transport aliases the payload until the matching Complete) *)
-  | Complete of { cbuf : string; faces : int array }
   | Quantize of { qbuf : string; qblock : int }
       (* half-codec encode/decode point: the buffer's contents are
          forced through int16 mantissas against a float32 block norm *)
@@ -63,7 +59,6 @@ type step =
 type plan = {
   pname : string;
   n : int;  (* vector length in floats *)
-  transport : Machine.Transport.t;
   fusion : bool option;
       (* when the plan is a CG BLAS-1 tail, the fusion mode
          [Machine.Perf_model.blas1_sweeps] prices it at — the
@@ -81,9 +76,8 @@ let kernel ?geometry ?partition ?block ?(sweeps = 1) ?(coeff = 1.0) ~args kname
     =
   { kname; args; geometry; partition; block; sweeps; coeff }
 
-let plan ?(transport = Machine.Transport.Staged) ?fusion ~n ~buffers ~steps
-    pname =
-  { pname; n; transport; fusion; buffers; steps }
+let plan ?fusion ~n ~buffers ~steps pname =
+  { pname; n; fusion; buffers; steps }
 
 let find_buffer p name = List.find_opt (fun b -> b.bname = name) p.buffers
 
@@ -117,14 +111,6 @@ let string_of_role = function
   | Update -> "update"
   | Reduce -> "reduce"
 
-let string_of_transport = function
-  | Machine.Transport.Staged -> "staged"
-  | Machine.Transport.Zero_copy -> "zero_copy"
-  | Machine.Transport.Double_buffered -> "double_buffered"
-
-let faces_str faces =
-  String.concat "," (Array.to_list (Array.map string_of_int faces))
-
 let string_of_kernel k =
   let b = Buffer.create 64 in
   Buffer.add_string b (Printf.sprintf "launch %s sweeps=%d" k.kname k.sweeps);
@@ -154,18 +140,12 @@ let string_of_kernel k =
 
 let string_of_step = function
   | Launch k -> string_of_kernel k
-  | Post { pbuf; faces } ->
-    Printf.sprintf "post %s faces=%s" pbuf (faces_str faces)
-  | Complete { cbuf; faces } ->
-    Printf.sprintf "complete %s faces=%s" cbuf (faces_str faces)
   | Quantize { qbuf; qblock } ->
     Printf.sprintf "quantize %s block=%d" qbuf qblock
 
 let to_string (p : plan) =
   let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "plan %s n=%d transport=%s" p.pname p.n
-       (string_of_transport p.transport));
+  Buffer.add_string b (Printf.sprintf "plan %s n=%d" p.pname p.n);
   (match p.fusion with
   | Some fused ->
     Buffer.add_string b
@@ -194,8 +174,7 @@ let to_string (p : plan) =
 let pretty (p : plan) =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "plan %-16s n=%d  transport=%s%s\n" p.pname p.n
-       (string_of_transport p.transport)
+    (Printf.sprintf "plan %-16s n=%d%s\n" p.pname p.n
        (match p.fusion with
        | Some true -> "  [priced fused]"
        | Some false -> "  [priced unfused]"
@@ -228,10 +207,6 @@ let pretty (p : plan) =
                | None -> "")
                k.sweeps
                (if k.sweeps = 1 then "" else "s")
-           | Post { pbuf; faces } ->
-             Printf.sprintf "post     %s faces {%s}" pbuf (faces_str faces)
-           | Complete { cbuf; faces } ->
-             Printf.sprintf "complete %s faces {%s}" cbuf (faces_str faces)
            | Quantize { qbuf; qblock } ->
              Printf.sprintf "quantize %s (half codec, block %d)" qbuf qblock)))
     p.steps;
@@ -270,18 +245,6 @@ let parse_role = function
   | "update" -> Update
   | "reduce" -> Reduce
   | s -> fail "bad role %S" s
-
-let parse_transport = function
-  | "staged" -> Machine.Transport.Staged
-  | "zero_copy" -> Machine.Transport.Zero_copy
-  | "double_buffered" -> Machine.Transport.Double_buffered
-  | s -> fail "bad transport %S" s
-
-let parse_faces s =
-  if s = "" then [||]
-  else
-    Array.of_list
-      (List.map (parse_int "face id") (String.split_on_char ',' s))
 
 (* "key=value" tokens after the positional head of a line. *)
 let kv tok =
@@ -362,16 +325,14 @@ let of_string s =
     match lines with
     | [] -> Error "empty plan text"
     | head :: rest ->
-      let pname, n, transport, fusion =
+      let pname, n, fusion =
         match split_ws head with
         | "plan" :: name :: fields when name_ok name ->
-          let n = ref (-1) and transport = ref Machine.Transport.Staged in
-          let fusion = ref None in
+          let n = ref (-1) and fusion = ref None in
           List.iter
             (fun tok ->
               match kv tok with
               | "n", v -> n := parse_int "n" v
-              | "transport", v -> transport := parse_transport v
               | "fusion", v ->
                 fusion :=
                   Some
@@ -382,7 +343,7 @@ let of_string s =
               | k, _ -> fail "unknown plan field %S" k)
             fields;
           if !n < 0 then fail "plan line missing n=";
-          (name, !n, !transport, !fusion)
+          (name, !n, !fusion)
         | _ -> fail "expected 'plan <name> n=... ...', got %S" head
       in
       let buffers = ref [] and steps = ref [] in
@@ -410,15 +371,6 @@ let of_string s =
               buffers :=
                 { bname = name; prec = parse_precision prec; range } :: !buffers
             | "launch" :: rest -> steps := Launch (parse_kernel rest) :: !steps
-            | [ "post"; name; faces ] when name_ok name -> (
-              match kv faces with
-              | "faces", v -> steps := Post { pbuf = name; faces = parse_faces v } :: !steps
-              | k, _ -> fail "unknown post field %S" k)
-            | [ "complete"; name; faces ] when name_ok name -> (
-              match kv faces with
-              | "faces", v ->
-                steps := Complete { cbuf = name; faces = parse_faces v } :: !steps
-              | k, _ -> fail "unknown complete field %S" k)
             | [ "quantize"; name; block ] when name_ok name -> (
               match kv block with
               | "block", v ->
@@ -431,7 +383,6 @@ let of_string s =
         {
           pname;
           n;
-          transport;
           fusion;
           buffers = List.rev !buffers;
           steps = List.rev !steps;

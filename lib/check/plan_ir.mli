@@ -4,11 +4,11 @@
     running a solve}: a vector length, named buffers carrying a storage
     precision tag (and optionally an abstract magnitude range seeding
     the precision-flow pass), and a step sequence of kernel launches
-    with per-operand effects, halo post/complete windows, and
-    half-codec quantize points. [Plan_extract] lifts the real
-    front-ends into this IR; the printer/parser pair is exact
-    (round-trip asserted by a qcheck property), so plans can be dumped
-    with [neutron_check --plan-dump], diffed, and re-linted offline. *)
+    with per-operand effects and half-codec quantize points.
+    [Plan_extract] lifts the real front-ends into this IR; the
+    printer/parser pair is exact (round-trip asserted by a qcheck
+    property), so plans can be dumped with [neutron_check --plan-dump],
+    diffed, and re-linted offline. *)
 
 type precision =
   | Double
@@ -55,17 +55,12 @@ type kernel = {
 
 type step =
   | Launch of kernel
-  | Post of { pbuf : string; faces : int array }
-      (** the buffer's faces go in flight; a zero-copy transport
-          aliases the payload until the matching [Complete] *)
-  | Complete of { cbuf : string; faces : int array }
   | Quantize of { qbuf : string; qblock : int }
       (** half-codec encode/decode point *)
 
 type plan = {
   pname : string;
   n : int;  (** vector length in floats *)
-  transport : Machine.Transport.t;
   fusion : bool option;
       (** for model-priced BLAS-1 tails: the fusion mode
           [Machine.Perf_model.blas1_sweeps] prices the plan at; [None]
@@ -90,14 +85,12 @@ val kernel :
 (** [sweeps] defaults to 1, [coeff] to 1.0. *)
 
 val plan :
-  ?transport:Machine.Transport.t ->
   ?fusion:bool ->
   n:int ->
   buffers:buffer list ->
   steps:step list ->
   string ->
   plan
-(** [transport] defaults to [Staged]. *)
 
 val find_buffer : plan -> string -> buffer option
 val launches : plan -> kernel list
@@ -110,7 +103,6 @@ val name_ok : string -> bool
 
 val string_of_precision : precision -> string
 val string_of_role : role -> string
-val string_of_transport : Machine.Transport.t -> string
 val string_of_step : step -> string
 
 val to_string : plan -> string

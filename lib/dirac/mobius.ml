@@ -301,6 +301,8 @@ let apply t ~src ~dst =
 
 (* G5R5: slice s of dst = gamma5 (slice L5-1-s of src). Distinct fields. *)
 let apply_g5r5 ~l5 ~n4 ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
+  check_fields "Mobius.apply_g5r5" ~len:(l5 * n4 * fps) [ src; dst ];
+  check_no_alias "Mobius.apply_g5r5" ~srcs:[ src ] ~dsts:[ dst ];
   let stride = n4 * fps in
   for s = 0 to l5 - 1 do
     let sb = (l5 - 1 - s) * stride and db = s * stride in
@@ -514,6 +516,7 @@ let apply_schur_normal_multi eo ~srcs ~dsts =
 let split_eo geom ~l5 (full : Linalg.Field.t) =
   let vol = Lattice.Geometry.volume geom in
   let half = Lattice.Geometry.half_volume geom in
+  check_fields "Mobius.split_eo" ~len:(l5 * vol * fps) [ full ];
   let even = Linalg.Field.create (l5 * half * fps) in
   let odd = Linalg.Field.create (l5 * half * fps) in
   for s = 0 to l5 - 1 do
@@ -533,6 +536,7 @@ let split_eo geom ~l5 (full : Linalg.Field.t) =
 let merge_eo geom ~l5 ~(even : Linalg.Field.t) ~(odd : Linalg.Field.t) =
   let vol = Lattice.Geometry.volume geom in
   let half = Lattice.Geometry.half_volume geom in
+  check_fields "Mobius.merge_eo" ~len:(l5 * half * fps) [ even; odd ];
   let full = Linalg.Field.create (l5 * vol * fps) in
   for s = 0 to l5 - 1 do
     for site = 0 to vol - 1 do

@@ -155,7 +155,7 @@ val apply_schur_normal_multi :
 
 val split_eo :
   Lattice.Geometry.t -> l5:int -> Linalg.Field.t -> Linalg.Field.t * Linalg.Field.t
-(** Full field → (even, odd) checkerboard fields. *)
+(** Full field (l5·volume·24 floats) → (even, odd) checkerboard fields. *)
 
 val merge_eo :
   Lattice.Geometry.t ->

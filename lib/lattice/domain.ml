@@ -233,9 +233,17 @@ let bwd rg s mu = Array.unsafe_get rg.bwd ((s * n_dim) + mu)
 let halo_sites rg =
   Array.fold_left (fun acc f -> acc + Array.length f.send_sites) 0 rg.faces
 
+let check_length name ~len (f : Linalg.Field.t) =
+  if Linalg.Field.length f <> len then
+    invalid_arg
+      (Printf.sprintf "%s: field of %d floats, expected %d" name
+         (Linalg.Field.length f) len)
+
 (* Scatter a global field (dof floats per site) into a rank-local array
    covering local sites only. *)
 let scatter_field t ~dof (global_field : Linalg.Field.t) r : Linalg.Field.t =
+  check_length "Domain.scatter_field" ~len:(Geometry.volume t.global * dof)
+    global_field;
   let rg = t.ranks.(r) in
   let local = Linalg.Field.create (rg.local_volume * dof) in
   for s = 0 to rg.local_volume - 1 do
@@ -254,6 +262,7 @@ let gather_field t ~dof (locals : Linalg.Field.t array) : Linalg.Field.t =
   Array.iteri
     (fun r local ->
       let rg = t.ranks.(r) in
+      check_length "Domain.gather_field" ~len:(rg.local_volume * dof) local;
       for s = 0 to rg.local_volume - 1 do
         let g = rg.local_to_global.(s) in
         for d = 0 to dof - 1 do

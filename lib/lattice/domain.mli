@@ -48,10 +48,13 @@ val halo_sites : rank_geometry -> int
 (** Sites moved per full halo exchange on this rank. *)
 
 val scatter_field : t -> dof:int -> Linalg.Field.t -> int -> Linalg.Field.t
-(** Restrict a global field ([dof] floats per site) to a rank. *)
+(** Restrict a global field ([dof] floats per site) to a rank. Raises
+    [Invalid_argument] unless the field is volume·dof floats. *)
 
 val gather_field : t -> dof:int -> Linalg.Field.t array -> Linalg.Field.t
-(** Reassemble rank-local arrays into a global field. *)
+(** Reassemble rank-local arrays into a global field. Raises
+    [Invalid_argument] unless each array is its rank's
+    local_volume·dof floats. *)
 
 val gather_gauge : t -> Gauge.t -> int -> Linalg.Field.t
 (** Extended-volume (local + ghost) gauge copy for one rank, flat

@@ -159,6 +159,11 @@ let create_fields t : Field.t array =
 (* Distribute a global field (volume * dof) into per-rank extended
    fields; ghosts left stale (a halo exchange must follow). *)
 let scatter t (global : Field.t) (fields : Field.t array) =
+  let len = Lattice.Geometry.volume (Domain.global t.dom) * t.dof in
+  if Field.length global <> len then
+    invalid_arg
+      (Printf.sprintf "Comm.scatter: field of %d floats, expected %d"
+         (Field.length global) len);
   Array.iteri
     (fun r (local : Field.t) ->
       let rg = Domain.rank_geometry t.dom r in

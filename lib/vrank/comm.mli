@@ -61,7 +61,8 @@ val create_fields : t -> Linalg.Field.t array
 (** One extended-volume (local + ghosts) field per rank, zeroed. *)
 
 val scatter : t -> Linalg.Field.t -> Linalg.Field.t array -> unit
-(** Global field → per-rank local portions (ghosts left stale). *)
+(** Global field → per-rank local portions (ghosts left stale). Raises
+    [Invalid_argument] unless the global field is volume·dof floats. *)
 
 (** {2 Nonblocking per-face protocol}
 

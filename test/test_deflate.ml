@@ -372,30 +372,34 @@ let test_perf_model_amortization () =
 
 (* ---------- checker ---------- *)
 
-let clean_plan () =
-  DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x5eed
-    ~config_hash:0x5eed ~ortho_drift:1e-14 ~max_residual:1e-9 ~bound:1e-6 ()
-
 let rules_of ds = List.map (fun d -> d.Check.Diagnostic.rule) ds
 
-let test_deflate_check_rules () =
-  Alcotest.(check (list string))
-    "clean plan is silent" []
-    (rules_of (DC.verify_plan (clean_plan ())));
-  Alcotest.(check (list string))
-    "stale space fires DEF001" [ "DEF001" ]
-    (rules_of
-       (DC.verify_plan
-          (DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x01d
-             ~config_hash:0x5eed ~ortho_drift:1e-14 ~max_residual:1e-9
-             ~bound:1e-6 ())));
-  Alcotest.(check (list string))
-    "drift and residual each fire DEF002" [ "DEF002"; "DEF002" ]
-    (rules_of
-       (DC.verify_plan
-          (DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x5eed
-             ~config_hash:0x5eed ~ortho_drift:1e-3 ~max_residual:1e-2
-             ~bound:1e-6 ())))
+let test_deflate_check_live_rules () =
+  (* DEF002's two branches on real spaces: each defect fires exactly
+     one DEF002, and the message names the measurement that broke *)
+  let n = 192 in
+  let _, apply = diag_op n in
+  let values, basis, stats =
+    Lanczos.lowest ~tol:1e-8 ~rank:4 ~apply ~n ~rng:(Util.Rng.create 5) ()
+  in
+  let fires_one what measure ds =
+    Alcotest.(check (list string)) (what ^ " fires one DEF002") [ "DEF002" ]
+      (rules_of ds);
+    Alcotest.(check bool) (what ^ " blames the " ^ measure) true
+      (String.starts_with ~prefix:("deflation basis " ^ measure)
+         (List.hd ds).Check.Diagnostic.message)
+  in
+  (* orthonormal, but the first Ritz value doubled: |A v − λ v| = λ₀ *)
+  let doubled = Array.mapi (fun i v -> if i = 0 then 2. *. v else v) values in
+  fires_one "doubled Ritz value" "eigen-residual"
+    (DC.verify_space ~config_hash:0x5eed ~apply
+       (Deflate.create ~basis ~values:doubled ~config_hash:0x5eed ()));
+  (* a rescaled eigenvector is still an eigenvector: only the drift
+     (v·v = 1.1²) breaks the bound *)
+  Field.scale 1.1 basis.(0);
+  fires_one "basis vector rescaled by 1.1" "orthonormality drift"
+    (DC.verify_space ~config_hash:0x5eed ~apply
+       (Deflate.of_lanczos ~config_hash:0x5eed (values, basis, stats)))
 
 let test_verify_space_live () =
   let apply, space = space_of ~hash:0xfeed () in
@@ -464,8 +468,8 @@ let suite =
       test_perf_model_setup;
     Alcotest.test_case "perf model: amortization and break-even" `Quick
       test_perf_model_amortization;
-    Alcotest.test_case "deflate_check: DEF001-002 on static plans" `Quick
-      test_deflate_check_rules;
+    Alcotest.test_case "deflate_check: DEF002 on live spaces" `Quick
+      test_deflate_check_live_rules;
     Alcotest.test_case "verify_space: live audit" `Quick test_verify_space_live;
     Alcotest.test_case "seeded deflate fixtures detected" `Quick
       test_fixtures_detected;

@@ -566,11 +566,19 @@ let test_mobius_rejects_short_fields () =
   raises "apply_m5" (fun () -> Mobius.apply_m5 p ~n4:half ~src:short ~dst:ok);
   raises "apply_m5_dagger" (fun () -> Mobius.apply_m5_dagger p ~n4:half ~src:ok ~dst:short);
   raises "apply_m5inv" (fun () -> Mobius.apply_m5inv p ~n4:half ~src:short ~dst:ok);
-  raises "apply_m5inv_dagger" (fun () -> Mobius.apply_m5inv_dagger p ~n4:half ~src:ok ~dst:short)
+  raises "apply_m5inv_dagger" (fun () -> Mobius.apply_m5inv_dagger p ~n4:half ~src:ok ~dst:short);
+  let geom = Geometry.create [| 2; 2; 2; 4 |] in
+  let l5 = p.Mobius.l5 in
+  raises "split_eo of a 4D-length field" (fun () ->
+      ignore (Mobius.split_eo geom ~l5 (Field.create (Geometry.volume geom * 24))
+        : Field.t * Field.t));
+  raises "merge_eo" (fun () -> ignore (Mobius.merge_eo geom ~l5 ~even:ok ~odd:short : Field.t));
+  raises "apply_g5r5" (fun () -> Mobius.apply_g5r5 ~l5 ~n4:half ~src:short ~dst:ok)
 
 let test_mobius_rejects_aliasing () =
-  let _, _, eo = eo_setup () in
+  let p, half, eo = eo_setup () in
   let v = Mobius.create_eo_field eo in
+  raises "apply_g5r5" (fun () -> Mobius.apply_g5r5 ~l5:p.Mobius.l5 ~n4:half ~src:v ~dst:v);
   raises "apply_schur" (fun () -> Mobius.apply_schur eo ~src:v ~dst:v);
   raises "apply_schur_dagger" (fun () -> Mobius.apply_schur_dagger eo ~src:v ~dst:v);
   raises "apply_schur_normal" (fun () -> Mobius.apply_schur_normal eo ~src:v ~dst:v);

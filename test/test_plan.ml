@@ -63,7 +63,6 @@ let gen_plan : Ir.plan QCheck.Gen.t =
          names)
   in
   let buf = oneofl names in
-  let faces = map Array.of_list (list_size (int_range 1 4) (int_range 0 7)) in
   let step =
     frequency
       [
@@ -87,8 +86,6 @@ let gen_plan : Ir.plan QCheck.Gen.t =
             (Ir.Launch
                { Ir.kname; args; geometry; partition; block; sweeps; coeff })
         );
-        (1, map2 (fun pbuf faces -> Ir.Post { pbuf; faces }) buf faces);
-        (1, map2 (fun cbuf faces -> Ir.Complete { cbuf; faces }) buf faces);
         ( 1,
           map2
             (fun qbuf qblock -> Ir.Quantize { qbuf; qblock })
@@ -96,13 +93,9 @@ let gen_plan : Ir.plan QCheck.Gen.t =
       ]
   in
   let* steps = list_size (int_range 0 8) step in
-  let* transport =
-    oneofl
-      Machine.Transport.[ Staged; Zero_copy; Double_buffered ]
-  in
   let* fusion = option bool in
   let* pname = oneofl [ "plan-a"; "p_1"; "cg.tail+x" ] in
-  return { Ir.pname; n; transport; fusion; buffers; steps }
+  return { Ir.pname; n; fusion; buffers; steps }
 
 let prop_roundtrip =
   QCheck.Test.make ~count:500
@@ -127,11 +120,11 @@ let test_parse_rejects () =
   in
   bad "empty" "";
   bad "no header" "buffer x double\nend\n";
-  bad "missing end" "plan p n=4 transport=staged\nbuffer x double\n";
-  bad "bad transport" "plan p n=4 transport=warp\nend\n";
-  bad "undeclared step garbage" "plan p n=4 transport=staged\nfrobnicate x\nend\n";
-  bad "bad role" "plan p n=4 transport=staged\nbuffer x double\nlaunch k sweeps=1 args=x:borrow\nend\n";
-  bad "bad float" "plan p n=4 transport=staged\nbuffer x double range=1.0:nope\nend\n"
+  bad "missing end" "plan p n=4\nbuffer x double\n";
+  bad "unknown plan field" "plan p n=4 transport=staged\nend\n";
+  bad "undeclared step garbage" "plan p n=4\nfrobnicate x\nend\n";
+  bad "bad role" "plan p n=4\nbuffer x double\nlaunch k sweeps=1 args=x:borrow\nend\n";
+  bad "bad float" "plan p n=4\nbuffer x double range=1.0:nope\nend\n"
 
 (* ---- catalog: extraction + analysis ---- *)
 
@@ -271,8 +264,6 @@ let test_defect_fixture_pairs () =
      fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
     ("plan-tiny-pooled", "PLAN008", Check.Fixtures.plan_tiny_pooled,
      fun () -> Pc.verify (Extract.pooled_axpy ()));
-    ("plan-zero-copy-write", "PLAN003", Check.Fixtures.plan_zero_copy_write,
-     fun () -> Pc.verify (Extract.dd_zero_copy ()));
     ("plan-sweep-mismatch", "PLAN005", Check.Fixtures.plan_sweep_mismatch,
      fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
     ("plan-half-range", "PREC001", Check.Fixtures.plan_half_range,
@@ -341,29 +332,6 @@ let test_launch_params () =
     (List.length (Pc.verify (launch_plan ~geometry:(4, cutoff / 4) cutoff)));
   Alcotest.(check int) "1 lane under the cutoff silent" 0
     (List.length (Pc.verify (launch_plan ~geometry:(1, 512) 512)))
-
-let test_window_protocol () =
-  (* the staged overlapped schedule is clean; dropping a complete
-     leaves the window open at plan end *)
-  let p = Extract.dd_overlapped () in
-  check_clean "dd-overlapped" (Pc.verify p);
-  let truncated =
-    {
-      p with
-      Ir.steps =
-        List.filter (function Ir.Complete _ -> false | _ -> true) p.Ir.steps;
-    }
-  in
-  check_fires "never-completed window" "PLAN004" (Pc.verify truncated);
-  (* completing a face that was never posted *)
-  let orphan =
-    {
-      p with
-      Ir.steps =
-        Ir.Complete { cbuf = "spinor"; faces = [| 3 |] } :: p.Ir.steps;
-    }
-  in
-  check_fires "complete without post" "PLAN004" (Pc.verify orphan)
 
 let test_undeclared_buffer () =
   let open Ir in
@@ -453,7 +421,6 @@ let suite =
       test_defect_fixture_pairs;
     Alcotest.test_case "partition gap rejected" `Quick test_partition_gap;
     Alcotest.test_case "launch block and pool cutoff" `Quick test_launch_params;
-    Alcotest.test_case "window protocol balance" `Quick test_window_protocol;
     Alcotest.test_case "undeclared buffer rejected" `Quick test_undeclared_buffer;
     Alcotest.test_case "quantize block mismatch rejected" `Quick
       test_quantize_block_mismatch;

@@ -156,20 +156,7 @@ let test_recon_check_rules () =
   Alcotest.(check int) "full18 tolerates non-unitary links" 0
     (List.length (R.verify_gauge ~recon:Codec.Full18 bad));
   Alcotest.(check bool) "recon12 flags them" true
-    (fired "RECON001" (R.verify_gauge ~recon:Codec.Recon12 bad));
-  (* plan rules *)
-  Alcotest.(check bool) "RECON003 fires" true
-    (fired "RECON003"
-       (R.verify_plan
-          (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon8
-             ~max_violation:0. ~gauge_epoch:2 ~halo_epoch:1
-             ~halo_compressed:true ())));
-  Alcotest.(check int) "fresh halo is clean" 0
-    (List.length
-       (R.verify_plan
-          (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon12
-             ~max_violation:0. ~gauge_epoch:2 ~halo_epoch:2
-             ~halo_compressed:true ())))
+    (fired "RECON001" (R.verify_gauge ~recon:Codec.Recon12 bad))
 
 let test_recon_fixtures_fire () =
   List.iter
@@ -180,10 +167,7 @@ let test_recon_fixtures_fire () =
         Alcotest.(check string) (name ^ " expects") rule f.Check.Fixtures.expect;
         Alcotest.(check bool) (name ^ " fires") true
           (fired rule (f.Check.Fixtures.run ())))
-    [
-      ("recon-nonunitary-link", "RECON001");
-      ("recon-stale-halo", "RECON003");
-    ]
+    [ ("recon-nonunitary-link", "RECON001") ]
 
 (* ---------- plan IR: Su3 precision tag ---------- *)
 

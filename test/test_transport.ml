@@ -98,7 +98,7 @@ let test_zero_copy_race_corrupts () =
   Alcotest.(check bool) "zero-copy delivered the written data" true
     (fields_equal zc reference);
   (* the live audit turns the corruption counter into HALO011 *)
-  let ds = Check.halo_audit comm_zc in
+  let ds = Check.Halo_check.audit comm_zc in
   Alcotest.(check bool) "audit fires HALO011" true
     (List.exists (fun (d : D.t) -> d.D.rule = "HALO011") ds)
 

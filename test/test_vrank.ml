@@ -193,6 +193,33 @@ let test_dd_solve_rejects_non_finite () =
         (fun () -> ignore (Vrank.Dd_solve.solve_normal solver ~b_global:b)))
     [ Float.nan; Float.infinity ]
 
+let test_layout_lengths_checked () =
+  (* half-length fields used to be read past their end, so
+     solve_normal "converged" on whatever memory lay beyond b *)
+  let geom = Geometry.create [| 4; 4; 4; 4 |] in
+  let dom = Domain.create geom [| 2; 1; 1; 1 |] in
+  let n = Geometry.volume geom * 24 in
+  let half = Field.create (n / 2) in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "Domain.scatter_field" (fun () -> Domain.scatter_field dom ~dof:24 half 0);
+  raises "Domain.gather_field" (fun () ->
+      Domain.gather_field dom ~dof:24
+        (Array.init (Domain.n_ranks dom) (fun r ->
+             let rg = Domain.rank_geometry dom r in
+             Field.create (rg.Domain.local_volume * 24 / 2))));
+  let comm = Comm.create dom ~dof:24 in
+  raises "Comm.scatter" (fun () -> Comm.scatter comm half (Comm.create_fields comm));
+  let solver =
+    Vrank.Dd_solve.create (Dd.create dom (Gauge.warm geom (rng ()) ~eps:0.3)) ~mass:0.3
+  in
+  Field.gaussian (rng ()) half;
+  raises "Dd_solve.solve_normal" (fun () ->
+      ignore (Vrank.Dd_solve.solve_normal ~tol:1e-6 solver ~b_global:half))
+
 let test_comm_stats_accumulate () =
   let geom = Geometry.create [| 4; 4; 2; 2 |] in
   let dom = Domain.create geom [| 2; 1; 1; 1 |] in
@@ -354,6 +381,7 @@ let suite =
     Alcotest.test_case "dd CG trivial grid" `Quick test_dd_solve_trivial_grid;
     Alcotest.test_case "dd CG rejects non-finite b" `Quick
       test_dd_solve_rejects_non_finite;
+    Alcotest.test_case "layout lengths checked" `Quick test_layout_lengths_checked;
     Alcotest.test_case "stats accumulate" `Quick test_comm_stats_accumulate;
     Alcotest.test_case "partial vs full exchanges" `Quick
       test_partial_exchange_counted_separately;
