@@ -1,22 +1,22 @@
 (* Spec validator: static analysis of Core.Workflow specs and solver
-   configurations before any cycles are spent. Hard structural errors
-   overlap with Workflow.validate_spec (which gates run) but are
-   reported here with stable rule ids, locations and hints; advisory
+   configurations before any cycles are spent. The hard errors are
+   Workflow.validate_spec's, the one list [run] gates on, each reported
+   as a SPEC001 error with a stable rule id and location. The advisory
    rules (parity, thermalization, tolerance ordering against the
-   half-precision noise floor) only the checker knows about. *)
+   half-precision noise floor) only the checker knows about; they run
+   on a spec validate_spec accepts. *)
 
 module W = Core.Workflow
 
 let rules =
   [
-    ("SPEC001", "dims arity/extent/volume invalid");
+    ("SPEC001", "spec rejected by Workflow.validate_spec");
     ("SPEC002", "odd lattice extent or odd L5 (checkerboard/parity hazard)");
-    ("SPEC003", "physics parameter out of range");
-    ("SPEC004", "run counts invalid or ensemble unthermalized");
+    ("SPEC003", "domain-wall height or Mobius scale outside the usual range");
+    ("SPEC004", "ensemble unthermalized");
     ("SPEC005", "tolerance out of the double-precision trust region");
     ("SPEC006", "mixed-precision configuration invalid");
     ("SPEC007", "tolerance below the half fixed-point noise floor");
-    ("SPEC008", "I/O path invalid");
   ]
 
 (* Relative resolution of the int16 mantissa: one part in 32767 — the
@@ -59,117 +59,55 @@ let mixed_config ~n (c : Solver.Mixed.config) =
   Diagnostic.sort (List.rev !ds)
 
 let workflow_spec (s : W.spec) =
-  let ds = ref [] in
-  let add d = ds := d :: !ds in
   let loc = "workflow spec" in
-  (* SPEC001: geometry structure *)
-  if Array.length s.W.dims <> 4 then
-    add
-      (Diagnostic.error ~rule:"SPEC001" ~loc
-         (Printf.sprintf "dims must have 4 extents (got %d)"
-            (Array.length s.W.dims)))
-  else begin
+  match W.validate_spec s with
+  | _ :: _ as problems ->
+    List.map
+      (fun m ->
+        Diagnostic.error ~rule:"SPEC001" ~loc m
+          ~hint:"Workflow.run raises Invalid_argument on this spec")
+      problems
+  | [] ->
+    let ds = ref [] in
+    let warn rule m = ds := Diagnostic.warning ~rule ~loc m :: !ds in
     Array.iteri
       (fun mu d ->
-        if d < 2 then
-          add
-            (Diagnostic.error ~rule:"SPEC001" ~loc
-               (Printf.sprintf "dims.(%d) = %d below the minimum extent 2" mu d))
-        else if d mod 2 <> 0 then
-          add
-            (Diagnostic.warning ~rule:"SPEC002" ~loc
-               (Printf.sprintf
-                  "odd extent %d in direction %c breaks even/odd \
-                   checkerboard symmetry"
-                  d "xyzt".[mu])))
+        if d mod 2 <> 0 then
+          warn "SPEC002"
+            (Printf.sprintf
+               "odd extent %d in direction %c breaks even/odd checkerboard \
+                symmetry"
+               d "xyzt".[mu]))
       s.W.dims;
-    let volume = Array.fold_left ( * ) 1 s.W.dims in
-    if volume mod 2 <> 0 then
-      add
-        (Diagnostic.error ~rule:"SPEC001" ~loc
-           (Printf.sprintf "volume %d must be even for checkerboarding" volume))
-  end;
-  (* SPEC001/SPEC002: fifth dimension *)
-  if s.W.l5 < 1 then
-    add
-      (Diagnostic.error ~rule:"SPEC001" ~loc
-         (Printf.sprintf "l5 = %d must be >= 1" s.W.l5))
-  else if s.W.l5 mod 2 <> 0 then
-    add
-      (Diagnostic.warning ~rule:"SPEC002" ~loc
-         (Printf.sprintf "odd l5 = %d; domain-wall spectra prefer even walls"
-            s.W.l5));
-  (* SPEC003: physics parameters *)
-  if not (s.W.mass > 0.) then
-    add
-      (Diagnostic.error ~rule:"SPEC003" ~loc
-         (Printf.sprintf "quark mass %g must be positive" s.W.mass));
-  if not (s.W.beta > 0.) then
-    add
-      (Diagnostic.error ~rule:"SPEC003" ~loc
-         (Printf.sprintf "beta %g must be positive" s.W.beta));
-  if not (s.W.m5 > 0.) then
-    add
-      (Diagnostic.error ~rule:"SPEC003" ~loc
-         (Printf.sprintf "domain-wall height m5 = %g must be positive" s.W.m5))
-  else if s.W.m5 >= 2. then
-    add
-      (Diagnostic.warning ~rule:"SPEC003" ~loc
-         (Printf.sprintf
-            "m5 = %g outside (0,2): no single-particle domain-wall mode" s.W.m5));
-  if not (s.W.alpha > 0.) then
-    add
-      (Diagnostic.error ~rule:"SPEC003" ~loc
-         (Printf.sprintf "Mobius alpha = %g must be positive" s.W.alpha))
-  else if s.W.alpha < 1. then
-    add
-      (Diagnostic.warning ~rule:"SPEC003" ~loc
-         (Printf.sprintf "Mobius alpha = %g < 1 (Shamir limit is 1)" s.W.alpha));
-  (* SPEC004: run counts *)
-  if s.W.n_configs < 1 then
-    add
-      (Diagnostic.error ~rule:"SPEC004" ~loc
-         (Printf.sprintf "n_configs = %d must be >= 1" s.W.n_configs));
-  if s.W.n_thermalize < 0 then
-    add (Diagnostic.error ~rule:"SPEC004" ~loc "n_thermalize must be >= 0")
-  else if s.W.n_thermalize = 0 then
-    add
-      (Diagnostic.warning ~rule:"SPEC004" ~loc
-         "n_thermalize = 0: measurements start from a cold, unthermalized \
-          ensemble");
-  if s.W.n_decorrelate < 0 then
-    add (Diagnostic.error ~rule:"SPEC004" ~loc "n_decorrelate must be >= 0");
-  (* SPEC005: tolerance trust region *)
-  if not (s.W.tol > 0. && Float.is_finite s.W.tol) then
-    add
-      (Diagnostic.error ~rule:"SPEC005" ~loc
-         (Printf.sprintf "tol = %g must be positive and finite" s.W.tol))
-  else begin
+    if s.W.l5 mod 2 <> 0 then
+      warn "SPEC002"
+        (Printf.sprintf "odd l5 = %d; domain-wall spectra prefer even walls" s.W.l5);
+    if s.W.m5 >= 2. then
+      warn "SPEC003"
+        (Printf.sprintf
+           "m5 = %g outside (0,2): no single-particle domain-wall mode" s.W.m5);
+    if s.W.alpha < 1. then
+      warn "SPEC003"
+        (Printf.sprintf "Mobius alpha = %g < 1 (Shamir limit is 1)" s.W.alpha);
+    if s.W.n_thermalize = 0 then
+      warn "SPEC004"
+        "n_thermalize = 0: measurements start from a cold, unthermalized \
+         ensemble";
     if s.W.tol < double_noise_floor then
-      add
-        (Diagnostic.warning ~rule:"SPEC005" ~loc
-           (Printf.sprintf
-              "tol = %g is below the double-precision noise floor (~%g); \
-               the solver cannot certify it"
-              s.W.tol double_noise_floor));
+      warn "SPEC005"
+        (Printf.sprintf
+           "tol = %g is below the double-precision noise floor (~%g); the \
+            solver cannot certify it"
+           s.W.tol double_noise_floor);
     if s.W.tol >= 1e-2 then
-      add
-        (Diagnostic.warning ~rule:"SPEC005" ~loc
-           (Printf.sprintf "tol = %g is too loose for propagator physics" s.W.tol))
-  end;
-  (* SPEC006/SPEC007: mixed-precision configuration, against the
-     half-checkerboard 5D field length the inner solve actually sees *)
-  (match s.W.precision with
-  | Solver.Dwf_solve.Double -> ()
-  | Solver.Dwf_solve.Mixed c ->
-    if Array.length s.W.dims = 4 && s.W.l5 >= 1 then begin
-      let n = Array.fold_left ( * ) 1 s.W.dims / 2 * s.W.l5 * 24 in
-      List.iter add (mixed_config ~n c)
-    end);
-  (* SPEC008: io path *)
-  (match s.W.io_path with
-  | Some "" ->
-    add
-      (Diagnostic.error ~rule:"SPEC008" ~loc "io_path is the empty string")
-  | _ -> ());
-  Diagnostic.sort (List.rev !ds)
+      warn "SPEC005"
+        (Printf.sprintf "tol = %g is too loose for propagator physics" s.W.tol);
+    (* SPEC006/SPEC007: the mixed-precision advisories, against the
+       half-checkerboard 5D field length the inner solve actually sees *)
+    let mixed =
+      match s.W.precision with
+      | Solver.Dwf_solve.Double -> []
+      | Solver.Dwf_solve.Mixed c ->
+        mixed_config ~n:(Array.fold_left ( * ) 1 s.W.dims / 2 * s.W.l5 * 24) c
+    in
+    Diagnostic.sort (List.rev_append !ds mixed)

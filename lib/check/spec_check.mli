@@ -1,8 +1,9 @@
 (** Spec validator for [Core.Workflow] specs and mixed-precision
-    solver configurations: geometry structure, parity, physics
-    parameter ranges, run counts, tolerance ordering against the
-    double- and half-precision noise floors, block divisibility. Rule
-    ids [SPEC001]–[SPEC008]. *)
+    solver configurations. Each problem [Core.Workflow.validate_spec]
+    reports is one [SPEC001] error; on a spec it accepts, the
+    advisories: parity, domain-wall parameter ranges, thermalization,
+    tolerance ordering against the double- and half-precision noise
+    floors, block shape. Rule ids [SPEC001]–[SPEC007]. *)
 
 val rules : (string * string) list
 

@@ -277,6 +277,8 @@ let gather_field t ~dof (locals : Linalg.Field.t array) : Linalg.Field.t =
    gauge field is read-only during a solve, so ghosts are filled once
    here rather than exchanged each iteration. *)
 let gather_gauge t (gauge : Gauge.t) r : Linalg.Field.t =
+  if Geometry.dims (Gauge.geom gauge) <> Geometry.dims t.global then
+    invalid_arg "Domain.gather_gauge: gauge field on a different lattice";
   let rg = t.ranks.(r) in
   let data = Linalg.Field.create (rg.ext_volume * n_dim * Gauge.link_floats) in
   for s = 0 to rg.ext_volume - 1 do

@@ -58,4 +58,5 @@ val gather_field : t -> dof:int -> Linalg.Field.t array -> Linalg.Field.t
 
 val gather_gauge : t -> Gauge.t -> int -> Linalg.Field.t
 (** Extended-volume (local + ghost) gauge copy for one rank, flat
-    [ext_site × mu × 18] layout. *)
+    [ext_site × mu × 18] layout. Raises [Invalid_argument] unless the
+    gauge field's dims are the domain's global dims. *)

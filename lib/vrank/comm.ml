@@ -156,24 +156,14 @@ let create_fields t : Field.t array =
       let rg = Domain.rank_geometry t.dom r in
       Field.create (rg.Domain.ext_volume * t.dof))
 
-(* Distribute a global field (volume * dof) into per-rank extended
-   fields; ghosts left stale (a halo exchange must follow). *)
+(* Distribute a global field (volume * dof) into the local prefix of
+   per-rank extended fields; ghosts left stale (a halo exchange must
+   follow). *)
 let scatter t (global : Field.t) (fields : Field.t array) =
-  let len = Lattice.Geometry.volume (Domain.global t.dom) * t.dof in
-  if Field.length global <> len then
-    invalid_arg
-      (Printf.sprintf "Comm.scatter: field of %d floats, expected %d"
-         (Field.length global) len);
   Array.iteri
-    (fun r (local : Field.t) ->
-      let rg = Domain.rank_geometry t.dom r in
-      for s = 0 to rg.Domain.local_volume - 1 do
-        let g = rg.Domain.local_to_global.(s) in
-        for d = 0 to t.dof - 1 do
-          Bigarray.Array1.unsafe_set local ((s * t.dof) + d)
-            (Bigarray.Array1.unsafe_get global ((g * t.dof) + d))
-        done
-      done;
+    (fun r (ext : Field.t) ->
+      let local = Domain.scatter_field t.dom ~dof:t.dof global r in
+      Field.blit local (Bigarray.Array1.sub ext 0 (Field.length local));
       mark_written t r)
     fields
 
@@ -265,8 +255,22 @@ let wire_bytes t ~n_sites =
   else float_of_int (n_sites * t.dof * 8)
 
 (* Pack (transport permitting) and "send" every listed face of every
-   rank. Ghost slots are untouched until the matching [complete]. *)
+   rank. Ghost slots are untouched until the matching [complete]. The
+   fields are checked before any message is counted: the pack and the
+   zero-copy delivery index them unchecked. *)
 let post ?faces t (fields : Field.t array) : handle =
+  if Array.length fields <> n_ranks t then
+    invalid_arg
+      (Printf.sprintf "Comm.post: %d fields for %d ranks" (Array.length fields)
+         (n_ranks t));
+  Array.iteri
+    (fun r (f : Field.t) ->
+      let len = (Domain.rank_geometry t.dom r).Domain.ext_volume * t.dof in
+      if Field.length f <> len then
+        invalid_arg
+          (Printf.sprintf "Comm.post: rank %d field of %d floats, expected %d" r
+             (Field.length f) len))
+    fields;
   let face_ids = match faces with None -> all_face_ids | Some f -> f in
   let distinct = List.sort_uniq compare (Array.to_list face_ids) in
   if List.length distinct = 8 then

@@ -61,7 +61,8 @@ val create_fields : t -> Linalg.Field.t array
 (** One extended-volume (local + ghosts) field per rank, zeroed. *)
 
 val scatter : t -> Linalg.Field.t -> Linalg.Field.t array -> unit
-(** Global field → per-rank local portions (ghosts left stale). Raises
+(** Global field → per-rank local portions, restricted through
+    [Lattice.Domain.scatter_field] (ghosts left stale). Raises
     [Invalid_argument] unless the global field is volume·dof floats. *)
 
 (** {2 Nonblocking per-face protocol}
@@ -81,7 +82,8 @@ type handle
 val post : ?faces:int array -> t -> Linalg.Field.t array -> handle
 (** Pack (transport permitting) + send the listed faces (default all 8)
     on every rank. Counts one full (8 distinct faces) or partial
-    exchange. *)
+    exchange. Raises [Invalid_argument], counting nothing, unless the
+    array holds one ext_volume·dof field per rank. *)
 
 val complete : handle -> face:int -> unit
 (** Deliver ghost face [face] (recv-side id) on every rank. Raises

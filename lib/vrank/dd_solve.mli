@@ -1,20 +1,18 @@
 (** Distributed CG on the domain-decomposed Wilson normal operator:
-    halo exchange inside every application, per-rank partial sums
-    combined for every inner product (the all-reduce the machine model
-    charges). Deterministic; checked against the single-domain CGNE. *)
+    [Solver.Cg.solve] over one rank-major vector (rank r's local sites
+    are its r-th block), with the halo exchange inside every operator
+    application and every inner product one global sum over the
+    ranks' partial sums (the all-reduce the machine model charges).
+    Deterministic; checked against the single-domain CGNE. *)
 
 type t
 
-val create :
-  ?granularity:Machine.Policy.granularity -> Dd_wilson.t -> mass:float -> t
-(** [granularity] selects fine-grained (default; per-face boundary
-    compute as each halo lands) or coarse-grained (one boundary sweep
-    after all faces complete) halo completion inside every operator
-    application — one axis [Autotune.Comm_tune] tunes. The other, the
-    halo transport, rides in on the [Dd_wilson] operator (see
+val create : Dd_wilson.t -> mass:float -> t
+(** The halo transport rides in on the [Dd_wilson] operator (see
     [Dd_wilson.create ?transport]); all three transports solve
     bit-identically because CG never writes a source while its
-    exchange is in flight. *)
+    exchange is in flight. Every application runs
+    [Dd_wilson.hop_overlapped] with fine-grained halo completion. *)
 
 val transport : t -> Comm.transport
 (** The halo transport every exchange of this solver uses. *)
@@ -29,8 +27,14 @@ val solve_normal :
   * [ `Exchanges of int ]
   * [ `Allreduces of int ]
 (** Solve M†M x = M†b with b given in global layout; returns the
-    gathered global solution plus communication counts. [`Exchanges]
-    counts full-halo exchanges only, so it is comparable with
-    [Comm.halo_bytes_per_rank] estimates. A zero M†b returns x = 0
-    after 0 iterations, converged, with relative residual 0.
-    @raise Invalid_argument on a non-finite |M†b|². *)
+    gathered global solution, [Cg.solve]'s stats (true residual, flops
+    at 2·volume·[Dirac.Flops.wilson_apply_per_site] per application)
+    and two cumulative communication counts. [`Exchanges] is
+    [Comm.stats]' [full_exchanges], comparable with
+    [Comm.halo_bytes_per_rank] estimates. [`Allreduces] counts global
+    sums: each solve adds 2·iterations + 3 (|b|² and |r₀|² at entry,
+    p·Ap and |r|² per iteration, the closing |b − Ax|²), or 2 for a
+    zero b, which returns x = 0 after 0 iterations, converged, with
+    relative residual 0.
+    @raise Invalid_argument on a non-finite b, or a b that is not
+    volume·24 floats. *)

@@ -18,7 +18,8 @@ val create : ?transport:Comm.transport -> Lattice.Domain.t -> Lattice.Gauge.t ->
     [hop_overlapped] and the solves [Dd_solve] runs on top of it. All
     three transports produce bit-identical results when nothing writes
     the source between post and complete; [Zero_copy] delivers corrupt
-    ghosts (and counts them) when something does. *)
+    ghosts (and counts them) when something does. Raises
+    [Invalid_argument] on a gauge field of another lattice. *)
 
 val comm : t -> Comm.t
 

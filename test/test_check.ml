@@ -451,8 +451,17 @@ let test_spec_structural_errors () =
   Alcotest.(check bool) "SPEC001 bad dims arity" true
     (fires_error "SPEC001" (Spec.workflow_spec s));
   let s = { Core.Workflow.default_spec with tol = 0. } in
-  Alcotest.(check bool) "SPEC005 family on bad tol" true
-    (D.has_errors (Spec.workflow_spec s))
+  Alcotest.(check bool) "SPEC001 on bad tol" true
+    (D.has_errors (Spec.workflow_spec s));
+  let s = { Core.Workflow.default_spec with io_path = Some "" } in
+  Alcotest.(check bool) "SPEC001 empty io_path" true
+    (fires_error "SPEC001" (Spec.workflow_spec s));
+  (* one SPEC001 per problem the gate of Workflow.run reports, and no
+     advisory on a spec it rejects *)
+  let s = { Core.Workflow.default_spec with l5 = 0; n_thermalize = 0 } in
+  Alcotest.(check (list string)) "one SPEC001 per validate_spec problem"
+    (List.map (fun _ -> "SPEC001") (Core.Workflow.validate_spec s))
+    (rules_fired (Spec.workflow_spec s))
 
 let test_spec_mixed_config () =
   let bad = { Solver.Mixed.default_config with block = 7 } in

@@ -175,6 +175,47 @@ let test_dd_solve_trivial_grid () =
   Alcotest.(check bool) "M x = b" true
     (sqrt (Field.norm2 diff /. Field.norm2 b) < 1e-7)
 
+(* the distributed solve reports like every other Cg.solve: a true
+   residual, flops, local writes the ghost epochs see, and the global
+   sums dd_solve.mli states *)
+let test_dd_solve_reports_like_cg () =
+  let geom = Geometry.create [| 4; 4; 2; 4 |] in
+  let gauge = Gauge.warm geom (rng ()) ~eps:0.4 in
+  let dom = Domain.create geom [| 2; 2; 1; 1 |] in
+  let dd = Dd.create dom gauge in
+  let solver = Vrank.Dd_solve.create dd ~mass:0.3 in
+  let n = Geometry.volume geom * 24 in
+  let b = Field.create n in
+  Field.gaussian (rng ()) b;
+  let strict = !Comm.strict in
+  Comm.strict := true;
+  let (_, st, _, `Allreduces ar), (_, st0, _, `Allreduces ar0) =
+    Fun.protect
+      ~finally:(fun () -> Comm.strict := strict)
+      (fun () ->
+        let solve b = Vrank.Dd_solve.solve_normal ~tol:1e-10 solver ~b_global:b in
+        let first = solve b in
+        (first, solve (Field.create n)))
+  in
+  (match st.Solver.Cg.true_relative_residual with
+  | Some r -> Alcotest.(check bool) (Printf.sprintf "true residual %g" r) true (r <= 1e-9)
+  | None -> Alcotest.fail "no true residual");
+  Alcotest.(check bool) "flops counted" true (st.Solver.Cg.flops > 0.);
+  let comm = Dd.comm dd in
+  for r = 0 to Domain.n_ranks dom - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "rank %d writes marked" r)
+      true
+      (Comm.write_epoch comm r > 0)
+  done;
+  Alcotest.(check int) "halo audit clean" 0
+    (List.length (Check.Halo_check.audit comm));
+  Alcotest.(check int) "2 iterations + 3 allreduces"
+    ((2 * st.Solver.Cg.iterations) + 3)
+    ar;
+  Alcotest.(check int) "zero b: 0 iterations" 0 st0.Solver.Cg.iterations;
+  Alcotest.(check int) "zero b: 2 allreduces" 2 (ar0 - ar)
+
 (* A NaN or +Inf in b raises at entry instead of returning x = 0
    after 0 iterations *)
 let test_dd_solve_rejects_non_finite () =
@@ -213,6 +254,32 @@ let test_layout_lengths_checked () =
              Field.create (rg.Domain.local_volume * 24 / 2))));
   let comm = Comm.create dom ~dof:24 in
   raises "Comm.scatter" (fun () -> Comm.scatter comm half (Comm.create_fields comm));
+  (* post packed and delivered ghosts through local-length fields
+     unchecked: far past their end under Staged, a segfault under
+     Zero_copy *)
+  List.iter
+    (fun transport ->
+      let comm = Comm.create ~transport dom ~dof:24 in
+      let name = Machine.Transport.name transport in
+      let locals =
+        Array.init (Domain.n_ranks dom) (fun r ->
+            Field.create ((Domain.rank_geometry dom r).Domain.local_volume * 24))
+      in
+      raises (name ^ " local-length fields") (fun () ->
+          Comm.halo_exchange comm locals);
+      raises (name ^ " one rank short") (fun () ->
+          Comm.halo_exchange comm
+            (Array.sub (Comm.create_fields comm) 0 (Domain.n_ranks dom - 1)));
+      Alcotest.(check int) (name ^ " no message counted") 0
+        (Comm.stats comm).Comm.messages)
+    [ Comm.Staged; Comm.Zero_copy; Comm.Double_buffered ];
+  (* a gauge field of another lattice: the wrong links on 4^3x8, reads
+     past the link buffer on 2^4 *)
+  List.iter
+    (fun dims ->
+      raises "Dd_wilson.create" (fun () ->
+          Dd.create dom (Gauge.unit (Geometry.create dims))))
+    [ [| 4; 4; 4; 8 |]; [| 2; 2; 2; 2 |] ];
   let solver =
     Vrank.Dd_solve.create (Dd.create dom (Gauge.warm geom (rng ()) ~eps:0.3)) ~mass:0.3
   in
@@ -381,6 +448,8 @@ let suite =
     Alcotest.test_case "dd CG trivial grid" `Quick test_dd_solve_trivial_grid;
     Alcotest.test_case "dd CG rejects non-finite b" `Quick
       test_dd_solve_rejects_non_finite;
+    Alcotest.test_case "dd CG reports like Cg.solve" `Quick
+      test_dd_solve_reports_like_cg;
     Alcotest.test_case "layout lengths checked" `Quick test_layout_lengths_checked;
     Alcotest.test_case "stats accumulate" `Quick test_comm_stats_accumulate;
     Alcotest.test_case "partial vs full exchanges" `Quick
