@@ -1,140 +1,13 @@
-(* Real OCaml kernel microbenchmarks (Bechamel): the measured
-   counterparts of the modeled quantities, plus ablations for the
-   design decisions called out in DESIGN.md. One Bechamel Test.make
-   per kernel. *)
+(* Design-decision and solver ablations: whole solves compared by
+   iteration count, flops and wall time (one run each). Kernel timings
+   with a spread come from benchmark/. *)
 
-open Bechamel
 module Field = Linalg.Field
 module Ascii = Util.Ascii
 
-(* ---- benchmark harness ---- *)
-
-let run_tests tests =
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.fold
-    (fun name o acc ->
-      match Analyze.OLS.estimates o with
-      | Some [ ns ] -> (name, ns) :: acc
-      | _ -> acc)
-    results []
-  |> List.sort compare
-
-(* ---- kernel setups ---- *)
-
-let geom = lazy (Lattice.Geometry.create [| 8; 8; 8; 16 |])
-
-let setup =
-  lazy
-    (let geom = Lazy.force geom in
-     let rng = Util.Rng.create 11 in
-     let gauge = Lattice.Gauge.warm geom rng ~eps:0.3 in
-     let params = Dirac.Mobius.mobius ~l5:8 ~m5:1.8 ~alpha:1.5 ~mass:0.1 in
-     let w = Dirac.Wilson.of_geometry geom gauge in
-     let eo = Dirac.Mobius.of_geometry_eo params geom gauge in
-     (geom, gauge, params, w, eo))
-
-let run () =
-  Ascii.banner "Measured OCaml kernels (Bechamel; one Test.make per kernel)";
-  let geom, _gauge, params, w, eo = Lazy.force setup in
-  let vol = Lattice.Geometry.volume geom in
-  let half = Lattice.Geometry.half_volume geom in
-  let l5 = params.Dirac.Mobius.l5 in
-  let rng = Util.Rng.create 12 in
-  let n4 = vol * 24 in
-  let src4 = Field.create n4 and dst4 = Field.create n4 in
-  Field.gaussian rng src4;
-  let n5 = l5 * half * 24 in
-  let src5 = Field.create n5 and dst5 = Field.create n5 in
-  Field.gaussian rng src5;
-  let nb = 24 * 10240 in
-  let x = Field.create nb and y = Field.create nb in
-  Field.gaussian rng x;
-  Field.gaussian rng y;
-  let h = Field.Half.create ~block:24 nb in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [
-        Test.make ~name:"wilson_hop_8x8x8x16"
-          (Staged.stage (fun () -> Dirac.Wilson.hop w ~src:src4 ~dst:dst4));
-        Test.make ~name:"mobius_schur"
-          (Staged.stage (fun () ->
-               Dirac.Mobius.apply_schur eo ~src:src5 ~dst:dst5));
-        Test.make ~name:"m5inv"
-          (Staged.stage (fun () ->
-               Dirac.Mobius.apply_m5inv params ~n4:half ~src:src5 ~dst:dst5));
-        Test.make ~name:"blas1_axpy_246k"
-          (Staged.stage (fun () -> Field.axpy 1.0000001 x y));
-        Test.make ~name:"blas1_dot_246k" (Staged.stage (fun () -> Field.dot_re x y));
-        Test.make ~name:"half_encode_246k" (Staged.stage (fun () -> Field.Half.encode x h));
-        Test.make ~name:"half_decode_246k" (Staged.stage (fun () -> Field.Half.decode h y));
-      ]
-  in
-  let results = run_tests tests in
-  let flops_of = function
-    | "kernels/wilson_hop_8x8x8x16" ->
-      Some (float_of_int (vol * Dirac.Flops.wilson_hop_per_site))
-    | "kernels/mobius_schur" ->
-      Some (float_of_int (l5 * half * Dirac.Flops.schur_per_5d_site))
-    | "kernels/m5inv" ->
-      Some (float_of_int (l5 * half) *. float_of_int Dirac.Flops.m5inv_per_5d_site)
-    | "kernels/blas1_axpy_246k" -> Some (2. *. float_of_int nb)
-    | "kernels/blas1_dot_246k" -> Some (2. *. float_of_int nb)
-    | _ -> None
-  in
-  Ascii.print_table
-    ~header:[ "kernel"; "time/call"; "rate" ]
-    (List.map
-       (fun (name, ns) ->
-         let t = ns *. 1e-9 in
-         [
-           name;
-           Ascii.seconds t;
-           (match flops_of name with
-           | Some fl -> Ascii.flops (fl /. t)
-           | None ->
-             (* bandwidth-style kernels *)
-             Ascii.bytes_per_sec (float_of_int nb *. 10. /. t));
-         ])
-       results);
-  print_endline
-    "(the paper's GPUs sustain 139-975 GB/s on this stencil; the OCaml\n\
-     kernels above are the functional substrate, not a performance claim)"
-
-(* ---- ablations (DESIGN.md design decisions) ---- *)
-
-let safe_axpy alpha (x : Field.t) (y : Field.t) =
-  for i = 0 to Field.length x - 1 do
-    Bigarray.Array1.set y i (Bigarray.Array1.get y i +. (alpha *. Bigarray.Array1.get x i))
-  done
-
 let ablation () =
   Ascii.banner "Ablations: design decisions measured";
-  (* 1. safe vs unsafe Bigarray access *)
-  let nb = 24 * 10240 in
-  let rng = Util.Rng.create 21 in
-  let x = Field.create nb and y = Field.create nb in
-  Field.gaussian rng x;
-  let tests =
-    Test.make_grouped ~name:"ablation"
-      [
-        Test.make ~name:"axpy_unsafe" (Staged.stage (fun () -> Field.axpy 1.0 x y));
-        Test.make ~name:"axpy_bounds_checked"
-          (Staged.stage (fun () -> safe_axpy 1.0 x y));
-      ]
-  in
-  let results = run_tests tests in
-  let time name = List.assoc ("ablation/" ^ name) results in
-  Printf.printf
-    "bounds-checked axpy: %.2fx slower than unsafe (the kernels validate\n\
-     lengths once, then use unsafe accesses)\n"
-    (time "axpy_bounds_checked" /. time "axpy_unsafe");
-  (* 2. double vs mixed-precision CG on a real solve *)
+  (* 1. double vs mixed-precision CG on a real solve *)
   let geom = Lattice.Geometry.create [| 4; 4; 4; 8 |] in
   let gauge = Lattice.Gauge.warm geom (Util.Rng.create 22) ~eps:0.4 in
   let params = Dirac.Mobius.mobius ~l5:6 ~m5:1.8 ~alpha:1.5 ~mass:0.1 in
@@ -161,7 +34,7 @@ let ablation () =
   print_endline
     "(on a GPU the half-precision storage doubles the effective bandwidth —\n\
      here it exercises the identical reliable-update control flow)";
-  (* 3. red-black preconditioning vs unpreconditioned normal equations *)
+  (* 2. red-black preconditioning vs unpreconditioned normal equations *)
   let _, st_eo = Solver.Dwf_solve.solve ~tol:1e-8 solver ~rhs in
   let _, st_full = Solver.Dwf_solve.solve_full ~tol:1e-8 solver ~rhs in
   Ascii.print_table

@@ -24,7 +24,6 @@ let experiments =
     ("startup", "Sec V: startup at scale", fun () -> Jobs.startup ());
     ("placement", "Sec VII: GPU-granular placement", fun () -> Jobs.placement ());
     ("autotune", "Sec IV-V: autotuning demos", fun () -> Jobs.autotune ());
-    ("kernels", "measured OCaml kernels (Bechamel)", fun () -> Kernels.run ());
     ("ablation", "design-decision ablations", fun () -> Kernels.ablation ());
     ("solvers", "solver ablations + critical slowing", fun () -> Kernels.solver_ablation ());
     ("physics", "m_res, FH economics, mesons, gradient flow", fun () -> Physics_exp.run ());

@@ -35,7 +35,8 @@ let all_rules =
 
 (* ---- the shipped-example artifacts, verified ---- *)
 
-let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
+let standard_suite () : Diagnostic.report =
+  let seed = 20_180_920 in
   let rng = Util.Rng.create seed in
   (* the co-scheduling campaign of examples/job_manager and Fig 6 *)
   let tasks =

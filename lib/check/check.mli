@@ -20,7 +20,7 @@ module Fixtures : module type of Fixtures
 val all_rules : (string * (string * string) list) list
 (** Pass name → its rule catalog. *)
 
-val standard_suite : ?seed:int -> unit -> Diagnostic.report
+val standard_suite : unit -> Diagnostic.report
 (** Verify the shipped example artifacts: the co-scheduling campaign,
     the blocking, overlapped, double-buffered and zero-copy halo
     schedules, a live Comm audit, the default workflow specs (double

@@ -38,9 +38,9 @@ let verify_space ?(kernel = "cg_deflate") ~config_hash ~apply
       [
         Diagnostic.error ~rule:"DEF001" ~loc
           ~hint:
-            "rebuild the space on the live configuration (Lanczos.lowest, \
-             warm-started from the previous basis) or key it by \
-             Deflate.gauge_hash of the links it was computed from"
+            "rebuild the space on the live configuration (Lanczos.lowest) \
+             or key it by Deflate.gauge_hash of the links it was computed \
+             from"
           (Printf.sprintf
              "deflation space was built from configuration %#x but the \
               solve runs on %#x: a stale basis is not a low-mode space of \

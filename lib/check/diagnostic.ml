@@ -68,18 +68,18 @@ let summary (r : report) =
 
 let exit_code (r : report) = if report_errors r > 0 then 1 else 0
 
-let print_report ?(out = stdout) ?(verbose = false) (r : report) =
+let print_report ?(verbose = false) (r : report) =
   List.iter
     (fun (pass, ds) ->
       let shown =
         if verbose then sort ds
         else sort (List.filter (fun d -> d.severity <> Info) ds)
       in
-      Printf.fprintf out "== %s: %d error%s, %d warning%s\n" pass
+      Printf.printf "== %s: %d error%s, %d warning%s\n" pass
         (count_errors ds)
         (if count_errors ds = 1 then "" else "s")
         (count_warnings ds)
         (if count_warnings ds = 1 then "" else "s");
-      List.iter (fun d -> Printf.fprintf out "   %s\n" (to_string d)) shown)
+      List.iter (fun d -> Printf.printf "   %s\n" (to_string d)) shown)
     r;
-  Printf.fprintf out "%s\n" (summary r)
+  Printf.printf "%s\n" (summary r)

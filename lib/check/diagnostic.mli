@@ -44,6 +44,6 @@ val summary : report -> string
 val exit_code : report -> int
 (** 1 when any pass reported an error, 0 otherwise. *)
 
-val print_report : ?out:out_channel -> ?verbose:bool -> report -> unit
-(** Per-pass listing ([verbose] also shows info-level findings) plus a
-    summary line. *)
+val print_report : ?verbose:bool -> report -> unit
+(** Per-pass listing on stdout ([verbose] also shows info-level
+    findings) plus a summary line. *)

@@ -11,7 +11,7 @@ module W = Core.Workflow
 let rules =
   [
     ("SPEC001", "spec rejected by Workflow.validate_spec");
-    ("SPEC002", "odd lattice extent or odd L5 (checkerboard/parity hazard)");
+    ("SPEC002", "odd L5 (domain-wall parity hazard)");
     ("SPEC003", "domain-wall height or Mobius scale outside the usual range");
     ("SPEC004", "ensemble unthermalized");
     ("SPEC005", "tolerance out of the double-precision trust region");
@@ -70,15 +70,6 @@ let workflow_spec (s : W.spec) =
   | [] ->
     let ds = ref [] in
     let warn rule m = ds := Diagnostic.warning ~rule ~loc m :: !ds in
-    Array.iteri
-      (fun mu d ->
-        if d mod 2 <> 0 then
-          warn "SPEC002"
-            (Printf.sprintf
-               "odd extent %d in direction %c breaks even/odd checkerboard \
-                symmetry"
-               d "xyzt".[mu]))
-      s.W.dims;
     if s.W.l5 mod 2 <> 0 then
       warn "SPEC002"
         (Printf.sprintf "odd l5 = %d; domain-wall spectra prefer even walls" s.W.l5);

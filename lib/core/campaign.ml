@@ -13,17 +13,18 @@ type t = {
   group_gpus : int;
   group_nodes : int;
   stack : Perf_model.mpi_stack;
-  task_duration_s : float;  (* nominal wall time of one propagator task *)
 }
 
-let create ~machine ~problem ~group_gpus ~stack ?(task_duration_s = 1800.) () =
+(* Nominal wall time of one propagator task. *)
+let task_duration_s = 1800.
+
+let create ~machine ~problem ~group_gpus ~stack () =
   {
     machine;
     problem;
     group_gpus;
     group_nodes = group_gpus / machine.Spec.gpus_per_node;
     stack;
-    task_duration_s;
   }
 
 (* Sustained TFlops of one group running the whole application. *)
@@ -47,16 +48,15 @@ type outcome = {
 (* Run [n_tasks] propagator tasks over [n_nodes] nodes under a
    scheduling strategy; sustained performance = group perf x GPU-level
    utilization. *)
-let simulate ?(scheduler = `Mpi_jm) ?(seed = 7) ?(spread = 0.2) t ~n_nodes
-    ~n_tasks =
-  let rng = Util.Rng.create seed in
+let simulate ?(scheduler = `Mpi_jm) ?(spread = 0.2) t ~n_nodes ~n_tasks =
+  let rng = Util.Rng.create 7 in
   let cluster =
     Jobman.Cluster.create ~n_nodes ~gpus_per_node:t.machine.Spec.gpus_per_node
       ~cpus_per_node:40 ~jitter:t.machine.Spec.node_jitter rng
   in
   let tasks =
     Jobman.Task.campaign ~spread ~n:n_tasks ~nodes:t.group_nodes
-      ~duration:t.task_duration_s rng
+      ~duration:task_duration_s rng
   in
   let outcome =
     match scheduler with
@@ -81,8 +81,8 @@ let simulate ?(scheduler = `Mpi_jm) ?(seed = 7) ?(spread = 0.2) t ~n_nodes
 (* Per-task achieved solver performance across a large run (Fig 7):
    node-speed heterogeneity plus placement locality spread the
    distribution. *)
-let solver_performance_samples ?(seed = 11) t ~n_tasks =
-  let rng = Util.Rng.create seed in
+let solver_performance_samples t ~n_tasks =
+  let rng = Util.Rng.create 11 in
   let per_group = group_tflops t in
   Array.init n_tasks (fun _ ->
       (* slowest of the group's nodes gates the tightly-coupled solve *)

@@ -8,7 +8,6 @@ type t = {
   group_gpus : int;
   group_nodes : int;
   stack : Machine.Perf_model.mpi_stack;
-  task_duration_s : float;
 }
 
 val create :
@@ -16,9 +15,9 @@ val create :
   problem:Machine.Perf_model.problem ->
   group_gpus:int ->
   stack:Machine.Perf_model.mpi_stack ->
-  ?task_duration_s:float ->
   unit ->
   t
+(** Every task of the campaign runs a nominal 1800 s. *)
 
 val group_tflops : t -> float
 (** Whole-application sustained TFlops of one group.
@@ -35,13 +34,12 @@ type outcome = {
 
 val simulate :
   ?scheduler:[ `Naive | `Metaq | `Mpi_jm ] ->
-  ?seed:int ->
   ?spread:float ->
   t ->
   n_nodes:int ->
   n_tasks:int ->
   outcome
 
-val solver_performance_samples : ?seed:int -> t -> n_tasks:int -> float array
+val solver_performance_samples : t -> n_tasks:int -> float array
 (** Per-task achieved TFlops across a large run (the Fig 7 histogram):
     slowest-node gating plus occasional placement penalties. *)

@@ -82,11 +82,11 @@ let validate_spec s =
     add (Printf.sprintf "dims must have 4 extents (got %d)" (Array.length s.dims))
   else begin
     Array.iteri
-      (fun mu d -> if d < 2 then add (Printf.sprintf "dims.(%d) = %d < 2" mu d))
-      s.dims;
-    let volume = Array.fold_left ( * ) 1 s.dims in
-    if volume mod 2 <> 0 then
-      add (Printf.sprintf "lattice volume %d must be even (checkerboarding)" volume)
+      (fun mu d ->
+        if d < 2 then add (Printf.sprintf "dims.(%d) = %d < 2" mu d)
+        else if d mod 2 <> 0 then
+          add (Printf.sprintf "dims.(%d) = %d must be even (checkerboarding)" mu d))
+      s.dims
   end;
   if s.l5 < 1 then add (Printf.sprintf "l5 = %d must be >= 1" s.l5);
   if not (s.m5 > 0.) then add (Printf.sprintf "m5 = %g must be positive" s.m5);

@@ -23,7 +23,7 @@ val default_spec : spec
 
 val validate_spec : spec -> string list
 (** Structural problems making the spec unrunnable (empty = valid):
-    dims arity/extents/even volume, positive physics parameters, run
+    dims arity and even extents ≥ 2, positive physics parameters, run
     counts, tolerance, mixed-precision block divisibility. [run]
     raises [Invalid_argument] listing them when non-empty. *)
 

@@ -485,31 +485,16 @@ let apply_schur_normal_tail eo ~src ~dst ~tail =
   check_eo "Mobius.apply_schur_normal_tail" eo ~srcs:[ src ] ~dsts:[ dst ];
   schur_normal_gen ~tail eo ~src ~dst
 
-(* ---- batched multi-RHS Schur chain: the same stages on k fields ---- *)
-
-let hop_eo_multi eo ~to_parity ~srcs ~dsts =
-  check_eo_batch "Mobius.hop_eo_multi" eo ~srcs ~dsts;
-  hop_eo_gen eo ~to_parity ~srcs ~dsts ()
-
-let apply_schur_multi eo ~srcs ~dsts =
-  check_eo_batch "Mobius.apply_schur_multi" eo ~srcs ~dsts;
-  schur_gen eo ~srcs ~dsts
-
-let schur_dagger_multi eo ~srcs ~dsts =
-  let t1s = schur_dagger_chain eo ~srcs ~dsts in
-  Array.iteri
-    (fun v dst -> ignore (schur_dagger_finish dst t1s.(v) (eo_field_length eo) : float))
-    dsts
-
-let apply_schur_dagger_multi eo ~srcs ~dsts =
-  check_eo_batch "Mobius.apply_schur_dagger_multi" eo ~srcs ~dsts;
-  schur_dagger_multi eo ~srcs ~dsts
+(* ---- batched S^dag S: the same stages on k fields ---- *)
 
 let apply_schur_normal_multi eo ~srcs ~dsts =
   check_eo_batch "Mobius.apply_schur_normal_multi" eo ~srcs ~dsts;
   let tmps = create_like eo srcs in
   schur_gen eo ~srcs ~dsts:tmps;
-  schur_dagger_multi eo ~srcs:tmps ~dsts
+  let t1s = schur_dagger_chain eo ~srcs:tmps ~dsts in
+  Array.iteri
+    (fun v dst -> ignore (schur_dagger_finish dst t1s.(v) (eo_field_length eo) : float))
+    dsts
 
 (* ---- full <-> checkerboard field conversion ---- *)
 

@@ -88,8 +88,8 @@ val of_geometry_eo :
   Lattice.Gauge.t ->
   eo
 (** [recon] as in {!of_geometry}: both checkerboard kernels share the
-    codec, so the whole Schur chain (and its batched multi-RHS twins)
-    runs on the packed store. *)
+    codec, so the whole Schur chain (batched S†S included) runs on
+    the packed store. *)
 
 val eo_field_length : eo -> int
 val create_eo_field : eo -> Linalg.Field.t
@@ -120,38 +120,19 @@ val apply_schur_normal_tail :
     ([Solver.Cg]'s [apply_dot]). The tail output must not alias [dst]
     ([Invalid_argument]). *)
 
-(** {2 Batched multi-RHS chain}
-
-    The same chain on k right-hand sides: each hop is one stencil
-    launch over L5·k columns, streaming the gauge links once for the
-    whole batch, while the per-RHS stages (M5d/M5d⁻¹, closing
-    subtractions) run the single-RHS loops — so each dst in the batch
-    is bit-identical to the independent single-RHS application, for
-    any batch width and pool geometry. Batches must be non-empty with
-    matching widths; no dst may share storage with any src or with
-    another dst ([Invalid_argument]). *)
-
-val hop_eo_multi :
-  eo ->
-  to_parity:int ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  unit
-(** Batched [hop_eo]: per RHS bit-identical. *)
-
-val apply_schur_multi :
-  eo -> srcs:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
-(** Batched [apply_schur]: per RHS bit-identical. *)
-
-val apply_schur_dagger_multi :
-  eo -> srcs:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
-(** Batched [apply_schur_dagger]: per RHS bit-identical. *)
+(** {2 Batched multi-RHS chain} *)
 
 val apply_schur_normal_multi :
   eo -> srcs:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
 (** Batched S†S — the operator a batched solve hands
-    [Solver.Cg.solve_multi]. Per RHS bit-identical to
-    [apply_schur_normal]. *)
+    [Solver.Cg.solve_multi]. Each of its four hops is one stencil
+    launch over L5·k columns, streaming the gauge links once for the
+    whole batch, while the per-RHS stages (M5d/M5d⁻¹, closing
+    subtractions) run the single-RHS loops — so each dst is
+    bit-identical to [apply_schur_normal] on its src, for any batch
+    width and pool geometry. The batch must be non-empty with matching
+    widths; no dst may share storage with any src or with another dst
+    ([Invalid_argument]). *)
 
 val split_eo :
   Lattice.Geometry.t -> l5:int -> Linalg.Field.t -> Linalg.Field.t * Linalg.Field.t

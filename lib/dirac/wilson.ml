@@ -436,36 +436,24 @@ let hop_tail ?pool ?chunk t ~src ~dst ~tail =
    partner-spin loads negated) and flips spins 2,3 of the diagonal term
    and of the result in the store — the values the g5·apply·g5
    sandwich produced through two gamma5 passes. *)
-let store_apply ~dagger ~mass ~(srcs : Linalg.Field.t array) ~(dsts : Linalg.Field.t array)
+let store_apply ~dagger ~mass ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t)
     (acc : float array) x =
   let d = 4. +. mass in
   let db = x * fps in
-  for v = 0 to Array.length dsts - 1 do
-    let src = Array.unsafe_get srcs v and dst = Array.unsafe_get dsts v in
-    let a = v * fps in
-    for j = 0 to fps - 1 do
-      let s = Array1.unsafe_get src (db + j) and h = Array.unsafe_get acc (a + j) in
-      Array1.unsafe_set dst (db + j)
-        (if dagger && j >= 12 then -.((d *. -.s) -. (0.5 *. h))
-         else (d *. s) -. (0.5 *. h))
-    done
+  for j = 0 to fps - 1 do
+    let s = Array1.unsafe_get src (db + j) and h = Array.unsafe_get acc j in
+    Array1.unsafe_set dst (db + j)
+      (if dagger && j >= 12 then -.((d *. -.s) -. (0.5 *. h))
+       else (d *. s) -. (0.5 *. h))
   done
 
-let apply_gen name ~dagger t ~mass ~srcs ~dsts =
-  check_batch name t srcs dsts;
-  launch ~cols:(Array.length srcs) ~n:t.n_sites
-    (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs
-       ~store:(store_apply ~dagger ~mass ~srcs ~dsts))
+let apply_gen name ~dagger t ~mass ~src ~dst =
+  check_batch name t [| src |] [| dst |];
+  launch ~cols:1 ~n:t.n_sites
+    (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs:[| src |]
+       ~store:(store_apply ~dagger ~mass ~src ~dst))
 
-let apply t ~mass ~src ~dst =
-  apply_gen "Wilson.apply" ~dagger:false t ~mass ~srcs:[| src |] ~dsts:[| dst |]
+let apply t ~mass ~src ~dst = apply_gen "Wilson.apply" ~dagger:false t ~mass ~src ~dst
 
 let apply_dagger t ~mass ~src ~dst =
-  apply_gen "Wilson.apply_dagger" ~dagger:true t ~mass ~srcs:[| src |]
-    ~dsts:[| dst |]
-
-let apply_multi t ~mass ~srcs ~dsts =
-  apply_gen "Wilson.apply_multi" ~dagger:false t ~mass ~srcs ~dsts
-
-let apply_dagger_multi t ~mass ~srcs ~dsts =
-  apply_gen "Wilson.apply_dagger_multi" ~dagger:true t ~mass ~srcs ~dsts
+  apply_gen "Wilson.apply_dagger" ~dagger:true t ~mass ~src ~dst

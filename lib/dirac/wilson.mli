@@ -115,23 +115,6 @@ val apply_dagger :
     body negates the partner-spin loads, the store the spin-2/3
     outputs. *)
 
-val apply_multi :
-  t ->
-  mass:float ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  unit
-(** Batched full operator over [hop_multi]: per RHS bit-identical to
-    [apply]. Same batch contract as [hop_multi]. *)
-
-val apply_dagger_multi :
-  t ->
-  mass:float ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  unit
-(** Batched M†: per RHS bit-identical to [apply_dagger]. *)
-
 (** {2 The 5D entry} *)
 
 val stencil :

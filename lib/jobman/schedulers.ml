@@ -93,7 +93,7 @@ let naive ~cluster ~tasks =
 
 (* ---- METAQ backfilling ---- *)
 
-let metaq ?(locality_penalty = true) ~cluster ~tasks () =
+let metaq ~cluster ~tasks () =
   let des = Des.create () in
   let productive = ref 0. in
   let queue = Queue.create () in
@@ -109,7 +109,7 @@ let metaq ?(locality_penalty = true) ~cluster ~tasks () =
         ignore (Queue.pop queue);
         Cluster.allocate_nodes cluster ~time:(Des.now des) ids;
         let speed = Cluster.allocation_speed cluster ids in
-        let loc = if locality_penalty then Cluster.locality_factor cluster ids else 1. in
+        let loc = Cluster.locality_factor cluster ids in
         let runtime = t.Task.base_duration /. (speed *. loc) in
         (* the locality slowdown is lost time, not productive work *)
         productive :=

@@ -16,8 +16,7 @@ val naive : cluster:Cluster.t -> tasks:Task.t list -> outcome
 (** Launch groups simultaneously; everyone waits for the slowest
     member before the next group starts. *)
 
-val metaq :
-  ?locality_penalty:bool -> cluster:Cluster.t -> tasks:Task.t list -> unit -> outcome
+val metaq : cluster:Cluster.t -> tasks:Task.t list -> unit -> outcome
 (** Backfill whenever nodes free; allocations may scatter and pay the
     locality penalty. *)
 

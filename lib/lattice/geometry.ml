@@ -33,12 +33,16 @@ let site_of_coords dims c =
 
 let create dims =
   if Array.length dims <> n_dim then invalid_arg "Geometry.create: need 4 dims";
-  Array.iter
-    (fun d -> if d < 2 then invalid_arg "Geometry.create: dims must be >= 2")
+  (* an odd extent's periodic wrap joins two sites of one parity, so
+     the even/odd tables below would not be a checkerboard *)
+  Array.iteri
+    (fun mu d ->
+      if d < 2 || d mod 2 <> 0 then
+        invalid_arg
+          (Printf.sprintf "Geometry.create: extent %d in dim %d must be even and >= 2"
+             d mu))
     dims;
   let volume = Array.fold_left ( * ) 1 dims in
-  if volume mod 2 <> 0 then
-    invalid_arg "Geometry.create: volume must be even for checkerboarding";
   let half_volume = volume / 2 in
   let fwd = Array.make (volume * n_dim) 0 in
   let bwd = Array.make (volume * n_dim) 0 in

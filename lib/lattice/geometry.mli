@@ -7,7 +7,9 @@ type t
 val n_dim : int
 
 val create : int array -> t
-(** [create [|lx; ly; lz; lt|]]; all extents ≥ 2, volume even. *)
+(** [create [|lx; ly; lz; lt|]]; every extent even and ≥ 2, so the
+    periodic wrap flips parity and the even/odd checkerboard holds.
+    @raise Invalid_argument otherwise. *)
 
 val volume : t -> int
 val dims : t -> int array

@@ -14,12 +14,12 @@
 module Su3 = Linalg.Su3
 module Cplx = Linalg.Cplx
 
-(* exp(i Q) via the power series sum (iQ)^k / k!. *)
-let exp_i_herm ?(terms = 24) (q : Su3.t) : Su3.t =
+(* exp(i Q) via the power series sum (iQ)^k / k!, k <= 24. *)
+let exp_i_herm (q : Su3.t) : Su3.t =
   let iq = Su3.cscale Cplx.i q in
   let acc = ref (Su3.id ()) in
   let term = ref (Su3.id ()) in
-  for k = 1 to terms do
+  for k = 1 to 24 do
     term := Su3.scale (1. /. float_of_int k) (Su3.mul !term iq);
     acc := Su3.add !acc !term
   done;

@@ -2,9 +2,9 @@
     the su(3)-projected staple force — the smoothing applied to the
     production gauge fields. *)
 
-val exp_i_herm : ?terms:int -> Linalg.Su3.t -> Linalg.Su3.t
-(** exp(iQ) for hermitian traceless Q (power series, snapped back to
-    SU(3)). *)
+val exp_i_herm : Linalg.Su3.t -> Linalg.Su3.t
+(** exp(iQ) for hermitian traceless Q (power series to order 24,
+    snapped back to SU(3)). *)
 
 val stout_q : rho:float -> Linalg.Su3.t -> Linalg.Su3.t -> Linalg.Su3.t
 (** [stout_q ~rho u c] with [c] the staple sum in the C = ρA†

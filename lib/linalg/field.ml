@@ -336,7 +336,8 @@ module Half = struct
   let max_q = Quantize.max_q
 
   let create ~block n =
-    if n mod block <> 0 then invalid_arg "Field.Half.create: block must divide n";
+    if block < 1 || n mod block <> 0 then
+      invalid_arg "Field.Half.create: block must be positive and divide n";
     let data = Array1.create int16_signed c_layout n in
     Array1.fill data 0;
     let norms = Array1.create float32 c_layout (n / block) in

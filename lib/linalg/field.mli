@@ -149,7 +149,8 @@ module Half : sig
   val max_q : float
 
   val create : block:int -> int -> h
-  (** [create ~block n]: [block] floats share one norm; block ∣ n. *)
+  (** [create ~block n]: [block] floats share one norm; block ≥ 1 and
+      block ∣ n, else [Invalid_argument]. *)
 
   val length : h -> int
   val encode : t -> h -> unit

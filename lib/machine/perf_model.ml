@@ -133,15 +133,6 @@ let node_subgrid (m : Spec.t) p grid =
   ignore !remaining;
   nsub
 
-(* Host-side pool fork/join pricing, for the shared-memory kernel
-   engine (Util.Pool): one generation hand-off per launch plus a
-   per-chunk dispatch through the atomic counter. Calibrated from the
-   pool's own microbenchmarks, coarse on purpose — the term exists so
-   the model can price fork/join overhead against chunk size, the same
-   trade the pool autotuner measures for real. *)
-let fork_join_s = 5e-6
-let chunk_dispatch_s = 2e-7
-
 (* Half-precision storage bytes of one full vector sweep per 5D site:
    24 reals x 2 bytes (the inner solver's working precision, where the
    BLAS-1 tail lives). *)
@@ -274,9 +265,6 @@ type breakdown = {
   t_comm_inter : float;
   t_latency : float;
   t_overhead : float;
-  t_sync : float;
-      (* host pool fork/join + per-chunk dispatch for the (domains,
-         chunk) geometry passed as ?pool; zero when no pool is priced *)
   t_copy : float;
       (* transport extra-copy time: Double_buffered pays one rotation
          copy of the halo payload against GPU memory bandwidth; zero
@@ -332,7 +320,7 @@ type result = {
    (double-precision reals, 4x the wire bytes, no codec cost).
    Zero_copy has no staging buffer to compress, so [Some true] with it
    is rejected — the same constraint Vrank.Comm enforces. *)
-let stencil_breakdown ?(transport = Transport.Staged) ?pool ?fusion ?compress
+let stencil_breakdown ?(transport = Transport.Staged) ?fusion ?compress
     (m : Spec.t) (policy : Policy.t) p ~n_gpus =
   if compress = Some true && transport = Transport.Zero_copy then
     invalid_arg
@@ -428,13 +416,6 @@ let stencil_breakdown ?(transport = Transport.Staged) ?pool ?fusion ?compress
            /. (m.Spec.gpu.Spec.mem_bw_gbs *. 1e9)
       else t_copy
     in
-    let t_sync =
-      match pool with
-      | Some (domains, chunk) when domains > 1 && chunk > 0 ->
-        let n_chunks = ceil (local_sites /. float_of_int chunk) in
-        fork_join_s +. (n_chunks *. chunk_dispatch_s)
-      | _ -> 0.
-    in
     let sweeps, blas1_bytes, t_blas1 =
       match fusion with
       | None -> (0., 0., 0.)
@@ -466,9 +447,9 @@ let stencil_breakdown ?(transport = Transport.Staged) ?pool ?fusion ?compress
           face_times;
         (* the rotation copy is pack-side serial work: not hidden;
            the BLAS-1 tail is serial stream work after the stencil *)
-        !busy +. t_copy +. t_sync +. t_overhead +. t_blas1
+        !busy +. t_copy +. t_overhead +. t_blas1
       end
-      else t_stencil +. t_comm +. t_copy +. t_sync +. t_overhead +. t_blas1
+      else t_stencil +. t_comm +. t_copy +. t_overhead +. t_blas1
     in
     Some
       {
@@ -479,7 +460,6 @@ let stencil_breakdown ?(transport = Transport.Staged) ?pool ?fusion ?compress
         t_comm_inter;
         t_latency;
         t_overhead;
-        t_sync;
         t_copy;
         blas1_sweeps_per_iter = sweeps;
         blas1_bytes;
@@ -490,9 +470,9 @@ let stencil_breakdown ?(transport = Transport.Staged) ?pool ?fusion ?compress
         face_times;
       }
 
-let solver_performance ?(transport = Transport.Staged) ?pool ?fusion ?compress
+let solver_performance ?(transport = Transport.Staged) ?fusion ?compress
     (m : Spec.t) (policy : Policy.t) p ~n_gpus =
-  match stencil_breakdown ~transport ?pool ?fusion ?compress m policy p ~n_gpus with
+  match stencil_breakdown ~transport ?fusion ?compress m policy p ~n_gpus with
   | None -> None
   | Some b ->
     let flops_app = b.local_sites *. flops_per_site in
@@ -513,12 +493,10 @@ let solver_performance ?(transport = Transport.Staged) ?pool ?fusion ?compress
 
 (* Best policy at a configuration — what the communication autotuner
    would pick (Autotune.Comm_tune drives this via its cache). *)
-let best_policy ?transport ?compress (m : Spec.t) p ~n_gpus =
+let best_policy (m : Spec.t) p ~n_gpus =
   let candidates = List.filter (fun pol -> Policy.available pol m) Policy.all in
   let results =
-    List.filter_map
-      (fun pol -> solver_performance ?transport ?compress m pol p ~n_gpus)
-      candidates
+    List.filter_map (fun pol -> solver_performance m pol p ~n_gpus) candidates
   in
   match results with
   | [] -> None

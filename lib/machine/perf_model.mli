@@ -40,12 +40,6 @@ val best_grid : problem -> int -> int array option
 val node_subgrid : Spec.t -> problem -> int array -> int array
 (** Node-internal subgrid keeping the largest faces on NVLink. *)
 
-val fork_join_s : float
-(** One pool generation hand-off (host-side fork/join). *)
-
-val chunk_dispatch_s : float
-(** Per-chunk dispatch through the pool's atomic counter. *)
-
 val blas1_bytes_per_site_sweep : float
 (** Bytes one full-vector BLAS-1 sweep moves per 5D site in the inner
     solver's half-precision storage (24 reals × 2 bytes). *)
@@ -148,9 +142,6 @@ type breakdown = {
   t_comm_inter : float;
   t_latency : float;
   t_overhead : float;
-  t_sync : float;
-      (** host pool fork/join + per-chunk dispatch for the (domains,
-          chunk) geometry passed as [?pool]; zero when none is priced *)
   t_copy : float;
       (** transport extra-copy time ([Transport.Double_buffered] pays
           one rotation copy of the halo payload at GPU memory
@@ -190,7 +181,6 @@ type result = {
 
 val stencil_breakdown :
   ?transport:Transport.t ->
-  ?pool:int * int ->
   ?fusion:bool ->
   ?compress:bool ->
   Spec.t ->
@@ -199,10 +189,9 @@ val stencil_breakdown :
   n_gpus:int ->
   breakdown option
 (** [transport] (default [Staged]) prices the halo buffer management
-    into [t_copy]; [pool] (a [(domains, chunk)] geometry) prices the
-    host pool's fork/join into [t_sync]; [fusion] prices the CG
-    iteration's BLAS-1 memory traffic into [t_blas1] at the fused
-    ([Some true], 2 sweeps) or unfused ([Some false], 5 sweeps) rate.
+    into [t_copy]; [fusion] prices the CG iteration's BLAS-1 memory
+    traffic into [t_blas1] at the fused ([Some true], 2 sweeps) or
+    unfused ([Some false], 5 sweeps) rate.
     [compress] prices the halo wire format: omitted keeps the
     calibrated numbers (the paper's achieved bandwidths already absorb
     its compressed wire); [Some true] keeps the compressed face bytes
@@ -216,7 +205,6 @@ val stencil_breakdown :
 
 val solver_performance :
   ?transport:Transport.t ->
-  ?pool:int * int ->
   ?fusion:bool ->
   ?compress:bool ->
   Spec.t ->
@@ -225,14 +213,9 @@ val solver_performance :
   n_gpus:int ->
   result option
 
-val best_policy :
-  ?transport:Transport.t ->
-  ?compress:bool ->
-  Spec.t ->
-  problem ->
-  n_gpus:int ->
-  result option
-(** What the communication autotuner would pick. *)
+val best_policy : Spec.t -> problem -> n_gpus:int -> result option
+(** What the communication autotuner would pick: the fastest available
+    policy under the default [Staged] transport and calibrated wire. *)
 
 type mpi_stack = Spectrum | Open_mpi | Mvapich2 | Metaq_jsrun
 

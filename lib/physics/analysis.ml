@@ -80,7 +80,7 @@ let de_grid = Array.init 39 (fun i -> 0.25 +. (0.025 *. float_of_int i))
 let de_prior_mu = 0.5
 let de_prior_sigma = 0.3
 
-let profile_fit ?(prior = true) ~xs ~ys ~sigmas () =
+let profile_fit ~xs ~ys ~sigmas () =
   let best = ref None in
   Array.iter
     (fun de ->
@@ -91,9 +91,7 @@ let profile_fit ?(prior = true) ~xs ~ys ~sigmas () =
       let basis = [| (fun _ -> 1.); (fun t -> exp (-.de *. t)) |] in
       match Fit.linear_lsq ~basis ~xs ~ys ~sigmas with
       | r ->
-        let penalty =
-          if prior then ((de -. de_prior_mu) /. de_prior_sigma) ** 2. else 0.
-        in
+        let penalty = ((de -. de_prior_mu) /. de_prior_sigma) ** 2. in
         let score = r.Fit.chi2 +. penalty in
         (match !best with
         | Some (_, _, s) when s <= score -> ()

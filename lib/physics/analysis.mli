@@ -37,7 +37,6 @@ val de_grid : float array
     prior of the real analysis. *)
 
 val profile_fit :
-  ?prior:bool ->
   xs:float array ->
   ys:float array ->
   sigmas:float array ->

@@ -56,21 +56,15 @@ let stats ~iterations ~converged ~rel ~true_rel ~flops ~t_start =
     reliable_updates = 0;
   }
 
-let solve ?(x0 : Field.t option) ?(fused = false) ?trace ~apply ~(b : Field.t)
-    ~tol ~max_iter ~flops_per_apply () =
+let solve ?(fused = false) ?trace ~apply ~(b : Field.t) ~tol ~max_iter
+    ~flops_per_apply () =
   let emit v = match trace with Some f -> f v | None -> () in
   let n = Field.length b in
   let t_start = Util.Clock.now_s () in
-  let x = match x0 with Some x -> Field.copy x | None -> Field.create n in
-  let r = Field.create n in
+  let x = Field.create n in
+  let r = Field.copy b in
   let tmp = Field.create n in
   let applies = ref 0 in
-  (match x0 with
-  | None -> Field.blit b r
-  | Some _ ->
-    apply x tmp;
-    incr applies;
-    Field.sub b tmp r);
   let b2 = Field.norm2 b in
   if not (Float.is_finite b2) then invalid_arg "Bicgstab.solve: non-finite b";
   if b2 = 0. then begin
@@ -86,10 +80,7 @@ let solve ?(x0 : Field.t option) ?(fused = false) ?trace ~apply ~(b : Field.t)
     let t = Field.create n in
     let rho = ref (of_cplx (Field.cdot r_hat r)) in
     let iters = ref 0 in
-    let r2 = Field.norm2 r in
-    if not (Float.is_finite r2) then
-      invalid_arg "Bicgstab.solve: non-finite initial residual";
-    let converged = ref (r2 <= target) in
+    let converged = ref (b2 <= target) in
     let broken = ref false in
     while (not !converged) && (not !broken) && !iters < max_iter do
       incr iters;

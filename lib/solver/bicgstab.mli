@@ -11,7 +11,6 @@ val tail_kernels : fused:bool -> (string * int) list
     single-pass [Linalg.Fused.caxpy_norm2]. *)
 
 val solve :
-  ?x0:Linalg.Field.t ->
   ?fused:bool ->
   ?trace:(float -> unit) ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
@@ -21,9 +20,9 @@ val solve :
   flops_per_apply:float ->
   unit ->
   Linalg.Field.t * Cg.stats
-(** Converges when |r| ≤ tol·|b|; [converged = false] on breakdown
-    (vanishing ρ or ω) or max_iter. Raises [Invalid_argument] when
-    |b|² or the starting |r|² is not finite.
+(** Converges when |r| ≤ tol·|b|, starting from x = 0;
+    [converged = false] on breakdown (vanishing ρ or ω) or max_iter.
+    Raises [Invalid_argument] when |b|² is not finite.
 
     [fused] (default [false]) computes the two residual updates
     (s = r − α·v and r = s − ω·t) with [Linalg.Fused.caxpy_norm2],

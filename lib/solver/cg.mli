@@ -103,18 +103,17 @@ val solve_multi :
   Linalg.Field.t array * stats array
 (** Batched CG over k right-hand sides sharing one operator. [apply]
     receives the sub-batch of still-active systems each iteration, so
-    a batched operator ([Dirac.Wilson.apply_multi],
-    [Dirac.Mobius.apply_schur_normal_multi]) streams the gauge links
-    once for the whole surviving batch. Per-RHS convergence masking:
-    a system that converges (or exhausts [max_iter], or hits a
-    non-positive p·Ap breakdown) leaves the active set and stops
-    contributing updates, its stats counting the iterations it ran,
-    while each surviving trajectory — iterate, residual sequence,
-    iteration count, flop count — stays bit-identical to the
-    independent [solve] of that RHS, because the per-RHS float
-    operations (reductions through the canonical blocked association,
-    updates in the scalar kernels' element order) are exactly
-    [solve]'s whether batch-mates remain or not.
+    a batched operator ([Dirac.Mobius.apply_schur_normal_multi])
+    streams the gauge links once for the whole surviving batch.
+    Per-RHS convergence masking: a system that converges (or exhausts
+    [max_iter], or hits a non-positive p·Ap breakdown) leaves the
+    active set and stops contributing updates, its stats counting the
+    iterations it ran, while each surviving trajectory — iterate,
+    residual sequence, iteration count, flop count — stays
+    bit-identical to the independent [solve] of that RHS, because the
+    per-RHS float operations (reductions through the canonical blocked
+    association, updates in the scalar kernels' element order) are
+    exactly [solve]'s whether batch-mates remain or not.
 
     [fused] routes the tail through [Linalg.Multi_blas] (per-RHS
     bit-identical to the [Linalg.Fused] path, hence to the unfused

@@ -83,8 +83,9 @@ let solve ?(precision = Double) ?(fused = false) ?(tol = 1e-10)
   let x = Mobius.merge_eo t.geom ~l5 ~even:x_even ~odd:x_odd in
   (x, stats)
 
-(* Oracle path: CG on the unpreconditioned D^dag D. *)
-let solve_full ?(tol = 1e-10) ?(max_iter = 20_000) t ~(rhs : Field.t) =
+(* Oracle path: CG on the unpreconditioned D^dag D, at most 20,000
+   iterations. *)
+let solve_full ?(tol = 1e-10) t ~(rhs : Field.t) =
   let b = Mobius.create_field t.full in
   Mobius.apply_dagger t.full ~src:rhs ~dst:b;
   let apply src dst = Mobius.apply_normal t.full ~src ~dst in
@@ -92,7 +93,7 @@ let solve_full ?(tol = 1e-10) ?(max_iter = 20_000) t ~(rhs : Field.t) =
   let flops_per_apply =
     n5 *. 2. *. float_of_int (Dirac.Flops.hop5_per_5d_site + Dirac.Flops.m5_per_5d_site)
   in
-  Cg.solve ~apply ~b ~tol ~max_iter ~flops_per_apply ()
+  Cg.solve ~apply ~b ~tol ~max_iter:20_000 ~flops_per_apply ()
 
 (* Residual check in the full 5D space: |D x - rhs| / |rhs|. *)
 let residual t ~x ~rhs =

@@ -41,9 +41,8 @@ val solve :
     [apply_dot]) — the 2-sweep BLAS-1 plan — with bit-identical
     results. *)
 
-val solve_full :
-  ?tol:float -> ?max_iter:int -> t -> rhs:Linalg.Field.t -> Linalg.Field.t * Cg.stats
-(** Oracle: CG on the unpreconditioned D†D. *)
+val solve_full : ?tol:float -> t -> rhs:Linalg.Field.t -> Linalg.Field.t * Cg.stats
+(** Oracle: CG on the unpreconditioned D†D, at most 20,000 iterations. *)
 
 val residual : t -> x:Linalg.Field.t -> rhs:Linalg.Field.t -> float
 (** |D x − rhs| / |rhs| in the full 5D space. *)

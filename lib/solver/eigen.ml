@@ -14,8 +14,9 @@ type estimate = {
   iterations_min : int;
 }
 
-(* Largest eigenvalue by power iteration. *)
-let power_max ?(tol = 1e-6) ?(max_iter = 500) ~apply ~n ~rng () =
+(* Largest eigenvalue by power iteration, to relative change 1e-6 in at
+   most 500 steps. *)
+let power_max ~apply ~n ~rng () =
   let v = Field.create n in
   Field.gaussian rng v;
   Field.scale (1. /. Field.norm v) v;
@@ -23,11 +24,11 @@ let power_max ?(tol = 1e-6) ?(max_iter = 500) ~apply ~n ~rng () =
   let lambda = ref 0. in
   let iters = ref 0 in
   let converged = ref false in
-  while (not !converged) && !iters < max_iter do
+  while (not !converged) && !iters < 500 do
     incr iters;
     apply v av;
     let l = Field.dot_re v av in
-    if abs_float (l -. !lambda) <= tol *. Float.max 1. (abs_float l) then
+    if abs_float (l -. !lambda) <= 1e-6 *. Float.max 1. (abs_float l) then
       converged := true;
     lambda := l;
     let nrm = Field.norm av in
@@ -40,13 +41,12 @@ let power_max ?(tol = 1e-6) ?(max_iter = 500) ~apply ~n ~rng () =
   (!lambda, !iters)
 
 (* Smallest eigenvalue by inverse power iteration; each step solves
-   A w = v with CG, and an inner solve that does not converge raises:
-   it gives no estimate of the eigenvalue. [x0] warm-starts the
+   A w = v with CG to 1e-8, and an inner solve that does not converge
+   raises: it gives no estimate of the eigenvalue. [x0] warm-starts the
    iteration vector (e.g. the previous gauge configuration's lowest
    mode, for deflation setup reuse); absent, the start is a gaussian
    draw from [rng]. *)
-let power_min ?(tol = 1e-6) ?(max_iter = 50) ?(cg_tol = 1e-8) ?x0 ~apply ~n
-    ~rng () =
+let power_min ?(tol = 1e-6) ?(max_iter = 50) ?x0 ~apply ~n ~rng () =
   let v = Field.create n in
   (match x0 with
   | Some (w : Field.t) ->
@@ -61,7 +61,7 @@ let power_min ?(tol = 1e-6) ?(max_iter = 50) ?(cg_tol = 1e-8) ?x0 ~apply ~n
   while (not !converged) && !iters < max_iter do
     incr iters;
     let w, st =
-      Cg.solve ~apply ~b:v ~tol:cg_tol ~max_iter:20_000 ~flops_per_apply:1. ()
+      Cg.solve ~apply ~b:v ~tol:1e-8 ~max_iter:20_000 ~flops_per_apply:1. ()
     in
     if not st.Cg.converged then
       invalid_arg

@@ -11,30 +11,28 @@ type estimate = {
 }
 
 val power_max :
-  ?tol:float ->
-  ?max_iter:int ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   n:int ->
   rng:Util.Rng.t ->
   unit ->
   float * int
-(** Largest eigenvalue by power iteration; returns (λ, iterations). *)
+(** Largest eigenvalue by power iteration, stopped at a relative change
+    of 1e-6 or after 500 steps; returns (λ, iterations). *)
 
 val power_min :
   ?tol:float ->
   ?max_iter:int ->
-  ?cg_tol:float ->
   ?x0:Linalg.Field.t ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   n:int ->
   rng:Util.Rng.t ->
   unit ->
   float * int
-(** Smallest eigenvalue by CG-based inverse iteration. [x0]
-    warm-starts the iteration vector (normalized copy) — e.g. the
-    previous configuration's lowest mode when rebuilding a deflation
-    space across a stream of configs; absent, the gaussian start is
-    bit-identical to before.
+(** Smallest eigenvalue by CG-based inverse iteration, each inner
+    solve to 1e-8. [x0] warm-starts the iteration vector (normalized
+    copy) — e.g. the previous configuration's lowest mode when
+    rebuilding a deflation space across a stream of configs; absent,
+    the gaussian start is bit-identical to before.
     @raise Invalid_argument naming the step when an inner CG solve
     does not converge — an operator CG cannot invert (singular or
     indefinite) has no estimate here. *)

@@ -113,8 +113,7 @@ let orthonormalize basis sz (w : Field.t) =
   end
   else false
 
-let lowest ?(tol = 1e-8) ?(max_restarts = 60) ?basis_size ?v0 ~rank ~apply ~n
-    ~rng () =
+let lowest ?(tol = 1e-8) ?(max_restarts = 60) ?basis_size ~rank ~apply ~n ~rng () =
   if rank < 1 then invalid_arg "Lanczos.lowest: rank >= 1";
   let m = match basis_size with Some m -> m | None -> max (2 * rank) (rank + 6) in
   if m <= rank then invalid_arg "Lanczos.lowest: basis_size must exceed rank";
@@ -130,15 +129,11 @@ let lowest ?(tol = 1e-8) ?(max_restarts = 60) ?basis_size ?v0 ~rank ~apply ~n
   let restarts = ref 0 in
   let converged = ref false in
   let sz = ref 0 in
-  (* first expansion direction: the warm start or fresh noise *)
-  (match v0 with
-  | Some v ->
-    if Field.length v <> n then invalid_arg "Lanczos.lowest: v0 length";
-    Field.blit v vs.(0)
-  | None -> Field.gaussian rng vs.(0));
+  (* first expansion direction: fresh noise *)
+  Field.gaussian rng vs.(0);
   let place_candidate slot =
     (* candidate already sits in vs.(slot); replace with fresh noise if
-       it collapsed into the span (degenerate warm starts, breakdown) *)
+       it collapsed into the span (breakdown) *)
     let attempts = ref 0 in
     while (not (orthonormalize vs !sz vs.(slot))) && !attempts < 8 do
       incr attempts;

@@ -23,7 +23,6 @@ val lowest :
   ?tol:float ->
   ?max_restarts:int ->
   ?basis_size:int ->
-  ?v0:Linalg.Field.t ->
   rank:int ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   n:int ->
@@ -35,6 +34,5 @@ val lowest :
     stats. Convergence: every kept pair's residual |A v − λ v| falls
     under [tol]·(largest Ritz value). [basis_size] (default
     [max (2·rank) (rank+6)], must exceed [rank]) is the working basis
-    per cycle; [v0] warm-starts the first direction (e.g. the previous
-    config's lowest mode via [Eigen.power_min]); [max_restarts]
+    per cycle, started from a gaussian draw from [rng]; [max_restarts]
     (default 60) bounds the thick-restart cycles. *)

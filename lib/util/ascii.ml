@@ -73,14 +73,14 @@ type series = { label : string; points : (float * float) array; glyph : char }
 
 let series ?(glyph = '*') label points = { label; points; glyph }
 
-let render_plot ?(width = 72) ?(height = 20) ?(x_label = "x") ?(y_label = "y")
-    ?(logx = false) ?(zero_y = true) series_list =
+let render_plot ?(height = 20) ?(x_label = "x") ?(y_label = "y") ?(zero_y = true)
+    series_list =
+  let width = 72 in
   let all_points = List.concat_map (fun s -> Array.to_list s.points) series_list in
   match all_points with
   | [] -> "(empty plot)\n"
   | _ ->
-    let tx x = if logx then log10 (Float.max x 1e-30) else x in
-    let xs = List.map (fun (x, _) -> tx x) all_points in
+    let xs = List.map fst all_points in
     let ys = List.map snd all_points in
     let xmin = List.fold_left Float.min infinity xs in
     let xmax = List.fold_left Float.max neg_infinity xs in
@@ -95,7 +95,7 @@ let render_plot ?(width = 72) ?(height = 20) ?(x_label = "x") ?(y_label = "y")
         Array.iter
           (fun (x, y) ->
             let cx =
-              int_of_float ((tx x -. xmin) /. xspan *. float_of_int (width - 1))
+              int_of_float ((x -. xmin) /. xspan *. float_of_int (width - 1))
             in
             let cy =
               height - 1
@@ -117,26 +117,22 @@ let render_plot ?(width = 72) ?(height = 20) ?(x_label = "x") ?(y_label = "y")
       grid;
     Buffer.add_string buf ("  +" ^ String.make width '-' ^ "\n");
     Buffer.add_string buf
-      (Printf.sprintf "   %s: %s .. %s%s\n" x_label
-         (si_float (if logx then 10. ** xmin else xmin))
-         (si_float (if logx then 10. ** xmax else xmax))
-         (if logx then " (log)" else ""));
+      (Printf.sprintf "   %s: %s .. %s\n" x_label (si_float xmin) (si_float xmax));
     List.iter
       (fun s -> Buffer.add_string buf (Printf.sprintf "   [%c] %s\n" s.glyph s.label))
       series_list;
     Buffer.contents buf
 
-let print_plot ?width ?height ?x_label ?y_label ?logx ?zero_y series_list =
-  print_string
-    (render_plot ?width ?height ?x_label ?y_label ?logx ?zero_y series_list)
+let print_plot ?height ?x_label ?y_label ?zero_y series_list =
+  print_string (render_plot ?height ?x_label ?y_label ?zero_y series_list)
 
-let render_histogram ?(width = 50) (h : Stats.histogram) =
+let render_histogram (h : Stats.histogram) =
   let centers = Stats.histogram_bin_centers h in
   let peak = Array.fold_left max 1 h.counts in
   let buf = Buffer.create 1024 in
   Array.iteri
     (fun i c ->
-      let bar = c * width / peak in
+      let bar = c * 50 / peak in
       Buffer.add_string buf
         (Printf.sprintf "  %10s | %s %d\n"
            (si_float ~digits:2 centers.(i))
@@ -145,7 +141,7 @@ let render_histogram ?(width = 50) (h : Stats.histogram) =
   Buffer.add_string buf (Printf.sprintf "  (%d entries)\n" h.n_total);
   Buffer.contents buf
 
-let print_histogram ?width h = print_string (render_histogram ?width h)
+let print_histogram h = print_string (render_histogram h)
 
 let banner title =
   let line = String.make 72 '=' in

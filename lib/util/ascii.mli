@@ -15,28 +15,27 @@ type series = { label : string; points : (float * float) array; glyph : char }
 val series : ?glyph:char -> string -> (float * float) array -> series
 
 val render_plot :
-  ?width:int ->
   ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
-  ?logx:bool ->
   ?zero_y:bool ->
   series list ->
   string
-(** [zero_y] (default true) pins the y-axis to include zero. *)
+(** A 72-column scatter plot on linear axes. [zero_y] (default true)
+    pins the y-axis to include zero. *)
 
 val print_plot :
-  ?width:int ->
   ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
-  ?logx:bool ->
   ?zero_y:bool ->
   series list ->
   unit
 
-val render_histogram : ?width:int -> Stats.histogram -> string
-val print_histogram : ?width:int -> Stats.histogram -> unit
+val render_histogram : Stats.histogram -> string
+(** One row per bin, bars scaled to at most 50 columns. *)
+
+val print_histogram : Stats.histogram -> unit
 
 val banner : string -> unit
 (** Print a section banner. *)

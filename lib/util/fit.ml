@@ -179,7 +179,19 @@ let levenberg_marquardt ?(max_iter = 200) ?(tol = 1e-10) ~model ~xs ~ys ~sigmas
 (* Linear least squares: design matrix given as basis functions. *)
 let linear_lsq ~basis ~xs ~ys ~sigmas =
   let np = Array.length basis and nd = Array.length xs in
+  if Array.length ys <> nd || Array.length sigmas <> nd then
+    invalid_arg "Fit.linear_lsq: xs, ys and sigmas differ in length";
   if nd < np then invalid_arg "Fit.linear_lsq: under-determined";
+  (* one NaN would poison every χ², and a caller comparing χ² (a
+     profile scan) could not tell *)
+  Array.iteri
+    (fun i y ->
+      let s = sigmas.(i) in
+      if not (Float.is_finite y && Float.is_finite s && s > 0.) then
+        invalid_arg
+          (Printf.sprintf "Fit.linear_lsq: bad point %d (x = %g, y = %g, sigma = %g)" i
+             xs.(i) y s))
+    ys;
   let ata = Array.make (np * np) 0. in
   let atb = Array.make np 0. in
   for i = 0 to nd - 1 do

@@ -45,7 +45,10 @@ val linear_lsq :
   ys:float array ->
   sigmas:float array ->
   result
-(** Weighted linear least squares over the given basis functions. *)
+(** Weighted linear least squares over the given basis functions.
+    @raise Invalid_argument naming the first bad point — a non-finite
+    y, or a σ that is non-finite or ≤ 0 — or when [ys] or [sigmas]
+    differ from [xs] in length. *)
 
 val constant_fit : ys:float array -> sigmas:float array -> result
 (** Weighted fit to a constant (plateau fit). *)

@@ -85,8 +85,8 @@ let bootstrap ~rng ~n_boot ~estimator a =
   (mean thetas, std thetas, thetas)
 
 (* Integrated autocorrelation time with a self-consistent window
-   (Madras-Sokal): sum rho(t) until t >= c * tau_int. *)
-let autocorrelation_time ?(c = 5.) a =
+   (Madras-Sokal): sum rho(t) until t >= 5 * tau_int. *)
+let autocorrelation_time a =
   let n = Array.length a in
   if n < 8 then 0.5
   else begin
@@ -108,7 +108,7 @@ let autocorrelation_time ?(c = 5.) a =
         if t >= n / 2 then tau
         else
           let tau' = tau +. rho t in
-          if float_of_int t >= c *. tau' then tau' else loop (t + 1) tau'
+          if float_of_int t >= 5. *. tau' then tau' else loop (t + 1) tau'
       in
       loop 1 0.5
     end

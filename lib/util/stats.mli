@@ -32,9 +32,9 @@ val bootstrap :
   float * float * float array
 (** [(mean of resampled estimates, bootstrap error, all estimates)]. *)
 
-val autocorrelation_time : ?c:float -> float array -> float
-(** Integrated autocorrelation time via the Madras–Sokal windowing rule;
-    0.5 means uncorrelated. *)
+val autocorrelation_time : float array -> float
+(** Integrated autocorrelation time via the Madras–Sokal windowing rule
+    (window c = 5); 0.5 means uncorrelated. *)
 
 type histogram = {
   lo : float;

@@ -456,6 +456,11 @@ let test_spec_structural_errors () =
   let s = { Core.Workflow.default_spec with io_path = Some "" } in
   Alcotest.(check bool) "SPEC001 empty io_path" true
     (fires_error "SPEC001" (Spec.workflow_spec s));
+  (* an even volume with an odd extent is still no checkerboard *)
+  let s = { Core.Workflow.default_spec with dims = [| 3; 4; 4; 8 |] } in
+  Alcotest.(check (list string)) "SPEC001 on an odd extent, no SPEC002"
+    [ "SPEC001" ]
+    (rules_fired (Spec.workflow_spec s));
   (* one SPEC001 per problem the gate of Workflow.run reports, and no
      advisory on a spec it rejects *)
   let s = { Core.Workflow.default_spec with l5 = 0; n_thermalize = 0 } in

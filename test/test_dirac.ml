@@ -534,9 +534,7 @@ let test_wilson_rejects_aliasing () =
       Wilson.hop_multi w ~srcs:[| v; u |] ~dsts:[| d; d |]);
   raises "hop_multi dst through a sub view" (fun () ->
       Wilson.hop_multi w ~srcs:[| v; u |]
-        ~dsts:[| d; Bigarray.Array1.sub d 0 (Field.length d) |]);
-  raises "apply_multi repeated dst" (fun () ->
-      Wilson.apply_multi w ~mass:0.1 ~srcs:[| v; u |] ~dsts:[| d; d |])
+        ~dsts:[| d; Bigarray.Array1.sub d 0 (Field.length d) |])
 
 let eo_setup () =
   let geom, gauge, _ = cb_setup () in
@@ -559,7 +557,6 @@ let test_mobius_rejects_short_fields () =
   raises "apply_schur_normal_multi" (fun () ->
       Mobius.apply_schur_normal_multi eo ~srcs:[| ok; short |] ~dsts:[| ok2; Field.create n |]);
   raises "hop_eo" (fun () -> Mobius.hop_eo eo ~to_parity:0 ~src:short ~dst:ok);
-  raises "hop_eo_multi" (fun () -> Mobius.hop_eo_multi eo ~to_parity:1 ~srcs:[| ok |] ~dsts:[| short |]);
   raises "prepare_rhs" (fun () -> ignore (Mobius.prepare_rhs eo ~rhs_even:ok ~rhs_odd:short : Field.t));
   raises "reconstruct_even" (fun () ->
       ignore (Mobius.reconstruct_even eo ~rhs_even:short ~x_odd:ok : Field.t));
@@ -583,8 +580,8 @@ let test_mobius_rejects_aliasing () =
   raises "apply_schur_dagger" (fun () -> Mobius.apply_schur_dagger eo ~src:v ~dst:v);
   raises "apply_schur_normal" (fun () -> Mobius.apply_schur_normal eo ~src:v ~dst:v);
   raises "hop_eo" (fun () -> Mobius.hop_eo eo ~to_parity:1 ~src:v ~dst:v);
-  raises "apply_schur_multi" (fun () ->
-      Mobius.apply_schur_multi eo ~srcs:[| v; Mobius.create_eo_field eo |]
+  raises "apply_schur_normal_multi" (fun () ->
+      Mobius.apply_schur_normal_multi eo ~srcs:[| v; Mobius.create_eo_field eo |]
         ~dsts:[| Mobius.create_eo_field eo; v |])
 
 let suite =

@@ -529,15 +529,15 @@ let test_perf_model_fusion_pricing () =
   let fused = get (Some true) in
   (* omitting ?fusion leaves the calibrated model untouched: the
      BLAS-1 fields are zero and t_total is the bare stencil sum
-     (t_copy/t_sync are zero under the default transport and no pool,
-     and adding the zero t_blas1 is exact) *)
+     (t_copy is zero under the default transport, and adding the zero
+     t_blas1 is exact) *)
   exact "no fusion: zero sweeps" 0. plain.PM.blas1_sweeps_per_iter;
   exact "no fusion: zero bytes" 0. plain.PM.blas1_bytes;
   exact "no fusion: zero t_blas1" 0. plain.PM.t_blas1;
   exact "no fusion: t_total is the bare stencil sum"
     (plain.PM.t_stencil
     +. (plain.PM.t_comm_inter +. plain.PM.t_comm_intra +. plain.PM.t_latency)
-    +. plain.PM.t_copy +. plain.PM.t_sync +. plain.PM.t_overhead)
+    +. plain.PM.t_copy +. plain.PM.t_overhead)
     plain.PM.t_total;
   (* the 5->2 sweep reduction and its byte ratio *)
   exact "unfused sweeps" 5. unfused.PM.blas1_sweeps_per_iter;

@@ -58,6 +58,18 @@ let test_geometry_wrap () =
   Alcotest.(check bool) "crosses boundary" true
     (Geometry.crosses_boundary_fwd g wrapped 0)
 
+(* an odd extent's periodic wrap joins two sites of one parity: a
+   red-black solve on it runs a Schur complement that is not D's *)
+let test_geometry_rejects_odd_extents () =
+  List.iter
+    (fun dims ->
+      match Geometry.create dims with
+      | _ ->
+        Alcotest.failf "odd extent accepted: %s"
+          (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
+      | exception Invalid_argument _ -> ())
+    [ [| 3; 2; 2; 4 |]; [| 2; 2; 2; 3 |] ]
+
 (* ---- Gauge observables ---- *)
 
 let test_cold_plaquette () =
@@ -568,6 +580,8 @@ let suite =
     Alcotest.test_case "geometry eo roundtrip" `Quick test_geometry_eo_roundtrip;
     Alcotest.test_case "geometry parity balance" `Quick test_geometry_parity_balanced;
     Alcotest.test_case "geometry wrapping" `Quick test_geometry_wrap;
+    Alcotest.test_case "geometry rejects odd extents" `Quick
+      test_geometry_rejects_odd_extents;
     Alcotest.test_case "cold plaquette" `Quick test_cold_plaquette;
     Alcotest.test_case "hot plaquette" `Quick test_hot_plaquette_small;
     Alcotest.test_case "plaquette gauge invariance" `Quick test_gauge_invariance_of_plaquette;

@@ -189,7 +189,10 @@ let test_half_preserves_zero_and_scale () =
   (* the per-block max element is exactly representable *)
   let z = Field.of_array (Array.init 24 (fun i -> if i = 5 then 7.25 else 0.)) in
   let w = Field.Half.round_trip z ~block:24 in
-  Alcotest.(check (float 1e-6)) "max element survives" 7.25 (Bigarray.Array1.get w 5)
+  Alcotest.(check (float 1e-6)) "max element survives" 7.25 (Bigarray.Array1.get w 5);
+  Alcotest.check_raises "block 0"
+    (Invalid_argument "Field.Half.create: block must be positive and divide n")
+    (fun () -> ignore (Field.Half.create ~block:0 24 : Field.Half.h))
 
 let test_half_relative_error_small () =
   let r = rng () in
@@ -225,6 +228,70 @@ let prop_su3_trace_cyclic =
       Cplx.abs (Cplx.sub (Su3.trace (Su3.mul a b)) (Su3.trace (Su3.mul b a)))
       < 1e-10)
 
+(* ---- half codec: the exact rounding ---- *)
+
+let half_block = 24
+
+(* The closed form Field.Half must reproduce bit for bit: n is the
+   block's largest magnitude rounded to float32; each value rounds half
+   away from zero on the 32767/n scale, clamped to ±32767, and q
+   decodes to q·(n/32767); a block whose n is 0 decodes to zeros. *)
+let half_reference (v : float array) =
+  let m = Array.fold_left (fun a x -> Float.max a (abs_float x)) 0. v in
+  let n = Int32.float_of_bits (Int32.bits_of_float m) in
+  Array.map
+    (fun x ->
+      if n = 0. then 0.
+      else
+        let q = Float.round (x *. (32767. /. n)) in
+        let q = Float.max (-32767.) (Float.min 32767. q) in
+        float_of_int (int_of_float q) *. (n /. 32767.))
+    v
+
+(* One block of each kind the rounding can trip on; every block max
+   stays within float32's range (e <= 112). *)
+let half_block_gen =
+  let open QCheck.Gen in
+  let scaled e xs = Array.map (fun x -> Float.ldexp x e) xs in
+  let uniform = array_repeat half_block (float_range (-1.) 1.) in
+  oneof
+    [
+      (* exact ties: the max is 32767·2^e, so the scale is exactly 2^-e
+         and (q ± ½)·2^e lands on q ± ½ *)
+      map3
+        (fun e (i, sign) qs ->
+          let tie (q, up) = float_of_int q +. if up then 0.5 else -0.5 in
+          let xs = Array.map tie qs in
+          xs.(i) <- sign *. 32767.;
+          scaled e xs)
+        (int_range (-100) 100)
+        (pair (int_range 0 (half_block - 1)) (oneofl [ 1.; -1. ]))
+        (array_repeat half_block (pair (int_range (-32766) 32766) bool));
+      return (Array.make half_block 0.);
+      (* ±max: every value at the block's magnitude, which float32 may
+         round up or down *)
+      map3
+        (fun e m signs -> Array.map (fun s -> Float.ldexp (if s then m else -.m) e) signs)
+        (int_range (-60) 111) (float_range 0.5 1.) (array_repeat half_block bool);
+      (* a max that float32 rounds to a subnormal or to zero *)
+      map2 scaled (int_range (-170) (-126)) uniform;
+      map2 scaled (int_range (-60) 112) uniform;
+    ]
+
+let prop_half_reference_rounding =
+  let print blocks =
+    Array.concat (Array.to_list blocks)
+    |> Array.map (Printf.sprintf "%h")
+    |> Array.to_list |> String.concat "; "
+  in
+  QCheck.Test.make ~name:"half codec = reference rounding" ~count:2000
+    (QCheck.make ~print QCheck.Gen.(array_size (int_range 1 4) half_block_gen))
+    (fun blocks ->
+      let v = Field.of_array (Array.concat (Array.to_list blocks)) in
+      let got = Field.to_array (Field.Half.round_trip v ~block:half_block) in
+      let want = Array.concat (Array.to_list (Array.map half_reference blocks)) in
+      Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) got want)
+
 let suite =
   [
     Alcotest.test_case "cplx field axioms" `Quick test_cplx_field_axioms;
@@ -247,6 +314,7 @@ let suite =
     Alcotest.test_case "half codec accuracy" `Quick test_half_roundtrip_accuracy;
     Alcotest.test_case "half zero/scale" `Quick test_half_preserves_zero_and_scale;
     Alcotest.test_case "half relative error" `Quick test_half_relative_error_small;
+    QCheck_alcotest.to_alcotest prop_half_reference_rounding;
     QCheck_alcotest.to_alcotest prop_su3_product_closed;
     QCheck_alcotest.to_alcotest prop_su3_unitarity;
     QCheck_alcotest.to_alcotest prop_su3_trace_cyclic;

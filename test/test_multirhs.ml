@@ -149,21 +149,6 @@ let prop_hop_multi_bit_identical =
         (fun d rf -> Field.max_abs_diff d rf = 0.)
         dsts refs)
 
-let test_apply_multi_bit_identical () =
-  let geom, w = wilson_setup [| 2; 2; 2; 4 |] in
-  let n = Lattice.Geometry.volume geom * Wilson.floats_per_site in
-  let r = rng () in
-  let k = 3 and mass = 0.05 in
-  let srcs = batch_of r k n in
-  let dsts = Array.init k (fun _ -> Field.create n) in
-  let refs = Array.init k (fun _ -> Field.create n) in
-  Array.iteri (fun v src -> Wilson.apply w ~mass ~src ~dst:refs.(v)) srcs;
-  Wilson.apply_multi w ~mass ~srcs ~dsts;
-  Array.iteri (fun v d -> check_bits "apply_multi" d refs.(v)) dsts;
-  Array.iteri (fun v src -> Wilson.apply_dagger w ~mass ~src ~dst:refs.(v)) srcs;
-  Wilson.apply_dagger_multi w ~mass ~srcs ~dsts;
-  Array.iteri (fun v d -> check_bits "apply_dagger_multi" d refs.(v)) dsts
-
 (* ---------- Mobius batched Schur chain ---------- *)
 
 let mobius_eo_setup () =
@@ -181,14 +166,6 @@ let test_mobius_schur_multi_bit_identical () =
   let srcs = batch_of r k n in
   let dsts = Array.init k (fun _ -> Field.create n) in
   let refs = Array.init k (fun _ -> Field.create n) in
-  Array.iteri (fun v src -> Mobius.apply_schur eo ~src ~dst:refs.(v)) srcs;
-  Mobius.apply_schur_multi eo ~srcs ~dsts;
-  Array.iteri (fun v d -> check_bits "schur_multi" d refs.(v)) dsts;
-  Array.iteri
-    (fun v src -> Mobius.apply_schur_dagger eo ~src ~dst:refs.(v))
-    srcs;
-  Mobius.apply_schur_dagger_multi eo ~srcs ~dsts;
-  Array.iteri (fun v d -> check_bits "schur_dagger_multi" d refs.(v)) dsts;
   Array.iteri
     (fun v src -> Mobius.apply_schur_normal eo ~src ~dst:refs.(v))
     srcs;
@@ -267,25 +244,18 @@ let test_solve_multi_fused () = solve_multi_case ~fused:true ~with_x0:false ()
 let test_solve_multi_x0 () = solve_multi_case ~fused:true ~with_x0:true ()
 
 let test_solve_multi_wilson_normal () =
-  (* the batched normal-equations solve on the real operator: the
-     apply is one hop_multi-backed batched sweep, masking must keep
-     every trajectory bit-identical to the singles *)
+  (* the batched normal-equations solve on the real operator: masking
+     must keep every trajectory bit-identical to the singles *)
   let geom, w = wilson_setup [| 2; 2; 2; 4 |] in
   let n = Lattice.Geometry.volume geom * Wilson.floats_per_site in
   let r = rng () in
   let k = 2 and mass = 0.2 in
-  let tmps = Array.init k (fun _ -> Field.create n) in
-  let apply_multi xs ys =
-    let kk = Array.length xs in
-    let ts = Array.sub tmps 0 kk in
-    Wilson.apply_multi w ~mass ~srcs:xs ~dsts:ts;
-    Wilson.apply_dagger_multi w ~mass ~srcs:ts ~dsts:ys
-  in
   let t1 = Field.create n in
   let apply_one x y =
     Wilson.apply w ~mass ~src:x ~dst:t1;
     Wilson.apply_dagger w ~mass ~src:t1 ~dst:y
   in
+  let apply_multi xs ys = Array.iteri (fun i x -> apply_one x ys.(i)) xs in
   let bs = batch_of r k n in
   let tol = 1e-8 and max_iter = 100 in
   let fpa =
@@ -436,8 +406,6 @@ let suite =
     Alcotest.test_case "multi_blas: block_axpy accumulation order" `Quick
       test_block_axpy_matches_sequential;
     QCheck_alcotest.to_alcotest prop_hop_multi_bit_identical;
-    Alcotest.test_case "wilson: apply_multi/apply_dagger_multi bitwise" `Quick
-      test_apply_multi_bit_identical;
     Alcotest.test_case "mobius: batched Schur chain bitwise" `Quick
       test_mobius_schur_multi_bit_identical;
     Alcotest.test_case "cg: solve_multi = k solves (unfused)" `Quick

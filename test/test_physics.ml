@@ -474,6 +474,25 @@ let test_plateau_fit () =
   Alcotest.(check bool) "plateau near 1.27" true (abs_float (v -. 1.27) < 0.01);
   Alcotest.(check bool) "error ~ 0.005" true (e > 0.003 && e < 0.008)
 
+(* one NaN sample must fail the fit, not come back as gA = nan: a
+   NaN χ² never loses the profile scan's comparison *)
+let test_fits_reject_non_finite () =
+  let samples =
+    Array.init 8 (fun i ->
+        Array.init 8 (fun t -> 1.27 +. (0.01 *. float_of_int ((i + t) mod 3))))
+  in
+  samples.(3).(5) <- Float.nan;
+  (match
+     Analysis.fit_geff ~rng:(rng ()) ~n_boot:8 samples ~observable:Fun.id ~t_min:1
+       ~t_max:7
+   with
+  | fit -> Alcotest.failf "fit_geff returned gA = %g" fit.Analysis.ga
+  | exception Invalid_argument _ -> ());
+  let mean = [| 1.0; 1.2; 1.25; 1.27; Float.nan; 1.272; 1.27 |] in
+  match Analysis.fit_plateau ~mean ~err:(Array.make 7 0.01) ~t_min:3 ~t_max:6 with
+  | v, _ -> Alcotest.failf "fit_plateau returned %g" v
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "point source" `Quick test_point_source_normalized;
@@ -506,4 +525,6 @@ let suite =
     Alcotest.test_case "traditional noisier" `Quick test_traditional_noisier_than_fh;
     Alcotest.test_case "traditional bias vs tsep" `Quick test_traditional_bias_shrinks_with_tsep;
     Alcotest.test_case "plateau fit" `Quick test_plateau_fit;
+    Alcotest.test_case "gA fits reject non-finite data" `Quick
+      test_fits_reject_non_finite;
   ]
