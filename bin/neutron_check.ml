@@ -12,10 +12,11 @@
                                    a missed defect)
      neutron_check --rules         print the rule catalog
      neutron_check --list          list the seeded fixtures
-     neutron_check --plan NAME     extract a named solver plan,
-                                   pretty-print it and run the static
-                                   analyzer (exit 1 on errors); NAME=list
-                                   lists the catalog
+     neutron_check --plan NAME     record a named catalog plan from a
+                                   live run, print it and run the
+                                   static analyzer (exit 1 on
+                                   errors); NAME=list lists the 19
+                                   recorded plans
      neutron_check --plan-dump NAME  print the plan's exact IR text
                                    (round-trips through Plan_ir.of_string)
 
@@ -35,7 +36,7 @@ let spec =
     ("--selftest", Arg.Unit (fun () -> mode := `Selftest), " verify every seeded fixture is detected");
     ("--rules", Arg.Unit (fun () -> mode := `Rules), " print the rule catalog");
     ("--list", Arg.Unit (fun () -> mode := `List), " list the seeded fixtures");
-    ("--plan", Arg.String (fun n -> mode := `Plan n), "NAME lint a named solver plan (NAME=list for the catalog)");
+    ("--plan", Arg.String (fun n -> mode := `Plan n), "NAME record and lint a catalog plan (NAME=list for the catalog)");
     ("--plan-dump", Arg.String (fun n -> mode := `Plan_dump n), "NAME print a plan's exact IR text");
     ("--quiet", Arg.Set quiet, " only print the summary and failures");
     ("--verbose", Arg.Set verbose, " also print info-level findings");
@@ -114,11 +115,11 @@ let plan_catalog () =
         (List.length p.Check.Plan_ir.steps)
         (List.length p.Check.Plan_ir.buffers)
         p.Check.Plan_ir.n)
-    Check.Plan_extract.catalog;
+    Check.Plan_record.catalog;
   exit 0
 
 let find_plan name =
-  match Check.Plan_extract.find name with
+  match Check.Plan_record.find name with
   | Some build -> build ()
   | None ->
     Printf.eprintf "unknown plan %S; try --plan list\n" name;
@@ -127,7 +128,7 @@ let find_plan name =
 let run_plan name =
   if name = "list" then plan_catalog ();
   let p = find_plan name in
-  if not !quiet then print_string (Check.Plan_ir.pretty p);
+  if not !quiet then print_string (Check.Plan_ir.to_string p);
   let ds = Check.Plan_check.verify p in
   print_diags ds;
   (* Belt and braces on PLAN005: even if the diagnostic pass were ever

@@ -236,8 +236,8 @@ let tune_fusion ?max_domains ?lint tuner ~n =
         ())
     (run_fusion ~p ~ap ~x ~r)
 
-let tune_deflation ?(tol = 1e-8) tuner ~apply ~bs ~signature =
-  let run = run_deflation ~tol ~apply ~bs in
+let tune_deflation tuner ~apply ~bs ~signature =
+  let run = run_deflation ~tol:1e-8 ~apply ~bs in
   tune tuner ~kernel:"cg_deflate"
     ~signature:
       (Printf.sprintf "%s:n%d:s%d" signature (Field.length bs.(0))

@@ -120,15 +120,14 @@ val tune_fusion :
     no plan the static analyzer rejects can be priced or cached. *)
 
 val tune_deflation :
-  ?tol:float ->
   Tuner.t ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   bs:Linalg.Field.t array ->
   signature:string ->
   launch
 (** Kernel ["cg_deflate"]: ranks [0; 2; 4; 8], each priced on the
-    Lanczos setup for the rank plus one CG solve to [tol] (default
-    1e-8) per right-hand side in [bs] — setup inside the timed
+    Lanczos setup for the rank plus one CG solve to 1e-8 per
+    right-hand side in [bs] — setup inside the timed
     region, since the amortization is the trade. Signature
     [signature ^ ":n<n>:s<solves>"].
     @raise Invalid_argument on an empty [bs]. *)

@@ -18,7 +18,7 @@ module Spec_check = Spec_check
 module Recon_check = Recon_check
 module Deflate_check = Deflate_check
 module Plan_ir = Plan_ir
-module Plan_extract = Plan_extract
+module Plan_record = Plan_record
 module Plan_check = Plan_check
 module Fixtures = Fixtures
 
@@ -141,11 +141,10 @@ let standard_suite () : Diagnostic.report =
     F.gaussian rng b;
     codec_ds @ Numeric_check.probe_mixed_solve ~apply ~b ()
   in
-  (* every extractable solver plan through the static analyzer —
-     effects, sweep pricing, precision flow. Clean since the
-     stencil-tail fusion closed the PLAN005 gap: the fused CG plans
-     execute exactly the 2 sweeps the model prices, so any diagnostic
-     here (warnings included) is a regression. *)
+  (* every recorded solver plan through the static analyzer —
+     effects, sweep pricing, precision flow. The fused CG plans execute
+     exactly the 2 sweeps the model prices, so any diagnostic here
+     (warnings included) is a regression. *)
   let plan_ds = Plan_check.catalog_diagnostics () in
   (* the gauge fields the recon path packs: a reunitarized hot field
      audited at every codec — the clean twin of the

@@ -13,7 +13,7 @@ module Spec_check : module type of Spec_check
 module Recon_check : module type of Recon_check
 module Deflate_check : module type of Deflate_check
 module Plan_ir : module type of Plan_ir
-module Plan_extract : module type of Plan_extract
+module Plan_record : module type of Plan_record
 module Plan_check : module type of Plan_check
 module Fixtures : module type of Fixtures
 
@@ -27,7 +27,7 @@ val standard_suite : unit -> Diagnostic.report
     and mixed), an instrumented clean mixed solve, a reunitarized
     gauge field audited at every recon codec, a live low-mode
     deflation space audited against its operator and configuration
-    hash, and every solver plan in {!Plan_extract.catalog} through the
+    hash, and every solver plan in {!Plan_record.catalog} through the
     static analyzer. Must report zero errors and zero warnings. *)
 
 val selftest : unit -> (Fixtures.t * string list * bool) list

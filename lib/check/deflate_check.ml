@@ -24,10 +24,9 @@ let rules =
 
 (* The drift and residual are computed here (Deflate.ortho_drift /
    max_residual), so a caller cannot report stale audit numbers. *)
-let verify_space ?(kernel = "cg_deflate") ~config_hash ~apply
-    (d : Solver.Deflate.t) =
+let verify_space ~config_hash ~apply (d : Solver.Deflate.t) =
   let loc =
-    Printf.sprintf "%s[rank=%d,n=%d]" kernel (Solver.Deflate.rank d)
+    Printf.sprintf "cg_deflate[rank=%d,n=%d]" (Solver.Deflate.rank d)
       (Linalg.Field.length (Solver.Deflate.basis d).(0))
   in
   let space_hash = Solver.Deflate.config_hash d in

@@ -7,7 +7,6 @@
 val rules : (string * string) list
 
 val verify_space :
-  ?kernel:string ->
   config_hash:int ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   Solver.Deflate.t ->

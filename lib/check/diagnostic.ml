@@ -19,7 +19,7 @@ let make ?hint severity ~rule ~loc message =
 
 let error ?hint ~rule ~loc message = make ?hint Error ~rule ~loc message
 let warning ?hint ~rule ~loc message = make ?hint Warning ~rule ~loc message
-let info ?hint ~rule ~loc message = make ?hint Info ~rule ~loc message
+let info ~rule ~loc message = make Info ~rule ~loc message
 
 let severity_label = function
   | Error -> "error"

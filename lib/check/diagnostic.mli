@@ -19,7 +19,7 @@ type t = {
 val make : ?hint:string -> severity -> rule:string -> loc:string -> string -> t
 val error : ?hint:string -> rule:string -> loc:string -> string -> t
 val warning : ?hint:string -> rule:string -> loc:string -> string -> t
-val info : ?hint:string -> rule:string -> loc:string -> string -> t
+val info : rule:string -> loc:string -> string -> t
 
 val severity_label : severity -> string
 val is_error : t -> bool

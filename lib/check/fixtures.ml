@@ -3,7 +3,8 @@
    nonblocking-halo defects: early boundary read, send-buffer race,
    lost completion, zero-copy corruption, wasted double-buffering,
    transport/policy mismatch; eight plan-level defects caught
-   statically from the IR alone: partition overlap, aliased fused
+   statically from the IR alone, all but the partition overlap
+   mutations of plans recorded from live code: aliased fused
    output, tail output aliasing the stencil dst, model/IR sweep
    mismatch, half-codec range violation, stale-precision read,
    non-canonical reduction block, under-cutoff pooled launch; one
@@ -188,96 +189,104 @@ let plan_partition_overlap () =
        ~buffers:[ buffer ~prec:Double "x"; buffer ~prec:Double "y" ]
        ~steps:[ Launch k ] "overlap-fixture")
 
-(* 8b. The fused CG tail (tripleCGUpdate) with the solution output
-   handed the Ap input's buffer: the single pass updates x while the
-   r-recurrence still reads Ap from it. *)
-let plan_aliased_output () =
-  let open Plan_ir in
-  let p = Plan_extract.cg_tail ~fused:true () in
-  let alias = function
-    | Launch k when k.kname = "cg_update" ->
-      Launch
-        {
-          k with
-          args =
-            List.map
-              (fun (name, role) ->
-                if name = "x" then ("ap", role) else (name, role))
-              k.args;
-        }
+(* The plan fixtures below mutate recorded catalog plans. [edit kname f]
+   rewrites the args of each launch of [kname]. *)
+let recorded name =
+  match Plan_record.find name with
+  | Some build -> build ()
+  | None -> invalid_arg ("Fixtures: no catalog plan " ^ name)
+
+let edit kname f (p : Plan_ir.plan) =
+  let step = function
+    | Plan_ir.Launch k when k.Plan_ir.kname = kname -> Plan_ir.Launch (f k)
     | s -> s
   in
-  Plan_check.verify { p with steps = List.map alias p.steps }
+  { p with steps = List.map step p.steps }
 
-(* 8b'. The tail-fused Wilson hop with the tail's xpay output renamed
-   onto the stencil dst: the tail's closing loop would read the freshly
-   written stencil block while overwriting it in place. The runtime
-   guard (Fused.tail_check's same_data probe) rejects the call; PLAN002
+let arg_name (k : Plan_ir.kernel) i = fst (List.nth k.Plan_ir.args i)
+
+(* 8b. The recorded fused CG tail (tripleCGUpdate, operands p, Ap, x,
+   r) with the solution output handed Ap's buffer: the single pass
+   updates x while the r-recurrence still reads Ap from it. *)
+let plan_aliased_output () =
+  Plan_check.verify
+    (edit "Fused.cg_update"
+       (fun k ->
+         {
+           k with
+           args = List.mapi (fun i (nm, r) -> ((if i = 2 then arg_name k 1 else nm), r)) k.args;
+         })
+       (recorded "cg-tail-fused"))
+
+(* 8b'. The recorded tail-fused Wilson hop with the tail's xpay output
+   (the updated operand) renamed onto the stencil dst (the written
+   one): the tail's closing loop would read the freshly written stencil
+   block while overwriting it in place. The runtime guard
+   (Fused.tail_check's same_data probe) rejects the call; PLAN002
    catches the duplicate name with a writing role from the IR alone. *)
 let plan_tail_aliased () =
   let open Plan_ir in
-  let p = Plan_extract.wilson_hop_tail () in
-  let alias = function
-    | Launch k when k.kname = "wilson_hop_tail" ->
-      Launch
-        {
-          k with
-          args =
-            List.map
-              (fun (name, role) ->
-                if name = "out" then ("dst", role) else (name, role))
-              k.args;
-        }
-    | s -> s
-  in
-  Plan_check.verify { p with steps = List.map alias p.steps }
+  Plan_check.verify
+    (edit "Wilson.hop_tail"
+       (fun k ->
+         let dst = fst (List.find (fun (_, r) -> r = Write) k.args) in
+         { k with args = List.map (fun (nm, r) -> ((if r = Update then dst else nm), r)) k.args })
+       (recorded "wilson-hop-tail"))
 
-(* 8d. A fused-tagged plan executing a sweep count the model does not
-   price: an extra residual norm snuck into the tail, a nonzero
-   Plan_check.sweep_gap. *)
+(* 8d. The recorded fused CG tail with an extra residual norm: a sweep
+   count the model does not price, a nonzero Plan_check.sweep_gap. *)
 let plan_sweep_mismatch () =
   let open Plan_ir in
-  let p = Plan_extract.cg_tail ~fused:true () in
-  let extra = Launch (kernel ~args:[ ("r", Read); ("r2x", Reduce) ] "norm2") in
-  Plan_check.verify { p with steps = p.steps @ [ extra ] }
+  let p = recorded "cg-tail-fused" in
+  let r =
+    List.find_map
+      (function Launch k when k.kname = "Fused.cg_update" -> Some (arg_name k 3) | _ -> None)
+      p.steps
+  in
+  let extra = kernel ~args:[ (Option.get r, Read); ("s0", Reduce) ] "Field.norm2" in
+  Plan_check.verify { p with steps = p.steps @ [ Launch extra ] }
 
-(* 8e. The mixed solve fed a source whose declared magnitude interval
-   spans 60 decades: the first quantize point cannot represent it in
-   an int16 mantissa. *)
+(* 8e. The recorded mixed solve with its source b (v0, the first
+   vector it touches) widened to 60 decades: the first quantize point
+   cannot represent it in an int16 mantissa. *)
 let plan_half_range () =
-  Plan_check.verify (Plan_extract.mixed ~range:(1e-30, 1e30) ~fused:true ())
+  let p = recorded "mixed-fused" in
+  match p.Plan_ir.buffers with
+  | b :: rest ->
+    Plan_check.verify
+      { p with buffers = { b with Plan_ir.range = Some (1e-30, 1e30) } :: rest }
+  | [] -> []
 
-(* 8f. The mixed inner iteration with the quantize of Ap dropped after
-   the stencil: dot_re reads stale full-precision data alongside the
+(* 8f. The recorded mixed solve with the quantize that follows the
+   stencil dropped: dot_re reads stale full-precision Ap alongside the
    quantized p. *)
 let plan_stale_precision () =
   let open Plan_ir in
-  let p = Plan_extract.mixed ~fused:true () in
-  let steps =
-    List.filter
-      (function Quantize { qbuf = "ap"; _ } -> false | _ -> true)
-      p.steps
+  let p = recorded "mixed-fused" in
+  let rec drop = function
+    | (Launch k as s) :: Quantize _ :: rest when k.kname = "Mobius.apply_schur_normal" ->
+      s :: rest
+    | s :: rest -> s :: drop rest
+    | [] -> []
   in
-  Plan_check.verify { p with steps }
+  Plan_check.verify { p with steps = drop p.steps }
 
-(* 8g. The fused CG tail with cg_update folding its |r|^2 partials
-   over 4096-float blocks: every partial sums twice the canonical span,
-   so the fused residual associates differently from the standalone
-   norm2 — the bit-drift the fusion layer exists to rule out. *)
+(* 8g. The recorded fused CG tail with cg_update folding its |r|^2
+   partials over 4096-float blocks: every partial sums twice the
+   canonical span, so the fused residual associates differently from
+   the standalone norm2 — the bit-drift the fusion layer exists to rule
+   out. *)
 let plan_wrong_block () =
-  let open Plan_ir in
-  let p = Plan_extract.cg_tail ~fused:true () in
-  let widen = function
-    | Launch k when k.kname = "cg_update" -> Launch { k with block = Some 4096 }
-    | s -> s
-  in
-  Plan_check.verify { p with steps = List.map widen p.steps }
+  Plan_check.verify
+    (edit "Fused.cg_update"
+       (fun k -> { k with Plan_ir.block = Some 4096 })
+       (recorded "cg-tail-fused"))
 
-(* 8h. A 512-float axpy forked across 4 lanes: bit-identical but
-   slower than the serial loop, and a launch the kernels never make —
-   they run anything under Field.parallel_cutoff serially. *)
-let plan_tiny_pooled () =
-  Plan_check.verify (Plan_extract.pooled_axpy ~n:512 ~geometry:(4, 128) ())
+(* 8h. A recorded 512-float axpy forked across 4 lanes: bit-identical
+   but slower than the serial loop, and a launch the kernels never make
+   on their own — they run anything under Field.parallel_cutoff
+   serially. *)
+let plan_tiny_pooled () = Plan_check.verify (Plan_record.pooled_axpy ~n:512 ~chunk:128)
 
 (* ---- 9. compressed gauge-link (reconstruct) defects ---- *)
 

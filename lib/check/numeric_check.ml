@@ -197,11 +197,11 @@ let sanitized ~what f =
 (* Instrumented mixed-precision solve: run the double-half CG with the
    sanitizer armed, trapping the first kernel that manufactures a
    NaN/Inf (e.g. an operator with a poisoned gauge link). *)
-let probe_mixed_solve ?(config = Solver.Mixed.default_config) ~apply ~(b : F.t) () =
+let probe_mixed_solve ~apply ~(b : F.t) () =
   try
     let _, ds =
       sanitized ~what:"mixed solve" (fun () ->
-          Solver.Mixed.solve ~config ~apply ~b ~flops_per_apply:0. ())
+          Solver.Mixed.solve ~apply ~b ~flops_per_apply:0. ())
     in
     ds
   with Invalid_argument msg ->

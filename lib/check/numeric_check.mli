@@ -20,10 +20,10 @@ val sanitized : what:string -> (unit -> 'a) -> 'a * Diagnostic.t list
     diagnostic naming the offending kernel. *)
 
 val probe_mixed_solve :
-  ?config:Solver.Mixed.config ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   b:Linalg.Field.t ->
   unit ->
   Diagnostic.t list
-(** Instrumented double-half CG run: diagnostics for every kernel trap
+(** Instrumented double-half CG run at [Solver.Mixed.default_config]:
+    diagnostics for every kernel trap
     (or NUM006 if the solver rejects its inputs). *)

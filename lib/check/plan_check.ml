@@ -1,7 +1,7 @@
 (* Static analyses over the plan IR: every rule here fires from the
-   plan alone, before a single kernel runs. It is the one analyzer for
-   launch plans — pooled, fused, batched and stencil launches all lift
-   into the IR; halo post/complete windows are Halo_check's. Pass
+   plan alone. It is the one analyzer for launch plans — the pooled,
+   fused, batched and stencil launches a recording holds
+   (Plan_record); halo post/complete windows are Halo_check's. Pass
    families:
 
    - PLAN001/002/006: effect and aliasing — pooled partitions must
@@ -320,9 +320,7 @@ let check_precision p =
             Some
               {
                 lo = List.fold_left (fun a v -> min a v.lo) infinity in_ivs;
-                hi =
-                  abs_float k.coeff
-                  *. List.fold_left (fun a v -> a +. v.hi) 0. in_ivs;
+                hi = List.fold_left (fun a v -> a +. v.hi) 0. in_ivs;
                 err = List.fold_left (fun a v -> max a v.err) 0. in_ivs;
               }
         in
@@ -427,32 +425,20 @@ let verify p =
     (check_declared p @ check_partitions p @ check_aliasing p
    @ check_launch_params p @ check_sweeps p @ check_precision p)
 
-let verify_plans plans =
-  List.concat_map (fun p -> verify p) plans
+(* Lint one fusion-axis candidate and keep only the errors — stylistic
+   warnings must not reject a legitimate plan. The plan is the
+   recording of Autotune.Variants.run_fusion for the candidate, the
+   runner the tuner times: Unfused and Tail_fused are model-priced
+   (PLAN005 strict), Fused is the unpriced separate-dot tail.
+   Autotune.Variants.tune_fusion runs this over its candidate space
+   BEFORE Tuner.tune prices and caches a winner, so a plan the
+   analyzer rejects can never be cached. The tuner takes the linter as
+   a callback so a test can substitute a reject-all linter and prove
+   the vetting happens before caching. *)
+let lint_fusion ~n ~mode ~geometry =
+  List.filter D.is_error (verify (Plan_record.fusion_tail ~n ~mode ~geometry))
 
-(* Lint one fusion-axis candidate (the CG vector tail under a
-   mode/geometry choice) and keep only the errors — stylistic warnings
-   must not reject a legitimate plan. The three modes map to three
-   extracted tails: Unfused = the 5-sweep classic tail, Tail_fused =
-   the 2-sweep model-priced tail (PLAN005 strict), Fused = the 3-sweep
-   separate-dot fallback (not model-priced; PLAN001/002 still vet the
-   fused kernels). Autotune.Variants.tune_fusion runs this over its
-   candidate space BEFORE Tuner.tune prices and caches a winner, so a
-   plan the analyzer rejects can never be cached. The tuner takes the
-   linter as a callback so a test can substitute a reject-all linter
-   and prove the vetting happens before caching. *)
-let lint_fusion ~n ~(mode : Linalg.Fused.mode) ~geometry =
-  let plan =
-    match mode with
-    | Linalg.Fused.Unfused -> Plan_extract.cg_tail ~n ?geometry ~fused:false ()
-    | Linalg.Fused.Tail_fused -> Plan_extract.cg_tail ~n ?geometry ~fused:true ()
-    | Linalg.Fused.Fused -> Plan_extract.cg_tail_separate ~n ?geometry ()
-  in
-  List.filter D.is_error (verify plan)
-
-(* The standard-suite pass: every catalog plan must verify. Since the
-   stencil-tail fusion closed the PLAN005 gap, a clean catalog means
-   zero diagnostics — the fused CG plans no longer carry a documented
-   warning. *)
+(* The standard-suite pass: every recorded catalog plan must verify
+   without a diagnostic, warnings included. *)
 let catalog_diagnostics () =
-  verify_plans (List.map (fun (_, build) -> build ()) Plan_extract.catalog)
+  List.concat_map (fun (_, build) -> verify (build ())) Plan_record.catalog

@@ -1,7 +1,7 @@
 (** Static analyses over the plan IR — every rule fires from the plan
-    alone, before a single kernel runs. The one analyzer for launch
-    plans: pooled, fused, batched and stencil launches all lift into
-    the IR. Halo post/complete schedules are [Halo_check]'s.
+    alone. The one analyzer for launch plans: the pooled, fused,
+    batched and stencil launches a recording holds
+    ({!Plan_record}). Halo post/complete schedules are [Halo_check]'s.
 
     - [PLAN001/002/006] effect and aliasing: pooled partitions must
       tile [0, n) with neither overlap nor gap, kernel outputs must
@@ -40,23 +40,20 @@ val sweep_gap : Plan_ir.plan -> int option
 val verify : Plan_ir.plan -> Diagnostic.t list
 (** All passes over one plan, sorted errors-first. *)
 
-val verify_plans : Plan_ir.plan list -> Diagnostic.t list
-
 val lint_fusion :
   n:int ->
   mode:Linalg.Fused.mode ->
   geometry:(int * int) option ->
   Diagnostic.t list
-(** Static lint of one fusion-axis candidate: the CG vector tail under
-    the given mode/geometry choice, errors only. [Unfused] lints the
-    5-sweep classic tail, [Tail_fused] the 2-sweep model-priced tail
-    (strict PLAN005), [Fused] the 3-sweep separate-dot fallback (not
-    model-priced; PLAN001/002 still vet). Wrapped as the [~lint] of
-    [Autotune.Variants.tune_fusion], which runs it over every launch's
-    [mode] and [geometry] so no plan the analyzer rejects can be
-    priced or cached. *)
+(** Lint of one fusion-axis candidate, errors only: the recording of
+    [Autotune.Variants.run_fusion] for the launch of [mode] and
+    [geometry] ({!Plan_record.fusion_tail}). [Unfused] and
+    [Tail_fused] are model-priced (strict PLAN005); [Fused] is the
+    unpriced separate-dot tail. Wrapped as the [~lint] of
+    [Autotune.Variants.tune_fusion], which runs it over every
+    candidate so no plan the analyzer rejects can be priced or
+    cached. *)
 
 val catalog_diagnostics : unit -> Diagnostic.t list
-(** Verify every plan in {!Plan_extract.catalog} — the standard-suite
-    pass. Clean since the stencil-tail fusion: zero diagnostics,
-    warnings included. *)
+(** Verify every plan in {!Plan_record.catalog} — the standard-suite
+    pass: zero diagnostics, warnings included. *)

@@ -3,13 +3,12 @@
    plan is a vector length, a set of named buffers with storage
    precision tags (and optional abstract magnitude ranges for the
    precision-flow pass), and a step sequence — kernel launches with
-   per-operand effects and half-codec quantize points. Plan_extract
-   lifts the real front-ends (Cg.solve, Mixed.solve, Bicgstab.solve,
-   Dwf_solve.solve, the Wilson/Mobius hop paths and the pooled
-   Field/Fused launches) into this IR; the printer/parser pair below
-   is exact (round-trip asserted by a qcheck property), so plans can be
-   dumped by `neutron_check --plan-dump`, diffed, and re-linted
-   offline. *)
+   per-operand effects and half-codec quantize points. Plan_record
+   builds it from a Util.Prof recording of live code (Cg.solve,
+   Mixed.solve, Bicgstab.solve, Dwf_solve.solve, the Wilson/Mobius
+   entries and the pooled Field/Fused launches); the printer/parser
+   pair below is exact (round-trip asserted by a qcheck property), so
+   plans can be dumped by `neutron_check --plan-dump` and diffed. *)
 
 type precision =
   | Double
@@ -19,7 +18,7 @@ type precision =
       (* compressed gauge-link store (Lattice.Recon): reconstructed in
          registers at the point of use, never quantized *)
 
-type role = Read | Write | Update | Reduce
+type role = Util.Prof.role = Read | Write | Update | Reduce
 (* [Read]/[Write] are whole-buffer stream effects; [Update] is a
    read-modify-write; [Reduce] names the scalar a reduction kernel
    produces (a register/allreduce value, not a vector buffer). *)
@@ -44,10 +43,6 @@ type kernel = {
   sweeps : int;
       (* full-vector memory sweeps this launch costs; 0 for kernels
          whose traffic the model prices elsewhere (the stencil) *)
-  coeff : float;
-      (* static bound on the scalar coefficient magnitude the kernel
-         applies (alpha/beta/omega); 1.0 when the kernel has none —
-         the precision-flow pass scales ranges by it *)
 }
 
 type step =
@@ -72,9 +67,8 @@ type plan = {
 
 let buffer ?range ~prec bname = { bname; prec; range }
 
-let kernel ?geometry ?partition ?block ?(sweeps = 1) ?(coeff = 1.0) ~args kname
-    =
-  { kname; args; geometry; partition; block; sweeps; coeff }
+let kernel ?geometry ?partition ?block ?(sweeps = 1) ~args kname =
+  { kname; args; geometry; partition; block; sweeps }
 
 let plan ?fusion ~n ~buffers ~steps pname =
   { pname; n; fusion; buffers; steps }
@@ -87,7 +81,7 @@ let launches p =
 (* ---- printer (exact, parseable) ----
    One step per line; floats in hex (%h) so the round-trip is
    bit-exact. Names must match [a-zA-Z0-9_.+-]+ (no spaces, ':' or
-   ','), which every extracted plan satisfies and the parser enforces. *)
+   ','), which every recorded plan satisfies and the parser enforces. *)
 
 let name_ok s =
   s <> ""
@@ -114,8 +108,6 @@ let string_of_role = function
 let string_of_kernel k =
   let b = Buffer.create 64 in
   Buffer.add_string b (Printf.sprintf "launch %s sweeps=%d" k.kname k.sweeps);
-  if k.coeff <> 1.0 then
-    Buffer.add_string b (Printf.sprintf " coeff=%h" k.coeff);
   (match k.block with
   | Some blk -> Buffer.add_string b (Printf.sprintf " block=%d" blk)
   | None -> ());
@@ -167,49 +159,6 @@ let to_string (p : plan) =
       Buffer.add_char b '\n')
     p.steps;
   Buffer.add_string b "end\n";
-  Buffer.contents b
-
-(* ---- human-oriented pretty printer (not parseable) ---- *)
-
-let pretty (p : plan) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "plan %-16s n=%d%s\n" p.pname p.n
-       (match p.fusion with
-       | Some true -> "  [priced fused]"
-       | Some false -> "  [priced unfused]"
-       | None -> ""));
-  Buffer.add_string b
-    (Printf.sprintf "  buffers: %s\n"
-       (String.concat ", "
-          (List.map
-             (fun bf ->
-               Printf.sprintf "%s:%s%s" bf.bname
-                 (string_of_precision bf.prec)
-                 (match bf.range with
-                 | Some (lo, hi) -> Printf.sprintf "[%g,%g]" lo hi
-                 | None -> ""))
-             p.buffers)));
-  List.iteri
-    (fun i s ->
-      Buffer.add_string b
-        (Printf.sprintf "  %2d. %s\n" (i + 1)
-           (match s with
-           | Launch k ->
-             Printf.sprintf "%-12s %s%s  (%d sweep%s)" k.kname
-               (String.concat " "
-                  (List.map
-                     (fun (name, role) ->
-                       name ^ ":" ^ string_of_role role)
-                     k.args))
-               (match k.geometry with
-               | Some (d, c) -> Printf.sprintf "  pooled d%d c%d" d c
-               | None -> "")
-               k.sweeps
-               (if k.sweeps = 1 then "" else "s")
-           | Quantize { qbuf; qblock } ->
-             Printf.sprintf "quantize %s (half codec, block %d)" qbuf qblock)))
-    p.steps;
   Buffer.contents b
 
 (* ---- parser ---- *)
@@ -287,14 +236,13 @@ let parse_geometry s =
 
 let parse_kernel = function
   | name :: rest when name_ok name ->
-    let sweeps = ref 1 and coeff = ref 1.0 in
+    let sweeps = ref 1 in
     let block = ref None and geometry = ref None in
     let partition = ref None and args = ref [] in
     List.iter
       (fun tok ->
         match kv tok with
         | "sweeps", v -> sweeps := parse_int "sweeps" v
-        | "coeff", v -> coeff := parse_float "coeff" v
         | "block", v -> block := Some (parse_int "block" v)
         | "geom", v -> geometry := Some (parse_geometry v)
         | "partition", v -> partition := Some (parse_partition v)
@@ -308,7 +256,6 @@ let parse_kernel = function
       partition = !partition;
       block = !block;
       sweeps = !sweeps;
-      coeff = !coeff;
     }
   | toks -> fail "bad launch line %S" (String.concat " " toks)
 

@@ -5,10 +5,10 @@
     precision tag (and optionally an abstract magnitude range seeding
     the precision-flow pass), and a step sequence of kernel launches
     with per-operand effects and half-codec quantize points.
-    [Plan_extract] lifts the real front-ends into this IR; the
-    printer/parser pair is exact (round-trip asserted by a qcheck
-    property), so plans can be dumped with [neutron_check --plan-dump],
-    diffed, and re-linted offline. *)
+    [Plan_record] builds it from a [Util.Prof] recording of live code;
+    the printer/parser pair is exact (round-trip asserted by a qcheck
+    property), so plans can be dumped with [neutron_check --plan-dump]
+    and diffed. *)
 
 type precision =
   | Double
@@ -20,13 +20,14 @@ type precision =
           [Plan_check] PREC004 flags a [Quantize] step on such a
           buffer *)
 
-type role =
+type role = Util.Prof.role =
   | Read
   | Write
   | Update  (** read-modify-write *)
   | Reduce
       (** the scalar a reduction kernel produces (a register/allreduce
           value, not a vector buffer) *)
+(** The recorder's roles, so a recorded operand keeps its own. *)
 
 type buffer = {
   bname : string;
@@ -48,9 +49,6 @@ type kernel = {
   sweeps : int;
       (** full-vector memory sweeps this launch costs (0 = priced
           elsewhere, e.g. riding the stencil) *)
-  coeff : float;
-      (** static bound on the scalar coefficient magnitude applied
-          (1.0 when the kernel has none) *)
 }
 
 type step =
@@ -78,11 +76,10 @@ val kernel :
   ?partition:(int * int) array ->
   ?block:int ->
   ?sweeps:int ->
-  ?coeff:float ->
   args:(string * role) list ->
   string ->
   kernel
-(** [sweeps] defaults to 1, [coeff] to 1.0. *)
+(** [sweeps] defaults to 1. *)
 
 val plan :
   ?fusion:bool ->
@@ -102,15 +99,9 @@ val name_ok : string -> bool
     [[a-zA-Z0-9_.+-]+]. *)
 
 val string_of_precision : precision -> string
-val string_of_role : role -> string
-val string_of_step : step -> string
 
 val to_string : plan -> string
 (** Exact textual form (floats printed in [%h] hex so the round-trip
     through {!of_string} is bit-identical). *)
 
 val of_string : string -> (plan, string) result
-
-val pretty : plan -> string
-(** Human-oriented rendering (numbered steps, decimal ranges); not
-    parseable. *)

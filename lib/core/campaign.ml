@@ -48,14 +48,14 @@ type outcome = {
 (* Run [n_tasks] propagator tasks over [n_nodes] nodes under a
    scheduling strategy; sustained performance = group perf x GPU-level
    utilization. *)
-let simulate ?(scheduler = `Mpi_jm) ?(spread = 0.2) t ~n_nodes ~n_tasks =
+let simulate ?(scheduler = `Mpi_jm) t ~n_nodes ~n_tasks =
   let rng = Util.Rng.create 7 in
   let cluster =
     Jobman.Cluster.create ~n_nodes ~gpus_per_node:t.machine.Spec.gpus_per_node
       ~cpus_per_node:40 ~jitter:t.machine.Spec.node_jitter rng
   in
   let tasks =
-    Jobman.Task.campaign ~spread ~n:n_tasks ~nodes:t.group_nodes
+    Jobman.Task.campaign ~spread:0.2 ~n:n_tasks ~nodes:t.group_nodes
       ~duration:task_duration_s rng
   in
   let outcome =

@@ -34,7 +34,6 @@ type outcome = {
 
 val simulate :
   ?scheduler:[ `Naive | `Metaq | `Mpi_jm ] ->
-  ?spread:float ->
   t ->
   n_nodes:int ->
   n_tasks:int ->

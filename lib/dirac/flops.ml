@@ -60,7 +60,7 @@ let cg_blas1_fused_per_5d_site = cg_blas1_per_5d_site + (2 * 24)
    so they are priced with the stencil traffic, not the BLAS-1 tail.
    There is no whitelisted gap between this accounting and
    Machine.Perf_model's sweep pricing any more: Check.Plan_check
-   PLAN005 derives the gap from the extracted plan and errors on any
+   PLAN005 derives the gap from the recorded plan and errors on any
    nonzero value. *)
 let cg_blas1_bytes_per_5d_site ~fused =
   (if fused then 9 else 12) * 24 * 8

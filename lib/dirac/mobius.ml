@@ -457,16 +457,26 @@ let schur_dagger_gen ?tail eo ~src ~dst =
   let t1s = schur_dagger_chain eo ~srcs:[| src |] ~dsts:[| dst |] in
   schur_dagger_finish ?tail dst t1s.(0) (eo_field_length eo)
 
+(* One entry's launch as Util.Prof records it: an operator over eo
+   fields, whose stencil launches pool by Field.launch_pool's rule. *)
+let prof eo name operands =
+  Linalg.Field.prof ~sweeps:0 name ~n:(eo_field_length eo) operands
+
+let prof_eo eo name ~src ~dst = prof eo name Util.Prof.[ read src; write dst ]
+
 let hop_eo eo ~to_parity ~src ~dst =
   check_eo "Mobius.hop_eo" eo ~srcs:[ src ] ~dsts:[ dst ];
+  if !Util.Prof.on then prof_eo eo "Mobius.hop_eo" ~src ~dst;
   hop_eo_gen eo ~to_parity ~srcs:[| src |] ~dsts:[| dst |] ()
 
 let apply_schur eo ~src ~dst =
   check_eo "Mobius.apply_schur" eo ~srcs:[ src ] ~dsts:[ dst ];
+  if !Util.Prof.on then prof_eo eo "Mobius.apply_schur" ~src ~dst;
   schur_gen eo ~srcs:[| src |] ~dsts:[| dst |]
 
 let apply_schur_dagger eo ~src ~dst =
   check_eo "Mobius.apply_schur_dagger" eo ~srcs:[ src ] ~dsts:[ dst ];
+  if !Util.Prof.on then prof_eo eo "Mobius.apply_schur_dagger" ~src ~dst;
   ignore (schur_dagger_gen eo ~src ~dst : float)
 
 let schur_normal_gen ?tail eo ~src ~dst =
@@ -476,6 +486,7 @@ let schur_normal_gen ?tail eo ~src ~dst =
 
 let apply_schur_normal eo ~src ~dst =
   check_eo "Mobius.apply_schur_normal" eo ~srcs:[ src ] ~dsts:[ dst ];
+  if !Util.Prof.on then prof_eo eo "Mobius.apply_schur_normal" ~src ~dst;
   ignore (schur_normal_gen eo ~src ~dst : float)
 
 (* S^dag S with the tail riding the closing dagger sweep — what
@@ -483,12 +494,19 @@ let apply_schur_normal eo ~src ~dst =
    iteration executes the 2-sweep BLAS-1 plan the model prices. *)
 let apply_schur_normal_tail eo ~src ~dst ~tail =
   check_eo "Mobius.apply_schur_normal_tail" eo ~srcs:[ src ] ~dsts:[ dst ];
+  if !Util.Prof.on then
+    prof eo "Mobius.apply_schur_normal_tail"
+      (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail);
   schur_normal_gen ~tail eo ~src ~dst
 
 (* ---- batched S^dag S: the same stages on k fields ---- *)
 
 let apply_schur_normal_multi eo ~srcs ~dsts =
   check_eo_batch "Mobius.apply_schur_normal_multi" eo ~srcs ~dsts;
+  if !Util.Prof.on then
+    prof eo "Mobius.apply_schur_normal_multi"
+      (Util.Prof.batch (Array.length srcs) (fun i ->
+           Util.Prof.[ read srcs.(i); write dsts.(i) ]));
   let tmps = create_like eo srcs in
   schur_gen eo ~srcs ~dsts:tmps;
   let t1s = schur_dagger_chain eo ~srcs:tmps ~dsts in
@@ -504,6 +522,9 @@ let split_eo geom ~l5 (full : Linalg.Field.t) =
   check_fields "Mobius.split_eo" ~len:(l5 * vol * fps) [ full ];
   let even = Linalg.Field.create (l5 * half * fps) in
   let odd = Linalg.Field.create (l5 * half * fps) in
+  if !Util.Prof.on then
+    Util.Prof.launch ~kernel:"Mobius.split_eo" ~n:(l5 * vol * fps) ~geometry:None
+      ~block:None ~sweeps:0 Util.Prof.[ read full; write even; write odd ];
   for s = 0 to l5 - 1 do
     for site = 0 to vol - 1 do
       let p = Lattice.Geometry.parity geom site in
@@ -523,6 +544,9 @@ let merge_eo geom ~l5 ~(even : Linalg.Field.t) ~(odd : Linalg.Field.t) =
   let half = Lattice.Geometry.half_volume geom in
   check_fields "Mobius.merge_eo" ~len:(l5 * half * fps) [ even; odd ];
   let full = Linalg.Field.create (l5 * vol * fps) in
+  if !Util.Prof.on then
+    Util.Prof.launch ~kernel:"Mobius.merge_eo" ~n:(l5 * vol * fps) ~geometry:None
+      ~block:None ~sweeps:0 Util.Prof.[ read even; read odd; write full ];
   for s = 0 to l5 - 1 do
     for site = 0 to vol - 1 do
       let p = Lattice.Geometry.parity geom site in
@@ -544,7 +568,9 @@ let prepare_rhs eo ~(rhs_even : Linalg.Field.t) ~(rhs_odd : Linalg.Field.t) =
   let t2 = create_eo_field eo in
   apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:rhs_even ~dst:t1;
   hop_eo_gen eo ~to_parity:1 ~srcs:[| t1 |] ~dsts:[| t2 |] ();
-  let out = Linalg.Field.copy rhs_odd in
+  let out = Util.Prof.muted Linalg.Field.copy rhs_odd in
+  if !Util.Prof.on then
+    prof eo "Mobius.prepare_rhs" Util.Prof.[ read rhs_even; read rhs_odd; write out ];
   sub_into out t2 0 (eo_field_length eo);
   out
 
@@ -553,8 +579,10 @@ let reconstruct_even eo ~(rhs_even : Linalg.Field.t) ~(x_odd : Linalg.Field.t) =
   check_fields "Mobius.reconstruct_even" ~len:(eo_field_length eo) [ rhs_even; x_odd ];
   let t1 = create_eo_field eo in
   hop_eo_gen eo ~to_parity:0 ~srcs:[| x_odd |] ~dsts:[| t1 |] ();
-  let t2 = Linalg.Field.copy rhs_even in
+  let t2 = Util.Prof.muted Linalg.Field.copy rhs_even in
   sub_into t2 t1 0 (eo_field_length eo);
   let out = create_eo_field eo in
+  if !Util.Prof.on then
+    prof eo "Mobius.reconstruct_even" Util.Prof.[ read rhs_even; read x_odd; write out ];
   apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:t2 ~dst:out;
   out

@@ -13,7 +13,9 @@
     not the operator's (l5·n4·24 floats; [eo_field_length] for the
     checkerboarded entries), or — for the operators and Schur entries —
     a dst sharing storage with a src ([Linalg.Fused.same_data]), raises
-    [Invalid_argument]. *)
+    [Invalid_argument]. The checkerboarded entries, [split_eo] and
+    [merge_eo] each report one launch to [Util.Prof], none of the
+    kernels they run inside. *)
 
 type params = {
   l5 : int;

@@ -82,10 +82,9 @@ let of_geometry ?(recon = Codec.Full18) geom gauge_field =
     ~bwd:(Lattice.Geometry.bwd_table geom)
     (Lattice.Gauge.data gauge_field)
 
-let of_domain_rank ?(recon = Codec.Full18) (rg : Lattice.Domain.rank_geometry)
-    gauge_ext =
-  of_tables ~recon ~n:rg.Lattice.Domain.local_volume ~fwd:rg.Lattice.Domain.fwd
-    ~bwd:rg.Lattice.Domain.bwd gauge_ext
+let of_domain_rank (rg : Lattice.Domain.rank_geometry) gauge_ext =
+  of_tables ~recon:Codec.Full18 ~n:rg.Lattice.Domain.local_volume
+    ~fwd:rg.Lattice.Domain.fwd ~bwd:rg.Lattice.Domain.bwd gauge_ext
 
 (* Checkerboarded hopping: writes sites of [parity], reads a source
    field indexed by the eo-index of the opposite parity. *)
@@ -334,6 +333,17 @@ let launch ?pool ?chunk ~cols ~n range =
     in
     Util.Pool.parallel_for p ~chunk ~n range
 
+(* One entry's launch as Util.Prof records it: over one dst's floats,
+   chunk in floats, the full link store listed as read (a packed store
+   is not a field). The pool is the one a single-column launch would
+   get, which a batch shares unless the default pool engages only for
+   the batch's total. *)
+let prof ?pool ?chunk t name operands =
+  let links = match t.store with Full g -> [ Util.Prof.read g ] | Packed _ -> [] in
+  Linalg.Field.prof ?pool
+    ?chunk:(Option.map (fun c -> c * fps) chunk)
+    ~sweeps:0 name ~n:(t.n_sites * fps) (links @ operands)
+
 let body_range t ~l5 ~src_stride ~g5 ~srcs ~store lo hi =
   let body = make_body t ~l5 ~src_stride ~g5 ~srcs ~store in
   for x = lo to hi - 1 do
@@ -360,6 +370,10 @@ let plain_body t ~srcs ~dsts =
 
 let hop_batch name ?pool ?chunk t ~srcs ~dsts =
   check_batch name t srcs dsts;
+  if !Util.Prof.on then
+    prof ?pool ?chunk t name
+      (Util.Prof.batch (Array.length srcs) (fun i ->
+           Util.Prof.[ read srcs.(i); write dsts.(i) ]));
   launch ?pool ?chunk ~cols:(Array.length srcs) ~n:t.n_sites
     (body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts))
 
@@ -415,6 +429,9 @@ let hop_tail ?pool ?chunk t ~src ~dst ~tail =
   check_batch "Wilson.hop_tail" t [| src |] [| dst |];
   let n = t.n_sites * fps in
   Linalg.Fused.tail_check "Wilson.hop_tail" ~n ~dst tail;
+  if !Util.Prof.on then
+    prof ?pool ?chunk:(Option.map round_to_tiles chunk) t "Wilson.hop_tail"
+      (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail);
   let s =
     Linalg.Field.fold_partials ~n (fun record ->
         let range = hop_tail_range t ~src ~dst ~tail ~record in
@@ -449,6 +466,7 @@ let store_apply ~dagger ~mass ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t)
 
 let apply_gen name ~dagger t ~mass ~src ~dst =
   check_batch name t [| src |] [| dst |];
+  if !Util.Prof.on then prof t name Util.Prof.[ read src; write dst ];
   launch ~cols:1 ~n:t.n_sites
     (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs:[| src |]
        ~store:(store_apply ~dagger ~mass ~src ~dst))

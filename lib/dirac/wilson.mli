@@ -5,8 +5,8 @@
     (site, μ, side) for the whole set — the plain hop is L5 = k = 1,
     the batched hop k > 1, the Möbius chain ({!stencil}) L5 > 1.
 
-    Every constructor takes [?recon] (default [Full18]): the gauge
-    codec of the link store. Packed codecs ([Recon12]/[Recon8],
+    The full-volume and checkerboard constructors take [?recon]
+    (default [Full18]): the gauge codec of the link store. Packed codecs ([Recon12]/[Recon8],
     [Lattice.Recon]) store 12/8 reals per link and reconstruct the
     full matrix into a per-body scratch at the point of use, so for a
     fixed codec results are bit-identical across pool geometries.
@@ -16,7 +16,9 @@
     sites, a src shorter than the sites the tables read (the source
     extent recorded at construction), a [hop_sites] site outside
     [\[0, n_sites)], or a dst sharing storage with a src or another
-    dst ([Linalg.Fused.same_data]) raises [Invalid_argument]. *)
+    dst ([Linalg.Fused.same_data]) raises [Invalid_argument]. [hop],
+    [hop_multi], [hop_tail], [apply] and [apply_dagger] each report
+    one launch to [Util.Prof], the link field listed as read. *)
 
 type t
 
@@ -29,14 +31,10 @@ val of_geometry :
   ?recon:Linalg.Su3_codec.codec -> Lattice.Geometry.t -> Lattice.Gauge.t -> t
 (** Full-volume operator; source and destination are volume×24 floats. *)
 
-val of_domain_rank :
-  ?recon:Linalg.Su3_codec.codec ->
-  Lattice.Domain.rank_geometry ->
-  Linalg.Field.t ->
-  t
-(** Rank-local operator; the source must cover the extended volume
-    (ghost slots filled by halo exchange), gauge from
-    [Lattice.Domain.gather_gauge]. *)
+val of_domain_rank : Lattice.Domain.rank_geometry -> Linalg.Field.t -> t
+(** Rank-local operator over a full link store; the source must cover
+    the extended volume (ghost slots filled by halo exchange), gauge
+    from [Lattice.Domain.gather_gauge]. *)
 
 val of_checkerboard :
   ?recon:Linalg.Su3_codec.codec ->

@@ -29,12 +29,6 @@ let create n : t =
 
 let length (v : t) = Array1.dim v
 
-let copy (v : t) : t =
-  let w = Array1.create float64 c_layout (length v) in
-  Array1.blit v w;
-  w
-
-let blit (src : t) (dst : t) = Array1.blit src dst
 let fill (v : t) x = Array1.fill v x
 
 let of_array a : t =
@@ -122,6 +116,33 @@ let launch_pool pool n =
     let p = Util.Pool.get_default () in
     if Util.Pool.size p > 1 && n >= parallel_cutoff then Some p else None
 
+(* A launch over [n] floats, reported to Util.Prof with the geometry
+   [launch_pool] gives it (one lane is serial) and, when it reduces,
+   the canonical block. Hooks call it under [if !Util.Prof.on]. *)
+let prof ?pool ?chunk ?(sweeps = 1) kernel ~n operands =
+  let geometry =
+    match launch_pool pool n with
+    | Some p when Util.Pool.size p > 1 ->
+      Some (Util.Pool.size p, Option.value chunk ~default:(Util.Pool.default_chunk p n))
+    | _ -> None
+  in
+  let block =
+    if List.exists (fun o -> o.Util.Prof.role = Util.Prof.Reduce) operands then
+      Some reduce_block
+    else None
+  in
+  Util.Prof.launch ~kernel ~n ~geometry ~block ~sweeps operands
+
+let copy (v : t) : t =
+  let w = Array1.create float64 c_layout (length v) in
+  if !Util.Prof.on then prof "Field.copy" ~n:(length v) Util.Prof.[ read v; write w ];
+  Array1.blit v w;
+  w
+
+let blit (src : t) (dst : t) =
+  if !Util.Prof.on then prof "Field.blit" ~n:(length src) Util.Prof.[ read src; write dst ];
+  Array1.blit src dst
+
 (* [range lo hi] over [0, n) on the pool [launch_pool] picks for a
    launch over [floats] floats. *)
 let run pool chunk ~floats ~n range =
@@ -167,6 +188,7 @@ let caxpy_range (ar, ai) (x : t) (y : t) lo hi =
 let axpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.axpy" x y;
   let n = length x in
+  if !Util.Prof.on then prof ?pool ?chunk "Field.axpy" ~n Util.Prof.[ read x; update y ];
   run pool chunk ~floats:n ~n (axpy_range alpha x y);
   Sanitize.check_vec "Field.axpy" y
 
@@ -174,11 +196,13 @@ let axpy ?pool ?chunk alpha (x : t) (y : t) =
 let xpay ?pool ?chunk (x : t) alpha (y : t) =
   check2 "Field.xpay" x y;
   let n = length x in
+  if !Util.Prof.on then prof ?pool ?chunk "Field.xpay" ~n Util.Prof.[ read x; update y ];
   run pool chunk ~floats:n ~n (xpay_range x alpha y);
   Sanitize.check_vec "Field.xpay" y
 
 let scale ?pool ?chunk alpha (v : t) =
   let n = length v in
+  if !Util.Prof.on then prof ?pool ?chunk "Field.scale" ~n Util.Prof.[ update v ];
   run pool chunk ~floats:n ~n (scale_range alpha v);
   Sanitize.check_vec "Field.scale" v
 
@@ -187,6 +211,8 @@ let sub ?pool ?chunk (x : t) (y : t) (z : t) =
   check2 "Field.sub" x y;
   check2 "Field.sub" x z;
   let n = length x in
+  if !Util.Prof.on then
+    prof ?pool ?chunk "Field.sub" ~n Util.Prof.[ read x; read y; write z ];
   run pool chunk ~floats:n ~n (sub_range x y z);
   Sanitize.check_vec "Field.sub" z
 
@@ -195,6 +221,8 @@ let sub ?pool ?chunk (x : t) (y : t) (z : t) =
    so one tuned chunk axis serves both. *)
 let caxpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.caxpy" x y;
+  if !Util.Prof.on then
+    prof ?pool ?chunk "Field.caxpy" ~n:(length x) Util.Prof.[ read x; update y ];
   let chunk = Option.map (fun c -> max 1 (c / 2)) chunk in
   run pool chunk ~floats:(length x) ~n:(length x / 2) (caxpy_range alpha x y);
   Sanitize.check_vec "Field.caxpy" y
@@ -260,6 +288,8 @@ let norm2_term (v : t) lo hi =
   !acc
 
 let norm2 ?pool ?chunk (v : t) =
+  if !Util.Prof.on then
+    prof ?pool ?chunk "Field.norm2" ~n:(length v) Util.Prof.[ read v; reduce ];
   Sanitize.check_scalar "Field.norm2" (fold ?pool ?chunk ~n:(length v) (norm2_term v))
 
 let norm v = sqrt (norm2 v)
@@ -275,6 +305,8 @@ let dot_re_term (x : t) (y : t) lo hi =
    euclidean dot product. *)
 let dot_re ?pool ?chunk (x : t) (y : t) =
   check2 "Field.dot_re" x y;
+  if !Util.Prof.on then
+    prof ?pool ?chunk "Field.dot_re" ~n:(length x) Util.Prof.[ read x; read y; reduce ];
   Sanitize.check_scalar "Field.dot_re"
     (fold ?pool ?chunk ~n:(length x) (dot_re_term x y))
 
@@ -295,6 +327,8 @@ let cdot_term (x : t) (y : t) slot lo hi =
    dangling odd float is outside every pair. *)
 let cdot ?pool ?chunk (x : t) (y : t) =
   check2 "Field.cdot" x y;
+  if !Util.Prof.on then
+    prof ?pool ?chunk "Field.cdot" ~n:(length x) Util.Prof.[ read x; read y; reduce ];
   let s = fold_k ?pool ?chunk ~n:(length x land lnot 1) ~k:2 (cdot_term x y) in
   Cplx.make
     (Sanitize.check_scalar "Field.cdot" s.(0))

@@ -32,6 +32,21 @@ val launch_pool : Util.Pool.t option -> int -> Util.Pool.t option
     than one lane and [n] is at least [parallel_cutoff], else [None]
     (serial). The one dispatch rule of every kernel in the tree. *)
 
+val prof :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  ?sweeps:int ->
+  string ->
+  n:int ->
+  Util.Prof.operand list ->
+  unit
+(** [prof kernel ~n operands]: report a launch over [n] floats to
+    [Util.Prof]: its geometry on [launch_pool pool n] (chunk in floats,
+    the caller's or [Util.Pool.default_chunk]'s; one lane is serial),
+    [reduce_block] when an operand reduces, and [sweeps] (default 1; 0
+    for a stencil or operator). Hooks call it under
+    [if !Util.Prof.on]. *)
+
 (** {2 The canonical reduction}
 
     Floats [\[0, n)] are cut into blocks of [reduce_block]; each
@@ -74,7 +89,8 @@ val fold_partials :
     Every kernel takes [?pool ?chunk] ([chunk] in floats; [caxpy]
     halves it to pairs) and runs on [launch_pool pool n]. All are
     bit-identical across pools and chunks, and the [Sanitize] hooks
-    run on every path. *)
+    run on every path. Each reports itself to [Util.Prof], as do
+    [copy] and [blit]. *)
 
 val axpy : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> unit
 (** [axpy a x y]: y <- y + a·x. *)

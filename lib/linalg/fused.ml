@@ -152,6 +152,9 @@ let finish kernel (v : t) s =
 let axpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.axpy_norm2" x y;
   no_alias "Fused.axpy_norm2" [ y ] [ x ];
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk "Fused.axpy_norm2" ~n:(Field.length x)
+      Util.Prof.[ read x; update y; reduce ];
   finish "Fused.axpy_norm2" y
     (Field.fold ?pool ?chunk ~n:(Field.length x) (axpy_norm2_term alpha x y))
 
@@ -160,6 +163,9 @@ let xpay_dot ?pool ?chunk (x : t) beta (p : t) (q : t) =
   check2 "Fused.xpay_dot" x p;
   check2 "Fused.xpay_dot" x q;
   no_alias "Fused.xpay_dot" [ p ] [ x ];
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk "Fused.xpay_dot" ~n:(Field.length x)
+      Util.Prof.[ read x; update p; read q; reduce ];
   finish "Fused.xpay_dot" p
     (Field.fold ?pool ?chunk ~n:(Field.length x) (xpay_dot_term x beta p q))
 
@@ -171,6 +177,9 @@ let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
   no_alias "Fused.cg_update" [ x; r ] [ p; ap ];
   if same_data x r then
     invalid_arg "Fused.cg_update: output aliases an input of a different role";
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk "Fused.cg_update" ~n:(Field.length p)
+      Util.Prof.[ read p; read ap; update x; update r; reduce ];
   let s =
     Field.fold ?pool ?chunk ~n:(Field.length p) (cg_update_term alpha p ap x r)
   in
@@ -181,6 +190,9 @@ let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
 let caxpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.caxpy_norm2" x y;
   no_alias "Fused.caxpy_norm2" [ y ] [ x ];
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk "Fused.caxpy_norm2" ~n:(Field.length x)
+      Util.Prof.[ read x; update y; reduce ];
   finish "Fused.caxpy_norm2" y
     (Field.fold ?pool ?chunk ~n:(Field.length x) (caxpy_norm2_term alpha x y))
 
@@ -207,6 +219,11 @@ type tail = {
 }
 
 let tail ?xpay ~dot () = { t_xpay = xpay; t_dot = dot }
+
+(* The tail's operands as a stencil entry reports them to Util.Prof. *)
+let tail_operands tl =
+  (match tl.t_xpay with Some (out, _) -> [ Util.Prof.update out ] | None -> [])
+  @ Util.Prof.[ read tl.t_dot; reduce ]
 
 (* Guard + shape check, called by the stencil front-ends before the
    launch: every tail operand spans the stencil output, and the xpay
@@ -247,17 +264,3 @@ let tail_term tl ~(dst : t) lo hi =
       acc := !acc +. (Array1.unsafe_get q i *. Array1.unsafe_get dst i)
     done);
   !acc
-
-(* Operand-role table, in call order: (formal name, is_output). The
-   ground truth Check.Plan_extract builds fused-launch effects from,
-   and the static mirror of the no_alias guards above — a plan whose
-   output operand shares a buffer with any other position is the
-   PLAN002 hazard. Read/Read repetition (xpay_dot's q = x
-   monitor) is legal and expected. *)
-let operand_roles = function
-  | "axpy_norm2" -> Some [ ("x", false); ("y", true) ]
-  | "xpay_dot" -> Some [ ("x", false); ("p", true); ("q", false) ]
-  | "cg_update" ->
-    Some [ ("p", false); ("ap", false); ("x", true); ("r", true) ]
-  | "caxpy_norm2" -> Some [ ("x", false); ("y", true) ]
-  | _ -> None

@@ -4,7 +4,8 @@
     replaces, because all of them run the canonical
     [Field.reduce_block]-float blocked, index-ordered reduction
     ([Field.fold]) with the element-wise update folded into the
-    block pass. Each kernel takes [?pool ?chunk] like [Field]'s.
+    block pass. Each kernel takes [?pool ?chunk] like [Field]'s and
+    reports itself to [Util.Prof].
 
     Stricter aliasing contract than the unfused kernels: an output
     vector sharing storage with an input of a different role raises
@@ -54,6 +55,10 @@ type tail = {
 
 val tail : ?xpay:t * float -> dot:t -> unit -> tail
 
+val tail_operands : tail -> Util.Prof.operand list
+(** The xpay output (updated), [q] (read) and the reduction, as the
+    tail-carrying stencil entries report them to [Util.Prof]. *)
+
 val tail_check : string -> n:int -> dst:t -> tail -> unit
 (** Shape and aliasing guard, run by the stencil front-ends before the
     launch: every tail operand must span the [n]-float stencil output,
@@ -100,11 +105,3 @@ val caxpy_norm2 :
 val axpy_norm2_term : float -> t -> t -> int -> int -> float
 val xpay_dot_term : t -> float -> t -> t -> int -> int -> float
 val cg_update_term : float -> t -> t -> t -> t -> int -> int -> float
-
-val operand_roles : string -> (string * bool) list option
-(** Operand-role table of a fused kernel by name, in call order:
-    [(formal, is_output)]. [None] for unknown kernels. The static
-    mirror of the runtime aliasing guards — [Check.Plan_extract]
-    builds fused-launch effects from it, and a plan whose output
-    operand shares a buffer with any other position is the
-    PLAN002 hazard. *)

@@ -77,6 +77,9 @@ let axpy_norm2 ?pool ?chunk alphas (xs : t array) (ys : t array) =
   if Field.length xs.(0) <> n then invalid_arg (name ^ ": length mismatch");
   check_scalars name k alphas;
   no_alias_sets name ys xs;
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk name ~n
+      (Util.Prof.batch k (fun i -> Util.Prof.[ read xs.(i); update ys.(i); reduce ]));
   finish name ys
     (Field.fold_k ?pool ?chunk ~n ~k (fun i ->
          Fused.axpy_norm2_term alphas.(i) xs.(i) ys.(i)))
@@ -102,6 +105,10 @@ let xpay_dot ?pool ?chunk (xs : t array) betas (ps : t array) (qs : t array) =
   (* q is a read-only role: q = p (the monitor idiom) stays legal, so
      only the x inputs are in the alias cross-check *)
   no_alias_sets name ps xs;
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk name ~n
+      (Util.Prof.batch k (fun i ->
+           Util.Prof.[ read xs.(i); update ps.(i); read qs.(i); reduce ]));
   finish name ps
     (Field.fold_k ?pool ?chunk ~n ~k (fun i ->
          Fused.xpay_dot_term xs.(i) betas.(i) ps.(i) qs.(i)))
@@ -124,6 +131,10 @@ let cg_update ?pool ?chunk alphas (ps : t array) (aps : t array) (xs : t array)
     [ aps; xs; rs ];
   check_scalars name k alphas;
   no_alias_sets name (Array.append xs rs) (Array.append ps aps);
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk name ~n
+      (Util.Prof.batch k (fun i ->
+           Util.Prof.[ read ps.(i); read aps.(i); update xs.(i); update rs.(i); reduce ]));
   let ss =
     Field.fold_k ?pool ?chunk ~n ~k (fun i ->
         Fused.cg_update_term alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i))
@@ -166,18 +177,11 @@ let block_axpy ?pool ?chunk (a : float array array) (xs : t array)
         invalid_arg (name ^ ": coefficient columns must match inputs"))
     a;
   no_alias_sets name ys xs;
+  if !Util.Prof.on then
+    Field.prof ?pool ?chunk name ~n
+      (List.map Util.Prof.read (Array.to_list xs)
+      @ Util.Prof.batch (Array.length ys) (fun i -> [ Util.Prof.update ys.(i) ]));
   (match Field.launch_pool pool n with
   | Some p -> Util.Pool.parallel_for p ?chunk ~n (block_axpy_range a xs ys)
   | None -> block_axpy_range a xs ys 0 n);
   Array.iter (Field.Sanitize.check_vec name) ys
-
-(* Operand-role table for the batched kernels, by plan-IR kernel name:
-   (formal, is_output) in call order, one formal per *set*. The static
-   analyzer expands sets to per-RHS buffers (src0.., dst0..) itself. *)
-let operand_roles = function
-  | "multi_axpy_norm2" -> Some [ ("x", false); ("y", true) ]
-  | "multi_xpay_dot" -> Some [ ("x", false); ("p", true); ("q", false) ]
-  | "multi_cg_update" ->
-    Some [ ("p", false); ("ap", false); ("x", true); ("r", true) ]
-  | "block_axpy" -> Some [ ("x", false); ("y", true) ]
-  | _ -> None

@@ -8,7 +8,8 @@
     here is bit-identical to the independent fused call on vector [i],
     serial or pooled, for any pool geometry. Every kernel takes
     [?pool ?chunk] ([chunk] in floats, applied to each RHS's block
-    space) like [Field]'s.
+    space) like [Field]'s, and reports itself to [Util.Prof] as one
+    launch whose operands carry their batch slot.
 
     Aliasing contract, set-wide: an output sharing storage with an
     input of a different role, or with another output, raises
@@ -61,10 +62,3 @@ val cg_update :
     [xs.(i) += alphas.(i)·ps.(i); rs.(i) -= alphas.(i)·aps.(i)];
     returns the per-RHS |r|². Slot [i] ≡
     [Fused.cg_update alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i)]. *)
-
-val operand_roles : string -> (string * bool) list option
-(** Operand-role table of a batched kernel by plan-IR name
-    ([multi_cg_update], [multi_xpay_dot], [multi_axpy_norm2],
-    [block_axpy]): [(formal, is_output)] per vector *set* in call
-    order. [None] for unknown kernels. [Check.Plan_extract] expands
-    sets to per-RHS buffers when building batched launch effects. *)

@@ -155,8 +155,7 @@ let blas1_sweeps ~fused = if fused then 2. else 5.
    sides through Wilson.hop_multi loads each gauge element once for
    the whole batch while the spinor stream stays per-vector, so the
    per-site-per-RHS bytes drop by link/k — the amortization the
-   multi-RHS plans in Check.Plan_extract declare and the @multirhs
-   exact-formula tests pin. *)
+   @multirhs exact-formula tests pin. *)
 let link_bytes_per_site = float_of_int (8 * 18 * 8)
 let spinor_bytes_per_site = float_of_int (((9 * 24) + 24) * 8)
 
@@ -470,9 +469,9 @@ let stencil_breakdown ?(transport = Transport.Staged) ?fusion ?compress
         face_times;
       }
 
-let solver_performance ?(transport = Transport.Staged) ?fusion ?compress
-    (m : Spec.t) (policy : Policy.t) p ~n_gpus =
-  match stencil_breakdown ~transport ?fusion ?compress m policy p ~n_gpus with
+let solver_performance ?(transport = Transport.Staged) ?compress (m : Spec.t)
+    (policy : Policy.t) p ~n_gpus =
+  match stencil_breakdown ~transport ?compress m policy p ~n_gpus with
   | None -> None
   | Some b ->
     let flops_app = b.local_sites *. flops_per_site in

@@ -205,7 +205,6 @@ val stencil_breakdown :
 
 val solver_performance :
   ?transport:Transport.t ->
-  ?fusion:bool ->
   ?compress:bool ->
   Spec.t ->
   Policy.t ->

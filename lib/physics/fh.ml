@@ -82,7 +82,7 @@ let restrict_timeslice geom ~tau (v : Field.t) : Field.t =
 
 (* Current-inserted propagator with the insertion restricted to
    timeslice [tau]. *)
-let sequential_propagator ?precision ?tol (solver : Solver.Dwf_solve.t) ~tau
+let sequential_propagator ?tol (solver : Solver.Dwf_solve.t) ~tau
     (prop : Propagator.t) =
   let geom = Solver.Dwf_solve.geom_of solver in
   let l5 = (Solver.Dwf_solve.params_of solver).Dirac.Mobius.l5 in
@@ -90,5 +90,5 @@ let sequential_propagator ?precision ?tol (solver : Solver.Dwf_solve.t) ~tau
       let inserted = Source.apply_spin_matrix axial_matrix column in
       let restricted = restrict_timeslice geom ~tau inserted in
       let rhs = Source.to_5d ~l5 geom restricted in
-      let x5, st = Solver.Dwf_solve.solve ?precision ?tol solver ~rhs in
+      let x5, st = Solver.Dwf_solve.solve ?tol solver ~rhs in
       (Source.to_4d ~l5 geom x5, st))

@@ -31,13 +31,13 @@ val restrict_timeslice :
   Lattice.Geometry.t -> tau:int -> Linalg.Field.t -> Linalg.Field.t
 
 val sequential_propagator :
-  ?precision:Solver.Dwf_solve.precision ->
   ?tol:float ->
   Solver.Dwf_solve.t ->
   tau:int ->
   Propagator.t ->
   Propagator.t
-(** Insertion restricted to timeslice [tau]: ONE SOLVE PER τ — the
+(** Insertion restricted to timeslice [tau], solved in double
+    precision: ONE SOLVE PER τ — the
     traditional cost FH eliminates. By linearity Σ_τ ψ_τ = ψ_FH
     (checked exactly by the test suite). The result's [stats] are
     these solves'. *)

@@ -18,6 +18,14 @@ let in_range fn what v hi =
   if v < 0 || v >= hi then
     invalid_arg (Printf.sprintf "%s: %s %d outside [0, %d)" fn what v hi)
 
+(* A field of another length would be read as another layout: a longer
+   5D field's slice L5-1 is not its last, a short one's tail is lost. *)
+let check_length fn (v : Field.t) len =
+  if Field.length v <> len then
+    invalid_arg
+      (Printf.sprintf "%s: field of %d floats, expected %d" fn (Field.length v)
+         len)
+
 let point geom ~site ~spin ~color =
   in_range "Source.point" "spin" spin 4;
   in_range "Source.point" "color" color 3;
@@ -49,6 +57,7 @@ let noise geom rng ~t =
 (* 4D source -> 5D domain-wall source. *)
 let to_5d ~l5 geom (eta : Field.t) : Field.t =
   let vol = Geometry.volume geom in
+  check_length "Source.to_5d" eta (vol * fps);
   let b = Field.create (l5 * vol * fps) in
   let last = (l5 - 1) * vol * fps in
   for site = 0 to vol - 1 do
@@ -67,6 +76,7 @@ let to_5d ~l5 geom (eta : Field.t) : Field.t =
 (* 5D solution -> 4D quark field at the walls. *)
 let to_4d ~l5 geom (psi : Field.t) : Field.t =
   let vol = Geometry.volume geom in
+  check_length "Source.to_4d" psi (l5 * vol * fps);
   let q = Field.create (vol * fps) in
   let last = (l5 - 1) * vol * fps in
   for site = 0 to vol - 1 do
@@ -85,6 +95,7 @@ let to_4d ~l5 geom (psi : Field.t) : Field.t =
 (* Apply a 4x4 spin matrix to a 4D field (sequential/FH sources). *)
 let apply_spin_matrix (m : Linalg.Cplx.t array array) (src : Field.t) : Field.t =
   let n_sites = Field.length src / fps in
+  check_length "Source.apply_spin_matrix" src (n_sites * fps);
   let dst = Field.create (Field.length src) in
   for site = 0 to n_sites - 1 do
     let base = site * fps in

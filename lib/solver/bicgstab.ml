@@ -22,6 +22,8 @@ let of_cplx (c : Cplx.t) = (c.Cplx.re, c.Cplx.im)
 
 (* p <- r + beta * p (complex beta, interleaved layout). *)
 let xpby (r : Field.t) (br, bi) (p : Field.t) =
+  if !Util.Prof.on then
+    Field.prof "Bicgstab.xpby" ~n:(Field.length r) Util.Prof.[ read r; update p ];
   let half = Field.length r / 2 in
   for k = 0 to half - 1 do
     let pr = Bigarray.Array1.unsafe_get p (2 * k) in
@@ -31,19 +33,6 @@ let xpby (r : Field.t) (br, bi) (p : Field.t) =
     Bigarray.Array1.unsafe_set p ((2 * k) + 1)
       (Bigarray.Array1.unsafe_get r ((2 * k) + 1) +. ((br *. pi) +. (bi *. pr)))
   done
-
-(* One full BiCGStab iteration's BLAS-1 sequence as (kernel, sweeps)
-   rows in launch order, both stabilizer halves included — the ground
-   truth Check.Plan_extract lifts into the plan IR. The fused columns
-   replace each caxpy-then-norm2 pair with the single-pass
-   caxpy_norm2. *)
-let tail_kernels ~fused =
-  let update = if fused then [ ("caxpy_norm2", 1) ] else [ ("caxpy", 1); ("norm2", 1) ] in
-  [ ("cdot", 1); ("blit", 1) ]
-  @ update
-  @ [ ("norm2", 1); ("cdot", 1); ("caxpy", 1); ("caxpy", 1); ("blit", 1) ]
-  @ update
-  @ [ ("cdot", 1); ("caxpy", 1); ("xpby", 1) ]
 
 let stats ~iterations ~converged ~rel ~true_rel ~flops ~t_start =
   {
@@ -142,10 +131,11 @@ let solve ?(fused = false) ?trace ~apply ~(b : Field.t) ~tol ~max_iter
         end
       end
     done;
+    (* b − Ax lands in t, which the solve no longer reads *)
     apply x tmp;
     incr applies;
-    Field.sub b tmp tmp;
-    let true_rel = sqrt (Field.norm2 tmp /. b2) in
+    Field.sub b tmp t;
+    let true_rel = sqrt (Field.norm2 t /. b2) in
     let flops =
       (float_of_int !applies *. flops_per_apply)
       +. (float_of_int !iters *. 2. *. Cg.blas1_flops ~fused n)

@@ -1,14 +1,8 @@
 (** BiCGStab on a (non-hermitian) complex-linear operator — the
     baseline alternative to CG on the normal equations. The operator
     must be complex-linear over the interleaved re/im layout (Dirac
-    operators are; componentwise-real test matrices are not). *)
-
-val tail_kernels : fused:bool -> (string * int) list
-(** One full iteration's BLAS-1 sequence as (kernel, full-vector
-    sweeps) rows in launch order, both stabilizer halves included —
-    the ground truth [Check.Plan_extract] lifts into the plan IR. The
-    fused column replaces each caxpy-then-norm2 pair with the
-    single-pass [Linalg.Fused.caxpy_norm2]. *)
+    operators are; componentwise-real test matrices are not). Its
+    kernels, the private p-update included, report to [Util.Prof]. *)
 
 val solve :
   ?fused:bool ->

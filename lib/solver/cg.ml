@@ -30,30 +30,6 @@ type stats = {
 let blas1_flops ?(fused = false) n =
   float_of_int ((if fused then 12 else 10) * n)
 
-(* The BLAS-1 tail of one CG iteration as (kernel, full-vector sweeps)
-   rows, in launch order — the ground truth Check.Plan_extract lifts
-   into the plan IR and Plan_check's PLAN005 pass diffs against
-   Machine.Perf_model.blas1_sweeps. Unfused, the p·Ap reduction is the
-   leading host kernel. Fused, it is NOT a tail kernel at all: it
-   rides the stencil's closing sweep ([apply_dot] below, built on
-   Wilson.hop_tail / Mobius.apply_schur_normal_tail), so the fused
-   tail is exactly cg_update + xpay_dot — the 2-sweep plan the model
-   prices, with no whitelisted gap left. *)
-let tail_kernels ~fused =
-  if fused then [ ("cg_update", 1); ("xpay_dot", 1) ]
-  else [ ("dot_re", 1); ("axpy", 1); ("axpy", 1); ("norm2", 1); ("xpay", 1) ]
-
-(* The batched solve's per-iteration BLAS-1 tail over the active set,
-   same convention in per-RHS sweeps, derived from [tail_kernels]:
-   unfused the same five rows; fused the batch kernels whose slot i is
-   the named kernel, led by a dot_re per RHS for p·Ap, because the
-   batched operator has no tail — the 3-sweep separate-dot tail the
-   model does not price. *)
-let multi_tail_kernels ~fused =
-  let rows = tail_kernels ~fused in
-  if fused then ("dot_re", 1) :: List.map (fun (k, s) -> ("multi_" ^ k, s)) rows
-  else rows
-
 let pick vs idx = Array.map (fun i -> vs.(i)) idx
 let keep f idx = Array.of_seq (Seq.filter f (Array.to_seq idx))
 
@@ -135,13 +111,14 @@ let run ~name ~x0s ~deflate ~fused ~trace ~apply ~step ~(bs : Field.t array)
         }
   in
   let retire i =
-    (* the closing true-residual pass, one RHS *)
+    (* the closing true-residual pass, one RHS; b − Ax lands in the
+       retiring residual, which the solve no longer reads *)
     apply [| xs.(i) |] [| aps.(i) |];
     applies.(i) <- applies.(i) + 1;
-    Field.sub bs.(i) aps.(i) aps.(i);
+    Field.sub bs.(i) aps.(i) rs.(i);
     finish i ~converged:(r2s.(i) <= targets.(i))
       ~rel:(sqrt (r2s.(i) /. b2s.(i)))
-      ~true_rel:(sqrt (Field.norm2 aps.(i) /. b2s.(i)))
+      ~true_rel:(sqrt (Field.norm2 rs.(i) /. b2s.(i)))
       ~flops:
         ((float_of_int applies.(i) *. flops_per_apply)
         +. (float_of_int iters.(i) *. blas1_flops ~fused n))

@@ -3,7 +3,8 @@
     normal operator, the full Möbius normal operator and the red-black
     Schur normal operator. One recurrence serves both entries:
     [solve_multi] advances k right-hand sides in lockstep, and [solve]
-    is its batch of one. *)
+    is its batch of one. Its kernels report to [Util.Prof], so the
+    plan the static analyzer checks is a recording of this code. *)
 
 type stats = {
   iterations : int;
@@ -20,29 +21,6 @@ val blas1_flops : ?fused:bool -> int -> float
     unfused, 12n fused (the single-pass kernels spend 2n extra flops
     on the free p·r orthogonality monitor while streaming fewer
     bytes — see [Dirac.Flops] for the bytes side). *)
-
-val tail_kernels : fused:bool -> (string * int) list
-(** The BLAS-1 tail of one CG iteration as (kernel, full-vector
-    sweeps) rows in launch order — the ground truth
-    [Check.Plan_extract] lifts into the plan IR. Unfused: dot_re +
-    axpy + axpy + norm2 + xpay (5 sweeps). Fused: cg_update + xpay_dot
-    (2 sweeps) — the p·Ap reduction rides the stencil's closing sweep
-    via [apply_dot], so the fused column matches
-    [Machine.Perf_model.blas1_sweeps] exactly and
-    [Check.Plan_check]'s PLAN005 pass errors on any drift. [solve]
-    runs the fused tail as a batch of one through [Linalg.Multi_blas],
-    whose slot is the named per-vector [Linalg.Fused] kernel by
-    construction. *)
-
-val multi_tail_kernels : fused:bool -> (string * int) list
-(** The per-iteration BLAS-1 tail of the batched solver as (kernel,
-    full-vector sweeps) rows in launch order, derived from
-    [tail_kernels] — the ground truth behind
-    [Check.Plan_extract.cg_tail_multi]. Unfused, the same five rows.
-    Fused, each row's [multi_] batch kernel from [Linalg.Multi_blas],
-    whose slot i is that per-vector kernel, led by a [dot_re] per RHS
-    for p·Ap because the batched operator has no tail (3 sweeps,
-    unpriced). *)
 
 val solve :
   ?x0:Linalg.Field.t ->
@@ -80,8 +58,10 @@ val solve :
     sweep (same bits, one more sweep, not model-priced).
 
     [trace] is called with |r|² once per iteration (after the residual
-    update) — the hook the fused≡unfused trajectory tests compare
-    on.
+    update) — the hook the fused≡unfused trajectory tests compare on,
+    and the iteration boundary [Check.Plan_record] records
+    ([Util.Prof.mark]) to cut one iteration's launches out of a
+    recorded solve.
 
     [deflate] folds the low-mode correction Σᵢ vᵢ(vᵢ·r₀)/λᵢ of the
     entry residual into the initial guess (one extra apply recomputes

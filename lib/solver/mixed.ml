@@ -38,23 +38,10 @@ let validate_config ~n (c : config) =
 (* Quantize a vector in place through the half codec: this is the
    storage-precision loss the inner solve sees. *)
 let quantize ~block v =
+  Util.Prof.quantize v ~block;
   let h = Field.Half.create ~block (Field.length v) in
   Field.Half.encode v h;
   Field.Half.decode h v
-
-(* The half-stored buffers the inner loop forces through the codec on
-   every iteration, in quantize order: the search direction before the
-   stencil, the stencil result after it, the sloppy residual after the
-   update. Check.Plan_extract lifts these into Quantize steps; the
-   precision-flow pass (PREC rules) verifies every half-read is
-   preceded by one of them. *)
-let inner_quantizes = [ "p"; "ap"; "rs" ]
-
-(* The reliable-update kernels (promote + exact residual), as
-   (kernel, full-vector sweeps) rows in launch order. *)
-let reliable_update_kernels ~fused =
-  if fused then [ ("axpy", 1); ("blit", 1); ("axpy_norm2", 1) ]
-  else [ ("axpy", 1); ("sub", 1); ("norm2", 1) ]
 
 let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
     ~(b : Field.t) ~flops_per_apply () =

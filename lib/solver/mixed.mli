@@ -2,7 +2,8 @@
     solver. Inner iterations run on 16-bit fixed-point storage
     ([Linalg.Field.Half]); the residual is recomputed exactly in double
     precision at each reliable update. All reductions are double
-    precision. *)
+    precision. Its kernels and quantize points report to [Util.Prof]:
+    the [mixed] plans are recordings of [solve]. *)
 
 type config = {
   tol : float;
@@ -21,18 +22,8 @@ val validate_config : n:int -> config -> (unit, string) result
 
 val quantize : block:int -> Linalg.Field.t -> unit
 (** Round-trip a vector through the half codec in place — the storage
-    precision the inner solve sees. *)
-
-val inner_quantizes : string list
-(** The half-stored buffers the inner loop quantizes every iteration,
-    in codec-pass order: [["p"; "ap"; "rs"]]. [Check.Plan_extract]
-    lifts these into the plan IR's [Quantize] steps; the precision-flow
-    pass verifies every half-read is preceded by one. *)
-
-val reliable_update_kernels : fused:bool -> (string * int) list
-(** The reliable-update phase (promote the sloppy solution, recompute
-    the residual exactly) as (kernel, full-vector sweeps) rows in
-    launch order. *)
+    precision the inner solve sees. Reported to [Util.Prof] as a
+    quantize point. *)
 
 val solve :
   ?config:config ->

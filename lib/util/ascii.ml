@@ -17,8 +17,7 @@ let si_float ?(digits = 3) v =
   else if a >= 1e-6 then fmt 1e-6 "u"
   else fmt 1e-9 "n"
 
-let flops ?digits v = si_float ?digits v ^ "Flop/s"
-let bytes_per_sec ?digits v = si_float ?digits v ^ "B/s"
+let flops v = si_float v ^ "Flop/s"
 
 let seconds v =
   if v >= 3600. then Printf.sprintf "%.2f h" (v /. 3600.)

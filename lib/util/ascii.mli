@@ -3,8 +3,7 @@
 val si_float : ?digits:int -> float -> string
 (** Format with SI magnitude suffix (k/M/G/T/P/E, m/u/n). *)
 
-val flops : ?digits:int -> float -> string
-val bytes_per_sec : ?digits:int -> float -> string
+val flops : float -> string
 val seconds : float -> string
 
 val render_table : header:string list -> string list list -> string

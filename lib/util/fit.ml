@@ -97,8 +97,8 @@ let jacobian ~model ~xs ~sigmas params =
 
 (* Levenberg-Marquardt. The normal-equation matrix is damped as
    JtJ + lambda*diag(JtJ); lambda shrinks on accepted steps. *)
-let levenberg_marquardt ?(max_iter = 200) ?(tol = 1e-10) ~model ~xs ~ys ~sigmas
-    initial =
+let levenberg_marquardt ~model ~xs ~ys ~sigmas initial =
+  let max_iter = 200 and tol = 1e-10 in
   let nd = Array.length xs and np = Array.length initial in
   if Array.length ys <> nd || Array.length sigmas <> nd then
     invalid_arg "Fit.levenberg_marquardt: data length mismatch";

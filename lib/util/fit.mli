@@ -28,16 +28,15 @@ val chi2_of :
   float
 
 val levenberg_marquardt :
-  ?max_iter:int ->
-  ?tol:float ->
   model:(float array -> float -> float) ->
   xs:float array ->
   ys:float array ->
   sigmas:float array ->
   float array ->
   result
-(** Nonlinear weighted least squares with numerical Jacobian.
-    [model params x] evaluates the fit function. *)
+(** Nonlinear weighted least squares with numerical Jacobian, at most
+    200 iterations to a relative χ² step of 1e-10. [model params x]
+    evaluates the fit function. *)
 
 val linear_lsq :
   basis:(float -> float) array ->

@@ -198,8 +198,8 @@ let hop_global ?(overlapped = false) ?granularity ?order t (src : Field.t) :
   else hop t ~fields ~dsts;
   Domain.gather_field t.dom ~dof:Wilson.floats_per_site dsts
 
-let apply_global ?(overlapped = false) t ~mass (src : Field.t) : Field.t =
-  let h = hop_global ~overlapped t src in
+let apply_global t ~mass (src : Field.t) : Field.t =
+  let h = hop_global t src in
   let out = Field.copy src in
   Field.scale (4. +. mass) out;
   Field.axpy (-0.5) h out;

@@ -54,5 +54,5 @@ val hop_global :
   Linalg.Field.t
 (** Convenience: scatter a global field, apply, gather. *)
 
-val apply_global : ?overlapped:bool -> t -> mass:float -> Linalg.Field.t -> Linalg.Field.t
+val apply_global : t -> mass:float -> Linalg.Field.t -> Linalg.Field.t
 (** Full Wilson operator (4 + m) − H/2 across ranks. *)

@@ -425,7 +425,7 @@ let test_fixtures_detected () =
     [ "deflate-stale-space"; "deflate-drifted-basis" ]
 
 let test_plan_catalog_entry () =
-  match Check.Plan_extract.find "deflate" with
+  match Check.Plan_record.find "deflate" with
   | None -> Alcotest.fail "deflate plan missing from the catalog"
   | Some build ->
     let plan = build () in

@@ -362,38 +362,50 @@ let test_perf_model_mrhs_formulas () =
 (* ---------- plan catalog entries ---------- *)
 
 let test_mrhs_catalog_clean_and_priced () =
-  let module PE = Check.Plan_extract in
+  let module PR = Check.Plan_record in
   let module PC = Check.Plan_check in
-  (* the fused batched tail keeps p·Ap as its own dot_re per RHS
-     (the batched operator has no tail): 3 sweeps, the separate-dot
-     tail the model does not price. The unfused tail is the 5-sweep
-     plan the model prices: zero gap. Both verify clean. *)
-  let fused = PE.cg_tail_multi ~fused:true () in
+  let recorded name =
+    match PR.find name with
+    | None -> Alcotest.failf "%s missing from catalog" name
+    | Some f -> f ()
+  in
+  (* one recorded iteration of Cg.solve_multi, projected onto RHS 0.
+     The fused batched tail keeps p·Ap as its own dot_re per RHS (the
+     batched operator has no tail): 3 sweeps, the separate-dot tail
+     the model does not price. The unfused tail is the 5-sweep plan
+     the model prices: zero gap. Both verify clean. *)
+  let fused = recorded "cg-tail-multi-fused" in
   Alcotest.(check (option int)) "fused tail unpriced" None
     (PC.sweep_gap fused);
   let launches = Check.Plan_ir.launches fused in
   Alcotest.(check (list string)) "fused tail launches"
-    [ "dot_re"; "multi_cg_update"; "multi_xpay_dot" ]
+    [ "Mobius.apply_schur_normal_multi"; "Field.dot_re"; "Multi_blas.cg_update";
+      "Multi_blas.xpay_dot" ]
     (List.map (fun k -> k.Check.Plan_ir.kname) launches);
   Alcotest.(check int) "fused tail IR sweeps" 3
     (List.fold_left (fun acc k -> acc + k.Check.Plan_ir.sweeps) 0 launches);
-  let unfused = PE.cg_tail_multi ~fused:false () in
+  let unfused = recorded "cg-tail-multi" in
   Alcotest.(check (option int)) "unfused tail sweep gap" (Some 0)
     (PC.sweep_gap unfused);
+  (* the batched hop at k = 8, recorded: every src and dst its own
+     buffer, so the aliasing pass vets the whole batch *)
+  let hop8 =
+    let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
+    let w = Dirac.Wilson.of_geometry geom (Lattice.Gauge.random geom (Util.Rng.create 8)) in
+    let field () = Linalg.Field.create (Lattice.Geometry.volume geom * 24) in
+    let srcs = Array.init 8 (fun _ -> field ()) and dsts = Array.init 8 (fun _ -> field ()) in
+    PR.plan "wilson-hop-multi-k8"
+      (snd (Util.Prof.record (fun () -> Dirac.Wilson.hop_multi w ~srcs ~dsts)))
+  in
+  Alcotest.(check int) "k = 8 hop declares u, 8 srcs, 8 dsts" 17
+    (List.length hop8.Check.Plan_ir.buffers);
   List.iter
     (fun p ->
       Alcotest.(check int)
         (p.Check.Plan_ir.pname ^ " verifies clean")
         0
         (List.length (PC.verify p)))
-    [ fused; unfused; PE.wilson_hop_multi (); PE.wilson_hop_multi ~k:8 () ];
-  (* catalog round-trip *)
-  List.iter
-    (fun name ->
-      match PE.find name with
-      | None -> Alcotest.fail (name ^ " missing from catalog")
-      | Some f -> ignore (f () : Check.Plan_ir.plan))
-    [ "wilson-hop-multi"; "cg-tail-multi"; "cg-tail-multi-fused" ]
+    [ fused; unfused; recorded "wilson-hop-multi"; hop8 ]
 
 let test_shutdown () = Util.Pool.shutdown_shared ()
 

@@ -51,6 +51,29 @@ let test_sources_reject_out_of_range () =
   Alcotest.(check (float 0.)) "last slot in range" 1.
     (Field.norm2 (Src.point geom ~site:0 ~spin:3 ~color:2))
 
+(* a field of another length used to be read as another layout: to_4d
+   at L5 = 4 of an L5 = 8 solution took slice 3 as the P+ wall, to_5d
+   took the prefix of a longer field, and apply_spin_matrix left the
+   floats past the last whole site at zero *)
+let test_sources_reject_wrong_length () =
+  let geom = Geometry.create [| 2; 2; 2; 4 |] in
+  let sites = Geometry.volume geom in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (f () : Field.t))
+  in
+  raises "to_4d of an L5 = 8 field at L5 = 4"
+    "Source.to_4d: field of 6144 floats, expected 3072" (fun () ->
+      Src.to_4d ~l5:4 geom (Field.create (8 * sites * 24)));
+  raises "to_5d of a 5D field" "Source.to_5d: field of 3072 floats, expected 768"
+    (fun () -> Src.to_5d ~l5:4 geom (Field.create (4 * sites * 24)));
+  raises "apply_spin_matrix on a partial site"
+    "Source.apply_spin_matrix: field of 780 floats, expected 768" (fun () ->
+      Src.apply_spin_matrix Dirac.Gamma.gamma5_matrix
+        (Field.create ((sites * 24) + 12)));
+  Alcotest.(check int) "right lengths pass" (sites * 24)
+    (Field.length (Src.to_4d ~l5:4 geom (Src.to_5d ~l5:4 geom (Field.create (sites * 24)))))
+
 let test_5d_4d_maps_inverse_on_walls () =
   (* to_4d . to_5d restores the 4D field (the walls carry disjoint
      chiralities). *)
@@ -499,6 +522,8 @@ let suite =
     Alcotest.test_case "wall source" `Quick test_wall_source_support;
     Alcotest.test_case "sources reject out-of-range" `Quick
       test_sources_reject_out_of_range;
+    Alcotest.test_case "sources reject wrong-length fields" `Quick
+      test_sources_reject_wrong_length;
     Alcotest.test_case "5d/4d wall maps" `Quick test_5d_4d_maps_inverse_on_walls;
     Alcotest.test_case "spin matrix apply" `Quick test_apply_spin_matrix_matches_gamma;
     Alcotest.test_case "pion positive/decaying" `Slow test_pion_correlator_positive_decaying;

@@ -1,13 +1,21 @@
 (* The static plan analyzer: IR round-trip (qcheck over random plans),
-   extraction fidelity against the front-ends' own exported kernel
-   sequences, the analysis rules on seeded-defect/clean plan pairs,
-   the model/IR sweep cross-check, and the lint-before-cache contract
-   of the fusion tuner. *)
+   the launch sequences recorded from the solvers, the analysis rules
+   on seeded-defect/clean plan pairs, the model/IR sweep cross-check,
+   the lint-before-cache contract of the fusion tuner, and the
+   recorder itself: it changes no bits, and a sweep added to the code
+   shows up in the plan. *)
 
 module Ir = Check.Plan_ir
-module Extract = Check.Plan_extract
+module Record = Check.Plan_record
 module Pc = Check.Plan_check
 module D = Check.Diagnostic
+module Prof = Util.Prof
+module Field = Linalg.Field
+
+let recorded name =
+  match Record.find name with
+  | Some build -> build ()
+  | None -> Alcotest.failf "%s missing from the catalog" name
 
 let errors ds = List.filter D.is_error ds
 let rules ds = List.sort_uniq compare (List.map (fun (d : D.t) -> d.D.rule) ds)
@@ -81,10 +89,9 @@ let gen_plan : Ir.plan QCheck.Gen.t =
           in
           let* block = option (int_range 1 4096) in
           let* sweeps = int_range 0 3 in
-          let* coeff = oneof [ return 1.0; pos_float ] in
           return
             (Ir.Launch
-               { Ir.kname; args; geometry; partition; block; sweeps; coeff })
+               { Ir.kname; args; geometry; partition; block; sweeps })
         );
         ( 1,
           map2
@@ -126,7 +133,7 @@ let test_parse_rejects () =
   bad "bad role" "plan p n=4\nbuffer x double\nlaunch k sweeps=1 args=x:borrow\nend\n";
   bad "bad float" "plan p n=4\nbuffer x double range=1.0:nope\nend\n"
 
-(* ---- catalog: extraction + analysis ---- *)
+(* ---- catalog: recording + analysis ---- *)
 
 let test_catalog_roundtrip () =
   List.iter
@@ -138,7 +145,7 @@ let test_catalog_roundtrip () =
       | Ok p' ->
         Alcotest.(check string)
           (name ^ " round-trips exactly") text (Ir.to_string p'))
-    Extract.catalog
+    Record.catalog
 
 let test_catalog_verifies () =
   (* every catalog plan is fully silent — warnings included. The fused
@@ -151,55 +158,86 @@ let test_catalog_verifies () =
       if ds <> [] then
         Alcotest.failf "%s should be silent but fired: %s" name
           (String.concat "; " (List.map D.to_string ds)))
-    Extract.catalog
+    Record.catalog
 
-(* ---- extraction fidelity: the IR against the front-end exports ---- *)
+(* ---- the recorded launch sequences ---- *)
 
 let launch_names p =
   List.filter_map
     (function Ir.Launch k -> Some k.Ir.kname | _ -> None)
     p.Ir.steps
 
-let test_cg_tail_matches_export () =
-  List.iter
-    (fun fused ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "cg tail (fused=%b) = Cg.tail_kernels" fused)
-        (List.map fst (Solver.Cg.tail_kernels ~fused))
-        (launch_names (Extract.cg_tail ~fused ())))
-    [ false; true ]
+let test_cg_iteration_recorded () =
+  (* one recorded iteration of Cg.solve on the Schur-normal operator:
+     unfused, the operator then the five BLAS-1 kernels; tail-fused,
+     the Schur tail carrying p·Ap, then the two Multi_blas kernels of
+     the batch-of-one tail *)
+  Alcotest.(check (list string)) "cg iteration (unfused)"
+    [
+      "Mobius.apply_schur_normal"; "Field.dot_re"; "Field.axpy"; "Field.axpy";
+      "Field.norm2"; "Field.xpay";
+    ]
+    (launch_names (recorded "cg"));
+  Alcotest.(check (list string)) "cg iteration (tail-fused)"
+    [ "Mobius.apply_schur_normal_tail"; "Multi_blas.cg_update"; "Multi_blas.xpay_dot" ]
+    (launch_names (recorded "cg-fused"))
 
-let test_mixed_quantizes_match_export () =
-  let p = Extract.mixed ~fused:true () in
-  let quantized =
-    List.filter_map
-      (function Ir.Quantize { qbuf; _ } -> Some qbuf | _ -> None)
-      p.Ir.steps
-  in
-  (* the inner iteration hits exactly Mixed.inner_quantizes, in order;
-     the preamble's seed quantize of rs comes first *)
+let test_mixed_quantizes_recorded () =
+  (* after the seed quantize of the residual, the inner iteration
+     quantizes p (the operator's source), then the stencil output (its
+     destination), then the residual the update wrote *)
   List.iter
-    (fun b ->
-      if not (List.mem b quantized) then
-        Alcotest.failf "mixed plan never quantizes %s" b)
-    Solver.Mixed.inner_quantizes;
-  Alcotest.(check (list string))
-    "inner quantize order = Mixed.inner_quantizes"
-    Solver.Mixed.inner_quantizes
-    (match quantized with _seed :: inner -> inner | [] -> [])
-
-let test_bicgstab_matches_export () =
-  List.iter
-    (fun fused ->
-      let names =
-        List.filter (fun k -> k <> "apply")
-          (launch_names (Extract.bicgstab_iteration ~fused ()))
+    (fun name ->
+      let p = recorded name in
+      let quantized =
+        List.filter_map
+          (function Ir.Quantize { qbuf; _ } -> Some qbuf | _ -> None)
+          p.Ir.steps
       in
+      let stencil =
+        List.find (fun k -> k.Ir.kname = "Mobius.apply_schur_normal") (Ir.launches p)
+      in
+      let arg role = fst (List.find (fun (_, r) -> r = role) stencil.Ir.args) in
+      let updated =
+        List.concat_map
+          (fun k ->
+            List.filter_map
+              (fun (b, r) -> if r = Ir.Update then Some b else None)
+              k.Ir.args)
+          (Ir.launches p)
+      in
+      match quantized with
+      | [ seed; q1; q2; q3 ] ->
+        Alcotest.(check (list string)) (name ^ ": p, stencil output, residual")
+          [ arg Ir.Read; arg Ir.Write; seed ] [ q1; q2; q3 ];
+        Alcotest.(check bool) (name ^ ": the residual is updated") true
+          (List.mem seed updated)
+      | _ ->
+        Alcotest.failf "%s quantizes [%s], expected 4 points" name
+          (String.concat " " quantized))
+    [ "mixed"; "mixed-fused" ]
+
+let test_bicgstab_recorded () =
+  (* the BLAS-1 launches of Bicgstab.solve at max_iter 1: the entry,
+     both stabilizer halves, the closing true residual *)
+  let blas p =
+    List.filter (fun k -> k <> "Mobius.apply_schur") (launch_names p)
+  in
+  let pair fused =
+    if fused then [ "Fused.caxpy_norm2" ] else [ "Field.caxpy"; "Field.norm2" ]
+  in
+  List.iter
+    (fun fused ->
       Alcotest.(check (list string))
-        (Printf.sprintf "bicgstab BLAS-1 (fused=%b) = Bicgstab.tail_kernels"
-           fused)
-        (List.map fst (Solver.Bicgstab.tail_kernels ~fused))
-        names)
+        (Printf.sprintf "bicgstab BLAS-1 (fused=%b)" fused)
+        ([ "Field.copy"; "Field.norm2"; "Field.copy"; "Field.copy"; "Field.cdot";
+           "Field.cdot"; "Field.blit" ]
+        @ pair fused
+        @ [ "Field.norm2"; "Field.cdot"; "Field.caxpy"; "Field.caxpy"; "Field.blit" ]
+        @ pair fused
+        @ [ "Field.cdot"; "Field.caxpy"; "Bicgstab.xpby"; "Field.sub"; "Field.norm2";
+            "Field.norm2" ])
+        (blas (recorded (if fused then "bicgstab-fused" else "bicgstab"))))
     [ false; true ]
 
 (* ---- the model/IR sweep cross-check ---- *)
@@ -215,7 +253,7 @@ let test_sweep_accounting () =
      exactly what the model prices *)
   List.iter
     (fun fused ->
-      let plan = Extract.cg_tail ~fused () in
+      let plan = recorded (if fused then "cg-tail-fused" else "cg-tail") in
       let ir = ir_sweeps plan in
       Alcotest.(check int)
         (Printf.sprintf "IR sweeps = model (fused=%b)" fused)
@@ -227,17 +265,17 @@ let test_sweep_accounting () =
     [ false; true ];
   (* unpriced plans (no fusion tag) have no gap to derive *)
   Alcotest.(check (option int)) "separate-dot fallback is unpriced" None
-    (Pc.sweep_gap (Extract.cg_tail_separate ()));
+    (Pc.sweep_gap (recorded "cg-tail-separate"));
   (* and a plan drifting off the model is a live PLAN005 error with
      the gap derived from the plan itself, never a whitelisted gap *)
-  let p = Extract.cg_tail ~fused:true () in
+  let p = recorded "cg-tail-fused" in
   let padded =
     {
       p with
       Ir.steps =
         List.map
           (function
-            | Ir.Launch k when k.Ir.kname = "xpay_dot" ->
+            | Ir.Launch k when k.Ir.kname = "Fused.xpay_dot" ->
               Ir.Launch { k with Ir.sweeps = k.Ir.sweeps + 1 }
             | s -> s)
           p.Ir.steps;
@@ -253,23 +291,24 @@ let test_defect_fixture_pairs () =
   (* each plan fixture fires its rule while the clean plan it was
      derived from verifies silently — the analysis discriminates, it
      does not just complain *)
+  let clean name () = Pc.verify (recorded name) in
   let fires = [
     ("plan-partition-overlap", "PLAN001", Check.Fixtures.plan_partition_overlap,
-     fun () -> Pc.verify (Extract.pooled_axpy ()));
+     clean "pooled-axpy");
     ("plan-aliased-output", "PLAN002", Check.Fixtures.plan_aliased_output,
-     fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
+     clean "cg-tail-fused");
     ("plan-tail-aliased", "PLAN002", Check.Fixtures.plan_tail_aliased,
-     fun () -> Pc.verify (Extract.wilson_hop_tail ()));
+     clean "wilson-hop-tail");
     ("plan-wrong-block", "PLAN007", Check.Fixtures.plan_wrong_block,
-     fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
+     clean "cg-tail-fused");
     ("plan-tiny-pooled", "PLAN008", Check.Fixtures.plan_tiny_pooled,
-     fun () -> Pc.verify (Extract.pooled_axpy ()));
+     clean "pooled-axpy");
     ("plan-sweep-mismatch", "PLAN005", Check.Fixtures.plan_sweep_mismatch,
-     fun () -> Pc.verify (Extract.cg_tail ~fused:true ()));
+     clean "cg-tail-fused");
     ("plan-half-range", "PREC001", Check.Fixtures.plan_half_range,
-     fun () -> Pc.verify (Extract.mixed ~fused:true ()));
+     clean "mixed-fused");
     ("plan-stale-precision", "PREC003", Check.Fixtures.plan_stale_precision,
-     fun () -> Pc.verify (Extract.mixed ~fused:true ()));
+     clean "mixed-fused");
   ]
   in
   List.iter
@@ -326,7 +365,7 @@ let test_launch_params () =
   Alcotest.(check int) "undeclared block silent" 0
     (List.length (Pc.verify (launch_plan n)));
   Alcotest.(check bool) "4-lane hop over 256 sites warns" true
-    (severities "PLAN008" (Extract.wilson_hop ~sites:256 ~geometry:(4, 1536) ())
+    (severities "PLAN008" (Record.wilson_hop ~dims:[| 4; 4; 4; 4 |] ~chunk:64 ~tail:false)
     = [ D.Warning ]);
   Alcotest.(check int) "4 lanes at the cutoff silent" 0
     (List.length (Pc.verify (launch_plan ~geometry:(4, cutoff / 4) cutoff)));
@@ -384,7 +423,9 @@ let test_tune_fusion_lints_before_cache () =
   let module V = Autotune.Variants in
   let tuner = Autotune.Tuner.create () in
   let lint (l : V.launch) =
-    if l.mode <> Linalg.Fused.Unfused then Some "rejected by test lint"
+    let recorded = Record.fusion_tail ~n:4096 ~mode:l.mode ~geometry:l.geometry in
+    if List.exists (fun k -> String.starts_with ~prefix:"Fused." k) (launch_names recorded)
+    then Some "rejected by test lint"
     else None
   in
   let plan = V.tune_fusion ~max_domains:2 ~lint tuner ~n:4096 in
@@ -403,18 +444,86 @@ let test_tune_fusion_lints_before_cache () =
   Alcotest.(check string) "baseline survives a reject-all lint"
     (V.label V.baseline) (V.label plan_base)
 
+(* ---- the recorder ---- *)
+
+(* A small Schur-normal operator, its tail-carrying form and a source. *)
+let schur () =
+  let rng = Util.Rng.create 77 in
+  let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
+  let params = Dirac.Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1 in
+  let eo = Dirac.Mobius.of_geometry_eo params geom (Lattice.Gauge.random geom rng) in
+  let b = Dirac.Mobius.create_eo_field eo in
+  Field.gaussian rng b;
+  let apply src dst = Dirac.Mobius.apply_schur_normal eo ~src ~dst in
+  let apply_dot src dst =
+    Dirac.Mobius.apply_schur_normal_tail eo ~src ~dst ~tail:(Linalg.Fused.tail ~dot:src ())
+  in
+  (apply, apply_dot, b)
+
+let test_extra_sweep_fires () =
+  (* a CG step that runs one more full-vector pass — |Ap|², which the
+     recurrence never reads — is in the recording, so the recorded
+     iteration has 3 sweeps against the model's 2. No table names the
+     step: the code is the only description. *)
+  let apply, apply_dot, b = schur () in
+  let iteration apply_dot =
+    let _, events =
+      Prof.record (fun () ->
+          Solver.Cg.solve ~fused:true ~apply_dot
+            ~trace:(fun _ -> Prof.mark ())
+            ~apply ~b ~tol:1e-12 ~max_iter:2 ~flops_per_apply:0. ())
+    in
+    Record.plan ~fusion:true "cg-step" (Record.iteration events)
+  in
+  let padded =
+    iteration (fun src dst ->
+        let pap = apply_dot src dst in
+        ignore (Field.norm2 dst : float);
+        pap)
+  in
+  Alcotest.(check (option int)) "extra sweep: gap" (Some 1) (Pc.sweep_gap padded);
+  check_fires "step with an extra norm2" "PLAN005" (Pc.verify padded);
+  let real = iteration apply_dot in
+  Alcotest.(check (option int)) "real step: gap" (Some 0) (Pc.sweep_gap real);
+  Alcotest.(check (list string)) "real step: silent" [] (rules (Pc.verify real))
+
+let test_recording_changes_no_bits () =
+  let apply, apply_dot, b = schur () in
+  let bits (x : Field.t) = Array.map Int64.bits_of_float (Field.to_array x) in
+  let check what solve =
+    let outside = solve () in
+    let inside, events = Prof.record solve in
+    if events = [] then Alcotest.failf "%s: nothing recorded" what;
+    let (x, (s : Solver.Cg.stats)), (x', (s' : Solver.Cg.stats)) = (outside, inside) in
+    Alcotest.(check bool) (what ^ ": x bitwise") true (bits x = bits x');
+    Alcotest.(check bool) (what ^ ": stats") true
+      ({ s with seconds = 0. } = { s' with seconds = 0. })
+  in
+  check "Cg.solve" (fun () ->
+      Solver.Cg.solve ~apply ~b ~tol:1e-8 ~max_iter:200 ~flops_per_apply:1. ());
+  check "Cg.solve tail-fused" (fun () ->
+      Solver.Cg.solve ~fused:true ~apply_dot ~apply ~b ~tol:1e-8 ~max_iter:200
+        ~flops_per_apply:1. ());
+  check "Mixed.solve" (fun () ->
+      Solver.Mixed.solve ~fused:true ~apply ~b ~flops_per_apply:1. ());
+  (* a solve outside [record] leaves nothing for the next recording *)
+  ignore (Solver.Cg.solve ~apply ~b ~tol:1e-8 ~max_iter:5 ~flops_per_apply:1. ());
+  Alcotest.(check bool) "recorder off" false !Prof.on;
+  Alcotest.(check int) "no launches left behind" 0
+    (List.length (snd (Prof.record ignore)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
     Alcotest.test_case "parser rejects malformed plans" `Quick test_parse_rejects;
     Alcotest.test_case "catalog round-trips exactly" `Quick test_catalog_roundtrip;
     Alcotest.test_case "catalog verifies clean" `Quick test_catalog_verifies;
-    Alcotest.test_case "CG tail matches Cg.tail_kernels" `Quick
-      test_cg_tail_matches_export;
-    Alcotest.test_case "mixed quantize points match Mixed.inner_quantizes"
-      `Quick test_mixed_quantizes_match_export;
-    Alcotest.test_case "bicgstab matches Bicgstab.tail_kernels" `Quick
-      test_bicgstab_matches_export;
+    Alcotest.test_case "CG iteration records its kernels" `Quick
+      test_cg_iteration_recorded;
+    Alcotest.test_case "mixed inner iteration quantizes p, Ap, r" `Quick
+      test_mixed_quantizes_recorded;
+    Alcotest.test_case "bicgstab records its BLAS-1 sequence" `Quick
+      test_bicgstab_recorded;
     Alcotest.test_case "sweep accounting: IR vs model vs host" `Quick
       test_sweep_accounting;
     Alcotest.test_case "seeded defects fire, clean counterparts verify" `Quick
@@ -427,4 +536,8 @@ let suite =
     Alcotest.test_case "fusion candidates lint clean" `Quick test_lint_fusion;
     Alcotest.test_case "tune_fusion lints before caching" `Quick
       test_tune_fusion_lints_before_cache;
+    Alcotest.test_case "an extra sweep in the CG step fires PLAN005" `Quick
+      test_extra_sweep_fires;
+    Alcotest.test_case "recording changes no bits" `Quick
+      test_recording_changes_no_bits;
   ]
