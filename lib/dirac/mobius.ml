@@ -458,9 +458,16 @@ let schur_dagger_gen ?tail eo ~src ~dst =
   schur_dagger_finish ?tail dst t1s.(0) (eo_field_length eo)
 
 (* One entry's launch as Util.Prof records it: an operator over eo
-   fields, whose stencil launches pool by Field.launch_pool's rule. *)
-let prof eo name operands =
-  Linalg.Field.prof ~sweeps:0 name ~n:(eo_field_length eo) operands
+   fields of [k] right-hand sides, at the geometry of its stencil
+   launches — sites of the checkerboard kernel, each L5·24 floats of a
+   recorded field. *)
+let prof ?(k = 1) eo name operands =
+  let g =
+    Option.map
+      (fun g -> { g with Linalg.Field.unit = eo.p.l5 * fps })
+      (Wilson.geometry ~cols:(eo.p.l5 * k) ~n:eo.half ())
+  in
+  Linalg.Field.prof ~sweeps:0 g name ~n:(eo_field_length eo) operands
 
 let prof_eo eo name ~src ~dst = prof eo name Util.Prof.[ read src; write dst ]
 
@@ -504,7 +511,7 @@ let apply_schur_normal_tail eo ~src ~dst ~tail =
 let apply_schur_normal_multi eo ~srcs ~dsts =
   check_eo_batch "Mobius.apply_schur_normal_multi" eo ~srcs ~dsts;
   if !Util.Prof.on then
-    prof eo "Mobius.apply_schur_normal_multi"
+    prof ~k:(Array.length srcs) eo "Mobius.apply_schur_normal_multi"
       (Util.Prof.batch (Array.length srcs) (fun i ->
            Util.Prof.[ read srcs.(i); write dsts.(i) ]));
   let tmps = create_like eo srcs in

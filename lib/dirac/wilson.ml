@@ -318,31 +318,32 @@ let check_batch name t (srcs : Linalg.Field.t array) (dsts : Linalg.Field.t arra
       done)
     dsts
 
-(* The launch of every stencil entry: [Field.launch_pool]'s pick for
-   the launch's floats (cols columns of n sites), in chunks of sites —
-   by default the pool's default rule on the column-site count, so
-   chunking follows the work, not the 4D volume alone. *)
-let launch ?pool ?chunk ~cols ~n range =
-  match Linalg.Field.launch_pool pool (cols * n * fps) with
-  | None -> range 0 n
+(* The geometry of every stencil entry, decided once for the launch
+   and its recording: pooled on the launch's floats (cols columns of n
+   sites), in chunks of the caller's sites or by default the pool's
+   rule on the column-site count, so chunking follows the work, not
+   the 4D volume alone. An entry records one column's floats, so a
+   site item is [fps] of them. *)
+let geometry ?pool ?chunk ~cols ~n () =
+  match Linalg.Field.fork_pool pool ~floats:(cols * n * fps) n with
+  | None -> None
   | Some p ->
     let chunk =
       match chunk with
       | Some c -> c
       | None -> max 1 (Util.Pool.default_chunk p (n * cols) / cols)
     in
-    Util.Pool.parallel_for p ~chunk ~n range
+    Some { Linalg.Field.pool = p; chunk; unit = fps }
+
+let launch ?pool ?chunk ~cols ~n range =
+  Linalg.Field.run (geometry ?pool ?chunk ~cols ~n ()) ~n range
 
 (* One entry's launch as Util.Prof records it: over one dst's floats,
-   chunk in floats, the full link store listed as read (a packed store
-   is not a field). The pool is the one a single-column launch would
-   get, which a batch shares unless the default pool engages only for
-   the batch's total. *)
-let prof ?pool ?chunk t name operands =
-  let links = match t.store with Full g -> [ Util.Prof.read g ] | Packed _ -> [] in
-  Linalg.Field.prof ?pool
-    ?chunk:(Option.map (fun c -> c * fps) chunk)
-    ~sweeps:0 name ~n:(t.n_sites * fps) (links @ operands)
+   at the geometry the launch runs, the full link store listed as read
+   (a packed store is not a field). *)
+let prof g t name operands =
+  let links = match t.store with Full u -> [ Util.Prof.read u ] | Packed _ -> [] in
+  Linalg.Field.prof ~sweeps:0 g name ~n:(t.n_sites * fps) (links @ operands)
 
 let body_range t ~l5 ~src_stride ~g5 ~srcs ~store lo hi =
   let body = make_body t ~l5 ~src_stride ~g5 ~srcs ~store in
@@ -370,11 +371,12 @@ let plain_body t ~srcs ~dsts =
 
 let hop_batch name ?pool ?chunk t ~srcs ~dsts =
   check_batch name t srcs dsts;
+  let g = geometry ?pool ?chunk ~cols:(Array.length srcs) ~n:t.n_sites () in
   if !Util.Prof.on then
-    prof ?pool ?chunk t name
+    prof g t name
       (Util.Prof.batch (Array.length srcs) (fun i ->
            Util.Prof.[ read srcs.(i); write dsts.(i) ]));
-  launch ?pool ?chunk ~cols:(Array.length srcs) ~n:t.n_sites
+  Linalg.Field.run g ~n:t.n_sites
     (body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts))
 
 let hop ?pool ?chunk t ~src ~dst =
@@ -429,17 +431,19 @@ let hop_tail ?pool ?chunk t ~src ~dst ~tail =
   check_batch "Wilson.hop_tail" t [| src |] [| dst |];
   let n = t.n_sites * fps in
   Linalg.Fused.tail_check "Wilson.hop_tail" ~n ~dst tail;
+  let g =
+    match Linalg.Field.fork_pool pool ~floats:n t.n_sites with
+    | None -> None
+    | Some p ->
+      let c = Option.value chunk ~default:(Util.Pool.default_chunk p t.n_sites) in
+      Some { Linalg.Field.pool = p; chunk = round_to_tiles c; unit = fps }
+  in
   if !Util.Prof.on then
-    prof ?pool ?chunk:(Option.map round_to_tiles chunk) t "Wilson.hop_tail"
+    prof g t "Wilson.hop_tail"
       (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail);
   let s =
     Linalg.Field.fold_partials ~n (fun record ->
-        let range = hop_tail_range t ~src ~dst ~tail ~record in
-        match Linalg.Field.launch_pool pool n with
-        | None -> range 0 t.n_sites
-        | Some p ->
-          let c = Option.value chunk ~default:(Util.Pool.default_chunk p t.n_sites) in
-          Util.Pool.parallel_for p ~chunk:(round_to_tiles c) ~n:t.n_sites range)
+        Linalg.Field.run g ~n:t.n_sites (hop_tail_range t ~src ~dst ~tail ~record))
   in
   Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" dst;
   (match tail.Linalg.Fused.t_xpay with
@@ -466,8 +470,9 @@ let store_apply ~dagger ~mass ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t)
 
 let apply_gen name ~dagger t ~mass ~src ~dst =
   check_batch name t [| src |] [| dst |];
-  if !Util.Prof.on then prof t name Util.Prof.[ read src; write dst ];
-  launch ~cols:1 ~n:t.n_sites
+  let g = geometry ~cols:1 ~n:t.n_sites () in
+  if !Util.Prof.on then prof g t name Util.Prof.[ read src; write dst ];
+  Linalg.Field.run g ~n:t.n_sites
     (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs:[| src |]
        ~store:(store_apply ~dagger ~mass ~src ~dst))
 

@@ -137,6 +137,20 @@ val stencil :
     Dispatches like {!launch} with [cols = l5·k]; a source shorter
     than its last column raises [Invalid_argument]. *)
 
+val geometry :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  cols:int ->
+  n:int ->
+  unit ->
+  Linalg.Field.geometry option
+(** The geometry of a stencil launch over [n] sites of [cols] columns:
+    pooled by the [Linalg.Field] pool rule on cols·n·24 floats, in chunks
+    of [chunk] sites (default: the pool's default size counted in
+    column-sites), each site 24 floats of one recorded column. The
+    entries decide it once and hand it to the recorder and the
+    launch. *)
+
 val launch :
   ?pool:Util.Pool.t ->
   ?chunk:int ->
@@ -144,8 +158,6 @@ val launch :
   n:int ->
   (int -> int -> unit) ->
   unit
-(** [launch ~cols ~n range]: run [range lo hi] over [\[0, n)] sites on
-    [Linalg.Field.launch_pool pool (cols·n·24)], in chunks of [chunk]
-    sites (default: the pool's default size counted in column-sites),
-    or serially when that is [None]. The launch of every stencil
-    entry. *)
+(** [launch ~cols ~n range]: run [range lo hi] over [\[0, n)] sites at
+    {!geometry}, or serially when that is [None]. The launch of every
+    stencil entry. *)

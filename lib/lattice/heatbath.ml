@@ -54,17 +54,17 @@ let quat_conj (a0, a1, a2, a3) = (a0, -.a1, -.a2, -.a3)
 let quat_norm (a0, a1, a2, a3) =
   sqrt ((a0 *. a0) +. (a1 *. a1) +. (a2 *. a2) +. (a3 *. a3))
 
-(* One subgroup update of one link by heatbath. [w] is U * staple
-   projected onto the (p,q) subgroup as an unnormalized quaternion. *)
+(* One subgroup update of one link by heatbath, in place on [u]. [w]
+   is U * staple projected onto the (p,q) subgroup as an unnormalized
+   quaternion. *)
 let heatbath_subgroup rng ~beta u staple_m (p, q) =
-  let v = Linalg.Su3.mul u staple_m in
-  let w = Linalg.Su3.extract_su2 ~p ~q v in
+  let w = Linalg.Su3.extract_su2_mul ~p ~q u staple_m in
   let k = quat_norm w in
   if k < 1e-14 then begin
     (* Degenerate staple: any SU(2) element is equally likely. *)
     let a0 = Util.Rng.uniform rng ~lo:(-1.) ~hi:1. in
     let a1, a2, a3 = random_sphere rng (sqrt (1. -. (a0 *. a0))) in
-    Linalg.Su3.mul (Linalg.Su3.embed_su2 ~p ~q (a0, a1, a2, a3)) u
+    Linalg.Su3.embed_su2_mul ~p ~q (a0, a1, a2, a3) u
   end
   else begin
     let (w0, w1, w2, w3) = w in
@@ -76,53 +76,69 @@ let heatbath_subgroup rng ~beta u staple_m (p, q) =
     let x0 = kennedy_pendleton rng ~alpha:alpha_kp in
     let x1, x2, x3 = random_sphere rng (sqrt (Float.max 0. (1. -. (x0 *. x0)))) in
     let alpha = quat_mul (x0, x1, x2, x3) (quat_conj wbar) in
-    Linalg.Su3.mul (Linalg.Su3.embed_su2 ~p ~q alpha) u
+    Linalg.Su3.embed_su2_mul ~p ~q alpha u
   end
 
-(* Microcanonical overrelaxation in one subgroup: alpha = (wbar^dag)^2
-   leaves Re tr(alpha V) invariant while moving the link maximally. *)
+(* Microcanonical overrelaxation in one subgroup, in place on [u]:
+   alpha = (wbar^dag)^2 leaves Re tr(alpha V) invariant while moving
+   the link maximally. *)
 let overrelax_subgroup u staple_m (p, q) =
-  let v = Linalg.Su3.mul u staple_m in
-  let w = Linalg.Su3.extract_su2 ~p ~q v in
+  let w = Linalg.Su3.extract_su2_mul ~p ~q u staple_m in
   let k = quat_norm w in
-  if k < 1e-14 then u
+  if k < 1e-14 then ()
   else begin
     let (w0, w1, w2, w3) = w in
     let wbar_dag = quat_conj (w0 /. k, w1 /. k, w2 /. k, w3 /. k) in
     let alpha = quat_mul wbar_dag wbar_dag in
-    Linalg.Su3.mul (Linalg.Su3.embed_su2 ~p ~q alpha) u
+    Linalg.Su3.embed_su2_mul ~p ~q alpha u
   end
 
-let update_link rng ~beta field site mu =
-  let staple_m = Gauge.staple field site mu in
-  let u = ref (Gauge.get field site mu) in
-  Array.iter (fun pq -> u := heatbath_subgroup rng ~beta !u staple_m pq) subgroups;
-  Gauge.set field site mu (Linalg.Su3.reunitarize !u)
+(* The buffers one link update uses, allocated once per sweep: the
+   staple's scratch, the link being updated and its staple. *)
+type work = { gs : Gauge.scratch; u : Linalg.Su3.t; a : Linalg.Su3.t }
 
-let overrelax_link field site mu =
-  let staple_m = Gauge.staple field site mu in
-  let u = ref (Gauge.get field site mu) in
-  Array.iter (fun pq -> u := overrelax_subgroup !u staple_m pq) subgroups;
-  Gauge.set field site mu (Linalg.Su3.reunitarize !u)
+let work () = { gs = Gauge.scratch (); u = Linalg.Su3.zero (); a = Linalg.Su3.zero () }
+
+(* β = 0 is the free measure (the Kennedy–Pendleton free branch); a
+   negative or non-finite β has no heatbath. *)
+let check_beta name beta =
+  if not (Float.is_finite beta && beta >= 0.) then
+    invalid_arg (Printf.sprintf "%s: beta must be finite and >= 0 (got %g)" name beta)
+
+(* Load the link and its staple, run [subgroup] over the three SU(2)
+   subgroups in place, reunitarize and store. *)
+let update_with w subgroup field site mu =
+  Gauge.staple_into w.gs field site mu w.a;
+  Gauge.get_into field site mu w.u;
+  for i = 0 to Array.length subgroups - 1 do
+    subgroup w.u w.a subgroups.(i)
+  done;
+  Linalg.Su3.reunitarize_in_place w.u;
+  Gauge.set field site mu w.u
+
+let update_link rng ~beta field site mu =
+  check_beta "Heatbath.update_link" beta;
+  update_with (work ()) (heatbath_subgroup rng ~beta) field site mu
+
+let overrelax_link field site mu = update_with (work ()) overrelax_subgroup field site mu
 
 (* Sweep in checkerboard order: all even sites of each direction first,
    then odd — the staple of a link never involves another link of the
-   same (parity, direction) class, so the sweep is well-defined. *)
-let sweep rng ~beta field =
+   same (parity, direction) class, so the sweep is well-defined. One
+   [work] serves every link of the sweep. *)
+let sweep_with w subgroup field =
   let g = Gauge.geom field in
   for mu = 0 to Geometry.n_dim - 1 do
     for p = 0 to 1 do
-      Geometry.iter_parity g p (fun site -> update_link rng ~beta field site mu)
+      Geometry.iter_parity g p (fun site -> update_with w subgroup field site mu)
     done
   done
 
-let overrelax_sweep field =
-  let g = Gauge.geom field in
-  for mu = 0 to Geometry.n_dim - 1 do
-    for p = 0 to 1 do
-      Geometry.iter_parity g p (fun site -> overrelax_link field site mu)
-    done
-  done
+let sweep rng ~beta field =
+  check_beta "Heatbath.sweep" beta;
+  sweep_with (work ()) (heatbath_subgroup rng ~beta) field
+
+let overrelax_sweep field = sweep_with (work ()) overrelax_subgroup field
 
 type schedule = {
   beta : float;
@@ -137,12 +153,24 @@ let default_schedule ~beta =
 (* Generate an ensemble of gauge configurations, reporting the
    plaquette history so tests can check thermalization. *)
 let generate rng schedule geom ~n_configs =
+  check_beta "Heatbath.generate" schedule.beta;
+  List.iter
+    (fun (name, n) ->
+      if n < 0 then
+        invalid_arg (Printf.sprintf "Heatbath.generate: %s must be >= 0 (got %d)" name n))
+    [
+      ("n_thermalize", schedule.n_thermalize);
+      ("n_decorrelate", schedule.n_decorrelate);
+      ("n_overrelax", schedule.n_overrelax);
+      ("n_configs", n_configs);
+    ];
   let field = Gauge.warm geom rng ~eps:0.3 in
+  let w = work () in
   let plaquettes = ref [] in
   let combined_sweep () =
-    sweep rng ~beta:schedule.beta field;
+    sweep_with w (heatbath_subgroup rng ~beta:schedule.beta) field;
     for _ = 1 to schedule.n_overrelax do
-      overrelax_sweep field
+      sweep_with w overrelax_subgroup field
     done;
     plaquettes := Gauge.average_plaquette field :: !plaquettes
   in

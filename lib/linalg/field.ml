@@ -16,7 +16,8 @@
    order, so the result is bit-identical across all pool geometries
    and bit-stable run to run (FP addition is not associative; fixing
    the association is what buys reproducibility). Each kernel takes
-   [?pool ?chunk]; without a pool it runs where [launch_pool] says. *)
+   [?pool ?chunk]; without a pool it runs where [launch_pool] says,
+   at the [geometry] it also records. *)
 
 open Bigarray
 
@@ -116,16 +117,46 @@ let launch_pool pool n =
     let p = Util.Pool.get_default () in
     if Util.Pool.size p > 1 && n >= parallel_cutoff then Some p else None
 
-(* A launch over [n] floats, reported to Util.Prof with the geometry
-   [launch_pool] gives it (one lane is serial) and, when it reduces,
-   the canonical block. Hooks call it under [if !Util.Prof.on]. *)
-let prof ?pool ?chunk ?(sweeps = 1) kernel ~n operands =
-  let geometry =
-    match launch_pool pool n with
-    | Some p when Util.Pool.size p > 1 ->
-      Some (Util.Pool.size p, Option.value chunk ~default:(Util.Pool.default_chunk p n))
-    | _ -> None
-  in
+(* One launch's geometry, decided once and read by both the recorder
+   and [run], so a recording states the pool and chunk the kernel
+   used: [chunk] items of [unit] floats per job on [pool]. *)
+type geometry = { pool : Util.Pool.t; chunk : int; unit : int }
+
+(* The pool [n] items over [floats] floats fork on: [launch_pool]'s
+   pick when it has more than one lane and there is more than one
+   item; otherwise the launch is serial. *)
+let fork_pool pool ~floats n =
+  match launch_pool pool floats with
+  | Some p when Util.Pool.size p > 1 && n > 1 -> Some p
+  | _ -> None
+
+(* The kernels' rule: a caller's chunk is in floats, rounded down to
+   whole items and floored at one; without one, the pool's default
+   rule on the item count. A non-positive chunk is kept as given: the
+   recorder sees it, then Util.Pool.parallel_for rejects it. *)
+let geometry ?pool ?chunk ?(unit = 1) ~floats n =
+  match fork_pool pool ~floats n with
+  | None -> None
+  | Some p ->
+    let chunk =
+      match chunk with
+      | Some c when c > 0 -> max 1 (c / unit)
+      | Some c -> c
+      | None -> Util.Pool.default_chunk p n
+    in
+    Some { pool = p; chunk; unit }
+
+(* [range lo hi] over the items [0, n) under [g]. *)
+let run g ~n range =
+  match g with
+  | Some { pool; chunk; _ } -> Util.Pool.parallel_for pool ~chunk ~n range
+  | None -> range 0 n
+
+(* A launch over [n] floats, reported to Util.Prof with its geometry
+   (chunk in floats) and, when it reduces, the canonical block. Hooks
+   call it under [if !Util.Prof.on]. *)
+let prof ?(sweeps = 1) g kernel ~n operands =
+  let geometry = Option.map (fun g -> (Util.Pool.size g.pool, g.chunk * g.unit)) g in
   let block =
     if List.exists (fun o -> o.Util.Prof.role = Util.Prof.Reduce) operands then
       Some reduce_block
@@ -135,20 +166,13 @@ let prof ?pool ?chunk ?(sweeps = 1) kernel ~n operands =
 
 let copy (v : t) : t =
   let w = Array1.create float64 c_layout (length v) in
-  if !Util.Prof.on then prof "Field.copy" ~n:(length v) Util.Prof.[ read v; write w ];
+  if !Util.Prof.on then prof None "Field.copy" ~n:(length v) Util.Prof.[ read v; write w ];
   Array1.blit v w;
   w
 
 let blit (src : t) (dst : t) =
-  if !Util.Prof.on then prof "Field.blit" ~n:(length src) Util.Prof.[ read src; write dst ];
+  if !Util.Prof.on then prof None "Field.blit" ~n:(length src) Util.Prof.[ read src; write dst ];
   Array1.blit src dst
-
-(* [range lo hi] over [0, n) on the pool [launch_pool] picks for a
-   launch over [floats] floats. *)
-let run pool chunk ~floats ~n range =
-  match launch_pool pool floats with
-  | Some p -> Util.Pool.parallel_for p ?chunk ~n range
-  | None -> range 0 n
 
 (* ---- element-wise kernels ---- *)
 
@@ -188,22 +212,25 @@ let caxpy_range (ar, ai) (x : t) (y : t) lo hi =
 let axpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.axpy" x y;
   let n = length x in
-  if !Util.Prof.on then prof ?pool ?chunk "Field.axpy" ~n Util.Prof.[ read x; update y ];
-  run pool chunk ~floats:n ~n (axpy_range alpha x y);
+  let g = geometry ?pool ?chunk ~floats:n n in
+  if !Util.Prof.on then prof g "Field.axpy" ~n Util.Prof.[ read x; update y ];
+  run g ~n (axpy_range alpha x y);
   Sanitize.check_vec "Field.axpy" y
 
 (* y <- x + alpha y *)
 let xpay ?pool ?chunk (x : t) alpha (y : t) =
   check2 "Field.xpay" x y;
   let n = length x in
-  if !Util.Prof.on then prof ?pool ?chunk "Field.xpay" ~n Util.Prof.[ read x; update y ];
-  run pool chunk ~floats:n ~n (xpay_range x alpha y);
+  let g = geometry ?pool ?chunk ~floats:n n in
+  if !Util.Prof.on then prof g "Field.xpay" ~n Util.Prof.[ read x; update y ];
+  run g ~n (xpay_range x alpha y);
   Sanitize.check_vec "Field.xpay" y
 
 let scale ?pool ?chunk alpha (v : t) =
   let n = length v in
-  if !Util.Prof.on then prof ?pool ?chunk "Field.scale" ~n Util.Prof.[ update v ];
-  run pool chunk ~floats:n ~n (scale_range alpha v);
+  let g = geometry ?pool ?chunk ~floats:n n in
+  if !Util.Prof.on then prof g "Field.scale" ~n Util.Prof.[ update v ];
+  run g ~n (scale_range alpha v);
   Sanitize.check_vec "Field.scale" v
 
 (* z <- x - y *)
@@ -211,20 +238,20 @@ let sub ?pool ?chunk (x : t) (y : t) (z : t) =
   check2 "Field.sub" x y;
   check2 "Field.sub" x z;
   let n = length x in
-  if !Util.Prof.on then
-    prof ?pool ?chunk "Field.sub" ~n Util.Prof.[ read x; read y; write z ];
-  run pool chunk ~floats:n ~n (sub_range x y z);
+  let g = geometry ?pool ?chunk ~floats:n n in
+  if !Util.Prof.on then prof g "Field.sub" ~n Util.Prof.[ read x; read y; write z ];
+  run g ~n (sub_range x y z);
   Sanitize.check_vec "Field.sub" z
 
 (* y <- y + alpha x with complex alpha; vectors are interleaved re/im.
-   A chunk given in floats is halved to pairs (and floored at one pair)
-   so one tuned chunk axis serves both. *)
+   The items are pairs: a chunk given in floats is halved (and floored
+   at one pair) so one tuned chunk axis serves both. *)
 let caxpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.caxpy" x y;
-  if !Util.Prof.on then
-    prof ?pool ?chunk "Field.caxpy" ~n:(length x) Util.Prof.[ read x; update y ];
-  let chunk = Option.map (fun c -> max 1 (c / 2)) chunk in
-  run pool chunk ~floats:(length x) ~n:(length x / 2) (caxpy_range alpha x y);
+  let n = length x in
+  let g = geometry ?pool ?chunk ~unit:2 ~floats:n (n / 2) in
+  if !Util.Prof.on then prof g "Field.caxpy" ~n Util.Prof.[ read x; update y ];
+  run g ~n:(n / 2) (caxpy_range alpha x y);
   Sanitize.check_vec "Field.caxpy" y
 
 (* ---- reductions: the one canonical blocked summation ----
@@ -241,11 +268,16 @@ let sum_partials (partials : float array) =
   if Array.length partials = 1 then partials.(0)
   else Array.fold_left ( +. ) 0. partials
 
+(* The geometry of a fold over [n] floats: its items are blocks, so a
+   chunk (in floats) is counted in whole blocks. *)
+let reduction ?pool ?chunk n =
+  geometry ?pool ?chunk ~unit:reduce_block ~floats:n (n_blocks n)
+
 (* k results at once, slot i summing [term i lo hi]; the block loop is
    outside the slot loop, so one pass over block b runs every slot
    while the block is hot. Block slots are disjoint, so pooled lanes
-   fill them race-free; the chunk (in floats) is counted in blocks. *)
-let fold_k ?pool ?chunk ~n ~k term =
+   fill them race-free. *)
+let fold_k g ~n ~k term =
   let nb = n_blocks n in
   let partials = Array.make_matrix k nb 0. in
   let fill blo bhi =
@@ -257,14 +289,10 @@ let fold_k ?pool ?chunk ~n ~k term =
       done
     done
   in
-  (match launch_pool pool n with
-  | Some p when nb > 1 ->
-    let chunk = Option.map (fun c -> max 1 (c / reduce_block)) chunk in
-    Util.Pool.parallel_for p ?chunk ~n:nb fill
-  | _ -> fill 0 nb);
+  run g ~n:nb fill;
   Array.map sum_partials partials
 
-let fold ?pool ?chunk ~n term = (fold_k ?pool ?chunk ~n ~k:1 (fun _ -> term)).(0)
+let fold g ~n term = (fold_k g ~n ~k:1 (fun _ -> term)).(0)
 
 (* For callers that launch their own passes (a stencil tiled at whole
    blocks): [run record] hands them [record term lo hi], which stores
@@ -288,9 +316,10 @@ let norm2_term (v : t) lo hi =
   !acc
 
 let norm2 ?pool ?chunk (v : t) =
-  if !Util.Prof.on then
-    prof ?pool ?chunk "Field.norm2" ~n:(length v) Util.Prof.[ read v; reduce ];
-  Sanitize.check_scalar "Field.norm2" (fold ?pool ?chunk ~n:(length v) (norm2_term v))
+  let n = length v in
+  let g = reduction ?pool ?chunk n in
+  if !Util.Prof.on then prof g "Field.norm2" ~n Util.Prof.[ read v; reduce ];
+  Sanitize.check_scalar "Field.norm2" (fold g ~n (norm2_term v))
 
 let norm v = sqrt (norm2 v)
 
@@ -305,10 +334,10 @@ let dot_re_term (x : t) (y : t) lo hi =
    euclidean dot product. *)
 let dot_re ?pool ?chunk (x : t) (y : t) =
   check2 "Field.dot_re" x y;
-  if !Util.Prof.on then
-    prof ?pool ?chunk "Field.dot_re" ~n:(length x) Util.Prof.[ read x; read y; reduce ];
-  Sanitize.check_scalar "Field.dot_re"
-    (fold ?pool ?chunk ~n:(length x) (dot_re_term x y))
+  let n = length x in
+  let g = reduction ?pool ?chunk n in
+  if !Util.Prof.on then prof g "Field.dot_re" ~n Util.Prof.[ read x; read y; reduce ];
+  Sanitize.check_scalar "Field.dot_re" (fold g ~n (dot_re_term x y))
 
 (* Two slots over the pairs of floats [lo, hi): 0 sums the real part
    of conj(x_k) y_k, 1 the imaginary part. *)
@@ -327,9 +356,11 @@ let cdot_term (x : t) (y : t) slot lo hi =
    dangling odd float is outside every pair. *)
 let cdot ?pool ?chunk (x : t) (y : t) =
   check2 "Field.cdot" x y;
+  let n = length x land lnot 1 in
+  let g = reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    prof ?pool ?chunk "Field.cdot" ~n:(length x) Util.Prof.[ read x; read y; reduce ];
-  let s = fold_k ?pool ?chunk ~n:(length x land lnot 1) ~k:2 (cdot_term x y) in
+    prof g "Field.cdot" ~n:(length x) Util.Prof.[ read x; read y; reduce ];
+  let s = fold_k g ~n ~k:2 (cdot_term x y) in
   Cplx.make
     (Sanitize.check_scalar "Field.cdot" s.(0))
     (Sanitize.check_scalar "Field.cdot" s.(1))

@@ -26,23 +26,42 @@ val reduce_block : int
     every path — serial and pooled results are bit-identical for any
     pool geometry. *)
 
-val launch_pool : Util.Pool.t option -> int -> Util.Pool.t option
-(** [launch_pool pool n]: the pool a launch over [n] floats runs on —
-    [pool] when given, else [Util.Pool.get_default] when it has more
-    than one lane and [n] is at least [parallel_cutoff], else [None]
-    (serial). The one dispatch rule of every kernel in the tree. *)
+(** {2 Launch geometry}
+
+    Each launch decides its geometry once and hands the same value to
+    the recorder ({!prof}) and to the pool ({!run}), so a recording
+    states the pool and chunk the kernel used. The pool rule, the one
+    dispatch rule of every kernel in the tree: the caller's pool when
+    given, else [Util.Pool.get_default] when the launch's floats reach
+    [parallel_cutoff]; a pool of one lane runs serially. *)
+
+type geometry = {
+  pool : Util.Pool.t;  (** more than one lane *)
+  chunk : int;  (** items per job *)
+  unit : int;  (** floats of the recorded vector per item *)
+}
+
+val fork_pool : Util.Pool.t option -> floats:int -> int -> Util.Pool.t option
+(** [fork_pool pool ~floats n]: the pool [n] items over [floats] floats
+    fork on — the pool rule's pick when it has more than one lane and
+    [n > 1]; else [None], serial. *)
+
+val geometry :
+  ?pool:Util.Pool.t -> ?chunk:int -> ?unit:int -> floats:int -> int -> geometry option
+(** The kernels' rule over [n] items of [unit] floats (default 1): a
+    caller's [chunk] is in floats, rounded down to whole items and
+    floored at one item; by default [Util.Pool.default_chunk] on the
+    item count. A non-positive chunk is kept, so it is recorded as
+    given before [Util.Pool.parallel_for] rejects it. *)
+
+val run : geometry option -> n:int -> (int -> int -> unit) -> unit
+(** [run g ~n range]: [range lo hi] over the items [\[0, n)], pooled
+    under [g] or serially. *)
 
 val prof :
-  ?pool:Util.Pool.t ->
-  ?chunk:int ->
-  ?sweeps:int ->
-  string ->
-  n:int ->
-  Util.Prof.operand list ->
-  unit
-(** [prof kernel ~n operands]: report a launch over [n] floats to
-    [Util.Prof]: its geometry on [launch_pool pool n] (chunk in floats,
-    the caller's or [Util.Pool.default_chunk]'s; one lane is serial),
+  ?sweeps:int -> geometry option -> string -> n:int -> Util.Prof.operand list -> unit
+(** [prof g kernel ~n operands]: report a launch over [n] floats to
+    [Util.Prof] at geometry [g] (its chunk counted in floats), with
     [reduce_block] when an operand reduces, and [sweeps] (default 1; 0
     for a stencil or operator). Hooks call it under
     [if !Util.Prof.on]. *)
@@ -59,20 +78,19 @@ val prof :
     the fused kernels ([Fused], [Multi_blas], the stencil tails) rest
     on. [?chunk] is in floats, counted in whole blocks. *)
 
-val fold :
-  ?pool:Util.Pool.t -> ?chunk:int -> n:int -> (int -> int -> float) -> float
-(** [fold ~n term]: the sum of [term lo hi] over the blocks of
-    [\[0, n)], on [launch_pool pool n]. *)
+val reduction : ?pool:Util.Pool.t -> ?chunk:int -> int -> geometry option
+(** [reduction n]: the geometry of a fold over [n] floats. Its items
+    are blocks, so a chunk (in floats) counts whole blocks, and the
+    default chunk is [Util.Pool.default_chunk] on the block count. *)
+
+val fold : geometry option -> n:int -> (int -> int -> float) -> float
+(** [fold g ~n term]: the sum of [term lo hi] over the blocks of
+    [\[0, n)], pooled under [g] (from {!reduction} of [n]). *)
 
 val fold_k :
-  ?pool:Util.Pool.t ->
-  ?chunk:int ->
-  n:int ->
-  k:int ->
-  (int -> int -> int -> float) ->
-  float array
-(** [fold_k ~n ~k term]: [k] sums at once, slot [i] summing
-    [term i lo hi] — each slot bit-identical to [fold ~n (term i)].
+  geometry option -> n:int -> k:int -> (int -> int -> int -> float) -> float array
+(** [fold_k g ~n ~k term]: [k] sums at once, slot [i] summing
+    [term i lo hi] — each slot bit-identical to [fold g ~n (term i)].
     The block loop is outside the slot loop, so one pass over a block
     runs every slot while it is hot. *)
 
@@ -87,7 +105,8 @@ val fold_partials :
 (** {2 Kernels}
 
     Every kernel takes [?pool ?chunk] ([chunk] in floats; [caxpy]
-    halves it to pairs) and runs on [launch_pool pool n]. All are
+    halves it to pairs, the reductions count it in blocks) and runs
+    at the one {!geometry} it also records. All are
     bit-identical across pools and chunks, and the [Sanitize] hooks
     run on every path. Each reports itself to [Util.Prof], as do
     [copy] and [blit]. *)

@@ -152,22 +152,22 @@ let finish kernel (v : t) s =
 let axpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.axpy_norm2" x y;
   no_alias "Fused.axpy_norm2" [ y ] [ x ];
+  let n = Field.length x in
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk "Fused.axpy_norm2" ~n:(Field.length x)
-      Util.Prof.[ read x; update y; reduce ];
-  finish "Fused.axpy_norm2" y
-    (Field.fold ?pool ?chunk ~n:(Field.length x) (axpy_norm2_term alpha x y))
+    Field.prof g "Fused.axpy_norm2" ~n Util.Prof.[ read x; update y; reduce ];
+  finish "Fused.axpy_norm2" y (Field.fold g ~n (axpy_norm2_term alpha x y))
 
 (* p <- x + beta p; returns p.q *)
 let xpay_dot ?pool ?chunk (x : t) beta (p : t) (q : t) =
   check2 "Fused.xpay_dot" x p;
   check2 "Fused.xpay_dot" x q;
   no_alias "Fused.xpay_dot" [ p ] [ x ];
+  let n = Field.length x in
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk "Fused.xpay_dot" ~n:(Field.length x)
-      Util.Prof.[ read x; update p; read q; reduce ];
-  finish "Fused.xpay_dot" p
-    (Field.fold ?pool ?chunk ~n:(Field.length x) (xpay_dot_term x beta p q))
+    Field.prof g "Fused.xpay_dot" ~n Util.Prof.[ read x; update p; read q; reduce ];
+  finish "Fused.xpay_dot" p (Field.fold g ~n (xpay_dot_term x beta p q))
 
 (* x <- x + alpha p; r <- r - alpha ap; returns |r|^2 *)
 let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
@@ -177,12 +177,12 @@ let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
   no_alias "Fused.cg_update" [ x; r ] [ p; ap ];
   if same_data x r then
     invalid_arg "Fused.cg_update: output aliases an input of a different role";
+  let n = Field.length p in
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk "Fused.cg_update" ~n:(Field.length p)
+    Field.prof g "Fused.cg_update" ~n
       Util.Prof.[ read p; read ap; update x; update r; reduce ];
-  let s =
-    Field.fold ?pool ?chunk ~n:(Field.length p) (cg_update_term alpha p ap x r)
-  in
+  let s = Field.fold g ~n (cg_update_term alpha p ap x r) in
   Field.Sanitize.check_vec "Fused.cg_update" x;
   finish "Fused.cg_update" r s
 
@@ -190,11 +190,11 @@ let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
 let caxpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.caxpy_norm2" x y;
   no_alias "Fused.caxpy_norm2" [ y ] [ x ];
+  let n = Field.length x in
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk "Fused.caxpy_norm2" ~n:(Field.length x)
-      Util.Prof.[ read x; update y; reduce ];
-  finish "Fused.caxpy_norm2" y
-    (Field.fold ?pool ?chunk ~n:(Field.length x) (caxpy_norm2_term alpha x y))
+    Field.prof g "Fused.caxpy_norm2" ~n Util.Prof.[ read x; update y; reduce ];
+  finish "Fused.caxpy_norm2" y (Field.fold g ~n (caxpy_norm2_term alpha x y))
 
 (* ---- stencil output tail ----
    The closure a hop kernel applies per site-block right after the

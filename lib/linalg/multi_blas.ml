@@ -77,11 +77,12 @@ let axpy_norm2 ?pool ?chunk alphas (xs : t array) (ys : t array) =
   if Field.length xs.(0) <> n then invalid_arg (name ^ ": length mismatch");
   check_scalars name k alphas;
   no_alias_sets name ys xs;
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk name ~n
+    Field.prof g name ~n
       (Util.Prof.batch k (fun i -> Util.Prof.[ read xs.(i); update ys.(i); reduce ]));
   finish name ys
-    (Field.fold_k ?pool ?chunk ~n ~k (fun i ->
+    (Field.fold_k g ~n ~k (fun i ->
          Fused.axpy_norm2_term alphas.(i) xs.(i) ys.(i)))
 
 (* ---- batched xpay_dot: ps.(i) <- xs.(i) + betas.(i) ps.(i);
@@ -105,12 +106,13 @@ let xpay_dot ?pool ?chunk (xs : t array) betas (ps : t array) (qs : t array) =
   (* q is a read-only role: q = p (the monitor idiom) stays legal, so
      only the x inputs are in the alias cross-check *)
   no_alias_sets name ps xs;
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk name ~n
+    Field.prof g name ~n
       (Util.Prof.batch k (fun i ->
            Util.Prof.[ read xs.(i); update ps.(i); read qs.(i); reduce ]));
   finish name ps
-    (Field.fold_k ?pool ?chunk ~n ~k (fun i ->
+    (Field.fold_k g ~n ~k (fun i ->
          Fused.xpay_dot_term xs.(i) betas.(i) ps.(i) qs.(i)))
 
 (* ---- batched cg_update: xs.(i) += alphas.(i) ps.(i);
@@ -131,12 +133,13 @@ let cg_update ?pool ?chunk alphas (ps : t array) (aps : t array) (xs : t array)
     [ aps; xs; rs ];
   check_scalars name k alphas;
   no_alias_sets name (Array.append xs rs) (Array.append ps aps);
+  let g = Field.reduction ?pool ?chunk n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk name ~n
+    Field.prof g name ~n
       (Util.Prof.batch k (fun i ->
            Util.Prof.[ read ps.(i); read aps.(i); update xs.(i); update rs.(i); reduce ]));
   let ss =
-    Field.fold_k ?pool ?chunk ~n ~k (fun i ->
+    Field.fold_k g ~n ~k (fun i ->
         Fused.cg_update_term alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i))
   in
   Array.iter (Field.Sanitize.check_vec name) xs;
@@ -177,11 +180,10 @@ let block_axpy ?pool ?chunk (a : float array array) (xs : t array)
         invalid_arg (name ^ ": coefficient columns must match inputs"))
     a;
   no_alias_sets name ys xs;
+  let g = Field.geometry ?pool ?chunk ~floats:n n in
   if !Util.Prof.on then
-    Field.prof ?pool ?chunk name ~n
+    Field.prof g name ~n
       (List.map Util.Prof.read (Array.to_list xs)
       @ Util.Prof.batch (Array.length ys) (fun i -> [ Util.Prof.update ys.(i) ]));
-  (match Field.launch_pool pool n with
-  | Some p -> Util.Pool.parallel_for p ?chunk ~n (block_axpy_range a xs ys)
-  | None -> block_axpy_range a xs ys 0 n);
+  Field.run g ~n (block_axpy_range a xs ys);
   Array.iter (Field.Sanitize.check_vec name) ys

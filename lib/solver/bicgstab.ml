@@ -23,7 +23,7 @@ let of_cplx (c : Cplx.t) = (c.Cplx.re, c.Cplx.im)
 (* p <- r + beta * p (complex beta, interleaved layout). *)
 let xpby (r : Field.t) (br, bi) (p : Field.t) =
   if !Util.Prof.on then
-    Field.prof "Bicgstab.xpby" ~n:(Field.length r) Util.Prof.[ read r; update p ];
+    Field.prof None "Bicgstab.xpby" ~n:(Field.length r) Util.Prof.[ read r; update p ];
   let half = Field.length r / 2 in
   for k = 0 to half - 1 do
     let pr = Bigarray.Array1.unsafe_get p (2 * k) in

@@ -82,7 +82,12 @@ let run ~name ~x0s ~deflate ~fused ~trace ~apply ~step ~(bs : Field.t array)
     deflate;
   let ps = Array.map Field.copy rs in
   let b2s = Array.map (fun b -> Field.norm2 b) bs in
-  let r2s = Array.map (fun r -> Field.norm2 r) rs in
+  (* without a guess or deflation r = b, so |r|² is |b|² *)
+  let r2s =
+    match (x0s, deflate) with
+    | None, None -> Array.copy b2s
+    | _ -> Array.map (fun r -> Field.norm2 r) rs
+  in
   (* a zero b returns before its residual is read *)
   Array.iteri
     (fun i b2 ->

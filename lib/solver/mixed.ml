@@ -67,14 +67,16 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
        the low-mode guess is folded into x at entry (and refreshed at
        each reliable update below); the half-precision inner loop is
        untouched. *)
-    (match deflate with
-    | None -> ()
-    | Some d ->
-      Deflate.augment d ~r x;
-      apply x ap;
-      incr applies;
-      Field.sub b ap r);
-    let r2 = ref (Field.norm2 r) in
+    let r2 =
+      match deflate with
+      | None -> ref b2 (* r = b, so |r|² is |b|² *)
+      | Some d ->
+        Deflate.augment d ~r x;
+        apply x ap;
+        incr applies;
+        Field.sub b ap r;
+        ref (Field.norm2 r)
+    in
     if not (Float.is_finite !r2) then
       invalid_arg "Mixed.solve: non-finite initial residual";
     let continue_outer = ref true in
@@ -160,11 +162,13 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
       (float_of_int !applies *. flops_per_apply)
       +. (float_of_int !iters *. Cg.blas1_flops ~fused n)
     in
-    let rel = sqrt (Field.norm2 r /. b2) in
+    (* [!r2] is |r|² of the final r to the bit: every path above ends
+       in a canonical reduction of r *)
+    let rel = sqrt (!r2 /. b2) in
     ( x,
       {
         Cg.iterations = !iters;
-        converged = Field.norm2 r <= target;
+        converged = !r2 <= target;
         relative_residual = rel;
         true_relative_residual = Some rel;
         flops;

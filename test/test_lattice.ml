@@ -243,6 +243,70 @@ let test_generate_ensemble () =
         (Gauge.max_unitarity_violation c < 1e-9))
     configs
 
+let test_unitarity_flags_nan () =
+  (* a NaN compares false with everything, so a running max skipped it
+     and the check reported the other links' ~1e-15 *)
+  let u = Gauge.warm (small_geom ()) (rng ()) ~eps:0.3 in
+  Bigarray.Array1.set (Gauge.data u) 5 Float.nan;
+  let v = Gauge.max_unitarity_violation u in
+  Alcotest.(check bool) (Printf.sprintf "NaN link fails the bound (got %g)" v) false (v < 1e-9);
+  Alcotest.(check bool) "reported as infinity" true (v = infinity)
+
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_heatbath_rejects_bad_beta () =
+  let geom = Geometry.create [| 2; 2; 2; 2 |] in
+  let sched beta = { (Heatbath.default_schedule ~beta) with Heatbath.n_thermalize = 1 } in
+  List.iter
+    (fun beta ->
+      let u = Gauge.warm geom (rng ()) ~eps:0.3 in
+      let what f = Printf.sprintf "%s at beta = %g" f beta in
+      raises_invalid (what "sweep") (fun () -> Heatbath.sweep (rng ()) ~beta u);
+      raises_invalid (what "update_link") (fun () -> Heatbath.update_link (rng ()) ~beta u 0 0);
+      raises_invalid (what "generate") (fun () ->
+          Heatbath.generate (rng ()) (sched beta) geom ~n_configs:1);
+      Alcotest.(check bool) (what "field untouched") true
+        (Gauge.max_unitarity_violation u < 1e-9))
+    [ Float.nan; -1.; infinity ];
+  (* beta = 0 is the free measure, a valid Monte Carlo *)
+  let u = Gauge.warm geom (rng ()) ~eps:0.3 in
+  Heatbath.sweep (rng ()) ~beta:0. u;
+  Alcotest.(check bool) "beta = 0 sweeps on the group" true
+    (Gauge.max_unitarity_violation u < 1e-9)
+
+let test_generate_rejects_negative_counts () =
+  let geom = Geometry.create [| 2; 2; 2; 2 |] in
+  let base =
+    { Heatbath.beta = 5.7; n_thermalize = 1; n_decorrelate = 1; n_overrelax = 1 }
+  in
+  List.iter
+    (fun (what, sched) ->
+      raises_invalid what (fun () -> Heatbath.generate (rng ()) sched geom ~n_configs:2))
+    [
+      ("n_thermalize = -1", { base with n_thermalize = -1 });
+      ("n_decorrelate = -1", { base with n_decorrelate = -1 });
+      ("n_overrelax = -1", { base with n_overrelax = -1 });
+    ]
+
+let test_generate_bit_identical () =
+  (* hashes of every configuration's link bits and of the plaquette
+     history's bits, recorded from the allocating gauge-update path
+     before the in-place SU(3) kernels replaced it *)
+  let sched =
+    { Heatbath.beta = 5.7; n_thermalize = 3; n_decorrelate = 2; n_overrelax = 2 }
+  in
+  let configs, history =
+    Heatbath.generate (Util.Rng.create 2023) sched (small_geom ()) ~n_configs:2
+  in
+  Alcotest.(check (list int)) "configuration hashes"
+    [ 4236339314648298536; 131186421521411955 ]
+    (Array.to_list (Array.map Solver.Deflate.gauge_hash configs));
+  Alcotest.(check int) "plaquette history hash" 2890335726057156321
+    (Solver.Deflate.field_hash (Linalg.Field.of_array history))
+
 (* ---- Stout smearing ---- *)
 
 let test_stout_preserves_group () =
@@ -594,6 +658,11 @@ let suite =
     Alcotest.test_case "strong-coupling plaquette" `Slow test_heatbath_strong_coupling;
     Alcotest.test_case "thermalization hot=cold" `Slow test_heatbath_orders_phases;
     Alcotest.test_case "ensemble generation" `Quick test_generate_ensemble;
+    Alcotest.test_case "unitarity check flags NaN" `Quick test_unitarity_flags_nan;
+    Alcotest.test_case "heatbath rejects bad beta" `Quick test_heatbath_rejects_bad_beta;
+    Alcotest.test_case "generate rejects negative counts" `Quick
+      test_generate_rejects_negative_counts;
+    Alcotest.test_case "ensemble bits pinned" `Quick test_generate_bit_identical;
     Alcotest.test_case "stout stays in group" `Quick test_stout_preserves_group;
     Alcotest.test_case "stout raises plaquette" `Quick test_stout_raises_plaquette;
     Alcotest.test_case "stout fixes cold" `Quick test_stout_identity_on_cold;

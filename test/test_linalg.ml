@@ -228,6 +228,82 @@ let prop_su3_trace_cyclic =
       Cplx.abs (Cplx.sub (Su3.trace (Su3.mul a b)) (Su3.trace (Su3.mul b a)))
       < 1e-10)
 
+(* ---- in-place SU(3) kernels: bit for bit against the compositions
+   they replace ---- *)
+
+(* Entries mixing generic values with exact +0., -0. and small
+   integers: the identity rows of the subgroup embedding add ±0. terms,
+   and a sum seeded with +0. must absorb them exactly as the full
+   product does. *)
+let entry_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, float_range (-2.) 2.);
+        (2, return 0.);
+        (2, return (-0.));
+        (1, map float_of_int (int_range (-2) 2));
+      ])
+
+let show_floats a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+let mat_arb = QCheck.make ~print:show_floats QCheck.Gen.(array_size (return 18) entry_gen)
+
+let quat_arb =
+  QCheck.make
+    ~print:(fun (a, b, c, d) -> show_floats [| a; b; c; d |])
+    QCheck.Gen.(quad entry_gen entry_gen entry_gen entry_gen)
+
+let bits a = Array.map Int64.bits_of_float a
+let same_bits a b = bits a = bits b
+let same_bit x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The product as a plain triple loop: each entry summed from 0. over
+   k = 0, 1, 2 in order, the association every Su3 product keeps. *)
+let reference_mul a b =
+  Array.init 18 (fun i ->
+      let row = i / 6 and col = i mod 6 / 2 and im = i mod 2 = 1 in
+      let acc = ref 0. in
+      for k = 0 to 2 do
+        let ar = a.((6 * row) + (2 * k)) and ai = a.((6 * row) + (2 * k) + 1) in
+        let br = b.((6 * k) + (2 * col)) and bi = b.((6 * k) + (2 * col) + 1) in
+        acc := !acc +. if im then (ar *. bi) +. (ai *. br) else (ar *. br) -. (ai *. bi)
+      done;
+      !acc)
+
+let prop_su3_link_mul_adjoint_flags =
+  QCheck.Test.make ~name:"link_mul_into adjoint flags = mul of explicit adj, to the bit"
+    ~count:200 (QCheck.pair mat_arb mat_arb) (fun (a, b) ->
+      (* [a] stored as the second of three links *)
+      let links = Field.create 54 in
+      Array.iteri (fun i x -> Bigarray.Array1.set links (18 + i) x) a;
+      same_bits (Su3.mul a b) (reference_mul a b)
+      && List.for_all
+           (fun (adj_a, adj_b) ->
+             let c = Su3.zero () in
+             Su3.link_mul_into ~adj_a ~adj_b links 18 b c;
+             let op adj m = if adj then Su3.adj m else m in
+             same_bits c (Su3.mul (op adj_a a) (op adj_b b)))
+           [ (false, false); (true, false); (false, true); (true, true) ])
+
+let prop_su3_subgroup_kernels =
+  QCheck.Test.make
+    ~name:"two-row subgroup step = mul (embed_su2 a) u, block = extract (mul u a)"
+    ~count:200 (QCheck.triple quat_arb mat_arb mat_arb) (fun (q4, u, a) ->
+      List.for_all
+        (fun (p, q) ->
+          let v = Su3.copy u in
+          Su3.embed_su2_mul ~p ~q q4 v;
+          let e0, e1, e2, e3 = Su3.extract_su2_mul ~p ~q u a in
+          let w0, w1, w2, w3 = Su3.extract_su2 ~p ~q (Su3.mul u a) in
+          same_bits v (Su3.mul (Su3.embed_su2 ~p ~q q4) u)
+          && same_bit e0 w0 && same_bit e1 w1 && same_bit e2 w2 && same_bit e3 w3)
+        [ (0, 1); (0, 2); (1, 2) ])
+
+let prop_su3_re_trace_mul =
+  QCheck.Test.make ~name:"re_trace_mul = re_trace (mul a b), to the bit" ~count:200
+    (QCheck.pair mat_arb mat_arb) (fun (a, b) ->
+      same_bit (Su3.re_trace_mul a b) (Su3.re_trace (Su3.mul a b)))
+
 (* ---- half codec: the exact rounding ---- *)
 
 let half_block = 24
@@ -318,4 +394,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_su3_product_closed;
     QCheck_alcotest.to_alcotest prop_su3_unitarity;
     QCheck_alcotest.to_alcotest prop_su3_trace_cyclic;
+    QCheck_alcotest.to_alcotest prop_su3_link_mul_adjoint_flags;
+    QCheck_alcotest.to_alcotest prop_su3_subgroup_kernels;
+    QCheck_alcotest.to_alcotest prop_su3_re_trace_mul;
   ]

@@ -372,6 +372,44 @@ let test_launch_params () =
   Alcotest.(check int) "1 lane under the cutoff silent" 0
     (List.length (Pc.verify (launch_plan ~geometry:(1, 512) 512)))
 
+(* The geometry a launch records is the one it ran: each launch
+   decides its (pool, chunk) once for both. [launched f] records [f]'s
+   one launch under a 2-lane default pool. *)
+let launched f =
+  let saved = Util.Pool.get_default () in
+  Fun.protect
+    ~finally:(fun () -> Util.Pool.set_default saved)
+    (fun () ->
+      Util.Pool.set_default (Util.Pool.shared ~domains:2);
+      match snd (Prof.record f) with
+      | [ Prof.Launch l ] -> l
+      | _ -> Alcotest.fail "expected one launch")
+
+let test_reduction_chunk_recorded () =
+  (* a chunkless reduction forks whole blocks *)
+  let v = Field.create (16 * Field.reduce_block) in
+  Field.fill v 1.;
+  match (launched (fun () -> ignore (Field.norm2 v : float))).Prof.geometry with
+  | Some (lanes, chunk) ->
+    Alcotest.(check int) "norm2 on 2 lanes" 2 lanes;
+    Alcotest.(check int)
+      (Printf.sprintf "norm2 chunk %d counts whole blocks" chunk)
+      0 (chunk mod Field.reduce_block)
+  | None -> Alcotest.fail "norm2 over the cutoff recorded as serial"
+
+let test_batched_hop_lanes_recorded () =
+  (* the batch pools on its total floats while one column is under
+     the cutoff *)
+  let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
+  let w = Dirac.Wilson.of_geometry geom (Lattice.Gauge.random geom (Util.Rng.create 3)) in
+  let col = Lattice.Geometry.volume geom * Dirac.Wilson.floats_per_site in
+  let k = (Field.parallel_cutoff / col) + 1 in
+  Alcotest.(check bool) "one column under the cutoff" true (col < Field.parallel_cutoff);
+  let srcs = Array.init k (fun _ -> Field.create col) in
+  let dsts = Array.init k (fun _ -> Field.create col) in
+  Alcotest.(check (option int)) "batched hop records the lanes it ran on" (Some 2)
+    (Option.map fst (launched (fun () -> Dirac.Wilson.hop_multi w ~srcs ~dsts)).Prof.geometry)
+
 let test_undeclared_buffer () =
   let open Ir in
   let p =
@@ -530,6 +568,10 @@ let suite =
       test_defect_fixture_pairs;
     Alcotest.test_case "partition gap rejected" `Quick test_partition_gap;
     Alcotest.test_case "launch block and pool cutoff" `Quick test_launch_params;
+    Alcotest.test_case "a reduction records its chunk in blocks" `Quick
+      test_reduction_chunk_recorded;
+    Alcotest.test_case "a batched hop records its lanes" `Quick
+      test_batched_hop_lanes_recorded;
     Alcotest.test_case "undeclared buffer rejected" `Quick test_undeclared_buffer;
     Alcotest.test_case "quantize block mismatch rejected" `Quick
       test_quantize_block_mismatch;
