@@ -221,9 +221,9 @@ let plan_aliased_output () =
 (* 8b'. The recorded tail-fused Wilson hop with the tail's xpay output
    (the updated operand) renamed onto the stencil dst (the written
    one): the tail's closing loop would read the freshly written stencil
-   block while overwriting it in place. The runtime guard
-   (Fused.tail_check's same_data probe) rejects the call; PLAN002
-   catches the duplicate name with a writing role from the IR alone. *)
+   block while overwriting it in place. Field.launch rejects the call
+   at runtime; PLAN002 catches the duplicate name with a writing role
+   from the IR alone. *)
 let plan_tail_aliased () =
   let open Plan_ir in
   Plan_check.verify

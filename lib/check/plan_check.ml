@@ -7,8 +7,9 @@
    - PLAN001/002/006: effect and aliasing — pooled partitions must
      tile [0, n) with no overlap (racing writes) and no gap
      (unprocessed elements), a kernel's outputs must never alias
-     another operand (the static mirror of Fused.same_data's runtime
-     probe), every step must reference declared buffers.
+     another operand (Util.Prof.aliased over buffer names, the rule
+     Field.launch checks at runtime through a storage probe), every
+     step must reference declared buffers.
 
    - PLAN007/008: launch parameters — a declared reduction block must
      be the canonical Field.reduce_block (any other block associates
@@ -151,29 +152,17 @@ let check_partitions p =
 
 (* ---- PLAN002: output aliasing ---- *)
 
-let writes role = role = Write || role = Update
-
 let check_aliasing p =
   per_launch p (fun ~loc k ->
-      let names = List.sort_uniq compare (List.map fst k.args) in
-      List.filter_map
-        (fun name ->
-          let roles =
-            List.filter_map
-              (fun (a, r) -> if a = name then Some r else None)
-              k.args
-          in
-          if List.length roles > 1 && List.exists writes roles then
-            Some
-              (D.error ~rule:"PLAN002" ~loc
-                 (Printf.sprintf
-                    "buffer %s appears as both an output and another operand"
-                    name)
-                 ~hint:
-                   "an in-place alias makes the fused result depend on \
-                    evaluation order: give each role its own buffer")
-          else None)
-        names)
+      Util.Prof.aliased snd (fun (a, _) (b, _) -> a = b) k.args
+      |> List.map fst |> List.sort_uniq compare
+      |> List.map (fun name ->
+             D.error ~rule:"PLAN002" ~loc
+               (Printf.sprintf "buffer %s appears as both an output and another operand"
+                  name)
+               ~hint:
+                 "an in-place alias makes the fused result depend on evaluation \
+                  order: give each role its own buffer"))
 
 (* ---- PLAN007/PLAN008: launch block and pool width ---- *)
 
@@ -326,7 +315,7 @@ let check_precision p =
         in
         List.iter
           (fun (name, role) ->
-            if writes role then begin
+            if Util.Prof.writes role then begin
               let prev = get name in
               let interval =
                 match (role, prev.interval, combined) with

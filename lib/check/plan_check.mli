@@ -5,9 +5,9 @@
 
     - [PLAN001/002/006] effect and aliasing: pooled partitions must
       tile [0, n) with neither overlap nor gap, kernel outputs must
-      never alias another operand (static mirror of the
-      [Linalg.Fused.same_data] runtime guard), steps must reference
-      declared buffers.
+      never alias another operand ([Util.Prof.aliased] over buffer
+      names — the rule [Linalg.Field.launch] checks at runtime), steps
+      must reference declared buffers.
     - [PLAN007/008] launch parameters: a declared reduction [block]
       must be [Linalg.Field.reduce_block] (error); a pooled launch
       ([geometry = Some (d, _)], d > 1) over fewer than

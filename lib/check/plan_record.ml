@@ -20,7 +20,7 @@ open Plan_ir
 let vecs = function
   | P.Launch l -> List.filter_map (fun o -> o.P.vec) l.P.operands
   | P.Quantize (v, _) -> [ v ]
-  | P.Mark -> []
+  | P.Mark _ -> []
 
 let mem v = List.exists (( == ) v)
 
@@ -53,7 +53,7 @@ let plan ?fusion pname events =
                   ~args:(List.map arg l.P.operands) l.P.kernel))
         | P.Quantize (v, qblock) ->
           Some (Quantize { qbuf = name None v; qblock })
-        | P.Mark -> None)
+        | P.Mark _ -> None)
       events
   in
   let half nm =
@@ -110,12 +110,12 @@ let project window =
 
 let iteration events =
   let rec from_mark = function
-    | P.Mark :: rest -> rest
+    | P.Mark (0, _) :: rest -> rest
     | _ :: rest -> from_mark rest
     | [] -> invalid_arg "Plan_record.iteration: fewer than two marks"
   in
   let rec to_mark = function
-    | P.Mark :: _ -> []
+    | P.Mark (0, _) :: _ -> []
     | e :: rest -> e :: to_mark rest
     | [] -> invalid_arg "Plan_record.iteration: fewer than two marks"
   in
@@ -155,9 +155,8 @@ let normal_dot l src dst =
 let cg ~fused () =
   let l = Lazy.force lattice in
   iterated ~fusion:fused (if fused then "cg-fused" else "cg") (fun () ->
-      Solver.Cg.solve ~fused ~apply_dot:(normal_dot l)
-        ~trace:(fun _ -> P.mark ())
-        ~apply:(normal l) ~b:l.b ~tol:1e-12 ~max_iter:2 ~flops_per_apply:0. ())
+      Solver.Cg.solve ~fused ~apply_dot:(normal_dot l) ~apply:(normal l) ~b:l.b ~tol:1e-12
+        ~max_iter:2 ~flops_per_apply:0. ())
 
 let cg_multi ~fused () =
   let l = Lazy.force lattice in
@@ -165,7 +164,6 @@ let cg_multi ~fused () =
     (if fused then "cg-tail-multi-fused" else "cg-tail-multi")
     (fun () ->
       Solver.Cg.solve_multi ~fused
-        ~trace:(fun i _ -> if i = 0 then P.mark ())
         ~apply:(fun srcs dsts -> Mobius.apply_schur_normal_multi l.eo ~srcs ~dsts)
         ~bs:[| l.b; l.b' |] ~tol:1e-12 ~max_iter:2 ~flops_per_apply:0. ())
 

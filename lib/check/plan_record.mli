@@ -14,8 +14,8 @@ val plan : ?fusion:bool -> string -> Util.Prof.event list -> Plan_ir.plan
     the longest launch. [fusion] tags a model-priced plan. *)
 
 val iteration : Util.Prof.event list -> Util.Prof.event list
-(** The events between the first and second mark, projected onto
-    right-hand side 0 when the recording is batched (slot 0 of each
+(** The events between the first and second mark of right-hand side
+    0, projected onto it when the recording is batched (slot 0 of each
     batched launch, and the single launches over its vectors).
     @raise Invalid_argument on fewer than two marks. *)
 

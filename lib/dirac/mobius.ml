@@ -58,12 +58,9 @@ let check_fields name ~len fields =
              (Linalg.Field.length f) len))
     fields
 
-let check_no_alias name ~srcs ~dsts =
-  List.iter
-    (fun d ->
-      if List.exists (Linalg.Fused.same_data d) srcs then
-        invalid_arg (name ^ ": src and dst alias"))
-    dsts
+(* An entry that is not recorded checks PLAN002's aliasing rule alone. *)
+let check_aliasing name ~src ~dst =
+  Linalg.Field.check_aliasing name Util.Prof.[ read src; write dst ]
 
 (* ---- M5d: the 4D-site-diagonal, s-coupled part ---- *)
 
@@ -112,7 +109,8 @@ let chiral_mix coupling ~dagger p ~n4 ~(src : Linalg.Field.t)
 let m5 ~dagger p ~n4 ~src ~dst = chiral_mix M5d ~dagger p ~n4 ~src ~dst 0 n4
 
 let check_m5 name p ~n4 ~src ~dst =
-  check_fields name ~len:(p.l5 * n4 * fps) [ src; dst ]
+  check_fields name ~len:(p.l5 * n4 * fps) [ src; dst ];
+  check_aliasing name ~src ~dst
 
 let apply_m5 p ~n4 ~src ~dst =
   check_m5 "Mobius.apply_m5" p ~n4 ~src ~dst;
@@ -291,7 +289,7 @@ let create_field t = Linalg.Field.create (field_length t)
 
 let check_full name t ~src ~dst =
   check_fields name ~len:(field_length t) [ src; dst ];
-  check_no_alias name ~srcs:[ src ] ~dsts:[ dst ]
+  check_aliasing name ~src ~dst
 
 let apply t ~src ~dst =
   check_full "Mobius.apply" t ~src ~dst;
@@ -302,7 +300,7 @@ let apply t ~src ~dst =
 (* G5R5: slice s of dst = gamma5 (slice L5-1-s of src). Distinct fields. *)
 let apply_g5r5 ~l5 ~n4 ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
   check_fields "Mobius.apply_g5r5" ~len:(l5 * n4 * fps) [ src; dst ];
-  check_no_alias "Mobius.apply_g5r5" ~srcs:[ src ] ~dsts:[ dst ];
+  check_aliasing "Mobius.apply_g5r5" ~src ~dst;
   let stride = n4 * fps in
   for s = 0 to l5 - 1 do
     let sb = (l5 - 1 - s) * stride and db = s * stride in
@@ -363,23 +361,13 @@ let eo_field_length eo = eo.p.l5 * eo.half * fps
 let create_eo_field eo = Linalg.Field.create (eo_field_length eo)
 let create_like eo fields = Array.map (fun _ -> create_eo_field eo) fields
 
-let check_eo name eo ~srcs ~dsts =
-  check_fields name ~len:(eo_field_length eo) (srcs @ dsts);
-  check_no_alias name ~srcs ~dsts
+let check_eo name eo fields = check_fields name ~len:(eo_field_length eo) fields
 
 let check_eo_batch name eo ~(srcs : Linalg.Field.t array) ~dsts =
   let kw = Array.length srcs in
   if kw = 0 || Array.length dsts <> kw then
     invalid_arg (name ^ ": batch width mismatch");
-  check_eo name eo ~srcs:(Array.to_list srcs) ~dsts:(Array.to_list dsts);
-  (* the Schur chain uses each dst as scratch before writing it *)
-  Array.iteri
-    (fun i d ->
-      for j = 0 to i - 1 do
-        if Linalg.Fused.same_data d dsts.(j) then
-          invalid_arg (name ^ ": dsts share storage")
-      done)
-    dsts
+  check_eo name eo (Array.to_list srcs @ Array.to_list dsts)
 
 (* dst (parity p fields) = Hop_{p <- 1-p} src. *)
 let hop_eo_gen eo ~to_parity ?phis ~srcs ~dsts () =
@@ -442,49 +430,44 @@ let schur_dagger_finish ?tail (dst : Linalg.Field.t) (t1 : Linalg.Field.t) len =
     sub_into dst t1 0 len;
     0.
   | Some tl ->
-    Linalg.Fused.tail_check "Mobius.apply_schur_normal_tail" ~n:len ~dst tl;
-    let s =
-      Linalg.Field.fold_partials ~n:len (fun record ->
-          record
-            (fun lo hi ->
-              sub_into dst t1 lo hi;
-              Linalg.Fused.tail_term tl ~dst lo hi)
-            0 len)
-    in
-    Linalg.Field.Sanitize.check_scalar "Mobius.apply_schur_normal_tail" s
+    Linalg.Field.fold_partials ~n:len (fun record ->
+        record
+          (fun lo hi ->
+            sub_into dst t1 lo hi;
+            Linalg.Fused.tail_term tl ~dst lo hi)
+          0 len)
 
 let schur_dagger_gen ?tail eo ~src ~dst =
   let t1s = schur_dagger_chain eo ~srcs:[| src |] ~dsts:[| dst |] in
   schur_dagger_finish ?tail dst t1s.(0) (eo_field_length eo)
 
-(* One entry's launch as Util.Prof records it: an operator over eo
-   fields of [k] right-hand sides, at the geometry of its stencil
-   launches — sites of the checkerboard kernel, each L5·24 floats of a
-   recorded field. *)
-let prof ?(k = 1) eo name operands =
-  let g =
-    Option.map
-      (fun g -> { g with Linalg.Field.unit = eo.p.l5 * fps })
-      (Wilson.geometry ~cols:(eo.p.l5 * k) ~n:eo.half ())
-  in
-  Linalg.Field.prof ~sweeps:0 g name ~n:(eo_field_length eo) operands
+(* One entry's launch: an operator over eo fields of [k] right-hand
+   sides, at the geometry of its stencil launches — sites of the
+   checkerboard kernel, each L5·24 floats of a listed field. *)
+let eo_geometry ?(k = 1) eo =
+  Option.map
+    (fun g -> { g with Linalg.Field.unit = eo.p.l5 * fps })
+    (Wilson.geometry ~cols:(eo.p.l5 * k) ~n:eo.half ())
 
-let prof_eo eo name ~src ~dst = prof eo name Util.Prof.[ read src; write dst ]
+let entry ?k eo name operands body =
+  Linalg.Field.launch ~sweeps:0 name (eo_geometry ?k eo) ~n:(eo_field_length eo) operands
+    body
+
+let eo_entry eo name ~src ~dst body =
+  check_eo name eo [ src; dst ];
+  entry eo name Util.Prof.[ read src; write dst ] body
 
 let hop_eo eo ~to_parity ~src ~dst =
-  check_eo "Mobius.hop_eo" eo ~srcs:[ src ] ~dsts:[ dst ];
-  if !Util.Prof.on then prof_eo eo "Mobius.hop_eo" ~src ~dst;
-  hop_eo_gen eo ~to_parity ~srcs:[| src |] ~dsts:[| dst |] ()
+  eo_entry eo "Mobius.hop_eo" ~src ~dst (fun () ->
+      hop_eo_gen eo ~to_parity ~srcs:[| src |] ~dsts:[| dst |] ())
 
 let apply_schur eo ~src ~dst =
-  check_eo "Mobius.apply_schur" eo ~srcs:[ src ] ~dsts:[ dst ];
-  if !Util.Prof.on then prof_eo eo "Mobius.apply_schur" ~src ~dst;
-  schur_gen eo ~srcs:[| src |] ~dsts:[| dst |]
+  eo_entry eo "Mobius.apply_schur" ~src ~dst (fun () ->
+      schur_gen eo ~srcs:[| src |] ~dsts:[| dst |])
 
 let apply_schur_dagger eo ~src ~dst =
-  check_eo "Mobius.apply_schur_dagger" eo ~srcs:[ src ] ~dsts:[ dst ];
-  if !Util.Prof.on then prof_eo eo "Mobius.apply_schur_dagger" ~src ~dst;
-  ignore (schur_dagger_gen eo ~src ~dst : float)
+  eo_entry eo "Mobius.apply_schur_dagger" ~src ~dst (fun () ->
+      ignore (schur_dagger_gen eo ~src ~dst : float))
 
 let schur_normal_gen ?tail eo ~src ~dst =
   let tmp = create_eo_field eo in
@@ -492,34 +475,35 @@ let schur_normal_gen ?tail eo ~src ~dst =
   schur_dagger_gen ?tail eo ~src:tmp ~dst
 
 let apply_schur_normal eo ~src ~dst =
-  check_eo "Mobius.apply_schur_normal" eo ~srcs:[ src ] ~dsts:[ dst ];
-  if !Util.Prof.on then prof_eo eo "Mobius.apply_schur_normal" ~src ~dst;
-  ignore (schur_normal_gen eo ~src ~dst : float)
+  eo_entry eo "Mobius.apply_schur_normal" ~src ~dst (fun () ->
+      ignore (schur_normal_gen eo ~src ~dst : float))
 
 (* S^dag S with the tail riding the closing dagger sweep — what
    [Solver.Dwf_solve] hands [Solver.Cg]'s [apply_dot] so the fused CG
    iteration executes the 2-sweep BLAS-1 plan the model prices. *)
 let apply_schur_normal_tail eo ~src ~dst ~tail =
-  check_eo "Mobius.apply_schur_normal_tail" eo ~srcs:[ src ] ~dsts:[ dst ];
-  if !Util.Prof.on then
-    prof eo "Mobius.apply_schur_normal_tail"
-      (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail);
-  schur_normal_gen ~tail eo ~src ~dst
+  let name = "Mobius.apply_schur_normal_tail" in
+  check_eo name eo [ src; dst ];
+  Linalg.Fused.tail_check name ~n:(eo_field_length eo) tail;
+  (Linalg.Field.launch_fold ~sweeps:0 name (eo_geometry eo) ~n:(eo_field_length eo)
+     (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail)
+     (fun () -> [| schur_normal_gen ~tail eo ~src ~dst |])).(0)
 
 (* ---- batched S^dag S: the same stages on k fields ---- *)
 
 let apply_schur_normal_multi eo ~srcs ~dsts =
-  check_eo_batch "Mobius.apply_schur_normal_multi" eo ~srcs ~dsts;
-  if !Util.Prof.on then
-    prof ~k:(Array.length srcs) eo "Mobius.apply_schur_normal_multi"
-      (Util.Prof.batch (Array.length srcs) (fun i ->
-           Util.Prof.[ read srcs.(i); write dsts.(i) ]));
-  let tmps = create_like eo srcs in
-  schur_gen eo ~srcs ~dsts:tmps;
-  let t1s = schur_dagger_chain eo ~srcs:tmps ~dsts in
-  Array.iteri
-    (fun v dst -> ignore (schur_dagger_finish dst t1s.(v) (eo_field_length eo) : float))
-    dsts
+  let name = "Mobius.apply_schur_normal_multi" in
+  check_eo_batch name eo ~srcs ~dsts;
+  let k = Array.length srcs in
+  entry ~k eo name
+    (Util.Prof.batch k (fun i -> Util.Prof.[ read srcs.(i); write dsts.(i) ]))
+    (fun () ->
+      let tmps = create_like eo srcs in
+      schur_gen eo ~srcs ~dsts:tmps;
+      let t1s = schur_dagger_chain eo ~srcs:tmps ~dsts in
+      Array.iteri
+        (fun v dst -> ignore (schur_dagger_finish dst t1s.(v) (eo_field_length eo) : float))
+        dsts)
 
 (* ---- full <-> checkerboard field conversion ---- *)
 
@@ -529,21 +513,21 @@ let split_eo geom ~l5 (full : Linalg.Field.t) =
   check_fields "Mobius.split_eo" ~len:(l5 * vol * fps) [ full ];
   let even = Linalg.Field.create (l5 * half * fps) in
   let odd = Linalg.Field.create (l5 * half * fps) in
-  if !Util.Prof.on then
-    Util.Prof.launch ~kernel:"Mobius.split_eo" ~n:(l5 * vol * fps) ~geometry:None
-      ~block:None ~sweeps:0 Util.Prof.[ read full; write even; write odd ];
-  for s = 0 to l5 - 1 do
-    for site = 0 to vol - 1 do
-      let p = Lattice.Geometry.parity geom site in
-      let i = Lattice.Geometry.eo_index geom site in
-      let src_o = ((s * vol) + site) * fps in
-      let dst_o = ((s * half) + i) * fps in
-      let dst = if p = 0 then even else odd in
-      for k = 0 to fps - 1 do
-        Array1.unsafe_set dst (dst_o + k) (Array1.unsafe_get full (src_o + k))
-      done
-    done
-  done;
+  Linalg.Field.launch ~sweeps:0 "Mobius.split_eo" None ~n:(l5 * vol * fps)
+    Util.Prof.[ read full; write even; write odd ]
+    (fun () ->
+      for s = 0 to l5 - 1 do
+        for site = 0 to vol - 1 do
+          let p = Lattice.Geometry.parity geom site in
+          let i = Lattice.Geometry.eo_index geom site in
+          let src_o = ((s * vol) + site) * fps in
+          let dst_o = ((s * half) + i) * fps in
+          let dst = if p = 0 then even else odd in
+          for k = 0 to fps - 1 do
+            Array1.unsafe_set dst (dst_o + k) (Array1.unsafe_get full (src_o + k))
+          done
+        done
+      done);
   (even, odd)
 
 let merge_eo geom ~l5 ~(even : Linalg.Field.t) ~(odd : Linalg.Field.t) =
@@ -551,45 +535,47 @@ let merge_eo geom ~l5 ~(even : Linalg.Field.t) ~(odd : Linalg.Field.t) =
   let half = Lattice.Geometry.half_volume geom in
   check_fields "Mobius.merge_eo" ~len:(l5 * half * fps) [ even; odd ];
   let full = Linalg.Field.create (l5 * vol * fps) in
-  if !Util.Prof.on then
-    Util.Prof.launch ~kernel:"Mobius.merge_eo" ~n:(l5 * vol * fps) ~geometry:None
-      ~block:None ~sweeps:0 Util.Prof.[ read even; read odd; write full ];
-  for s = 0 to l5 - 1 do
-    for site = 0 to vol - 1 do
-      let p = Lattice.Geometry.parity geom site in
-      let i = Lattice.Geometry.eo_index geom site in
-      let dst_o = ((s * vol) + site) * fps in
-      let src_o = ((s * half) + i) * fps in
-      let src = if p = 0 then even else odd in
-      for k = 0 to fps - 1 do
-        Array1.unsafe_set full (dst_o + k) (Array1.unsafe_get src (src_o + k))
-      done
-    done
-  done;
+  Linalg.Field.launch ~sweeps:0 "Mobius.merge_eo" None ~n:(l5 * vol * fps)
+    Util.Prof.[ read even; read odd; write full ]
+    (fun () ->
+      for s = 0 to l5 - 1 do
+        for site = 0 to vol - 1 do
+          let p = Lattice.Geometry.parity geom site in
+          let i = Lattice.Geometry.eo_index geom site in
+          let dst_o = ((s * vol) + site) * fps in
+          let src_o = ((s * half) + i) * fps in
+          let src = if p = 0 then even else odd in
+          for k = 0 to fps - 1 do
+            Array1.unsafe_set full (dst_o + k) (Array1.unsafe_get src (src_o + k))
+          done
+        done
+      done);
   full
 
 (* Schur right-hand side: y'_o = y_o - Hop_oe M5inv y_e. *)
 let prepare_rhs eo ~(rhs_even : Linalg.Field.t) ~(rhs_odd : Linalg.Field.t) =
   check_fields "Mobius.prepare_rhs" ~len:(eo_field_length eo) [ rhs_even; rhs_odd ];
-  let t1 = create_eo_field eo in
-  let t2 = create_eo_field eo in
-  apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:rhs_even ~dst:t1;
-  hop_eo_gen eo ~to_parity:1 ~srcs:[| t1 |] ~dsts:[| t2 |] ();
-  let out = Util.Prof.muted Linalg.Field.copy rhs_odd in
-  if !Util.Prof.on then
-    prof eo "Mobius.prepare_rhs" Util.Prof.[ read rhs_even; read rhs_odd; write out ];
-  sub_into out t2 0 (eo_field_length eo);
+  let out = Array1.create float64 c_layout (eo_field_length eo) in
+  entry eo "Mobius.prepare_rhs" Util.Prof.[ read rhs_even; read rhs_odd; write out ]
+    (fun () ->
+      let t1 = create_eo_field eo in
+      let t2 = create_eo_field eo in
+      apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:rhs_even ~dst:t1;
+      hop_eo_gen eo ~to_parity:1 ~srcs:[| t1 |] ~dsts:[| t2 |] ();
+      Array1.blit rhs_odd out;
+      sub_into out t2 0 (eo_field_length eo));
   out
 
 (* Even-parity reconstruction: x_e = M5inv (y_e - Hop_eo x_o). *)
 let reconstruct_even eo ~(rhs_even : Linalg.Field.t) ~(x_odd : Linalg.Field.t) =
   check_fields "Mobius.reconstruct_even" ~len:(eo_field_length eo) [ rhs_even; x_odd ];
-  let t1 = create_eo_field eo in
-  hop_eo_gen eo ~to_parity:0 ~srcs:[| x_odd |] ~dsts:[| t1 |] ();
-  let t2 = Util.Prof.muted Linalg.Field.copy rhs_even in
-  sub_into t2 t1 0 (eo_field_length eo);
   let out = create_eo_field eo in
-  if !Util.Prof.on then
-    prof eo "Mobius.reconstruct_even" Util.Prof.[ read rhs_even; read x_odd; write out ];
-  apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:t2 ~dst:out;
+  entry eo "Mobius.reconstruct_even" Util.Prof.[ read rhs_even; read x_odd; write out ]
+    (fun () ->
+      let t1 = create_eo_field eo in
+      hop_eo_gen eo ~to_parity:0 ~srcs:[| x_odd |] ~dsts:[| t1 |] ();
+      let t2 = Array1.create float64 c_layout (eo_field_length eo) in
+      Array1.blit rhs_even t2;
+      sub_into t2 t1 0 (eo_field_length eo);
+      apply_m5inv_gen ~chirality_swap:false eo.p ~n4:eo.half ~src:t2 ~dst:out);
   out

@@ -11,11 +11,15 @@
 
     Each public entry checks its fields once: a field whose length is
     not the operator's (l5·n4·24 floats; [eo_field_length] for the
-    checkerboarded entries), or — for the operators and Schur entries —
-    a dst sharing storage with a src ([Linalg.Fused.same_data]), raises
-    [Invalid_argument]. The checkerboarded entries, [split_eo] and
-    [merge_eo] each report one launch to [Util.Prof], none of the
-    kernels they run inside. *)
+    checkerboarded entries), or a dst sharing storage with another
+    operand (PLAN002's rule, probed through the storage so an
+    [Array1.sub] view is caught), raises [Invalid_argument] naming
+    the entry. The checkerboarded entries, [split_eo], [merge_eo],
+    [prepare_rhs] and [reconstruct_even] each run as one
+    [Linalg.Field.launch]: recorded as one launch, none of the kernels
+    they run inside, and sanitized at the entry. The full operator
+    and the 5th-dimension pieces are not recorded; they check
+    aliasing alone ([Linalg.Field.check_aliasing]). *)
 
 type params = {
   l5 : int;
@@ -37,7 +41,8 @@ val diag_b : params -> float
 
 val apply_m5 :
   params -> n4:int -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** The 4D-site-diagonal, s-coupled part M5d. No aliasing. *)
+(** The 4D-site-diagonal, s-coupled part M5d. [src] and [dst] may not
+    share storage. *)
 
 val apply_m5_dagger :
   params -> n4:int -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
@@ -46,16 +51,16 @@ val apply_m5_dagger :
 val apply_m5inv :
   params -> n4:int -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 (** Closed-form inverse of M5d (bidiagonal-cyclic solve per chirality).
-    No aliasing. *)
+    [src] and [dst] may not share storage. *)
 
 val apply_m5inv_dagger :
   params -> n4:int -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** Inverse of M5d†. No aliasing. *)
+(** Inverse of M5d†. [src] and [dst] may not share storage. *)
 
 val apply_g5r5 :
   l5:int -> n4:int -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
 (** Gamma5 × s-reflection — the domain-wall hermiticity conjugation.
-    No aliasing. *)
+    [src] and [dst] may not share storage. *)
 
 (** Full (unpreconditioned) operator. *)
 type t
@@ -119,8 +124,8 @@ val apply_schur_normal_tail :
     [Field.dot_re q dst] (resp. [Fused.xpay_dot dst beta out q]). With
     [~tail:(Fused.tail ~dot:src ())] this returns src·(S†S src), the
     CG p·Ap, without the separate full-vector reduction sweep
-    ([Solver.Cg]'s [apply_dot]). The tail output must not alias [dst]
-    ([Invalid_argument]). *)
+    ([Solver.Cg]'s [apply_dot]). Neither the tail output nor [q] may
+    share storage with [dst] ([Invalid_argument]). *)
 
 (** {2 Batched multi-RHS chain} *)
 
@@ -133,8 +138,8 @@ val apply_schur_normal_multi :
     subtractions) run the single-RHS loops — so each dst is
     bit-identical to [apply_schur_normal] on its src, for any batch
     width and pool geometry. The batch must be non-empty with matching
-    widths; no dst may share storage with any src or with another dst
-    ([Invalid_argument]). *)
+    widths; no dst may share storage with any other operand of the
+    batch ([Invalid_argument]). *)
 
 val split_eo :
   Lattice.Geometry.t -> l5:int -> Linalg.Field.t -> Linalg.Field.t * Linalg.Field.t

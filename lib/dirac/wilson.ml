@@ -291,59 +291,48 @@ let check_srcs name t ~l5 ~src_stride (srcs : Linalg.Field.t array) =
       then invalid_arg (name ^ ": src too short"))
     srcs
 
-let check_no_alias name srcs dsts =
-  Array.iter
-    (fun dst ->
-      Array.iter
-        (fun src ->
-          (* the probe writes (and restores) its first argument: the dst *)
-          if Linalg.Fused.same_data dst src then
-            invalid_arg (name ^ ": src and dst alias"))
-        srcs)
-    dsts
-
 let check_batch name t (srcs : Linalg.Field.t array) (dsts : Linalg.Field.t array) =
   if Array.length srcs = 0 then invalid_arg (name ^ ": empty batch");
   if Array.length dsts <> Array.length srcs then
     invalid_arg (name ^ ": batch width mismatch");
   check_srcs name t ~l5:1 ~src_stride:0 srcs;
-  Array.iter (check_dst name t) dsts;
-  check_no_alias name srcs dsts;
-  (* a repeated dst would take two columns' results, losing one *)
-  Array.iteri
-    (fun i d ->
-      for j = 0 to i - 1 do
-        if Linalg.Fused.same_data d dsts.(j) then
-          invalid_arg (name ^ ": dsts share storage")
-      done)
-    dsts
+  Array.iter (check_dst name t) dsts
 
 (* The geometry of every stencil entry, decided once for the launch
    and its recording: pooled on the launch's floats (cols columns of n
-   sites), in chunks of the caller's sites or by default the pool's
-   rule on the column-site count, so chunking follows the work, not
-   the 4D volume alone. An entry records one column's floats, so a
-   site item is [fps] of them. *)
-let geometry ?pool ?chunk ~cols ~n () =
-  match Linalg.Field.fork_pool pool ~floats:(cols * n * fps) n with
+   sites), in chunks of the caller's sites or by default
+   [Field.default_chunk] in sites of all [cols] columns — rounded to
+   whole [tile]s of sites when the launch folds a tail. An entry
+   records one column's floats, so a site item is [fps] of them. *)
+let tiled_geometry ~tile ?pool ?chunk ~cols ~n () =
+  let floats = cols * n * fps in
+  match Linalg.Field.fork_pool pool ~floats n with
   | None -> None
   | Some p ->
     let chunk =
       match chunk with
+      | Some c when tile > 1 -> (max 1 c + tile - 1) / tile * tile
       | Some c -> c
-      | None -> max 1 (Util.Pool.default_chunk p (n * cols) / cols)
+      | None -> tile * Linalg.Field.default_chunk p ~floats ~unit:(tile * cols * fps)
     in
     Some { Linalg.Field.pool = p; chunk; unit = fps }
+
+let geometry = tiled_geometry ~tile:1
 
 let launch ?pool ?chunk ~cols ~n range =
   Linalg.Field.run (geometry ?pool ?chunk ~cols ~n ()) ~n range
 
-(* One entry's launch as Util.Prof records it: over one dst's floats,
-   at the geometry the launch runs, the full link store listed as read
-   (a packed store is not a field). *)
-let prof g t name operands =
-  let links = match t.store with Full u -> [ Util.Prof.read u ] | Packed _ -> [] in
-  Linalg.Field.prof ~sweeps:0 g name ~n:(t.n_sites * fps) (links @ operands)
+(* The link store as a launch lists it: the full store read (a packed
+   store is not a field). *)
+let links t = match t.store with Full u -> [ Util.Prof.read u ] | Packed _ -> []
+
+(* One entry's launch: over one dst's floats, at the geometry the
+   launch runs, the link store among the operands. *)
+let entry_fold g t name operands body =
+  Linalg.Field.launch_fold ~sweeps:0 name g ~n:(t.n_sites * fps) (links t @ operands) body
+
+let entry g t name operands body =
+  Linalg.Field.launch ~sweeps:0 name g ~n:(t.n_sites * fps) (links t @ operands) body
 
 let body_range t ~l5 ~src_stride ~g5 ~srcs ~store lo hi =
   let body = make_body t ~l5 ~src_stride ~g5 ~srcs ~store in
@@ -372,12 +361,11 @@ let plain_body t ~srcs ~dsts =
 let hop_batch name ?pool ?chunk t ~srcs ~dsts =
   check_batch name t srcs dsts;
   let g = geometry ?pool ?chunk ~cols:(Array.length srcs) ~n:t.n_sites () in
-  if !Util.Prof.on then
-    prof g t name
-      (Util.Prof.batch (Array.length srcs) (fun i ->
-           Util.Prof.[ read srcs.(i); write dsts.(i) ]));
-  Linalg.Field.run g ~n:t.n_sites
-    (body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts))
+  entry g t name
+    (Util.Prof.batch (Array.length srcs) (fun i -> Util.Prof.[ read srcs.(i); write dsts.(i) ]))
+    (fun () ->
+      Linalg.Field.run g ~n:t.n_sites
+        (body_range t ~l5:1 ~src_stride:0 ~g5:false ~srcs ~store:(store_set dsts)))
 
 let hop ?pool ?chunk t ~src ~dst =
   hop_batch "Wilson.hop" ?pool ?chunk t ~srcs:[| src |] ~dsts:[| dst |]
@@ -388,6 +376,7 @@ let hop_multi ?pool ?chunk t ~srcs ~dsts =
 let hop_sites t ?(sites : int array option) ~(src : Linalg.Field.t)
     ~(dst : Linalg.Field.t) () =
   check_batch "Wilson.hop_sites" t [| src |] [| dst |];
+  Linalg.Field.check_aliasing "Wilson.hop_sites" (links t @ Util.Prof.[ read src; write dst ]);
   let sites = match sites with Some s -> s | None -> Array.init t.n_sites Fun.id in
   Array.iter
     (fun x ->
@@ -425,31 +414,18 @@ let hop_tail_range t ~src ~dst ~tail ~record lo hi =
     s := s1
   done
 
-let round_to_tiles c = (max 1 c + tail_tile_sites - 1) / tail_tile_sites * tail_tile_sites
-
 let hop_tail ?pool ?chunk t ~src ~dst ~tail =
   check_batch "Wilson.hop_tail" t [| src |] [| dst |];
   let n = t.n_sites * fps in
-  Linalg.Fused.tail_check "Wilson.hop_tail" ~n ~dst tail;
-  let g =
-    match Linalg.Field.fork_pool pool ~floats:n t.n_sites with
-    | None -> None
-    | Some p ->
-      let c = Option.value chunk ~default:(Util.Pool.default_chunk p t.n_sites) in
-      Some { Linalg.Field.pool = p; chunk = round_to_tiles c; unit = fps }
-  in
-  if !Util.Prof.on then
-    prof g t "Wilson.hop_tail"
-      (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail);
-  let s =
-    Linalg.Field.fold_partials ~n (fun record ->
-        Linalg.Field.run g ~n:t.n_sites (hop_tail_range t ~src ~dst ~tail ~record))
-  in
-  Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" dst;
-  (match tail.Linalg.Fused.t_xpay with
-  | Some (out, _) -> Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" out
-  | None -> ());
-  Linalg.Field.Sanitize.check_scalar "Wilson.hop_tail" s
+  Linalg.Fused.tail_check "Wilson.hop_tail" ~n tail;
+  let g = tiled_geometry ~tile:tail_tile_sites ?pool ?chunk ~cols:1 ~n:t.n_sites () in
+  (entry_fold g t "Wilson.hop_tail"
+     (Util.Prof.[ read src; write dst ] @ Linalg.Fused.tail_operands tail)
+     (fun () ->
+       [|
+         Linalg.Field.fold_partials ~n (fun record ->
+             Linalg.Field.run g ~n:t.n_sites (hop_tail_range t ~src ~dst ~tail ~record));
+       |])).(0)
 
 (* ---- full Wilson operator ----
    M psi = (4 + mass) psi - (1/2) H psi, and M^dag = g5 M g5 by
@@ -471,10 +447,10 @@ let store_apply ~dagger ~mass ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t)
 let apply_gen name ~dagger t ~mass ~src ~dst =
   check_batch name t [| src |] [| dst |];
   let g = geometry ~cols:1 ~n:t.n_sites () in
-  if !Util.Prof.on then prof g t name Util.Prof.[ read src; write dst ];
-  Linalg.Field.run g ~n:t.n_sites
-    (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs:[| src |]
-       ~store:(store_apply ~dagger ~mass ~src ~dst))
+  entry g t name Util.Prof.[ read src; write dst ] (fun () ->
+      Linalg.Field.run g ~n:t.n_sites
+        (body_range t ~l5:1 ~src_stride:0 ~g5:dagger ~srcs:[| src |]
+           ~store:(store_apply ~dagger ~mass ~src ~dst)))
 
 let apply t ~mass ~src ~dst = apply_gen "Wilson.apply" ~dagger:false t ~mass ~src ~dst
 

@@ -14,11 +14,16 @@
 
     Every entry checks its fields: a dst shorter than the written
     sites, a src shorter than the sites the tables read (the source
-    extent recorded at construction), a [hop_sites] site outside
-    [\[0, n_sites)], or a dst sharing storage with a src or another
-    dst ([Linalg.Fused.same_data]) raises [Invalid_argument]. [hop],
-    [hop_multi], [hop_tail], [apply] and [apply_dagger] each report
-    one launch to [Util.Prof], the link field listed as read. *)
+    extent recorded at construction), a batch of mismatched width or
+    a [hop_sites] site outside [\[0, n_sites)] raises
+    [Invalid_argument]. [hop], [hop_multi], [hop_tail], [apply] and
+    [apply_dagger] each run as one [Linalg.Field.launch_fold], the
+    full link field listed as read: a dst (or a tail output or [q])
+    that shares storage with another operand raises
+    [Invalid_argument] naming the entry, the launch is recorded when
+    [Util.Prof] records, and the sanitizer traps a non-finite dst at
+    the entry. [hop_sites], which is not recorded, checks aliasing
+    through the same rule ([Linalg.Field.check_aliasing]). *)
 
 type t
 
@@ -70,9 +75,9 @@ val hop_multi :
     RHS the float operations are exactly [hop]'s (same operands, same
     order), so every dst is bit-identical to the independent [hop] for
     any batch width and pool geometry. Batch must be non-empty, srcs
-    and dsts the same width, no dst sharing storage with a src or with
-    another dst ([Invalid_argument]). Without a pool, the *batch*
-    float count decides ({!launch}). The autotuner's hop family
+    and dsts the same width, no dst sharing storage with any other
+    operand of the batch ([Invalid_argument]). Without a pool, the
+    *batch* float count decides ({!launch}). The autotuner's hop family
     ([Autotune.Variants.tune_hop]) launches it for every codec, batch
     width and geometry. *)
 
@@ -95,8 +100,9 @@ val hop_tail :
     dst] without the xpay) for any pool geometry: [chunk] (in sites)
     is rounded up to whole reduction tiles (256 sites), so the tail
     runs on whole [Field.reduce_block]s whose partials
-    [Field.fold_partials] sums in index order. The tail output must
-    not alias [dst] ([Invalid_argument], probed through the data). *)
+    [Field.fold_partials] sums in index order; the default chunk is
+    [Field.default_chunk] counted in whole tiles. Neither the tail
+    output nor [q] may share storage with [dst] ([Invalid_argument]). *)
 
 val hop_sites :
   t -> ?sites:int array -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit -> unit
@@ -146,10 +152,10 @@ val geometry :
   Linalg.Field.geometry option
 (** The geometry of a stencil launch over [n] sites of [cols] columns:
     pooled by the [Linalg.Field] pool rule on cols·n·24 floats, in chunks
-    of [chunk] sites (default: the pool's default size counted in
-    column-sites), each site 24 floats of one recorded column. The
-    entries decide it once and hand it to the recorder and the
-    launch. *)
+    of [chunk] sites (default: [Linalg.Field.default_chunk] on those
+    floats, counted in sites of cols·24 floats), each site 24 floats
+    of one recorded column. The entries decide it once and hand it to
+    the recorder and the launch. *)
 
 val launch :
   ?pool:Util.Pool.t ->

@@ -17,7 +17,10 @@
    and bit-stable run to run (FP addition is not associative; fixing
    the association is what buys reproducibility). Each kernel takes
    [?pool ?chunk]; without a pool it runs where [launch_pool] says,
-   at the [geometry] it also records. *)
+   at the [geometry] it also records. Every kernel and operator entry
+   in the tree describes its launch once — name, operands with their
+   roles, length, geometry — and runs it through [launch], which
+   checks, records and sanitizes it. *)
 
 open Bigarray
 
@@ -43,12 +46,12 @@ let check2 name a b =
   if length a <> length b then invalid_arg (name ^ ": length mismatch")
 
 (* ---- opt-in numeric sanitizer ----
-   When [enabled], every BLAS-1 kernel scans its output (vectors) or
-   checks its result (reductions) for NaN/Inf the moment it is
-   produced, so the first kernel that manufactures a non-finite value
-   is named — instead of a NaN surfacing iterations later in a
-   residual norm. Off by default: the only cost then is one ref read
-   per kernel call. *)
+   When [enabled], every launch ([launch] below) scans the vectors it
+   wrote and checks the results it reduced for NaN/Inf the moment they
+   are produced, so the first kernel or operator entry that
+   manufactures a non-finite value is named — instead of a NaN
+   surfacing iterations later in a residual norm. Off by default: the
+   only cost then is one ref read per launch. *)
 
 module Sanitize = struct
   exception Non_finite of string * int * float
@@ -70,8 +73,7 @@ module Sanitize = struct
     if !raising then raise (Non_finite (kernel, index, value))
 
   let check_scalar kernel x =
-    if !enabled && not (Float.is_finite x) then trap kernel (-1) x;
-    x
+    if !enabled && not (Float.is_finite x) then trap kernel (-1) x
 
   let check_vec kernel (v : t) =
     if !enabled then
@@ -130,10 +132,15 @@ let fork_pool pool ~floats n =
   | Some p when Util.Pool.size p > 1 && n > 1 -> Some p
   | _ -> None
 
+(* The one default-chunk rule of every launch: the pool's default on
+   the launch's floats, counted in whole items of [unit] floats, at
+   least one item. *)
+let default_chunk p ~floats ~unit = max 1 (Util.Pool.default_chunk p floats / unit)
+
 (* The kernels' rule: a caller's chunk is in floats, rounded down to
-   whole items and floored at one; without one, the pool's default
-   rule on the item count. A non-positive chunk is kept as given: the
-   recorder sees it, then Util.Pool.parallel_for rejects it. *)
+   whole items and floored at one; without one, [default_chunk]. A
+   non-positive chunk is kept as given: the recorder sees it, then
+   Util.Pool.parallel_for rejects it. *)
 let geometry ?pool ?chunk ?(unit = 1) ~floats n =
   match fork_pool pool ~floats n with
   | None -> None
@@ -142,7 +149,7 @@ let geometry ?pool ?chunk ?(unit = 1) ~floats n =
       match chunk with
       | Some c when c > 0 -> max 1 (c / unit)
       | Some c -> c
-      | None -> Util.Pool.default_chunk p n
+      | None -> default_chunk p ~floats ~unit
     in
     Some { pool = p; chunk; unit }
 
@@ -152,10 +159,46 @@ let run g ~n range =
   | Some { pool; chunk; _ } -> Util.Pool.parallel_for pool ~chunk ~n range
   | None -> range 0 n
 
-(* A launch over [n] floats, reported to Util.Prof with its geometry
-   (chunk in floats) and, when it reduces, the canonical block. Hooks
-   call it under [if !Util.Prof.on]. *)
-let prof ?(sweeps = 1) g kernel ~n operands =
+(* ---- the launch helper ---- *)
+
+(* Do two fields share their data? Physical equality, else a marker
+   (b.{0}'s bits with the lowest flipped, so no unaliased pair can
+   match) written through a.{0} — [a] is always the launch's output —
+   watched for at b.{0}, a.{0} restored. That catches a second handle
+   over the same storage (Array1.sub, a re-wrapped pointer); staggered
+   windows that do not share element 0 escape, and PLAN002 models the
+   full hazard statically. *)
+let same_data (a : t) (b : t) =
+  a == b
+  || length a > 0
+     && length b > 0
+     &&
+     let va = Array1.unsafe_get a 0 in
+     let vb = Array1.unsafe_get b 0 in
+     let marker = Int64.float_of_bits (Int64.logxor (Int64.bits_of_float vb) 1L) in
+     Array1.unsafe_set a 0 marker;
+     let aliased = Int64.bits_of_float (Array1.unsafe_get b 0) = Int64.bits_of_float marker in
+     Array1.unsafe_set a 0 va;
+     aliased
+
+let same_storage (o : Util.Prof.operand) (x : Util.Prof.operand) =
+  match (o.vec, x.vec) with Some a, Some b -> same_data a b | _ -> false
+
+let check_aliasing kernel operands =
+  if Util.Prof.aliased (fun o -> o.Util.Prof.role) same_storage operands <> [] then
+    invalid_arg (kernel ^ ": an output shares storage with another operand")
+
+let rec check_lengths kernel ~n = function
+  | [] -> ()
+  | (o : Util.Prof.operand) :: rest ->
+    (match o.vec with
+    | Some v when length v <> n -> invalid_arg (kernel ^ ": length mismatch")
+    | _ -> ());
+    check_lengths kernel ~n rest
+
+(* The launch as Util.Prof records it: geometry with its chunk in
+   floats and, when an operand reduces, the canonical block. *)
+let record ~sweeps g kernel ~n operands =
   let geometry = Option.map (fun g -> (Util.Pool.size g.pool, g.chunk * g.unit)) g in
   let block =
     if List.exists (fun o -> o.Util.Prof.role = Util.Prof.Reduce) operands then
@@ -164,15 +207,48 @@ let prof ?(sweeps = 1) g kernel ~n operands =
   in
   Util.Prof.launch ~kernel ~n ~geometry ~block ~sweeps operands
 
+let sanitize kernel operands results =
+  List.iter
+    (fun (o : Util.Prof.operand) ->
+      if Util.Prof.writes o.role then Option.iter (Sanitize.check_vec kernel) o.vec)
+    operands;
+  Array.iter (Sanitize.check_scalar kernel) results
+
+(* A launch's checks and its recording; the body runs after. Without
+   the sanitizer the body is a tail call, so the operand list is
+   garbage while it runs and a collection inside it does not promote
+   the list. *)
+let admit ~sweeps kernel g ~n operands =
+  if sweeps = 1 then check_lengths kernel ~n operands;
+  check_aliasing kernel operands;
+  if !Util.Prof.on then record ~sweeps g kernel ~n operands
+
+let launch_fold ?(sweeps = 1) kernel g ~n operands body =
+  admit ~sweeps kernel g ~n operands;
+  if not !Sanitize.enabled then body ()
+  else begin
+    let results = body () in
+    sanitize kernel operands results;
+    results
+  end
+
+let launch ?(sweeps = 1) kernel g ~n operands body =
+  admit ~sweeps kernel g ~n operands;
+  if not !Sanitize.enabled then body ()
+  else begin
+    body ();
+    sanitize kernel operands [||]
+  end
+
 let copy (v : t) : t =
   let w = Array1.create float64 c_layout (length v) in
-  if !Util.Prof.on then prof None "Field.copy" ~n:(length v) Util.Prof.[ read v; write w ];
-  Array1.blit v w;
+  launch "Field.copy" None ~n:(length v) Util.Prof.[ read v; write w ] (fun () ->
+      Array1.blit v w);
   w
 
 let blit (src : t) (dst : t) =
-  if !Util.Prof.on then prof None "Field.blit" ~n:(length src) Util.Prof.[ read src; write dst ];
-  Array1.blit src dst
+  launch "Field.blit" None ~n:(length src) Util.Prof.[ read src; write dst ] (fun () ->
+      Array1.blit src dst)
 
 (* ---- element-wise kernels ---- *)
 
@@ -210,49 +286,38 @@ let caxpy_range (ar, ai) (x : t) (y : t) lo hi =
 
 (* y <- y + alpha x *)
 let axpy ?pool ?chunk alpha (x : t) (y : t) =
-  check2 "Field.axpy" x y;
   let n = length x in
   let g = geometry ?pool ?chunk ~floats:n n in
-  if !Util.Prof.on then prof g "Field.axpy" ~n Util.Prof.[ read x; update y ];
-  run g ~n (axpy_range alpha x y);
-  Sanitize.check_vec "Field.axpy" y
+  launch "Field.axpy" g ~n Util.Prof.[ read x; update y ] (fun () ->
+      run g ~n (axpy_range alpha x y))
 
 (* y <- x + alpha y *)
 let xpay ?pool ?chunk (x : t) alpha (y : t) =
-  check2 "Field.xpay" x y;
   let n = length x in
   let g = geometry ?pool ?chunk ~floats:n n in
-  if !Util.Prof.on then prof g "Field.xpay" ~n Util.Prof.[ read x; update y ];
-  run g ~n (xpay_range x alpha y);
-  Sanitize.check_vec "Field.xpay" y
+  launch "Field.xpay" g ~n Util.Prof.[ read x; update y ] (fun () ->
+      run g ~n (xpay_range x alpha y))
 
 let scale ?pool ?chunk alpha (v : t) =
   let n = length v in
   let g = geometry ?pool ?chunk ~floats:n n in
-  if !Util.Prof.on then prof g "Field.scale" ~n Util.Prof.[ update v ];
-  run g ~n (scale_range alpha v);
-  Sanitize.check_vec "Field.scale" v
+  launch "Field.scale" g ~n Util.Prof.[ update v ] (fun () -> run g ~n (scale_range alpha v))
 
 (* z <- x - y *)
 let sub ?pool ?chunk (x : t) (y : t) (z : t) =
-  check2 "Field.sub" x y;
-  check2 "Field.sub" x z;
   let n = length x in
   let g = geometry ?pool ?chunk ~floats:n n in
-  if !Util.Prof.on then prof g "Field.sub" ~n Util.Prof.[ read x; read y; write z ];
-  run g ~n (sub_range x y z);
-  Sanitize.check_vec "Field.sub" z
+  launch "Field.sub" g ~n Util.Prof.[ read x; read y; write z ] (fun () ->
+      run g ~n (sub_range x y z))
 
 (* y <- y + alpha x with complex alpha; vectors are interleaved re/im.
    The items are pairs: a chunk given in floats is halved (and floored
    at one pair) so one tuned chunk axis serves both. *)
 let caxpy ?pool ?chunk alpha (x : t) (y : t) =
-  check2 "Field.caxpy" x y;
   let n = length x in
   let g = geometry ?pool ?chunk ~unit:2 ~floats:n (n / 2) in
-  if !Util.Prof.on then prof g "Field.caxpy" ~n Util.Prof.[ read x; update y ];
-  run g ~n:(n / 2) (caxpy_range alpha x y);
-  Sanitize.check_vec "Field.caxpy" y
+  launch "Field.caxpy" g ~n Util.Prof.[ read x; update y ] (fun () ->
+      run g ~n:(n / 2) (caxpy_range alpha x y))
 
 (* ---- reductions: the one canonical blocked summation ----
    Floats [0, n) are cut into blocks of [reduce_block]; each block's
@@ -269,7 +334,7 @@ let sum_partials (partials : float array) =
   else Array.fold_left ( +. ) 0. partials
 
 (* The geometry of a fold over [n] floats: its items are blocks, so a
-   chunk (in floats) is counted in whole blocks. *)
+   chunk (in floats), or the default one, is counted in whole blocks. *)
 let reduction ?pool ?chunk n =
   geometry ?pool ?chunk ~unit:reduce_block ~floats:n (n_blocks n)
 
@@ -318,8 +383,8 @@ let norm2_term (v : t) lo hi =
 let norm2 ?pool ?chunk (v : t) =
   let n = length v in
   let g = reduction ?pool ?chunk n in
-  if !Util.Prof.on then prof g "Field.norm2" ~n Util.Prof.[ read v; reduce ];
-  Sanitize.check_scalar "Field.norm2" (fold g ~n (norm2_term v))
+  (launch_fold "Field.norm2" g ~n Util.Prof.[ read v; reduce ] (fun () ->
+       fold_k g ~n ~k:1 (fun _ -> norm2_term v))).(0)
 
 let norm v = sqrt (norm2 v)
 
@@ -333,11 +398,10 @@ let dot_re_term (x : t) (y : t) lo hi =
 (* Real part of <x|y> — for interleaved complex this equals the plain
    euclidean dot product. *)
 let dot_re ?pool ?chunk (x : t) (y : t) =
-  check2 "Field.dot_re" x y;
   let n = length x in
   let g = reduction ?pool ?chunk n in
-  if !Util.Prof.on then prof g "Field.dot_re" ~n Util.Prof.[ read x; read y; reduce ];
-  Sanitize.check_scalar "Field.dot_re" (fold g ~n (dot_re_term x y))
+  (launch_fold "Field.dot_re" g ~n Util.Prof.[ read x; read y; reduce ] (fun () ->
+       fold_k g ~n ~k:1 (fun _ -> dot_re_term x y))).(0)
 
 (* Two slots over the pairs of floats [lo, hi): 0 sums the real part
    of conj(x_k) y_k, 1 the imaginary part. *)
@@ -355,15 +419,13 @@ let cdot_term (x : t) (y : t) slot lo hi =
 (* Full complex <x|y> = sum conj(x_k) y_k over interleaved pairs; a
    dangling odd float is outside every pair. *)
 let cdot ?pool ?chunk (x : t) (y : t) =
-  check2 "Field.cdot" x y;
   let n = length x land lnot 1 in
   let g = reduction ?pool ?chunk n in
-  if !Util.Prof.on then
-    prof g "Field.cdot" ~n:(length x) Util.Prof.[ read x; read y; reduce ];
-  let s = fold_k g ~n ~k:2 (cdot_term x y) in
-  Cplx.make
-    (Sanitize.check_scalar "Field.cdot" s.(0))
-    (Sanitize.check_scalar "Field.cdot" s.(1))
+  let s =
+    launch_fold "Field.cdot" g ~n:(length x) Util.Prof.[ read x; read y; reduce ] (fun () ->
+        fold_k g ~n ~k:2 (cdot_term x y))
+  in
+  Cplx.make s.(0) s.(1)
 
 let gaussian rng (v : t) =
   for i = 0 to length v - 1 do

@@ -29,7 +29,7 @@ val reduce_block : int
 (** {2 Launch geometry}
 
     Each launch decides its geometry once and hands the same value to
-    the recorder ({!prof}) and to the pool ({!run}), so a recording
+    the recorder ({!launch}) and to the pool ({!run}), so a recording
     states the pool and chunk the kernel used. The pool rule, the one
     dispatch rule of every kernel in the tree: the caller's pool when
     given, else [Util.Pool.get_default] when the launch's floats reach
@@ -46,25 +46,69 @@ val fork_pool : Util.Pool.t option -> floats:int -> int -> Util.Pool.t option
     fork on — the pool rule's pick when it has more than one lane and
     [n > 1]; else [None], serial. *)
 
+val default_chunk : Util.Pool.t -> floats:int -> unit:int -> int
+(** The default chunk of every launch in the tree:
+    [Util.Pool.default_chunk] on the launch's [floats], counted in
+    whole items of [unit] floats, at least one item. The units are a
+    float, a complex pair, a [reduce_block], a stencil site of all its
+    columns and the stencil tail's tile. *)
+
 val geometry :
   ?pool:Util.Pool.t -> ?chunk:int -> ?unit:int -> floats:int -> int -> geometry option
 (** The kernels' rule over [n] items of [unit] floats (default 1): a
     caller's [chunk] is in floats, rounded down to whole items and
-    floored at one item; by default [Util.Pool.default_chunk] on the
-    item count. A non-positive chunk is kept, so it is recorded as
-    given before [Util.Pool.parallel_for] rejects it. *)
+    floored at one item; by default {!default_chunk}. A non-positive
+    chunk is kept, so it is recorded as given before
+    [Util.Pool.parallel_for] rejects it. *)
 
 val run : geometry option -> n:int -> (int -> int -> unit) -> unit
 (** [run g ~n range]: [range lo hi] over the items [\[0, n)], pooled
     under [g] or serially. *)
 
-val prof :
-  ?sweeps:int -> geometry option -> string -> n:int -> Util.Prof.operand list -> unit
-(** [prof g kernel ~n operands]: report a launch over [n] floats to
-    [Util.Prof] at geometry [g] (its chunk counted in floats), with
-    [reduce_block] when an operand reduces, and [sweeps] (default 1; 0
-    for a stencil or operator). Hooks call it under
-    [if !Util.Prof.on]. *)
+(** {2 The launch helper}
+
+    Every kernel and operator entry in the tree — the kernels below,
+    [Fused], [Multi_blas], the [Dirac.Wilson] and [Dirac.Mobius]
+    entries, BiCGStab's p-update — describes its launch once: name,
+    operands with their roles ([Util.Prof.read], [write], [update],
+    [reduce]), length [n] in floats, geometry. {!launch_fold} runs the
+    description in four steps:
+    + a BLAS-1 launch ([sweeps = 1], the default) needs every operand
+      to span [n] floats: ["kernel: length mismatch"];
+    + PLAN002's rule ([Util.Prof.aliased]): a written or updated
+      operand sharing storage with any other operand raises
+      ["kernel: an output shares storage with another operand"]. The
+      probe is physical equality, else a marker written through
+      element 0 of the {e output} and restored, so an [Array1.sub]
+      view is caught and launches with disjoint outputs can run side
+      by side. A vector read twice is legal;
+    + when [Util.Prof] records, the launch is reported at [g] (its
+      chunk in floats), with [reduce_block] when an operand reduces;
+    + the body runs, and with [Sanitize] on every written or updated
+      operand, then every result, is trapped if non-finite.
+    All failures are [Invalid_argument]. *)
+
+val launch_fold :
+  ?sweeps:int ->
+  string ->
+  geometry option ->
+  n:int ->
+  Util.Prof.operand list ->
+  (unit -> float array) ->
+  float array
+(** [launch_fold kernel g ~n operands body]: the launch whose [body]
+    returns its reductions' results, in the order of its [reduce]
+    operands. *)
+
+val launch :
+  ?sweeps:int -> string -> geometry option -> n:int -> Util.Prof.operand list ->
+  (unit -> unit) -> unit
+(** {!launch_fold} for a launch that reduces nothing. *)
+
+val check_aliasing : string -> Util.Prof.operand list -> unit
+(** The aliasing step alone, for the entries that are not recorded
+    ([Dirac.Wilson.hop_sites], the full [Dirac.Mobius] operator and
+    its 5th-dimension pieces). *)
 
 (** {2 The canonical reduction}
 
@@ -80,8 +124,8 @@ val prof :
 
 val reduction : ?pool:Util.Pool.t -> ?chunk:int -> int -> geometry option
 (** [reduction n]: the geometry of a fold over [n] floats. Its items
-    are blocks, so a chunk (in floats) counts whole blocks, and the
-    default chunk is [Util.Pool.default_chunk] on the block count. *)
+    are blocks, so a chunk (in floats) counts whole blocks, as does
+    {!default_chunk}. *)
 
 val fold : geometry option -> n:int -> (int -> int -> float) -> float
 (** [fold g ~n term]: the sum of [term lo hi] over the blocks of
@@ -107,9 +151,9 @@ val fold_partials :
     Every kernel takes [?pool ?chunk] ([chunk] in floats; [caxpy]
     halves it to pairs, the reductions count it in blocks) and runs
     at the one {!geometry} it also records. All are
-    bit-identical across pools and chunks, and the [Sanitize] hooks
-    run on every path. Each reports itself to [Util.Prof], as do
-    [copy] and [blit]. *)
+    bit-identical across pools and chunks. Each, [copy] and [blit]
+    included, is one {!launch}: equal lengths, no aliased output,
+    recorded, sanitized. *)
 
 val axpy : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> unit
 (** [axpy a x y]: y <- y + a·x. *)
@@ -137,11 +181,12 @@ val cdot : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> Cplx.t
 val gaussian : Util.Rng.t -> t -> unit
 (** Fill with unit-variance Gaussian noise. *)
 
-(** Opt-in NaN/Inf sanitizer for the BLAS-1 hot paths. When [enabled],
-    [axpy]/[xpay]/[scale]/[sub]/[caxpy] scan their output vector and
-    [norm2]/[dot_re]/[cdot] check their result, naming the first kernel
-    that produces a non-finite value. Off by default (one ref read per
-    kernel call). *)
+(** Opt-in NaN/Inf sanitizer. When [enabled], every {!launch} scans
+    the vectors it wrote and checks the results it returned, naming the
+    first kernel that produces a non-finite value — a stencil or
+    operator entry included. [Half.encode] checks its input, which the
+    codec would otherwise turn into 0. Off by default (one ref read per
+    launch). *)
 module Sanitize : sig
   exception Non_finite of string * int * float
   (** [(kernel, index, value)]; [index] is [-1] for reduction results. *)
@@ -159,9 +204,6 @@ module Sanitize : sig
   (** Most recent first; capped at [max_recorded] entries. *)
 
   val reset : unit -> unit
-
-  val check_scalar : string -> float -> float
-  val check_vec : string -> t -> unit
 
   val scoped : ?raise_on_trap:bool -> (unit -> 'a) -> 'a
   (** Run with the sanitizer on (trap log cleared), restoring the

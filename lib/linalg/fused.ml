@@ -17,14 +17,12 @@
    partials folded in block-index order on the calling domain — the
    exact association of the standalone [Field.norm2]/[dot_re].
 
-   The fused contract is stricter than the unfused kernels about
-   aliasing: an output buffer sharing data with a distinct-role input
-   is rejected ([Invalid_argument]) — the guard probes the underlying
-   storage, so distinct Bigarray handles over the same data are caught
-   too. Element-local updates make most aliasings accidentally agree
-   here, but the contract is what a vectorized or accelerator
-   implementation needs, and it is what [Check.Plan_check] PLAN002
-   verifies statically. *)
+   Each kernel runs through [Field.launch_fold], so it keeps PLAN002's
+   aliasing rule at runtime: a vector it writes or updates appears in
+   the launch once ([Invalid_argument] otherwise, probed through the
+   storage). Element-local updates make most aliasings accidentally
+   agree here, but the contract is what a vectorized or accelerator
+   implementation needs. *)
 
 open Bigarray
 
@@ -42,48 +40,6 @@ let mode_name = function
   | Unfused -> "unfused"
   | Fused -> "fused"
   | Tail_fused -> "tailfused"
-
-let check2 name a b =
-  if Field.length a <> Field.length b then
-    invalid_arg (name ^ ": length mismatch")
-
-(* Aliasing probe: do two fields share their underlying data? Physical
-   equality catches the direct misuse; for distinct Bigarray handles
-   over the same storage (Array1.sub, a re-wrapped pointer) we write a
-   bit-distinguishable marker through [a.{0}] and watch whether
-   [b.{0}] observes it, restoring [a.{0}] afterwards. The marker
-   differs from [b.{0}]'s current bits by construction (lowest
-   mantissa bit flipped), so a non-aliasing pair can never test
-   positive. Overlaps that do not cover both elements 0 (staggered
-   sub-windows) still escape — PLAN002 models the full hazard
-   statically. *)
-let same_data (a : t) (b : t) =
-  a == b
-  || Field.length a > 0
-     && Field.length b > 0
-     &&
-     let va = Array1.unsafe_get a 0 in
-     let vb = Array1.unsafe_get b 0 in
-     let marker =
-       Int64.float_of_bits (Int64.logxor (Int64.bits_of_float vb) 1L)
-     in
-     Array1.unsafe_set a 0 marker;
-     let aliased =
-       Int64.bits_of_float (Array1.unsafe_get b 0) = Int64.bits_of_float marker
-     in
-     Array1.unsafe_set a 0 va;
-     aliased
-
-(* Aliasing guard: [outs] must not share data with any of [ins]. *)
-let no_alias name outs ins =
-  List.iter
-    (fun (o : t) ->
-      List.iter
-        (fun (i : t) ->
-          if same_data o i then
-            invalid_arg (name ^ ": output aliases an input of a different role"))
-        ins)
-    outs
 
 (* ---- fused range terms: update the block, reduce it, in one pass.
    Accumulation visits elements in index order, one float at a time —
@@ -144,57 +100,34 @@ let caxpy_norm2_term (ar, ai) (x : t) (y : t) lo hi =
   end;
   !acc
 
-let finish kernel (v : t) s =
-  Field.Sanitize.check_vec kernel v;
-  Field.Sanitize.check_scalar kernel s
-
 (* y <- y + alpha x; returns |y|^2 *)
 let axpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
-  check2 "Fused.axpy_norm2" x y;
-  no_alias "Fused.axpy_norm2" [ y ] [ x ];
   let n = Field.length x in
   let g = Field.reduction ?pool ?chunk n in
-  if !Util.Prof.on then
-    Field.prof g "Fused.axpy_norm2" ~n Util.Prof.[ read x; update y; reduce ];
-  finish "Fused.axpy_norm2" y (Field.fold g ~n (axpy_norm2_term alpha x y))
+  (Field.launch_fold "Fused.axpy_norm2" g ~n Util.Prof.[ read x; update y; reduce ]
+     (fun () -> [| Field.fold g ~n (axpy_norm2_term alpha x y) |])).(0)
 
 (* p <- x + beta p; returns p.q *)
 let xpay_dot ?pool ?chunk (x : t) beta (p : t) (q : t) =
-  check2 "Fused.xpay_dot" x p;
-  check2 "Fused.xpay_dot" x q;
-  no_alias "Fused.xpay_dot" [ p ] [ x ];
   let n = Field.length x in
   let g = Field.reduction ?pool ?chunk n in
-  if !Util.Prof.on then
-    Field.prof g "Fused.xpay_dot" ~n Util.Prof.[ read x; update p; read q; reduce ];
-  finish "Fused.xpay_dot" p (Field.fold g ~n (xpay_dot_term x beta p q))
+  (Field.launch_fold "Fused.xpay_dot" g ~n Util.Prof.[ read x; update p; read q; reduce ]
+     (fun () -> [| Field.fold g ~n (xpay_dot_term x beta p q) |])).(0)
 
 (* x <- x + alpha p; r <- r - alpha ap; returns |r|^2 *)
 let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
-  check2 "Fused.cg_update" p ap;
-  check2 "Fused.cg_update" p x;
-  check2 "Fused.cg_update" p r;
-  no_alias "Fused.cg_update" [ x; r ] [ p; ap ];
-  if same_data x r then
-    invalid_arg "Fused.cg_update: output aliases an input of a different role";
   let n = Field.length p in
   let g = Field.reduction ?pool ?chunk n in
-  if !Util.Prof.on then
-    Field.prof g "Fused.cg_update" ~n
-      Util.Prof.[ read p; read ap; update x; update r; reduce ];
-  let s = Field.fold g ~n (cg_update_term alpha p ap x r) in
-  Field.Sanitize.check_vec "Fused.cg_update" x;
-  finish "Fused.cg_update" r s
+  (Field.launch_fold "Fused.cg_update" g ~n
+     Util.Prof.[ read p; read ap; update x; update r; reduce ]
+     (fun () -> [| Field.fold g ~n (cg_update_term alpha p ap x r) |])).(0)
 
 (* y <- y + alpha x (complex alpha, interleaved); returns |y|^2 *)
 let caxpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
-  check2 "Fused.caxpy_norm2" x y;
-  no_alias "Fused.caxpy_norm2" [ y ] [ x ];
   let n = Field.length x in
   let g = Field.reduction ?pool ?chunk n in
-  if !Util.Prof.on then
-    Field.prof g "Fused.caxpy_norm2" ~n Util.Prof.[ read x; update y; reduce ];
-  finish "Fused.caxpy_norm2" y (Field.fold g ~n (caxpy_norm2_term alpha x y))
+  (Field.launch_fold "Fused.caxpy_norm2" g ~n Util.Prof.[ read x; update y; reduce ]
+     (fun () -> [| Field.fold g ~n (caxpy_norm2_term alpha x y) |])).(0)
 
 (* ---- stencil output tail ----
    The closure a hop kernel applies per site-block right after the
@@ -220,30 +153,21 @@ type tail = {
 
 let tail ?xpay ~dot () = { t_xpay = xpay; t_dot = dot }
 
-(* The tail's operands as a stencil entry reports them to Util.Prof. *)
+(* The tail's operands as a stencil entry lists them in its launch. *)
 let tail_operands tl =
   (match tl.t_xpay with Some (out, _) -> [ Util.Prof.update out ] | None -> [])
   @ Util.Prof.[ read tl.t_dot; reduce ]
 
-(* Guard + shape check, called by the stencil front-ends before the
-   launch: every tail operand spans the stencil output, and the xpay
-   output must not alias the stencil's dst — the fused pass reads dst
-   as the xpay x-operand while writing out, the PLAN002 hazard the
-   probing [same_data] rejects even across distinct handles. [q]
-   aliasing dst or out is legal (read-only role — the monitor-dot
-   idiom). *)
-let tail_check name ~n ~(dst : t) tl =
+(* Shape check, called by the stencil front-ends before the launch:
+   every tail operand spans the stencil output. Aliasing is the
+   launch's: [Field.launch_fold] sees the tail's operands. *)
+let tail_check name ~n tl =
   let len what (v : t) =
     if Field.length v <> n then
       invalid_arg (Printf.sprintf "%s: tail %s length mismatch" name what)
   in
   len "dot" tl.t_dot;
-  match tl.t_xpay with
-  | None -> ()
-  | Some (out, _) ->
-    len "xpay output" out;
-    if same_data out dst then
-      invalid_arg (name ^ ": tail output aliases the stencil dst")
+  Option.iter (fun (out, _) -> len "xpay output" out) tl.t_xpay
 
 (* The serial per-block term: callers hand it canonical-block [lo, hi)
    float ranges of dst through Field.fold_partials. Accumulation is one

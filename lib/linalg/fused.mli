@@ -5,17 +5,14 @@
     [Field.reduce_block]-float blocked, index-ordered reduction
     ([Field.fold]) with the element-wise update folded into the
     block pass. Each kernel takes [?pool ?chunk] like [Field]'s and
-    reports itself to [Util.Prof].
+    runs through [Field.launch_fold].
 
-    Stricter aliasing contract than the unfused kernels: an output
-    vector sharing storage with an input of a different role raises
-    [Invalid_argument] (a real fused kernel caches in registers; see
-    [Check.Plan_check] PLAN002). The guard probes the underlying data
-    through element 0, so distinct Bigarray handles over the same
-    buffer are rejected too — not just physical equality. Passing the
-    same vector where the *spec* says so — e.g. [xpay_dot r beta p r],
-    the CG orthogonality monitor — is fine: [q] and [x] are read-only
-    roles. *)
+    Aliasing contract, PLAN002's: a vector a kernel writes or updates
+    appears in the call exactly once, else [Invalid_argument] — probed
+    through the storage, so a second Bigarray handle over the same
+    data is rejected too. A vector read twice is legal: [xpay_dot r
+    beta p r], the CG orthogonality monitor, reads [r] as [x] and
+    [q]. *)
 
 type t = Field.t
 
@@ -30,12 +27,6 @@ type mode = Unfused | Fused | Tail_fused
 val mode_name : mode -> string
 (** ["unfused"] / ["fused"] / ["tailfused"] — the label prefixes the
     autotuner caches winners under. *)
-
-val same_data : t -> t -> bool
-(** Do the two fields share their underlying storage? Physical
-    equality, or a write-probe through element 0 that catches distinct
-    Bigarray handles over the same data. Staggered overlaps that cover
-    neither element 0 escape (modeled statically by PLAN002). *)
 
 (** {2 Stencil output tail}
 
@@ -57,14 +48,14 @@ val tail : ?xpay:t * float -> dot:t -> unit -> tail
 
 val tail_operands : tail -> Util.Prof.operand list
 (** The xpay output (updated), [q] (read) and the reduction, as the
-    tail-carrying stencil entries report them to [Util.Prof]. *)
+    tail-carrying stencil entries list them in their launch. *)
 
-val tail_check : string -> n:int -> dst:t -> tail -> unit
-(** Shape and aliasing guard, run by the stencil front-ends before the
-    launch: every tail operand must span the [n]-float stencil output,
-    and the xpay output must not alias the stencil [dst] (probed via
-    {!same_data}; raises [Invalid_argument] — the runtime counterpart
-    of the PLAN002 tail-alias hazard). *)
+val tail_check : string -> n:int -> tail -> unit
+(** Shape guard, run by the stencil front-ends before the launch: every
+    tail operand must span the [n]-float stencil output
+    ([Invalid_argument]). The launch checks aliasing: with
+    {!tail_operands} among its operands, an xpay output or a [q] that
+    shares storage with the stencil [dst] is rejected. *)
 
 val tail_term : tail -> dst:t -> int -> int -> float
 (** [tail_term tl ~dst lo hi]: the serial per-block pass over floats

@@ -8,15 +8,14 @@
     here is bit-identical to the independent fused call on vector [i],
     serial or pooled, for any pool geometry. Every kernel takes
     [?pool ?chunk] ([chunk] in floats, applied to each RHS's block
-    space) like [Field]'s, and reports itself to [Util.Prof] as one
-    launch whose operands carry their batch slot.
+    space) like [Field]'s, and runs as one [Field.launch] whose
+    operands carry their batch slot.
 
-    Aliasing contract, set-wide: an output sharing storage with an
-    input of a different role, or with another output, raises
-    [Invalid_argument] (probed through [Fused.same_data]). Read-only
-    repetition — e.g. [qs.(i) == ps.(i)], the monitor-dot idiom — is
-    legal. All vectors in a call must have one common length; batches
-    must be non-empty. *)
+    Aliasing contract, PLAN002's, set-wide: a vector written or updated
+    in any slot appears in the call exactly once, else
+    [Invalid_argument] (probed through the storage). A vector read
+    twice is legal. All vectors in a call must have one common length;
+    batches must be non-empty. *)
 
 type t = Field.t
 

@@ -22,17 +22,16 @@ let of_cplx (c : Cplx.t) = (c.Cplx.re, c.Cplx.im)
 
 (* p <- r + beta * p (complex beta, interleaved layout). *)
 let xpby (r : Field.t) (br, bi) (p : Field.t) =
-  if !Util.Prof.on then
-    Field.prof None "Bicgstab.xpby" ~n:(Field.length r) Util.Prof.[ read r; update p ];
-  let half = Field.length r / 2 in
-  for k = 0 to half - 1 do
-    let pr = Bigarray.Array1.unsafe_get p (2 * k) in
-    let pi = Bigarray.Array1.unsafe_get p ((2 * k) + 1) in
-    Bigarray.Array1.unsafe_set p (2 * k)
-      (Bigarray.Array1.unsafe_get r (2 * k) +. ((br *. pr) -. (bi *. pi)));
-    Bigarray.Array1.unsafe_set p ((2 * k) + 1)
-      (Bigarray.Array1.unsafe_get r ((2 * k) + 1) +. ((br *. pi) +. (bi *. pr)))
-  done
+  Field.launch "Bicgstab.xpby" None ~n:(Field.length r) Util.Prof.[ read r; update p ]
+    (fun () ->
+      for k = 0 to (Field.length r / 2) - 1 do
+        let pr = Bigarray.Array1.unsafe_get p (2 * k) in
+        let pi = Bigarray.Array1.unsafe_get p ((2 * k) + 1) in
+        Bigarray.Array1.unsafe_set p (2 * k)
+          (Bigarray.Array1.unsafe_get r (2 * k) +. ((br *. pr) -. (bi *. pi)));
+        Bigarray.Array1.unsafe_set p ((2 * k) + 1)
+          (Bigarray.Array1.unsafe_get r ((2 * k) + 1) +. ((br *. pi) +. (bi *. pr)))
+      done)
 
 let stats ~iterations ~converged ~rel ~true_rel ~flops ~t_start =
   {
@@ -45,9 +44,7 @@ let stats ~iterations ~converged ~rel ~true_rel ~flops ~t_start =
     reliable_updates = 0;
   }
 
-let solve ?(fused = false) ?trace ~apply ~(b : Field.t) ~tol ~max_iter
-    ~flops_per_apply () =
-  let emit v = match trace with Some f -> f v | None -> () in
+let solve ?(fused = false) ~apply ~(b : Field.t) ~tol ~max_iter ~flops_per_apply () =
   let n = Field.length b in
   let t_start = Util.Clock.now_s () in
   let x = Field.create n in
@@ -89,7 +86,7 @@ let solve ?(fused = false) ?trace ~apply ~(b : Field.t) ~tol ~max_iter
             Field.norm2 s
           end
         in
-        emit s2;
+        Util.Prof.mark ~rhs:0 s2;
         if s2 <= target then begin
           Field.caxpy alpha p x;
           converged := true
@@ -113,7 +110,7 @@ let solve ?(fused = false) ?trace ~apply ~(b : Field.t) ~tol ~max_iter
                 Field.norm2 r
               end
             in
-            emit r2;
+            Util.Prof.mark ~rhs:0 r2;
             if r2 <= target then converged := true
             else begin
               let rho' = of_cplx (Field.cdot r_hat r) in

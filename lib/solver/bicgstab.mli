@@ -6,7 +6,6 @@
 
 val solve :
   ?fused:bool ->
-  ?trace:(float -> unit) ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   b:Linalg.Field.t ->
   tol:float ->
@@ -21,6 +20,6 @@ val solve :
     [fused] (default [false]) computes the two residual updates
     (s = r − α·v and r = s − ω·t) with [Linalg.Fused.caxpy_norm2],
     folding the convergence-check norm into the update sweep —
-    bit-identical trajectory for any pool geometry. [trace] receives
-    each residual norm² as it is computed (|s|², then |r|² when the
-    iteration reaches it). *)
+    bit-identical trajectory for any pool geometry. Each residual norm²
+    is marked ([Util.Prof.mark ~rhs:0]) as it is computed: |s|², then
+    |r|² when the iteration reaches it. *)

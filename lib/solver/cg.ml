@@ -46,7 +46,7 @@ let dots apply ps aps =
    the vector kernels — [Linalg.Multi_blas] slot i is the [Fused]
    kernel by construction — so its trajectory does not depend on its
    batch-mates. [name] heads the entry errors. *)
-let run ~name ~x0s ~deflate ~fused ~trace ~apply ~step ~(bs : Field.t array)
+let run ~name ~x0s ~deflate ~fused ~apply ~step ~(bs : Field.t array)
     ~tol ~max_iter ~flops_per_apply =
   let k = Array.length bs in
   let n = Field.length bs.(0) in
@@ -161,7 +161,7 @@ let run ~name ~x0s ~deflate ~fused ~trace ~apply ~step ~(bs : Field.t array)
         (Linalg.Multi_blas.xpay_dot (pick rs a) betas (pick ps a) (pick rs a)
           : float array)
     else Array.iteri (fun j i -> Field.xpay rs.(i) betas.(j) ps.(i)) a;
-    Option.iter (fun f -> Array.iteri (fun j i -> f i r2_news.(j)) a) trace;
+    Array.iteri (fun j i -> Util.Prof.mark ~rhs:i r2_news.(j)) a;
     (* masking: a converged or exhausted RHS leaves the batch *)
     Array.iter (fun i -> if not (running i) then retire i) a
   in
@@ -185,8 +185,8 @@ let run ~name ~x0s ~deflate ~fused ~trace ~apply ~step ~(bs : Field.t array)
   done;
   (xs, Array.map Option.get out)
 
-let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
-    ~apply ~(b : Field.t) ~tol ~max_iter ~flops_per_apply () =
+let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ~apply
+    ~(b : Field.t) ~tol ~max_iter ~flops_per_apply () =
   let apply xs ys = apply xs.(0) ys.(0) in
   (* fused, a tail-capable operator computes p·Ap inside the stencil's
      closing sweep — the 2-sweep plan Perf_model prices — bit-identical
@@ -197,14 +197,13 @@ let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
     | _ -> dots apply
   in
   let xs, stats =
-    run ~name:"Cg.solve" ~x0s:(Option.map (fun x -> [| x |]) x0) ~deflate ~fused
-      ~trace:(Option.map (fun f _ r2 -> f r2) trace)
-      ~apply ~step ~bs:[| b |] ~tol ~max_iter ~flops_per_apply
+    run ~name:"Cg.solve" ~x0s:(Option.map (fun x -> [| x |]) x0) ~deflate ~fused ~apply
+      ~step ~bs:[| b |] ~tol ~max_iter ~flops_per_apply
   in
   (xs.(0), stats.(0))
 
-let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
-    ~apply ~(bs : Field.t array) ~tol ~max_iter ~flops_per_apply () =
+let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ~apply
+    ~(bs : Field.t array) ~tol ~max_iter ~flops_per_apply () =
   let k = Array.length bs in
   if k = 0 then invalid_arg "Cg.solve_multi: empty batch";
   let n = Field.length bs.(0) in
@@ -216,5 +215,5 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
   | Some xs when Array.length xs <> k ->
     invalid_arg "Cg.solve_multi: x0s width mismatch"
   | _ -> ());
-  run ~name:"Cg.solve_multi" ~x0s ~deflate ~fused ~trace ~apply ~step:(dots apply)
+  run ~name:"Cg.solve_multi" ~x0s ~deflate ~fused ~apply ~step:(dots apply)
     ~bs ~tol ~max_iter ~flops_per_apply

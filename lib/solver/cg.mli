@@ -27,7 +27,6 @@ val solve :
   ?deflate:Deflate.t ->
   ?fused:bool ->
   ?apply_dot:(Linalg.Field.t -> Linalg.Field.t -> float) ->
-  ?trace:(float -> unit) ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   b:Linalg.Field.t ->
   tol:float ->
@@ -57,11 +56,10 @@ val solve :
     solve without [apply_dot] keeps the dot as a separate monitor
     sweep (same bits, one more sweep, not model-priced).
 
-    [trace] is called with |r|² once per iteration (after the residual
-    update) — the hook the fused≡unfused trajectory tests compare on,
-    and the iteration boundary [Check.Plan_record] records
-    ([Util.Prof.mark]) to cut one iteration's launches out of a
-    recorded solve.
+    Each iteration ends in [Util.Prof.mark ~rhs:0] with |r|² (after
+    the residual update) — what the fused≡unfused trajectory tests
+    compare, and the boundary [Check.Plan_record] cuts one iteration's
+    launches out of a recorded solve at.
 
     [deflate] folds the low-mode correction Σᵢ vᵢ(vᵢ·r₀)/λᵢ of the
     entry residual into the initial guess (one extra apply recomputes
@@ -73,7 +71,6 @@ val solve_multi :
   ?x0s:Linalg.Field.t array ->
   ?deflate:Deflate.t ->
   ?fused:bool ->
-  ?trace:(int -> float -> unit) ->
   apply:(Linalg.Field.t array -> Linalg.Field.t array -> unit) ->
   bs:Linalg.Field.t array ->
   tol:float ->
@@ -97,9 +94,9 @@ val solve_multi :
 
     [fused] routes the tail through [Linalg.Multi_blas] (per-RHS
     bit-identical to the [Linalg.Fused] path, hence to the unfused
-    scalar path). [trace i r2] fires once per iteration per active
-    RHS [i]. [x0s], when given, must match [bs] in width. Batch must
-    be non-empty; all fields the same length.
+    scalar path). Each iteration marks ([Util.Prof.mark ~rhs:i]) every
+    active RHS [i] with its |r|². [x0s], when given, must match [bs]
+    in width. Batch must be non-empty; all fields the same length.
 
     [deflate] seeds every guess with the batched low-mode correction
     (one k×r coefficient tile, one [Multi_blas.block_axpy] launch,

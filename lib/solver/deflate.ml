@@ -141,8 +141,8 @@ let combined_guess ?deflate ?forecast ~apply ~(b : Field.t) () =
   | Some d, None -> Some (deflated_guess d ~b)
   | Some d, Some x ->
     let n = Field.length b in
-    let ax = Field.create n in
+    let ax = Field.create n and r = Field.create n in
     apply x ax;
-    Field.sub b ax ax;
-    augment d ~r:ax x;
+    Field.sub b ax r;
+    augment d ~r x;
     Some x

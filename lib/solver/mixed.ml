@@ -43,7 +43,9 @@ let quantize ~block v =
   Field.Half.encode v h;
   Field.Half.decode h v
 
-let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
+(* [slot]: the right-hand side's place in a batch, carried by the
+   marks of its inner iterations. *)
+let solve_slot ~slot ?(config = default_config) ?deflate ?(fused = false) ~apply
     ~(b : Field.t) ~flops_per_apply () =
   let n = Field.length b in
   (match validate_config ~n config with
@@ -118,7 +120,7 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
           rs2 := rs2_new;
           if fused then ignore (Linalg.Fused.xpay_dot rs beta p rs : float)
           else Field.xpay rs beta p;
-          match trace with Some f -> f rs2_new | None -> ()
+          Util.Prof.mark ~rhs:slot rs2_new
         end
       done;
       (* ---- reliable update: promote and recompute exactly ---- *)
@@ -188,13 +190,15 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
         reliable_updates = 0;
       } )
 
+let solve = solve_slot ~slot:0
+
 (* Batched front end: the half-precision inner loop's quantization
    state is inherently per-vector, so the Mixed hook of
    [Cg.solve_multi] runs the k systems through independent mixed
    solves against a width-1 view of the batched operator — trivially
    bit-identical per RHS, and the seam where a future half-precision
    multi-RHS inner loop slots in. *)
-let solve_multi ?config ?deflate ?fused ?trace ~apply ~(bs : Field.t array)
+let solve_multi ?config ?deflate ?fused ~apply ~(bs : Field.t array)
     ~flops_per_apply () =
   let k = Array.length bs in
   if k = 0 then invalid_arg "Mixed.solve_multi: empty batch";
@@ -202,9 +206,7 @@ let solve_multi ?config ?deflate ?fused ?trace ~apply ~(bs : Field.t array)
     Array.mapi
       (fun i b ->
         let apply1 src dst = apply [| src |] [| dst |] in
-        let trace1 = Option.map (fun f -> f i) trace in
-        solve ?config ?deflate ?fused ?trace:trace1 ~apply:apply1 ~b
-          ~flops_per_apply ())
+        solve_slot ~slot:i ?config ?deflate ?fused ~apply:apply1 ~b ~flops_per_apply ())
       bs
   in
   (Array.map fst results, Array.map snd results)

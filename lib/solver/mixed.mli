@@ -29,7 +29,6 @@ val solve :
   ?config:config ->
   ?deflate:Deflate.t ->
   ?fused:bool ->
-  ?trace:(float -> unit) ->
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   b:Linalg.Field.t ->
   flops_per_apply:float ->
@@ -44,8 +43,8 @@ val solve :
     outer reliable-update residual through the single-pass
     [Linalg.Fused] kernels — bit-identical trajectory, iteration count
     and reliable-update count vs the unfused path for any pool
-    geometry. [trace] receives the inner |r|² once per inner iteration
-    (post-quantization, the value the recurrence uses).
+    geometry. Each inner iteration ends in [Util.Prof.mark ~rhs:0]
+    with its |r|² (post-quantization, the value the recurrence uses).
 
     [deflate] lives entirely in the outer double-precision world: the
     low-mode guess is folded into x at entry and the deflated span is
@@ -59,7 +58,6 @@ val solve_multi :
   ?config:config ->
   ?deflate:Deflate.t ->
   ?fused:bool ->
-  ?trace:(int -> float -> unit) ->
   apply:(Linalg.Field.t array -> Linalg.Field.t array -> unit) ->
   bs:Linalg.Field.t array ->
   flops_per_apply:float ->
@@ -69,5 +67,5 @@ val solve_multi :
     mixed-precision solver. The half-precision inner loop's
     quantization state is per-vector, so the current implementation
     advances the k systems as independent [solve]s over width-1
-    batches of [apply] — per RHS bit-identical by construction.
-    [trace i r2] receives the inner residual of system [i]. *)
+    batches of [apply] — per RHS bit-identical by construction. The
+    inner iterations of system [i] mark with [~rhs:i]. *)

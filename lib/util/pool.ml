@@ -142,14 +142,9 @@ let shutdown t =
 let serial_chunks n chunk f =
   Array.iter (fun (lo, hi) -> f lo hi) (chunks ~n ~chunk)
 
-let parallel_for t ?chunk ~n f =
+let parallel_for t ~chunk ~n f =
   if n > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | Some _ -> invalid_arg "Pool.parallel_for: chunk must be positive"
-      | None -> default_chunk t n
-    in
+    if chunk <= 0 then invalid_arg "Pool.parallel_for: chunk must be positive";
     if t.n_workers = 0 || t.stop || t.busy || not (Domain.self () = t.owner) then
       serial_chunks n chunk f
     else begin

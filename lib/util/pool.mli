@@ -37,12 +37,14 @@ val chunks : n:int -> chunk:int -> (int * int) array
     [Check.Plan_check] so the verifier audits the real geometry. *)
 
 val default_chunk : t -> int -> int
-(** Chunk chosen when the caller does not pin one: ~4 chunks per lane
-    with a floor of 1024 elements. Deterministic in (pool size, n). *)
+(** [default_chunk t floats]: ~4 chunks per lane with a floor of 1024
+    floats. Deterministic in (pool size, floats). [Linalg.Field.default_chunk]
+    counts it in a launch's items. *)
 
-val parallel_for : t -> ?chunk:int -> n:int -> (int -> int -> unit) -> unit
-(** [parallel_for t ~n f] runs [f lo hi] over the chunk partition of
-    [0, n). Which lane runs which chunk is unspecified; any [f] whose
+val parallel_for : t -> chunk:int -> n:int -> (int -> int -> unit) -> unit
+(** [parallel_for t ~chunk ~n f] runs [f lo hi] over the chunk
+    partition of [0, n); a non-positive [chunk] raises
+    [Invalid_argument]. Which lane runs which chunk is unspecified; any [f] whose
     writes depend only on the element index is bit-identical to the
     serial loop. Exceptions from chunks are re-raised (first one) on
     the calling domain after the join. *)

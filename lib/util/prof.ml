@@ -22,7 +22,7 @@ type launch = {
   sweeps : int;
 }
 
-type event = Launch of launch | Quantize of vec * int | Mark
+type event = Launch of launch | Quantize of vec * int | Mark of int * float
 
 let on = ref false
 let owner = ref (Domain.self ())
@@ -54,6 +54,29 @@ let reduce = { role = Reduce; vec = None; rhs = 0; range = None }
 let batch k f =
   List.concat (List.init k (fun i -> List.map (fun o -> { o with rhs = i }) (f i)))
 
+(* The aliasing rule, shared by the kernels' runtime check and
+   PLAN002: each pair with a written member is tested once, the
+   written one passed first. Every kernel call runs it, so it
+   allocates only what it returns. *)
+let writes = function Write | Update -> true | Read | Reduce -> false
+
+let rec clashes role same o acc = function
+  | [] -> acc
+  | x :: rest ->
+    let acc =
+      if writes (role o) && same o x then o :: acc
+      else if writes (role x) && same x o then x :: acc
+      else acc
+    in
+    clashes role same o acc rest
+
+let aliased role same ops =
+  let rec pairs acc = function
+    | [] -> List.rev acc
+    | o :: rest -> pairs (clashes role same o acc rest) rest
+  in
+  pairs [] ops
+
 (* Smallest nonzero and largest magnitude; (0, 0) for an all-zero
    vector. *)
 let magnitudes (v : vec) =
@@ -78,11 +101,4 @@ let launch ~kernel ~n ~geometry ~block ~sweeps operands =
       :: !events
 
 let quantize v ~block = push (Quantize (v, block))
-let mark () = push Mark
-
-let muted f x =
-  if not (recording ()) then f x
-  else begin
-    on := false;
-    Fun.protect ~finally:(fun () -> on := true) (fun () -> f x)
-  end
+let mark ~rhs r2 = push (Mark (rhs, r2))

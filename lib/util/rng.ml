@@ -2,7 +2,12 @@
    Stdlib.Random — stable across OCaml releases, so every test and bench
    in this repository is reproducible bit-for-bit from a seed. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words live unboxed in 32 bytes: mutable [int64]
+   record fields would box a fresh value on every step. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -14,36 +19,32 @@ let splitmix64_next state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+let of_seed seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for w = 0 to 3 do
+    set t (8 * w) (splitmix64_next state)
+  done;
+  t
 
-let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let create seed = of_seed (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 8 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
   result
 
-let split t =
-  (* Derive an independent stream: hash the parent's next output through
-     splitmix64 so parent and child sequences do not overlap in practice. *)
-  let state = ref (next_int64 t) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+(* Derive an independent stream: hash the parent's next output through
+   splitmix64 so parent and child sequences do not overlap in practice. *)
+let split t = of_seed (next_int64 t)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let float t =
   (* 53 random bits into [0,1). *)

@@ -256,8 +256,8 @@ let wire_bytes t ~n_sites =
 
 (* Pack (transport permitting) and "send" every listed face of every
    rank. Ghost slots are untouched until the matching [complete]. The
-   fields are checked before any message is counted: the pack and the
-   zero-copy delivery index them unchecked. *)
+   fields and the face ids are checked before any message is counted:
+   the pack and the zero-copy delivery index them unchecked. *)
 let post ?faces t (fields : Field.t array) : handle =
   if Array.length fields <> n_ranks t then
     invalid_arg
@@ -272,8 +272,16 @@ let post ?faces t (fields : Field.t array) : handle =
              (Field.length f) len))
     fields;
   let face_ids = match faces with None -> all_face_ids | Some f -> f in
-  let distinct = List.sort_uniq compare (Array.to_list face_ids) in
-  if List.length distinct = 8 then
+  Array.iteri
+    (fun i fid ->
+      if fid < 0 || fid > 7 then
+        invalid_arg (Printf.sprintf "Comm.post: face id %d outside 0..7" fid);
+      for j = 0 to i - 1 do
+        if face_ids.(j) = fid then
+          invalid_arg (Printf.sprintf "Comm.post: face id %d listed twice" fid)
+      done)
+    face_ids;
+  if Array.length face_ids = 8 then
     t.stats.full_exchanges <- t.stats.full_exchanges + 1
   else t.stats.partial_exchanges <- t.stats.partial_exchanges + 1;
   let in_flight = ref [] in

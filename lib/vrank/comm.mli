@@ -81,9 +81,10 @@ type handle
 
 val post : ?faces:int array -> t -> Linalg.Field.t array -> handle
 (** Pack (transport permitting) + send the listed faces (default all 8)
-    on every rank. Counts one full (8 distinct faces) or partial
-    exchange. Raises [Invalid_argument], counting nothing, unless the
-    array holds one ext_volume·dof field per rank. *)
+    on every rank. Counts one full (all 8 faces) or partial exchange.
+    Raises [Invalid_argument], counting nothing, unless the array holds
+    one ext_volume·dof field per rank and every listed face id lies in
+    0..7 and appears once. *)
 
 val complete : handle -> face:int -> unit
 (** Deliver ghost face [face] (recv-side id) on every rank. Raises

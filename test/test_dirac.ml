@@ -584,6 +584,78 @@ let test_mobius_rejects_aliasing () =
       Mobius.apply_schur_normal_multi eo ~srcs:[| v; Mobius.create_eo_field eo |]
         ~dsts:[| Mobius.create_eo_field eo; v |])
 
+(* Every entry keeps PLAN002's rule at runtime: a dst that shares
+   storage with another operand — the same handle, or an Array1.sub
+   view — raises Invalid_argument naming the entry. *)
+let rejects_aliased name call =
+  List.iter
+    (fun (how, alias) ->
+      match call alias with
+      | () -> Alcotest.failf "%s: an output aliased %s accepted" name how
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, %s: %S names the entry" name how msg)
+          true
+          (String.starts_with ~prefix:(name ^ ": ") msg))
+    [
+      ("by handle", Fun.id);
+      ("through a sub view", fun v -> Bigarray.Array1.sub v 0 (Field.length v));
+    ]
+
+let test_entries_name_aliased_outputs () =
+  let geom, gauge, w = cb_setup () in
+  let nw = Geometry.half_volume geom * Wilson.floats_per_site in
+  let wf () = Field.create nw in
+  let tail q = Linalg.Fused.tail ~dot:q () in
+  rejects_aliased "Wilson.hop" (fun a -> let v = wf () in Wilson.hop w ~src:(a v) ~dst:v);
+  rejects_aliased "Wilson.hop_multi" (fun a ->
+      let d = wf () in
+      Wilson.hop_multi w ~srcs:[| wf (); wf () |] ~dsts:[| d; a d |]);
+  (* the tail's q may not be the dst the stencil writes *)
+  rejects_aliased "Wilson.hop_tail" (fun a ->
+      let d = wf () in
+      ignore (Wilson.hop_tail w ~src:(wf ()) ~dst:d ~tail:(tail (a d)) : float));
+  rejects_aliased "Wilson.hop_tail" (fun a ->
+      let d = wf () in
+      ignore
+        (Wilson.hop_tail w ~src:(wf ()) ~dst:d
+           ~tail:(Linalg.Fused.tail ~xpay:(a d, 0.5) ~dot:(wf ()) ())
+          : float));
+  rejects_aliased "Wilson.hop_sites" (fun a ->
+      let v = wf () in
+      Wilson.hop_sites w ~src:(a v) ~dst:v ());
+  rejects_aliased "Wilson.apply" (fun a ->
+      let v = wf () in
+      Wilson.apply w ~mass:0.1 ~src:(a v) ~dst:v);
+  rejects_aliased "Wilson.apply_dagger" (fun a ->
+      let v = wf () in
+      Wilson.apply_dagger w ~mass:0.1 ~src:(a v) ~dst:v);
+  let p, half, eo = eo_setup () in
+  let ef () = Mobius.create_eo_field eo in
+  let eo_entry name f = rejects_aliased name (fun a -> let v = ef () in f ~src:(a v) ~dst:v) in
+  eo_entry "Mobius.hop_eo" (Mobius.hop_eo eo ~to_parity:0);
+  eo_entry "Mobius.apply_schur" (Mobius.apply_schur eo);
+  eo_entry "Mobius.apply_schur_dagger" (Mobius.apply_schur_dagger eo);
+  eo_entry "Mobius.apply_schur_normal" (Mobius.apply_schur_normal eo);
+  rejects_aliased "Mobius.apply_schur_normal_tail" (fun a ->
+      let d = ef () in
+      ignore (Mobius.apply_schur_normal_tail eo ~src:(ef ()) ~dst:d ~tail:(tail (a d)) : float));
+  rejects_aliased "Mobius.apply_schur_normal_multi" (fun a ->
+      let d = ef () in
+      Mobius.apply_schur_normal_multi eo ~srcs:[| ef (); a d |] ~dsts:[| d; ef () |]);
+  let l5 = p.Mobius.l5 in
+  eo_entry "Mobius.apply_m5" (Mobius.apply_m5 p ~n4:half);
+  eo_entry "Mobius.apply_m5inv_dagger" (Mobius.apply_m5inv_dagger p ~n4:half);
+  eo_entry "Mobius.apply_g5r5" (Mobius.apply_g5r5 ~l5 ~n4:half);
+  let full = Mobius.of_geometry p geom gauge in
+  let ff () = Mobius.create_field full in
+  rejects_aliased "Mobius.apply" (fun a ->
+      let v = ff () in
+      Mobius.apply full ~src:(a v) ~dst:v);
+  rejects_aliased "Mobius.apply_dagger" (fun a ->
+      let v = ff () in
+      Mobius.apply_dagger full ~src:(a v) ~dst:v)
+
 let suite =
   [
     Alcotest.test_case "gamma anticommutators" `Quick test_gamma_anticommutators;
@@ -616,4 +688,5 @@ let suite =
     Alcotest.test_case "mobius rejects short fields" `Quick
       test_mobius_rejects_short_fields;
     Alcotest.test_case "mobius rejects aliasing" `Quick test_mobius_rejects_aliasing;
+    Alcotest.test_case "entries name aliased outputs" `Quick test_entries_name_aliased_outputs;
   ]

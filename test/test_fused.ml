@@ -158,7 +158,7 @@ let test_hop_tail_alias_guard () =
   let nf = Lattice.Geometry.volume geom * Dirac.Wilson.floats_per_site in
   let src = mk_vec 96 nf and dst = Field.create nf in
   Alcotest.check_raises "tail out == dst rejected"
-    (Invalid_argument "Wilson.hop_tail: tail output aliases the stencil dst")
+    (Invalid_argument "Wilson.hop_tail: an output shares storage with another operand")
     (fun () ->
       ignore
         (Dirac.Wilson.hop_tail w ~src ~dst
@@ -194,10 +194,11 @@ let with_default_pool domains f =
       Pool.set_default (Pool.shared ~domains);
       f ())
 
+(* [f]'s result and the |r|² trajectory its solve marks in a
+   Util.Prof recording. *)
 let trace_of f =
-  let tr = ref [] in
-  let r = f (fun r2 -> tr := r2 :: !tr) in
-  (r, List.rev !tr)
+  let r, events = Util.Prof.record f in
+  (r, List.filter_map (function Util.Prof.Mark (0, r2) -> Some r2 | _ -> None) events)
 
 (* fused CG/Mixed/BiCGStab vs unfused: same iteration count, same
    reliable-update count, bit-identical residual trajectory and
@@ -211,8 +212,8 @@ let prop_fused_solvers_bit_identical =
       let b = mk_vec 31 n in
       with_default_pool domains (fun () ->
           let solve_cg fused =
-            trace_of (fun trace ->
-                Cg.solve ~fused ~trace ~apply:(diag_apply n) ~b ~tol:1e-10
+            trace_of (fun () ->
+                Cg.solve ~fused ~apply:(diag_apply n) ~b ~tol:1e-10
                   ~max_iter:300 ~flops_per_apply:1. ())
           in
           let (xu, su), tru = solve_cg false in
@@ -223,8 +224,8 @@ let prop_fused_solvers_bit_identical =
             && su.Cg.relative_residual = sf.Cg.relative_residual
           in
           let solve_mixed fused =
-            trace_of (fun trace ->
-                Mixed.solve ~fused ~trace ~apply:(diag_apply n) ~b
+            trace_of (fun () ->
+                Mixed.solve ~fused ~apply:(diag_apply n) ~b
                   ~flops_per_apply:1. ())
           in
           let (mu, smu), trmu = solve_mixed false in
@@ -235,8 +236,8 @@ let prop_fused_solvers_bit_identical =
             && trmu = trmf && bytes_equal mu mf
           in
           let solve_bi fused =
-            trace_of (fun trace ->
-                Bicgstab.solve ~fused ~trace ~apply:(cdiag_apply n) ~b
+            trace_of (fun () ->
+                Bicgstab.solve ~fused ~apply:(cdiag_apply n) ~b
                   ~tol:1e-10 ~max_iter:300 ~flops_per_apply:1. ())
           in
           let (bu, sbu), trbu = solve_bi false in
@@ -258,9 +259,9 @@ let test_fused_geometry_invariance () =
   let b = mk_vec 41 n in
   let run domains =
     with_default_pool domains (fun () ->
-        trace_of (fun trace ->
+        trace_of (fun () ->
             let _, s =
-              Cg.solve ~fused:true ~trace ~apply:(diag_apply n) ~b ~tol:1e-10
+              Cg.solve ~fused:true ~apply:(diag_apply n) ~b ~tol:1e-10
                 ~max_iter:300 ~flops_per_apply:1. ()
             in
             s))
@@ -311,8 +312,8 @@ let test_cg_tail_fused_trajectory () =
     (fun domains ->
       with_default_pool domains (fun () ->
           let run ?apply_dot fused =
-            trace_of (fun trace ->
-                Cg.solve ~fused ?apply_dot ~trace ~apply ~b ~tol:1e-10
+            trace_of (fun () ->
+                Cg.solve ~fused ?apply_dot ~apply ~b ~tol:1e-10
                   ~max_iter:300 ~flops_per_apply:1. ())
           in
           let (xu, su), tru = run false in
@@ -370,15 +371,15 @@ let test_alias_guards () =
   let x = mk_vec 61 n and y = mk_vec 62 n in
   Alcotest.check_raises "axpy_norm2 y == x"
     (Invalid_argument
-       "Fused.axpy_norm2: output aliases an input of a different role")
+       "Fused.axpy_norm2: an output shares storage with another operand")
     (fun () -> ignore (Fused.axpy_norm2 1. x x : float));
   Alcotest.check_raises "cg_update x == ap"
     (Invalid_argument
-       "Fused.cg_update: output aliases an input of a different role")
+       "Fused.cg_update: an output shares storage with another operand")
     (fun () -> ignore (Fused.cg_update 1. x y y x : float));
   Alcotest.check_raises "cg_update x == r"
     (Invalid_argument
-       "Fused.cg_update: output aliases an input of a different role")
+       "Fused.cg_update: an output shares storage with another operand")
     (fun () -> ignore (Fused.cg_update 1. x y x x : float));
   (* the spec'd repetition is allowed: q = x read-only roles *)
   let p = mk_vec 63 n in

@@ -368,6 +368,75 @@ let prop_half_reference_rounding =
       let want = Array.concat (Array.to_list (Array.map half_reference blocks)) in
       Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) got want)
 
+(* ---- PLAN002's aliasing rule at runtime ---- *)
+
+(* [rejects kernel call]: [call alias] raises Invalid_argument naming
+   [kernel] when [alias] hands it a written vector again — the same
+   handle, or an Array1.sub view over its storage. *)
+let rejects kernel call =
+  List.iter
+    (fun (how, alias) ->
+      match call alias with
+      | () -> Alcotest.failf "%s: an output aliased %s accepted" kernel how
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, %s: %S names the kernel" kernel how msg)
+          true
+          (String.starts_with ~prefix:(kernel ^ ": ") msg))
+    [
+      ("by handle", Fun.id);
+      ("through a sub view", fun v -> Bigarray.Array1.sub v 0 (Field.length v));
+    ]
+
+let test_kernels_reject_aliased_outputs () =
+  let n = 64 in
+  let v () =
+    let f = Field.create n in
+    Field.gaussian (rng ()) f;
+    f
+  in
+  let module Fused = Linalg.Fused in
+  let module Multi = Linalg.Multi_blas in
+  let fused f = ignore (f () : float) and multi f = ignore (f () : float array) in
+  rejects "Field.blit" (fun a -> let y = v () in Field.blit (a y) y);
+  rejects "Field.axpy" (fun a -> let y = v () in Field.axpy 0.5 (a y) y);
+  rejects "Field.xpay" (fun a -> let y = v () in Field.xpay (a y) 0.5 y);
+  rejects "Field.sub" (fun a -> let z = v () in Field.sub (v ()) (a z) z);
+  rejects "Field.caxpy" (fun a -> let y = v () in Field.caxpy (0.5, -0.5) (a y) y);
+  rejects "Fused.axpy_norm2" (fun a ->
+      let y = v () in
+      fused (fun () -> Fused.axpy_norm2 0.5 (a y) y));
+  (* q = p: p is updated, so it may not also be read as q *)
+  rejects "Fused.xpay_dot" (fun a ->
+      let p = v () in
+      fused (fun () -> Fused.xpay_dot (v ()) 0.5 p (a p)));
+  rejects "Fused.cg_update" (fun a ->
+      let x = v () in
+      fused (fun () -> Fused.cg_update 0.5 (v ()) (v ()) x (a x)));
+  rejects "Fused.caxpy_norm2" (fun a ->
+      let y = v () in
+      fused (fun () -> Fused.caxpy_norm2 (0.5, 0.5) (a y) y));
+  (* across slots: slot 1 reads what slot 0 updates *)
+  rejects "Multi_blas.axpy_norm2" (fun a ->
+      let y = v () in
+      multi (fun () -> Multi.axpy_norm2 [| 0.5; 0.5 |] [| v (); a y |] [| y; v () |]));
+  rejects "Multi_blas.xpay_dot" (fun a ->
+      let p = v () in
+      multi (fun () -> Multi.xpay_dot [| v () |] [| 0.5 |] [| p |] [| a p |]));
+  rejects "Multi_blas.cg_update" (fun a ->
+      let r = v () in
+      multi (fun () ->
+          Multi.cg_update [| 0.5; 0.5 |] [| v (); v () |] [| v (); v () |] [| v (); a r |]
+            [| r; v () |]));
+  rejects "Multi_blas.block_axpy" (fun a ->
+      let y = v () in
+      Multi.block_axpy [| [| 1. |]; [| 1. |] |] [| v () |] [| y; a y |]);
+  (* a vector read twice is legal *)
+  let x = v () and p = v () in
+  ignore (Field.dot_re x x : float);
+  ignore (Field.cdot x (Bigarray.Array1.sub x 0 n) : Cplx.t);
+  ignore (Fused.xpay_dot x 0.5 p x : float)
+
 let suite =
   [
     Alcotest.test_case "cplx field axioms" `Quick test_cplx_field_axioms;
@@ -387,6 +456,8 @@ let suite =
     Alcotest.test_case "field norms/dots" `Quick test_field_norms_and_dots;
     Alcotest.test_case "field caxpy" `Quick test_field_caxpy_matches_complex;
     Alcotest.test_case "field cauchy-schwarz" `Quick test_field_cauchy_schwarz;
+    Alcotest.test_case "kernels reject aliased outputs" `Quick
+      test_kernels_reject_aliased_outputs;
     Alcotest.test_case "half codec accuracy" `Quick test_half_roundtrip_accuracy;
     Alcotest.test_case "half zero/scale" `Quick test_half_preserves_zero_and_scale;
     Alcotest.test_case "half relative error" `Quick test_half_relative_error_small;

@@ -201,20 +201,23 @@ let solve_multi_case ~fused ~with_x0 () =
   let x0s = if with_x0 then Some (batch_of r k n) else None in
   let tol = 1e-10 and max_iter = 200 in
   let flops_per_apply = float_of_int (2 * n) in
-  let traces = Array.make k [] in
-  let xs, stats =
-    Cg.solve_multi ?x0s ~fused
-      ~trace:(fun i r2 -> traces.(i) <- r2 :: traces.(i))
-      ~apply:diag_apply_multi ~bs ~tol ~max_iter ~flops_per_apply ()
+  (* each slot's |r|² trajectory, from the marks of a recording *)
+  let marks slot events =
+    List.filter_map
+      (function Util.Prof.Mark (i, r2) when i = slot -> Some r2 | _ -> None)
+      events
+  in
+  let (xs, stats), events =
+    Util.Prof.record (fun () ->
+        Cg.solve_multi ?x0s ~fused ~apply:diag_apply_multi ~bs ~tol ~max_iter
+          ~flops_per_apply ())
   in
   Array.iteri
     (fun i b ->
-      let ref_traces = ref [] in
       let x0 = Option.map (fun a -> a.(i)) x0s in
-      let x_ref, st_ref =
-        Cg.solve ?x0 ~fused
-          ~trace:(fun r2 -> ref_traces := r2 :: !ref_traces)
-          ~apply:diag_apply_one ~b ~tol ~max_iter ~flops_per_apply ()
+      let (x_ref, st_ref), ref_events =
+        Util.Prof.record (fun () ->
+            Cg.solve ?x0 ~fused ~apply:diag_apply_one ~b ~tol ~max_iter ~flops_per_apply ())
       in
       check_bits (Printf.sprintf "solve_multi x.(%d)" i) x_ref xs.(i);
       Alcotest.(check int)
@@ -228,7 +231,7 @@ let solve_multi_case ~fused ~with_x0 () =
         st_ref.Cg.flops stats.(i).Cg.flops;
       Alcotest.(check (list (float 0.)))
         (Printf.sprintf "residual trajectory.(%d)" i)
-        !ref_traces traces.(i))
+        (marks 0 ref_events) (marks i events))
     bs;
   (* the early-converging RHS really did retire early (a random x0
      seeds the residual everywhere, so only the zero-guess case has

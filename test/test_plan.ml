@@ -507,9 +507,8 @@ let test_extra_sweep_fires () =
   let iteration apply_dot =
     let _, events =
       Prof.record (fun () ->
-          Solver.Cg.solve ~fused:true ~apply_dot
-            ~trace:(fun _ -> Prof.mark ())
-            ~apply ~b ~tol:1e-12 ~max_iter:2 ~flops_per_apply:0. ())
+          Solver.Cg.solve ~fused:true ~apply_dot ~apply ~b ~tol:1e-12 ~max_iter:2
+            ~flops_per_apply:0. ())
     in
     Record.plan ~fusion:true "cg-step" (Record.iteration events)
   in

@@ -138,7 +138,7 @@ let prop_elementwise_bit_identical =
           (fun p ~chunk x y -> Field.axpy ~pool:p ~chunk 0.7 x y);
           (fun p ~chunk x y -> Field.xpay ~pool:p ~chunk x (-0.3) y);
           (fun p ~chunk _ y -> Field.scale ~pool:p ~chunk 1.1 y);
-          (fun p ~chunk x y -> Field.sub ~pool:p ~chunk x y y);
+          (fun p ~chunk x y -> Field.sub ~pool:p ~chunk x (Field.copy y) y);
           (fun p ~chunk x y -> Field.caxpy ~pool:p ~chunk (0.4, -0.9) x y);
         ])
 
@@ -243,6 +243,31 @@ let test_sanitize_on_pooled_path () =
   in
   Alcotest.(check bool) "Non_finite raised on pooled axpy" true trapped
 
+let test_chunkless_reduction_forks () =
+  (* a reduction without a chunk takes the default on its floats, in
+     whole blocks: Mixed's 8^4 even/odd field (196,608 floats, 96
+     blocks) forks into several jobs on a 2-lane default pool, and
+     its value is the serial one to the bit *)
+  let n = 196_608 in
+  let x = mk_vec 18 n in
+  let serial = Field.norm2 ~pool:(Pool.shared ~domains:1) x in
+  let saved = Pool.get_default () in
+  let value, events =
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default saved)
+      (fun () ->
+        Pool.set_default (Pool.shared ~domains:2);
+        Util.Prof.record (fun () -> Field.norm2 x))
+  in
+  (match events with
+  | [ Util.Prof.Launch { Util.Prof.geometry = Some (lanes, chunk); _ } ] ->
+    Alcotest.(check int) "two lanes" 2 lanes;
+    let jobs = Array.length (Pool.chunks ~n ~chunk) in
+    Alcotest.(check bool) (Printf.sprintf "%d jobs of %d floats" jobs chunk) true (jobs > 1)
+  | _ -> Alcotest.fail "expected one pooled launch");
+  Alcotest.(check int64) "bitwise the serial norm"
+    (Int64.bits_of_float serial) (Int64.bits_of_float value)
+
 let suite =
   [
     Alcotest.test_case "chunks tile [0,n)" `Quick test_chunks_tile;
@@ -259,6 +284,7 @@ let suite =
       test_smear_contract_pooled_identical;
     Alcotest.test_case "sanitize on pooled path" `Quick
       test_sanitize_on_pooled_path;
+    Alcotest.test_case "chunkless reduction forks" `Quick test_chunkless_reduction_forks;
     (* last on purpose: leaving idle worker domains alive would tax
        every stop-the-world GC in the suites that run after this one *)
     Alcotest.test_case "shutdown shared registry" `Quick (fun () ->

@@ -17,6 +17,42 @@ let test_rng_split_independent () =
   let xa = Rng.next_int64 a and xc = Rng.next_int64 c in
   Alcotest.(check bool) "different streams" true (xa <> xc)
 
+(* The xoshiro256** stream is pinned to the bit: every seeded
+   ensemble and test in the tree depends on it. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create 20_180_920 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "next_int64" want (Rng.next_int64 r))
+    [ 0x1a1f9a67e81a9c45L; 0xaf2617050a92ed7aL; 0xb353e14e1ca4ce09L; 0x6a2c78afce31d375L ];
+  let c = Rng.split r in
+  Alcotest.(check int64) "split child" 0xe12f0498d8765092L (Rng.next_int64 (Rng.copy c));
+  Alcotest.(check int64) "copy replays" 0xe12f0498d8765092L (Rng.next_int64 c);
+  let r = Rng.create 20_180_920 in
+  List.iter
+    (fun want ->
+      Alcotest.(check int64) "float bits" want (Int64.bits_of_float (Rng.float r)))
+    [ 0x3fba1f9a67e81a98L; 0x3fe5e4c2e0a1525dL; 0x3fe66a7c29c39499L ];
+  Alcotest.(check int64) "gaussian bits" 0xbfd1255b60c76e13L
+    (Int64.bits_of_float (Rng.gaussian r));
+  let c = Rng.split r in
+  Alcotest.(check int) "int of the child" 494 (Rng.int c 1000);
+  Alcotest.(check int64) "parent after split" 0x330dd64ff97270beL (Rng.next_int64 r);
+  Alcotest.(check int64) "child again" 0xaae7d72ba7d5bf7fL (Rng.next_int64 c)
+
+(* A draw allocates only the float it returns: the generator state is
+   not boxed on every step. *)
+let test_rng_float_allocation () =
+  let r = Rng.create 5 in
+  let draws = 100_000 in
+  let acc = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc +. Rng.float r
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int draws in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per draw" words) true (words <= 2.);
+  Alcotest.(check bool) "draws are in [0, 1)" true (!acc >= 0. && !acc < float_of_int draws)
+
 let test_rng_uniformity () =
   let rng = Rng.create 123 in
   let n = 100_000 in
@@ -240,6 +276,8 @@ let suite =
     Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "rng float allocation" `Quick test_rng_float_allocation;
     Alcotest.test_case "rng uniform mean" `Quick test_rng_uniformity;
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;

@@ -309,6 +309,34 @@ let test_partial_exchange_counted_separately () =
   Alcotest.(check int) "1 full" 1 st.Comm.full_exchanges;
   Alcotest.(check int) "1 partial" 1 st.Comm.partial_exchanges
 
+let test_post_rejects_bad_faces () =
+  (* a face id outside 0..7, or one listed twice, is rejected before
+     any exchange or message is counted *)
+  let geom = Geometry.create [| 4; 4; 2; 2 |] in
+  let dom = Domain.create geom [| 2; 2; 1; 1 |] in
+  let comm = Comm.create dom ~dof:2 in
+  let fields = Comm.create_fields comm in
+  let counted () =
+    let s = Comm.stats comm in
+    (s.Comm.full_exchanges, s.Comm.partial_exchanges, s.Comm.messages, s.Comm.bytes)
+  in
+  let before = counted () in
+  List.iter
+    (fun (label, faces) ->
+      (match Comm.halo_exchange ~faces comm fields with
+      | () -> Alcotest.failf "%s accepted" label
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names Comm.post" label msg)
+          true
+          (String.starts_with ~prefix:"Comm.post:" msg));
+      Alcotest.(check bool) (label ^ ": stats unchanged") true (counted () = before))
+    [
+      ("face id 8", [| 0; 8 |]);
+      ("face id -1", [| -1 |]);
+      ("repeated face", [| 3; 1; 3 |]);
+    ]
+
 let test_post_stages_complete_delivers () =
   (* between post and complete the ghosts must still hold the OLD data;
      completing a face delivers exactly that face's ghosts *)
@@ -452,6 +480,7 @@ let suite =
       test_dd_solve_reports_like_cg;
     Alcotest.test_case "layout lengths checked" `Quick test_layout_lengths_checked;
     Alcotest.test_case "stats accumulate" `Quick test_comm_stats_accumulate;
+    Alcotest.test_case "post rejects bad face ids" `Quick test_post_rejects_bad_faces;
     Alcotest.test_case "partial vs full exchanges" `Quick
       test_partial_exchange_counted_separately;
     Alcotest.test_case "post stages, complete delivers" `Quick
