@@ -1,7 +1,7 @@
 (* Umbrella entry point: the re-exported passes, plus the standard
    suite that verifies the repo's shipped example artifacts — the
-   campaign the examples build, the halo schedules the
-   domain-decomposed solver runs, the default workflow spec, an
+   campaign the examples build, the halo protocol recorded from the
+   domain-decomposed operator and solver, the default workflow spec, an
    instrumented mixed-precision solve, live recon and deflation audits
    and the solver plan catalog. bin/neutron_check drives this;
    `dune build @check` and the test suite gate on it. *)
@@ -44,74 +44,39 @@ let standard_suite () : Diagnostic.report =
       rng
   in
   let campaign_ds = Dag_check.verify ~n_nodes:32 tasks in
-  (* the halo-exchange patterns Dd_wilson runs: simple and overlapped *)
-  let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
-  let dom = Lattice.Domain.create geom [| 2; 2; 1; 1 |] in
-  let halo_ds =
-    Halo_check.verify_schedule dom
-      [
-        Halo_check.Scatter;
-        Halo_check.Exchange None;
-        Halo_check.Stencil Halo_check.Full;
-      ]
-    @ Halo_check.verify_schedule dom
-        [
-          Halo_check.Scatter;
-          Halo_check.Stencil Halo_check.Interior;
-          Halo_check.Exchange None;
-          Halo_check.Stencil Halo_check.Boundary;
-        ]
-    @ (* the fine-grained interleaving Dd_wilson.hop_overlapped runs:
-         post all, interior while in flight, then per-face complete +
-         boundary sub-stencils reading only completed faces *)
-    Halo_check.verify_schedule dom
-      [
-        Halo_check.Scatter;
-        Halo_check.Post None;
-        Halo_check.Stencil Halo_check.Interior;
-        Halo_check.Complete (Some [| 0 |]);
-        Halo_check.Complete (Some [| 1 |]);
-        Halo_check.Stencil_faces [| 0; 1 |];
-        Halo_check.Complete (Some [| 2; 3 |]);
-        Halo_check.Stencil_faces [| 0; 1; 2; 3 |];
-        Halo_check.Complete (Some [| 4; 5; 6; 7 |]);
-        Halo_check.Stencil Halo_check.Boundary;
-      ]
-    @ (* the transport dimension, used honestly: a double-buffered
-         schedule whose write really races a post (the copy earns its
-         keep — no HALO008/011/012), and a zero-copy schedule that
-         completes before writing (no corruption window) *)
-    Halo_check.verify_schedule ~transport:Machine.Transport.Double_buffered dom
-      [
-        Halo_check.Scatter;
-        Halo_check.Post None;
-        Halo_check.Write [ 0 ];
-        Halo_check.Complete None;
-        Halo_check.Exchange None;
-        Halo_check.Stencil Halo_check.Full;
-      ]
-    @ Halo_check.verify_schedule ~transport:Machine.Transport.Zero_copy
-        ~policy:
-          { Machine.Policy.transfer = Machine.Policy.Zero_copy;
-            granularity = Machine.Policy.Fine }
-        dom
-        [
-          Halo_check.Scatter;
-          Halo_check.Post None;
-          Halo_check.Stencil Halo_check.Interior;
-          Halo_check.Complete None;
-          Halo_check.Stencil Halo_check.Boundary;
-        ]
+  (* the halo protocol Vrank.Comm and Dd_wilson run, recorded: the
+     blocking and the overlapped hop at both granularities, and one CG
+     iteration of Dd_solve, under the staged transport and under
+     zero-copy, each with its honest policy. Double_buffered is left
+     out: nothing writes between a post and its complete, so every
+     recording under it pays copies for nothing — HALO012, the
+     wasted-double-buffer fixture. *)
+  let recordings =
+    List.concat_map
+      (fun (transport, transfer) ->
+        List.map
+          (fun (run, granularity) ->
+            let policy = { Machine.Policy.transfer; granularity } in
+            (transport, policy, Halo_check.recorded transport run))
+          [
+            (Halo_check.Blocking, Machine.Policy.Coarse);
+            (Overlapped Fine, Fine);
+            (Overlapped Coarse, Coarse);
+            (Solve, Fine);
+          ])
+      [ (Machine.Transport.Staged, Machine.Policy.Staged_mpi); (Zero_copy, Zero_copy) ]
   in
-  (* a live Comm run through scatter + exchange must audit clean *)
+  let halo_ds =
+    List.concat_map
+      (fun (transport, policy, (dd, ops)) ->
+        Halo_check.verify_schedule ~transport ~policy dd.Vrank.Dd_wilson.dom ops)
+      recordings
+  in
+  (* the live Comm each recorded run leaves behind must audit clean *)
   let audit_ds =
-    let comm = Vrank.Comm.create dom ~dof:24 in
-    let global = F.create (Lattice.Geometry.volume geom * 24) in
-    F.gaussian rng global;
-    let fields = Vrank.Comm.create_fields comm in
-    Vrank.Comm.scatter comm global fields;
-    Vrank.Comm.halo_exchange comm fields;
-    Halo_check.audit comm
+    List.concat_map
+      (fun (_, _, (dd, _)) -> Halo_check.audit (Vrank.Dd_wilson.comm dd))
+      recordings
   in
   (* the default workflow spec, in double and mixed precision *)
   let spec_ds =
@@ -150,7 +115,7 @@ let standard_suite () : Diagnostic.report =
      audited at every codec — the clean twin of the
      recon-nonunitary-link fixture *)
   let recon_ds =
-    let g = Lattice.Gauge.random geom rng in
+    let g = Lattice.Gauge.random (Lattice.Geometry.create [| 4; 4; 4; 4 |]) rng in
     Lattice.Gauge.reunitarize g;
     List.concat_map
       (fun c -> Recon_check.verify_gauge ~recon:c g)

@@ -22,8 +22,10 @@ val all_rules : (string * (string * string) list) list
 
 val standard_suite : unit -> Diagnostic.report
 (** Verify the shipped example artifacts: the co-scheduling campaign,
-    the blocking, overlapped, double-buffered and zero-copy halo
-    schedules, a live Comm audit, the default workflow specs (double
+    the halo protocol recorded from live runs ([Halo_check.recorded]:
+    the blocking and both overlapped hops and one [Dd_solve]
+    iteration, staged and zero-copy) and an audit of the live Comm
+    each leaves, the default workflow specs (double
     and mixed), an instrumented clean mixed solve, a reunitarized
     gauge field audited at every recon codec, a live low-mode
     deflation space audited against its operator and configuration

@@ -1,7 +1,8 @@
 (* Seeded defect fixtures: twenty-two artifacts, each carrying
-   exactly the class of bug its pass exists to catch (six of them
-   nonblocking-halo defects: early boundary read, send-buffer race,
-   lost completion, zero-copy corruption, wasted double-buffering,
+   exactly the class of bug its pass exists to catch (seven halo
+   defects, each a recording of Dd_wilson or a mutation of one: stale
+   subset ghost, early boundary read, send-buffer race, lost
+   completion, zero-copy corruption, wasted double-buffering,
    transport/policy mismatch; eight plan-level defects caught
    statically from the IR alone, all but the partition overlap
    mutations of plans recorded from live code: aliased fused
@@ -45,104 +46,74 @@ let oversubscribed () =
   let tasks = [ task 0 ~nodes:64; task 1 ~deps:[ 0 ] ] in
   Dag_check.verify ~n_nodes:32 tasks
 
-(* 3. An overlapped stencil schedule that only exchanges the x and y
-   faces before a full stencil read: z/t ghosts are read stale. *)
-let halo_domain () =
-  let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
-  Lattice.Domain.create geom [| 2; 2; 1; 1 |]
+(* ---- 3. halo defects: recordings of Dd_wilson, most mutated ---- *)
 
+module H = Halo_check
+module T = Machine.Transport
+
+(* The recording of [run] (default the blocking hop) under [transport]
+   (default staged), mutated, replayed under the same transport. *)
+let halo ?(transport = T.Staged) ?(run = H.Blocking) ?policy ?(mutate = Fun.id) () =
+  let dd, ops = H.recorded transport run in
+  H.verify_schedule ~transport ?policy dd.Vrank.Dd_wilson.dom (mutate ops)
+
+let drop_zt_completes =
+  List.filter (function H.Complete (Some [| f |]) -> f < 4 | _ -> true)
+
+(* Rank 0 rewrites its local sites right after the first post. *)
+let rec write_after_post = function
+  | (H.Post _ as p) :: rest -> p :: H.Write [ 0 ] :: rest
+  | op :: rest -> op :: write_after_post rest
+  | [] -> []
+
+(* The first boundary sub-stencil moved ahead of the complete of a
+   face it reads; [before] holds the ops ahead of it, reversed. *)
+let rec early_read before = function
+  | (H.Stencil_faces fs as read) :: rest ->
+    let rec back after = function
+      | (H.Complete (Some [| f |]) as c) :: older when Array.mem f fs ->
+        List.rev_append older (read :: c :: after)
+      | op :: older -> back (op :: after) older
+      | [] -> read :: after
+    in
+    back rest before
+  | op :: rest -> early_read (op :: before) rest
+  | [] -> List.rev before
+
+(* 3. The blocking hop posting only the x/y faces, without its z/t
+   completes: the full stencil reads z/t ghosts stale. *)
 let stale_ghost () =
-  Halo_check.verify_schedule (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Exchange (Some [| 0; 1; 2; 3 |]);
-      Halo_check.Stencil Halo_check.Full;
-    ]
+  let narrow = function H.Post None -> H.Post (Some [| 0; 1; 2; 3 |]) | op -> op in
+  halo ~mutate:(fun ops -> List.map narrow (drop_zt_completes ops)) ()
 
-(* 3a. A fine-grained overlapped schedule whose boundary sub-stencil
-   for the x faces runs before those faces completed: the classic
-   "forgot the wait" interleaving bug. *)
+(* 3a. The fine-grained hop reading a face before its complete: the
+   classic "forgot the wait" interleaving bug. *)
 let early_boundary_read () =
-  Halo_check.verify_schedule (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Post None;
-      Halo_check.Stencil Halo_check.Interior;
-      Halo_check.Stencil_faces [| 0; 1 |];  (* x faces still in flight *)
-      Halo_check.Complete None;
-      Halo_check.Stencil Halo_check.Boundary;
-    ]
+  halo ~run:(H.Overlapped Machine.Policy.Fine) ~mutate:(early_read []) ()
 
-(* 3b. A rank rewrites its local sites while its posted messages are
-   still in flight: the nonblocking send-buffer race. *)
-let send_buffer_race () =
-  Halo_check.verify_schedule (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Post None;
-      Halo_check.Write [ 0 ];
-      Halo_check.Complete None;
-      Halo_check.Stencil Halo_check.Full;
-    ]
+(* 3b. Rank 0 writes while its posted messages are in flight: the
+   nonblocking send-buffer race. *)
+let send_buffer_race () = halo ~mutate:write_after_post ()
 
-(* 3c. A post whose z/t completions never happen: the receivers' ghosts
-   wait forever (an MPI_Wait that was never issued). *)
-let lost_completion () =
-  Halo_check.verify_schedule (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Post None;
-      Halo_check.Stencil Halo_check.Interior;
-      Halo_check.Complete (Some [| 0; 1; 2; 3 |]);
-      Halo_check.Stencil_faces [| 0; 1; 2; 3 |];
-    ]
+(* 3c. The z/t completes never issued: the receivers' ghosts wait
+   forever. *)
+let lost_completion () = halo ~mutate:drop_zt_completes ()
 
-(* 3d. The same write-after-post pattern as 3b, but under the
-   zero-copy transport, where the in-flight payload aliases the
+(* 3d. 3b under zero-copy, where the in-flight payload aliases the
    writer's field: the delivered ghosts are corrupt for real, and the
-   diagnostic names the first racing site's global coordinate. The
-   trailing exchange refreshes the ghosts so only the corruption
-   fires, not a stale read. *)
-let zero_copy_race () =
-  Halo_check.verify_schedule ~transport:Machine.Transport.Zero_copy
-    (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Post None;
-      Halo_check.Write [ 0 ];
-      Halo_check.Complete None;
-      Halo_check.Exchange None;
-      Halo_check.Stencil Halo_check.Full;
-    ]
+   diagnostic names the first racing site's global coordinate. *)
+let zero_copy_race () = halo ~transport:T.Zero_copy ~mutate:write_after_post ()
 
-(* 3e. A double-buffered schedule where no write ever lands between a
-   post and its completion: every rotation copy was paid for nothing —
-   the staged transport would deliver the same data cheaper. *)
-let wasted_double_buffer () =
-  Halo_check.verify_schedule ~transport:Machine.Transport.Double_buffered
-    (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Post None;
-      Halo_check.Stencil Halo_check.Interior;
-      Halo_check.Complete None;
-      Halo_check.Stencil Halo_check.Boundary;
-    ]
+(* 3e. Double-buffered, unmutated: nothing writes between a post and
+   its complete, so every rotation copy was paid for nothing. *)
+let wasted_double_buffer () = halo ~transport:T.Double_buffered ()
 
-(* 3f. A GDR policy modeled with the staged transport: the real wire
-   is zero-copy, so the staging model hides the send-buffer race the
-   hardware path actually has. *)
+(* 3f. A staged recording under a GDR policy: the real wire is
+   zero-copy, so the staging model hides its send-buffer race. *)
 let transport_mismatch () =
-  Halo_check.verify_schedule ~transport:Machine.Transport.Staged
-    ~policy:
-      { Machine.Policy.transfer = Machine.Policy.Gdr;
-        granularity = Machine.Policy.Fine }
-    (halo_domain ())
-    [
-      Halo_check.Scatter;
-      Halo_check.Exchange None;
-      Halo_check.Stencil Halo_check.Full;
-    ]
+  halo
+    ~policy:Machine.Policy.{ transfer = Gdr; granularity = Coarse }
+    ()
 
 (* 4. A mixed-precision solve whose operator manufactures a NaN — the
    half codec would silently launder it to zero; the instrumented
@@ -362,43 +333,43 @@ let all =
     };
     {
       name = "stale-ghost";
-      defect = "full stencil after exchanging only the x/y faces";
+      defect = "recorded blocking hop posting only the x/y faces";
       expect = "HALO003";
       run = stale_ghost;
     };
     {
       name = "early-boundary-read";
-      defect = "boundary sub-stencil runs before its faces completed";
+      defect = "recorded fine hop reading a face before its complete";
       expect = "HALO007";
       run = early_boundary_read;
     };
     {
       name = "send-buffer-race";
-      defect = "rank 0 writes local sites between post and complete";
+      defect = "recorded blocking hop, rank 0 written after the post";
       expect = "HALO008";
       run = send_buffer_race;
     };
     {
       name = "lost-completion";
-      defect = "posted z/t faces never completed";
+      defect = "recorded blocking hop without its z/t completes";
       expect = "HALO009";
       run = lost_completion;
     };
     {
       name = "zero-copy-race";
-      defect = "write between post and complete under the zero-copy transport";
+      defect = "recorded zero-copy hop, rank 0 written after the post";
       expect = "HALO011";
       run = zero_copy_race;
     };
     {
       name = "wasted-double-buffer";
-      defect = "double-buffered schedule where no write ever races a post";
+      defect = "recorded double-buffered hop: no write races a post";
       expect = "HALO012";
       run = wasted_double_buffer;
     };
     {
       name = "transport-mismatch";
-      defect = "GDR transfer policy modeled with the staged transport";
+      defect = "staged recording verified under a GDR transfer policy";
       expect = "HALO013";
       run = transport_mismatch;
     };

@@ -1,6 +1,7 @@
 (** Twenty-two seeded defect fixtures, each carrying exactly the bug
-    class its pass detects: seven halo schedules, two campaigns, two
-    numeric, eight plan-level, one recon and two deflation. The CLI
+    class its pass detects: seven halo recordings of [Vrank.Dd_wilson]
+    (five of them mutated), two campaigns, two numeric, eight
+    plan-level, one recon and two deflation. The CLI
     [--selftest] and the test suite assert every fixture fires its
     expected rule (a warning for HALO012 and PLAN008, else an error). *)
 
@@ -11,14 +12,6 @@ type t = {
   run : unit -> Diagnostic.t list;
 }
 
-val dag_cycle : unit -> Diagnostic.t list
-val oversubscribed : unit -> Diagnostic.t list
-val stale_ghost : unit -> Diagnostic.t list
-val early_boundary_read : unit -> Diagnostic.t list
-val send_buffer_race : unit -> Diagnostic.t list
-val lost_completion : unit -> Diagnostic.t list
-val nan_solve : unit -> Diagnostic.t list
-val bad_half_block : unit -> Diagnostic.t list
 val plan_partition_overlap : unit -> Diagnostic.t list
 val plan_aliased_output : unit -> Diagnostic.t list
 val plan_tail_aliased : unit -> Diagnostic.t list
@@ -27,9 +20,6 @@ val plan_half_range : unit -> Diagnostic.t list
 val plan_stale_precision : unit -> Diagnostic.t list
 val plan_wrong_block : unit -> Diagnostic.t list
 val plan_tiny_pooled : unit -> Diagnostic.t list
-val recon_nonunitary_link : unit -> Diagnostic.t list
-val deflate_stale_space : unit -> Diagnostic.t list
-val deflate_drifted_basis : unit -> Diagnostic.t list
 
 val all : t list
 val find : string -> t option

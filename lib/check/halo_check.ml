@@ -2,48 +2,43 @@
    post / interior / per-face complete + boundary) is only correct when
    every ghost zone a stencil reads was refreshed after the last write
    to the sites it mirrors — and, for the nonblocking protocol, only
-   after the face actually completed. This pass verifies a
-   communication schedule statically — replaying write/ghost epochs and
-   the in-flight message set over a Lattice.Domain without touching
-   field data — and can also audit a live Vrank.Comm for the freshness
-   property via its epoch counters. *)
+   after the face actually completed. This pass replays a schedule —
+   write/ghost epochs and the in-flight message set over a
+   Lattice.Domain, without touching field data. A schedule is a
+   Util.Prof recording of Vrank.Comm and Dd_wilson, a mutation of one,
+   or a hand-built op list; it can also audit a live Vrank.Comm for
+   the freshness property via its epoch counters. *)
 
 module D = Lattice.Domain
 
-type stencil = Full | Interior | Boundary
+type stencil = Util.Prof.Halo.stencil = Full | Interior | Boundary
 
-type op =
-  | Scatter  (* distribute a global field: every rank's sites rewritten *)
-  | Write of int list  (* local-site writes on these ranks ([] = all) *)
-  | Exchange of int array option  (* blocking halo_exchange ?faces *)
-  | Post of int array option  (* nonblocking pack + send (Comm.post) *)
+type op = Util.Prof.Halo.op =
+  | Scatter
+  | Write of int list
+  | Exchange of int array option
+  | Post of int array option
   | Complete of int array option
-      (* deliver posted recv faces (Comm.complete); None = all pending *)
-  | Stencil of stencil  (* Full/Boundary read ghosts; Interior does not *)
+  | Stencil of stencil
   | Stencil_faces of int array
-      (* boundary sub-stencil reading only these ghost faces — the
-         fine-grained groups Dd_wilson runs between completions *)
 
 let rules =
   [
     ("HALO001", "stencil reads a stale ghost zone");
     ("HALO002", "unmatched send/recv: a face exchanged without its opposite");
     ("HALO003", "ghost face not covered by the ?faces subset");
-    ("HALO004", "face id outside 0..7");
-    ("HALO005", "duplicate face id in an exchange");
+    ("HALO005", "face re-posted while its previous post is in flight");
     ("HALO006", "exchange before any write: refreshes zero-initialized data");
     ("HALO007", "stencil reads a ghost face still in flight (posted, not completed)");
     ("HALO008", "local write between post and complete: the in-flight send buffer races");
     ("HALO009", "posted face never completed");
-    ("HALO010", "complete without a matching post");
     ("HALO011", "write under the zero-copy transport corrupts an in-flight payload");
     ("HALO012", "double-buffered transport pays copies no write ever needed");
     ("HALO013", "communication policy's transfer path mismatches the halo transport");
   ]
 
 let face_name fid =
-  let mu = fid / 2 and dir = fid mod 2 in
-  Printf.sprintf "%c%c" "xyzt".[mu] (if dir = 0 then '+' else '-')
+  if fid >= 0 && fid <= 7 then Vrank.Comm.face_label fid else string_of_int fid
 
 let faces_name fs =
   String.concat "," (Array.to_list (Array.map face_name fs))
@@ -57,9 +52,9 @@ let op_name = function
   | Post (Some fs) -> Printf.sprintf "post(%s)" (faces_name fs)
   | Complete None -> "complete(pending)"
   | Complete (Some fs) -> Printf.sprintf "complete(%s)" (faces_name fs)
-  | Stencil Full -> "stencil(full)"
-  | Stencil Interior -> "stencil(interior)"
-  | Stencil Boundary -> "stencil(boundary)"
+  | Stencil s ->
+    Printf.sprintf "stencil(%s)"
+      (match s with Full -> "full" | Interior -> "interior" | Boundary -> "boundary")
   | Stencil_faces fs -> Printf.sprintf "stencil(faces %s)" (faces_name fs)
 
 let all_faces = [| 0; 1; 2; 3; 4; 5; 6; 7 |]
@@ -104,42 +99,49 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
     Array.init n (fun _ -> Array.make 8 None)
   in
   let last_subset = ref None in  (* faces of the most recent delivery *)
-  let filler rank face =
-    (D.rank_geometry dom rank).D.faces.(face).D.neighbor
-  in
   let fresh rank face =
-    write_epoch.(filler rank face) = 0
-    || ghost_epoch.(rank).(face) >= write_epoch.(filler rank face)
+    let filler = (D.rank_geometry dom rank).D.faces.(face).D.neighbor in
+    write_epoch.(filler) = 0 || ghost_epoch.(rank).(face) >= write_epoch.(filler)
   in
-  (* Validate a ?faces subset: ids in range, duplicates, and (for
-     exchange/post subsets — not per-face completions or sub-stencils,
-     where singletons are the point) unmatched send/recv pairs.
-     Returns the in-range ids. *)
-  let validate_subset ?(pairs = true) loc fs =
-    let seen = Hashtbl.create 8 in
+  (* Comm's input contract. Comm refuses these at the call, so no
+     recording holds one: a schedule that breaks it is malformed, not
+     racy. *)
+  let malformed loc what =
+    invalid_arg (Printf.sprintf "Halo_check.verify_schedule: %s: %s" loc what)
+  in
+  let check_input loc = function
+    | Write ranks ->
+      List.iter
+        (fun r ->
+          if r < 0 || r >= n then
+            malformed loc (Printf.sprintf "rank %d outside 0..%d" r (n - 1)))
+        ranks
+    | Exchange (Some fs) | Post (Some fs) | Complete (Some fs) | Stencil_faces fs ->
+      Array.iteri
+        (fun j f ->
+          if f < 0 || f > 7 then
+            malformed loc (Printf.sprintf "face id %d outside 0..7" f);
+          if Array.mem f (Array.sub fs 0 j) then
+            malformed loc (Printf.sprintf "face id %d listed twice" f))
+        fs
+    | Scatter | Exchange None | Post None | Complete None | Stencil _ -> ()
+  in
+  (* An exchange or post subset that sends a face without its opposite
+     leaves one direction's ghosts stale; per-face completions and
+     sub-stencils are singletons on purpose. *)
+  let subset loc fs =
     Array.iter
       (fun f ->
-        if f < 0 || f > 7 then
+        if not (Array.exists (( = ) (opposite f)) fs) then
           add
-            (Diagnostic.error ~rule:"HALO004" ~loc
-               (Printf.sprintf "face id %d outside 0..7" f))
-        else begin
-          if Hashtbl.mem seen f then
-            add
-              (Diagnostic.warning ~rule:"HALO005" ~loc
-                 (Printf.sprintf "face %s listed twice" (face_name f)))
-          else Hashtbl.add seen f ();
-          if pairs && not (Array.exists (( = ) (opposite f)) fs) then
-            add
-              (Diagnostic.warning ~rule:"HALO002" ~loc
-                 (Printf.sprintf "face %s exchanged without its opposite %s"
-                    (face_name f) (face_name (opposite f)))
-                 ~hint:
-                   "one direction's ghosts stay stale; exchange both faces \
-                    of the dimension")
-        end)
+            (Diagnostic.warning ~rule:"HALO002" ~loc
+               (Printf.sprintf "face %s exchanged without its opposite %s"
+                  (face_name f) (face_name (opposite f)))
+               ~hint:
+                 "one direction's ghosts stay stale; exchange both faces \
+                  of the dimension"))
       fs;
-    Array.of_list (List.filter (fun f -> f >= 0 && f <= 7) (Array.to_list fs))
+    fs
   in
   (* Sender-side coordinate of the first racing site: the message
      landing in recv face [recv_fid] was packed from the opposite face
@@ -148,13 +150,10 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
   let describe_site src recv_fid =
     let send_fid = opposite recv_fid in
     let rg = D.rank_geometry dom src in
-    let face = rg.D.faces.(send_fid) in
-    if Array.length face.D.send_sites = 0 then ""
-    else
-      let g = rg.D.local_to_global.(face.D.send_sites.(0)) in
-      let c = Lattice.Geometry.coords (D.global dom) g in
-      Printf.sprintf "; first racing site: rank %d face %s site %d = (%d,%d,%d,%d)"
-        src (face_name send_fid) g c.(0) c.(1) c.(2) c.(3)
+    let g = rg.D.local_to_global.(rg.D.faces.(send_fid).D.send_sites.(0)) in
+    let c = Lattice.Geometry.coords (D.global dom) g in
+    Printf.sprintf "; first racing site: rank %d face %s site %d = (%d,%d,%d,%d)"
+      src (face_name send_fid) g c.(0) c.(1) c.(2) c.(3)
   in
   (* A write on [r] races every message r posted that is still in
      flight. What that means depends on the transport: staged ships
@@ -229,12 +228,8 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
                   !in_flight n)
                ~hint:"complete the face before its boundary sub-stencil runs")
         else if !stale > 0 then
-          let covered_by_last =
-            match !last_subset with
-            | Some fs -> List.mem fid fs
-            | None -> false
-          in
-          if (not covered_by_last) && !last_subset <> None then
+          match !last_subset with
+          | Some fs when not (List.mem fid fs) ->
             add
               (Diagnostic.error ~rule:"HALO003"
                  ~loc:(Printf.sprintf "%s face %s" loc (face_name fid))
@@ -243,7 +238,7 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
                      ?faces subset"
                     !stale n)
                  ~hint:"add the face to the subset or exchange all faces")
-          else
+          | _ ->
             add
               (Diagnostic.error ~rule:"HALO001"
                  ~loc:(Printf.sprintf "%s face %s" loc (face_name fid))
@@ -254,19 +249,18 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
                  ~hint:"insert a halo exchange between the write and the read"))
       fids
   in
-  (* Deliver ghost face [fid] on every rank where it is in flight;
-     returns how many ranks had nothing pending. Stamps ghost_epoch
-     with the posting epoch — completion time, posted data. *)
-  let deliver fid =
-    let missing = ref 0 in
-    for r = 0 to n - 1 do
-      match pending.(r).(fid) with
-      | Some m ->
-        ghost_epoch.(r).(fid) <- m.epoch;
-        pending.(r).(fid) <- None
-      | None -> incr missing
-    done;
-    !missing
+  (* Deliver ghost face [fid] on every rank where it is in flight,
+     stamping ghost_epoch with the posting epoch — completion time,
+     posted data. A post reaches every rank, so a face is in flight on
+     all ranks or on none. *)
+  let deliver loc fid =
+    if Array.for_all (fun row -> row.(fid) = None) pending then
+      malformed loc (Printf.sprintf "face %s is not in flight" (face_name fid));
+    Array.iteri
+      (fun r row ->
+        Option.iter (fun m -> ghost_epoch.(r).(fid) <- m.epoch) row.(fid);
+        row.(fid) <- None)
+      pending
   in
   let posted_msgs = ref 0 in
   let post_faces fids =
@@ -281,97 +275,62 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
         done)
       fids
   in
+  let rec step loc = function
+    | Scatter | Write [] -> bump_writes loc all_ranks
+    | Write ranks -> bump_writes loc ranks
+    | Exchange faces ->
+      (* post, then complete the recv faces it fills: the sequence
+         Comm.halo_exchange records *)
+      step loc (Post faces);
+      let fids = Option.value faces ~default:all_faces in
+      step loc (Complete (Some (Array.map opposite fids)))
+    | Post faces ->
+      let fids =
+        match faces with None -> all_faces | Some fs -> subset loc fs
+      in
+      if Array.for_all (( = ) 0) write_epoch then
+        add
+          (Diagnostic.info ~rule:"HALO006" ~loc
+             "post before any scatter/write: ghosts will refresh zero data");
+      Array.iter
+        (fun fid ->
+          if Array.exists (fun row -> row.(opposite fid) <> None) pending then
+            add
+              (Diagnostic.warning ~rule:"HALO005" ~loc
+                 (Printf.sprintf
+                    "face %s re-posted while the previous post is in flight"
+                    (face_name fid))))
+        fids;
+      post_faces fids;
+      (* a new round began: completions accumulate from scratch *)
+      last_subset := None
+    | Complete faces ->
+      let fids =
+        match faces with
+        | Some fs -> Array.to_list fs
+        | None ->
+          (* every face any rank still has in flight *)
+          List.filter
+            (fun fid -> Array.exists (fun row -> row.(fid) <> None) pending)
+            (Array.to_list all_faces)
+      in
+      List.iter (deliver loc) fids;
+      if fids <> [] then
+        last_subset :=
+          (match !last_subset with
+          | Some prev when faces <> None ->
+            (* accumulate per-face completions of one post *)
+            Some (List.sort_uniq compare (prev @ fids))
+          | _ -> Some fids)
+    | Stencil Interior -> ()  (* interior sites never touch ghosts *)
+    | Stencil (Full | Boundary) -> check_ghost_reads loc all_faces
+    | Stencil_faces fs -> check_ghost_reads loc fs
+  in
   List.iteri
     (fun i op ->
       let loc = Printf.sprintf "op#%d %s" i (op_name op) in
-      match op with
-      | Scatter -> bump_writes loc all_ranks
-      | Write [] -> bump_writes loc all_ranks
-      | Write ranks ->
-        let valid =
-          List.filter
-            (fun r ->
-              if r < 0 || r >= n then begin
-                add
-                  (Diagnostic.error ~rule:"HALO004" ~loc
-                     (Printf.sprintf "rank %d outside 0..%d" r (n - 1)));
-                false
-              end
-              else true)
-            ranks
-        in
-        bump_writes loc valid
-      | Exchange faces ->
-        let fids =
-          match faces with None -> all_faces | Some fs -> validate_subset loc fs
-        in
-        if Array.for_all (( = ) 0) write_epoch then
-          add
-            (Diagnostic.info ~rule:"HALO006" ~loc
-               "exchange before any scatter/write: ghosts refresh zero data");
-        (* blocking = post + complete fused *)
-        post_faces fids;
-        let recv_fids = Array.map opposite fids in
-        Array.iter (fun fid -> ignore (deliver fid)) recv_fids;
-        (* recv-side ids, as Complete records: exchanging x+ refreshes
-           the receivers' x- ghosts *)
-        last_subset := Some (Array.to_list recv_fids)
-      | Post faces ->
-        let fids =
-          match faces with None -> all_faces | Some fs -> validate_subset loc fs
-        in
-        if Array.for_all (( = ) 0) write_epoch then
-          add
-            (Diagnostic.info ~rule:"HALO006" ~loc
-               "post before any scatter/write: ghosts will refresh zero data");
-        Array.iter
-          (fun fid ->
-            if Array.exists (fun row -> row.(opposite fid) <> None) pending
-            then
-              add
-                (Diagnostic.warning ~rule:"HALO005" ~loc
-                   (Printf.sprintf
-                      "face %s re-posted while the previous post is in flight"
-                      (face_name fid))))
-          fids;
-        post_faces fids;
-        (* a new round began: completions accumulate from scratch *)
-        last_subset := None
-      | Complete faces ->
-        let fids =
-          match faces with
-          | Some fs -> validate_subset ~pairs:false loc fs
-          | None ->
-            (* every face any rank still has in flight *)
-            Array.of_list
-              (List.filter
-                 (fun fid ->
-                   Array.exists (fun row -> row.(fid) <> None) pending)
-                 (Array.to_list all_faces))
-        in
-        Array.iter
-          (fun fid ->
-            let missing = deliver fid in
-            if missing = n && faces <> None then
-              add
-                (Diagnostic.error ~rule:"HALO010"
-                   ~loc:(Printf.sprintf "%s face %s" loc (face_name fid))
-                   "complete of a face that was never posted: \
-                    Comm.complete raises on it"
-                   ~hint:"post the face first, or drop the completion"))
-          fids;
-        if Array.length fids > 0 then
-          last_subset :=
-            (match !last_subset with
-            | Some prev when faces <> None ->
-              (* accumulate per-face completions of one post *)
-              Some
-                (List.sort_uniq compare (prev @ Array.to_list fids))
-            | _ -> Some (Array.to_list fids))
-      | Stencil Interior -> ()  (* interior sites never touch ghosts *)
-      | Stencil (Full | Boundary) -> check_ghost_reads loc all_faces
-      | Stencil_faces fs ->
-        check_ghost_reads loc (validate_subset ~pairs:false loc fs))
+      check_input loc op;
+      step loc op)
     ops;
   (* a message still in flight at the end of the schedule was lost:
      its receiver's ghosts never got the posted data *)
@@ -408,6 +367,35 @@ let verify_schedule ?(transport = Machine.Transport.Staged) ?policy dom
            "this schedule is already write-after-post free: the staged \
             transport delivers the same data without the extra copy");
   Diagnostic.sort (List.rev !ds)
+
+(* ---- recordings of live code ---- *)
+
+let record f =
+  let x, events = Util.Prof.record f in
+  (x, List.filter_map (function Util.Prof.Halo op -> Some op | _ -> None) events)
+
+type run = Blocking | Overlapped of Machine.Policy.granularity | Solve
+
+(* One fixed-seed problem: a hot 4^4 lattice over 2x2x1x1 ranks, so
+   x and y cross ranks and z and t wrap onto the rank itself. *)
+let recorded transport run =
+  let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
+  let dom = D.create geom [| 2; 2; 1; 1 |] in
+  let rng = Util.Rng.create 20_180_920 in
+  let dd = Vrank.Dd_wilson.create ~transport dom (Lattice.Gauge.random geom rng) in
+  let src = Linalg.Field.create (Lattice.Geometry.volume geom * 24) in
+  Linalg.Field.gaussian rng src;
+  let (), ops =
+    record (fun () ->
+        match run with
+        | Blocking -> ignore (Vrank.Dd_wilson.hop_global dd src)
+        | Overlapped granularity ->
+          ignore (Vrank.Dd_wilson.hop_global ~overlapped:true ~granularity dd src)
+        | Solve ->
+          let solver = Vrank.Dd_solve.create dd ~mass:0.1 in
+          ignore (Vrank.Dd_solve.solve_normal ~max_iter:1 solver ~b_global:src))
+  in
+  (dd, ops)
 
 (* Runtime audit of a live Comm: flag every currently-stale ghost face
    (same freshness rule, read from the epoch counters the instrumented

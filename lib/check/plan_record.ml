@@ -20,7 +20,7 @@ open Plan_ir
 let vecs = function
   | P.Launch l -> List.filter_map (fun o -> o.P.vec) l.P.operands
   | P.Quantize (v, _) -> [ v ]
-  | P.Mark _ -> []
+  | P.Mark _ | P.Halo _ -> []
 
 let mem v = List.exists (( == ) v)
 
@@ -53,7 +53,7 @@ let plan ?fusion pname events =
                   ~args:(List.map arg l.P.operands) l.P.kernel))
         | P.Quantize (v, qblock) ->
           Some (Quantize { qbuf = name None v; qblock })
-        | P.Mark _ -> None)
+        | P.Mark _ | P.Halo _ -> None)
       events
   in
   let half nm =

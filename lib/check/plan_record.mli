@@ -10,8 +10,9 @@ val plan : ?fusion:bool -> string -> Util.Prof.event list -> Plan_ir.plan
     appearance and all declared — [Half block] when the recording
     quantizes them, [Double] otherwise; a vector read before it is
     written carries the magnitude interval it held at that read.
-    Reductions become scalars [s1], [s2], …; marks are dropped; [n] is
-    the longest launch. [fusion] tags a model-priced plan. *)
+    Reductions become scalars [s1], [s2], …; marks and halo steps
+    are dropped; [n] is the longest launch. [fusion] tags a
+    model-priced plan. *)
 
 val iteration : Util.Prof.event list -> Util.Prof.event list
 (** The events between the first and second mark of right-hand side

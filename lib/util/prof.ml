@@ -22,7 +22,19 @@ type launch = {
   sweeps : int;
 }
 
-type event = Launch of launch | Quantize of vec * int | Mark of int * float
+module Halo = struct
+  type stencil = Full | Interior | Boundary
+  type op =
+    | Scatter
+    | Write of int list
+    | Exchange of int array option
+    | Post of int array option
+    | Complete of int array option
+    | Stencil of stencil
+    | Stencil_faces of int array
+end
+
+type event = Launch of launch | Quantize of vec * int | Mark of int * float | Halo of Halo.op
 
 let on = ref false
 let owner = ref (Domain.self ())
@@ -102,3 +114,4 @@ let launch ~kernel ~n ~geometry ~block ~sweeps operands =
 
 let quantize v ~block = push (Quantize (v, block))
 let mark ~rhs r2 = push (Mark (rhs, r2))
+let halo op = push (Halo op)

@@ -3,11 +3,14 @@
     [Linalg.Field], [Linalg.Fused], [Linalg.Multi_blas],
     [Dirac.Wilson] and [Dirac.Mobius] reports through
     [Linalg.Field.launch]; [Solver.Mixed.quantize] reports its codec
-    passes and the solvers their iterations ({!mark}).
-    [Check.Plan_record] turns a recording into a static plan.
+    passes, the solvers their iterations ({!mark}), and [Vrank.Comm]
+    and [Vrank.Dd_wilson] each step of the halo protocol ({!halo}).
+    [Check.Plan_record] turns a recording into a static plan;
+    [Check.Halo_check] replays its halo steps.
 
     Off by default: {!launch}, {!quantize} and {!mark} then return
-    after one ref read. A launch still builds its operand list, about
+    after one ref read, and a {!halo} hook is one ref read that
+    allocates nothing. A launch still builds its operand list, about
     ten words an operand, because [Linalg.Field.launch] checks aliasing
     over it recorded or not. Measured on a 2-vCPU Xeon, the list and
     the check cost a 24-float [Field.axpy] 34 minor words and 40–60 ns
@@ -37,12 +40,28 @@ type launch = {
   sweeps : int;  (** 1 for a BLAS-1 kernel, 0 for a stencil or operator *)
 }
 
+(** One step of the halo protocol, as [Check.Halo_check] replays it. *)
+module Halo : sig
+  type stencil = Full | Interior | Boundary  (** [Interior] reads no ghost *)
+
+  type op =
+    | Scatter  (** [Comm.scatter]: every rank's local sites rewritten *)
+    | Write of int list  (** [Comm.mark_written] of these ranks; [[]] = all *)
+    | Exchange of int array option  (** a blocking exchange; hand-built only *)
+    | Post of int array option  (** [Comm.post ?faces] *)
+    | Complete of int array option
+        (** of these recv-side faces; [None] = every face in flight *)
+    | Stencil of stencil
+    | Stencil_faces of int array  (** a sub-stencil reading only these ghosts *)
+end
+
 type event =
   | Launch of launch
   | Quantize of vec * int  (** a half-codec pass, with its block *)
   | Mark of int * float
       (** an iteration boundary: the right-hand side's batch slot and
           its |r|² *)
+  | Halo of Halo.op
 
 val on : bool ref
 (** [true] while {!record} runs; only {!record} sets it. *)
@@ -90,3 +109,7 @@ val mark : rhs:int -> float -> unit
     [Solver.Mixed]'s inner loop and [Solver.Bicgstab] (after each of
     its two residual updates) mark; [Check.Plan_record] cuts an
     iteration of slot 0 at them. *)
+
+val halo : Halo.op -> unit
+(** Record a halo step that ran. Callers write [if !Util.Prof.on then
+    Util.Prof.halo op], building [op] only when recording. *)

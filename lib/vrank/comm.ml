@@ -127,11 +127,35 @@ let compress t = t.compress
 
 let n_ranks t = Domain.n_ranks t.dom
 
-let mark_written t r = t.write_epoch.(r) <- t.write_epoch.(r) + 1
+(* The entries check their arguments before anything is counted,
+   written or recorded: the protocol indexes them unchecked. *)
+let check_face entry fid =
+  if fid < 0 || fid > 7 then
+    invalid_arg (Printf.sprintf "Comm.%s: face id %d outside 0..7" entry fid)
+
+let check_fields entry t (fields : Field.t array) =
+  if Array.length fields <> n_ranks t then
+    invalid_arg
+      (Printf.sprintf "Comm.%s: %d fields for %d ranks" entry
+         (Array.length fields) (n_ranks t));
+  for r = 0 to n_ranks t - 1 do
+    let len = (Domain.rank_geometry t.dom r).Domain.ext_volume * t.dof in
+    if Field.length fields.(r) <> len then
+      invalid_arg
+        (Printf.sprintf "Comm.%s: rank %d field of %d floats, expected %d"
+           entry r (Field.length fields.(r)) len)
+  done
+
+let bump t r = t.write_epoch.(r) <- t.write_epoch.(r) + 1
+
+let mark_written t r =
+  if r < 0 || r >= n_ranks t then
+    invalid_arg
+      (Printf.sprintf "Comm.mark_written: rank %d outside 0..%d" r (n_ranks t - 1));
+  if !Util.Prof.on then Util.Prof.halo (Util.Prof.Halo.Write [ r ]);
+  bump t r
 
 let write_epoch t r = t.write_epoch.(r)
-
-let ghost_epoch t ~rank ~face = t.ghost_epoch.(rank).(face)
 
 (* The rank whose boundary sites fill ghost face [face] of [rank] is
    that face's exchange partner (symmetric on the periodic grid). *)
@@ -160,12 +184,14 @@ let create_fields t : Field.t array =
    per-rank extended fields; ghosts left stale (a halo exchange must
    follow). *)
 let scatter t (global : Field.t) (fields : Field.t array) =
+  check_fields "scatter" t fields;
   Array.iteri
     (fun r (ext : Field.t) ->
       let local = Domain.scatter_field t.dom ~dof:t.dof global r in
       Field.blit local (Bigarray.Array1.sub ext 0 (Field.length local));
-      mark_written t r)
-    fields
+      bump t r)
+    fields;
+  if !Util.Prof.on then Util.Prof.halo Util.Prof.Halo.Scatter
 
 (* ---- nonblocking per-face protocol ---- *)
 
@@ -255,32 +281,20 @@ let wire_bytes t ~n_sites =
   else float_of_int (n_sites * t.dof * 8)
 
 (* Pack (transport permitting) and "send" every listed face of every
-   rank. Ghost slots are untouched until the matching [complete]. The
-   fields and the face ids are checked before any message is counted:
-   the pack and the zero-copy delivery index them unchecked. *)
+   rank. Ghost slots are untouched until the matching [complete]. *)
 let post ?faces t (fields : Field.t array) : handle =
-  if Array.length fields <> n_ranks t then
-    invalid_arg
-      (Printf.sprintf "Comm.post: %d fields for %d ranks" (Array.length fields)
-         (n_ranks t));
-  Array.iteri
-    (fun r (f : Field.t) ->
-      let len = (Domain.rank_geometry t.dom r).Domain.ext_volume * t.dof in
-      if Field.length f <> len then
-        invalid_arg
-          (Printf.sprintf "Comm.post: rank %d field of %d floats, expected %d" r
-             (Field.length f) len))
-    fields;
+  check_fields "post" t fields;
   let face_ids = match faces with None -> all_face_ids | Some f -> f in
   Array.iteri
     (fun i fid ->
-      if fid < 0 || fid > 7 then
-        invalid_arg (Printf.sprintf "Comm.post: face id %d outside 0..7" fid);
+      check_face "post" fid;
       for j = 0 to i - 1 do
         if face_ids.(j) = fid then
           invalid_arg (Printf.sprintf "Comm.post: face id %d listed twice" fid)
       done)
     face_ids;
+  if !Util.Prof.on then
+    Util.Prof.halo (Util.Prof.Halo.Post (Option.map Array.copy faces));
   if Array.length face_ids = 8 then
     t.stats.full_exchanges <- t.stats.full_exchanges + 1
   else t.stats.partial_exchanges <- t.stats.partial_exchanges + 1;
@@ -347,11 +361,14 @@ let send_face_of_recv fid = (2 * (fid / 2)) + (1 - (fid mod 2))
    delivered bytes really differ from the posted ones; Double_buffered
    is immune — the writer never touches a buffer in flight. *)
 let complete h ~face =
+  check_face "complete" face;
   let t = h.owner in
   let mine, rest = List.partition (fun m -> m.msg_face = face) h.in_flight in
   if mine = [] then
     invalid_arg
       (Printf.sprintf "Comm.complete: face %s is not in flight" (face_label face));
+  if !Util.Prof.on then
+    Util.Prof.halo (Util.Prof.Halo.Complete (Some [| face |]));
   h.in_flight <- rest;
   List.iter
     (fun m ->

@@ -1,6 +1,11 @@
 (** Virtual-rank message passing: N ranks executed sequentially with
     real buffers, running the pack/post/complete/unpack pattern of an
-    MPI nonblocking halo exchange with message and byte accounting. *)
+    MPI nonblocking halo exchange with message and byte accounting.
+
+    [scatter], [mark_written], [post] and [complete] raise
+    [Invalid_argument] on a bad argument before anything is counted,
+    written or recorded, and report the step that ran to [Util.Prof]
+    ([halo_exchange] as its post and completes). *)
 
 type transport = Machine.Transport.t = Staged | Zero_copy | Double_buffered
 (** How the send side treats face data between post and complete:
@@ -63,7 +68,8 @@ val create_fields : t -> Linalg.Field.t array
 val scatter : t -> Linalg.Field.t -> Linalg.Field.t array -> unit
 (** Global field → per-rank local portions, restricted through
     [Lattice.Domain.scatter_field] (ghosts left stale). Raises
-    [Invalid_argument] unless the global field is volume·dof floats. *)
+    [Invalid_argument] unless the global field is volume·dof floats
+    and there is one ext_volume·dof field per rank. *)
 
 (** {2 Nonblocking per-face protocol}
 
@@ -88,14 +94,14 @@ val post : ?faces:int array -> t -> Linalg.Field.t array -> handle
 
 val complete : handle -> face:int -> unit
 (** Deliver ghost face [face] (recv-side id) on every rank. Raises
-    [Invalid_argument] if the face is not in flight (never posted, or
-    completed twice). A sender writing its local sites between post and
-    complete is counted as a send-buffer race under [Staged] and
-    [Zero_copy] (and raises in strict mode); under [Zero_copy] the
-    delivered ghosts additionally come from the sender's {e live} field
-    and a real change is counted in [stats.corruptions].
-    [Double_buffered] delivers the post-time data silently — the race
-    cannot happen. *)
+    [Invalid_argument] on a face id outside 0..7, or a face not in
+    flight (never posted, or completed twice). A sender writing its
+    local sites between post and complete is counted as a send-buffer
+    race under [Staged] and [Zero_copy] (and raises in strict mode);
+    under [Zero_copy] the delivered ghosts additionally come from the
+    sender's {e live} field and a real change is counted in
+    [stats.corruptions]. [Double_buffered] delivers the post-time data
+    silently — the race cannot happen. *)
 
 val complete_all : handle -> unit
 (** Complete every pending face, in ascending face id. *)
@@ -131,11 +137,10 @@ val strict : bool ref
 val mark_written : t -> int -> unit
 (** Declare that rank's local sites changed (its neighbors' ghosts of
     it are now stale until the next exchange; any in-flight message it
-    posted is now racing — and, under [Zero_copy], corrupt). *)
+    posted is now racing — and, under [Zero_copy], corrupt). Raises
+    [Invalid_argument] on a rank outside the domain. *)
 
 val write_epoch : t -> int -> int
-val ghost_epoch : t -> rank:int -> face:int -> int
-(** [-1] until the face is first completed. *)
 
 val ghost_fresh : t -> rank:int -> face:int -> bool
 val stale_faces : t -> int -> int list

@@ -74,10 +74,11 @@ let solve_normal ?(tol = 1e-10) ?(max_iter = 5000) t ~(b_global : Field.t) =
       ~flops_per_apply:(float_of_int (2 * volume * Dirac.Flops.wilson_apply_per_site))
       ()
   in
-  (* Cg's global sums: |b|² and |r₀|² at entry, p·Ap and |r|² per
-     iteration, and the closing |b − Ax|², which a zero b skips *)
+  (* Cg's global sums: |b|² at entry (without a guess, |r₀|² is |b|²),
+     p·Ap and |r|² per iteration, and the closing |b − Ax|², which a
+     zero b skips *)
   t.allreduces <-
-    (t.allreduces + if b2 = 0. then 2 else (2 * stats.Solver.Cg.iterations) + 3);
+    (t.allreduces + if b2 = 0. then 1 else (2 * stats.Solver.Cg.iterations) + 2);
   (* full-halo exchanges only: the count that is comparable with
      [Comm.halo_bytes_per_rank]-based byte estimates (partial-face
      exchanges are tallied separately in [Comm.stats]) *)

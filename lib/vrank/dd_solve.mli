@@ -32,9 +32,10 @@ val solve_normal :
     and two cumulative communication counts. [`Exchanges] is
     [Comm.stats]' [full_exchanges], comparable with
     [Comm.halo_bytes_per_rank] estimates. [`Allreduces] counts global
-    sums: each solve adds 2·iterations + 3 (|b|² and |r₀|² at entry,
-    p·Ap and |r|² per iteration, the closing |b − Ax|²), or 2 for a
-    zero b, which returns x = 0 after 0 iterations, converged, with
-    relative residual 0.
+    sums: each solve adds 2·iterations + 2 (|b|² at entry, which is
+    |r₀|² too, p·Ap and |r|² per iteration, the closing |b − Ax|²),
+    or 1 for a zero b, which returns x = 0 after 0 iterations,
+    converged, with relative residual 0. The host-side check of the
+    caller's global b is not one of them.
     @raise Invalid_argument on a non-finite b, or a b that is not
     volume·24 floats. *)

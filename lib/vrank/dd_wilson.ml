@@ -73,23 +73,11 @@ let create ?transport dom gauge =
 
 let comm t = t.comm
 
-(* Strict-mode gate: a stencil about to read ghost zones refuses to
-   run on stale ones (Comm.strict), naming rank and faces — the
-   runtime arm of the halo race detector. *)
-let assert_ghosts_fresh t ~what =
-  if !Comm.strict then
-    for r = 0 to Domain.n_ranks t.dom - 1 do
-      match Comm.stale_faces t.comm r with
-      | [] -> ()
-      | fs ->
-        invalid_arg
-          (Printf.sprintf "%s: stale ghost faces on rank %d: %s" what r
-             (String.concat "," (List.map Comm.face_label fs)))
-    done
-
-(* Per-face form of the same gate, applied at the point a boundary
-   sub-stencil reads its ghosts: only the faces in [mask] matter for
-   the sites about to run. *)
+(* Strict-mode gate (Comm.strict), the runtime arm of the halo race
+   detector: a boundary sub-stencil about to read the ghost faces in
+   [mask] refuses to run on a stale one, naming rank and face. The
+   blocking [hop] needs none: its exchange completes every face it
+   posted, with nothing written in between. *)
 let assert_faces_fresh t ~what ~rank ~mask =
   if !Comm.strict then
     for f = 0 to 7 do
@@ -107,10 +95,10 @@ let assert_faces_fresh t ~what ~rank ~mask =
    local_volume sites each. *)
 let hop t ~(fields : Field.t array) ~(dsts : Field.t array) =
   Comm.halo_exchange t.comm fields;
-  assert_ghosts_fresh t ~what:"Dd_wilson.hop";
   Array.iteri
     (fun r kernel -> Wilson.hop kernel ~src:fields.(r) ~dst:dsts.(r))
-    t.kernels
+    t.kernels;
+  if !Util.Prof.on then Util.Prof.halo Util.Prof.Halo.(Stencil Full)
 
 let default_order = [| 0; 1; 2; 3; 4; 5; 6; 7 |]
 
@@ -125,6 +113,24 @@ let check_order order =
       seen.(f) <- true)
     order
 
+(* A boundary site runs in the fine-grained step that completes the
+   last of the ghost faces [mask] it reads. *)
+let runs_after ~face ~now mask = mask land (1 lsl face) <> 0 && mask land now = mask
+
+(* Record the ghost faces a fine-grained step's sub-stencils read on
+   all ranks, recomputed here so that an unrecorded step allocates
+   nothing more. *)
+let record_step t ~face ~now =
+  let read =
+    Array.fold_left
+      (Array.fold_left (fun m (_, mask) ->
+           if runs_after ~face ~now mask then m lor mask else m))
+      0 t.face_needs
+  in
+  if read <> 0 then
+    let faces = List.filter (fun f -> read land (1 lsl f) <> 0) (List.init 8 Fun.id) in
+    Util.Prof.halo (Util.Prof.Halo.Stencil_faces (Array.of_list faces))
+
 (* Overlapped application: post every face, run the interior stencil on
    pre-exchange data while the messages are in flight, then complete
    faces in [order]. Fine-grained runs each boundary site's sub-stencil
@@ -132,7 +138,7 @@ let check_order order =
    completes every face first and runs the whole boundary in one
    sweep. The freshness assertion runs at the point each sub-stencil
    reads its ghosts — not after a fused exchange, where it could never
-   fire. *)
+   fire. Each stencil phase is recorded after it ran. *)
 let hop_overlapped ?(granularity = Policy.Fine) ?(order = default_order) t
     ~(fields : Field.t array) ~(dsts : Field.t array) =
   check_order order;
@@ -144,6 +150,7 @@ let hop_overlapped ?(granularity = Policy.Fine) ?(order = default_order) t
       Wilson.hop_sites kernel ~sites:rg.Domain.interior_sites ~src:fields.(r)
         ~dst:dsts.(r) ())
     t.kernels;
+  if !Util.Prof.on then Util.Prof.halo Util.Prof.Halo.(Stencil Interior);
   match granularity with
   | Policy.Coarse ->
     Array.iter (fun face -> Comm.complete h ~face) order;
@@ -154,7 +161,8 @@ let hop_overlapped ?(granularity = Policy.Fine) ?(order = default_order) t
           ~mask:(Array.fold_left (fun m (_, mask) -> m lor mask) 0 t.face_needs.(r));
         Wilson.hop_sites kernel ~sites:rg.Domain.boundary_sites ~src:fields.(r)
           ~dst:dsts.(r) ())
-      t.kernels
+      t.kernels;
+    if !Util.Prof.on then Util.Prof.halo Util.Prof.Halo.(Stencil Boundary)
   | Policy.Fine ->
     let completed = ref 0 in
     Array.iter
@@ -168,7 +176,7 @@ let hop_overlapped ?(granularity = Policy.Fine) ?(order = default_order) t
             let ready = ref [] and group_mask = ref 0 in
             Array.iter
               (fun (s, mask) ->
-                if mask land (1 lsl face) <> 0 && mask land now = mask then begin
+                if runs_after ~face ~now mask then begin
                   ready := s :: !ready;
                   group_mask := !group_mask lor mask
                 end)
@@ -180,7 +188,8 @@ let hop_overlapped ?(granularity = Policy.Fine) ?(order = default_order) t
                 ~sites:(Array.of_list (List.rev !ready))
                 ~src:fields.(r) ~dst:dsts.(r) ()
             end)
-          t.kernels)
+          t.kernels;
+        if !Util.Prof.on then record_step t ~face ~now)
       order
 
 (* Global-field convenience interface (tests, small workloads):

@@ -24,7 +24,8 @@ val create : ?transport:Comm.transport -> Lattice.Domain.t -> Lattice.Gauge.t ->
 val comm : t -> Comm.t
 
 val hop : t -> fields:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
-(** Blocking exchange, then the full stencil on every rank. *)
+(** Blocking exchange, then the full stencil on every rank; reports
+    [Stencil Full] to [Util.Prof] after the stencil ran. *)
 
 val default_order : int array
 (** Face completion order 0..7. *)
@@ -43,7 +44,12 @@ val hop_overlapped :
     runs one boundary sweep — the two halves of the paper's
     communication-granularity policy axis. In strict mode every
     sub-stencil asserts the freshness of exactly the faces it reads, at
-    the point it reads them. *)
+    the point it reads them.
+
+    Each stencil phase reports to [Util.Prof] after it ran:
+    [Stencil Interior]; then fine-grained, one [Stencil_faces] per
+    completion step that ran sub-stencils, naming the ghost faces they
+    read; coarse-grained, [Stencil Boundary]. *)
 
 val hop_global :
   ?overlapped:bool ->

@@ -31,15 +31,16 @@ let test_tuner_distinguishes_signatures () =
   Alcotest.(check int) "two searches" 2 (Tuner.tune_count t)
 
 let test_tuner_picks_faster () =
-  (* five repeats: one preempted sample of the slow baseline cannot
-     widen its quartile spread past the gap *)
+  (* the slow baseline spins until 10 ms of wall clock have passed: a
+     busy host can delay a sample's end by one preemption, but cannot
+     stretch the sample in proportion to the load, so its quartile
+     spread stays under its gap to the no-op *)
   let t = Tuner.create ~repeats:5 () in
   let slow () =
-    let acc = ref 0. in
-    for i = 1 to 2_000_000 do
-      acc := !acc +. float_of_int i
-    done;
-    ignore !acc
+    let stop = Util.Clock.now_s () +. 0.01 in
+    while Util.Clock.now_s () < stop do
+      ()
+    done
   in
   let fast () = () in
   let w =

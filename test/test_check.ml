@@ -254,14 +254,76 @@ let test_halo_lost_completion () =
   Alcotest.(check bool) "HALO009 never-completed faces" true
     (fires_error "HALO009" ds)
 
+(* The replay takes Vrank.Comm's input contract: a schedule Comm
+   refuses at the call (so no recording holds it) is malformed, and
+   verify_schedule raises naming itself, as Comm names its entry. *)
 let test_halo_complete_without_post () =
-  let ds =
-    Halo.verify_schedule (domain ())
-      [ Halo.Scatter; Halo.Complete (Some [| 0 |]); Halo.Stencil Halo.Interior ]
+  List.iter
+    (fun (what, ops) ->
+      match Halo.verify_schedule (domain ()) (Halo.Scatter :: ops) with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names verify_schedule" what msg)
+          true
+          (String.starts_with ~prefix:"Halo_check.verify_schedule:" msg))
+    [
+      ("face 8", [ Halo.Exchange (Some [| 8 |]) ]);
+      ("face -1", [ Halo.Post (Some [| -1 |]) ]);
+      ("repeated id", [ Halo.Exchange (Some [| 0; 1; 0 |]) ]);
+      ("rank 7", [ Halo.Write [ 7 ] ]);
+      ( "complete without post",
+        [ Halo.Complete (Some [| 0 |]); Halo.Stencil Halo.Interior ] );
+    ]
+
+(* The recording of the real fine-grained hop_overlapped verifies
+   silent; moving its first boundary sub-stencil ahead of the complete
+   of a face it reads is HALO007. *)
+let test_halo_recorded_overlap () =
+  let dom = domain () in
+  let geom = Lattice.Domain.global dom in
+  let rng = Util.Rng.create 19 in
+  let dd = Vrank.Dd_wilson.create dom (Lattice.Gauge.random geom rng) in
+  let src = F.create (Lattice.Geometry.volume geom * 24) in
+  F.gaussian rng src;
+  let _, ops =
+    Halo.record (fun () ->
+        Vrank.Dd_wilson.hop_global ~overlapped:true
+          ~granularity:Machine.Policy.Fine dd src)
   in
-  Alcotest.(check bool) "HALO010 complete without post" true (fires "HALO010" ds);
-  (* Comm.complete raises on it, so it is an error, not a warning *)
-  Alcotest.(check bool) "HALO010 is an error" true (fires_error "HALO010" ds)
+  Alcotest.(check int) "recording verifies silent" 0
+    (List.length (Halo.verify_schedule dom ops));
+  let ops = Array.of_list ops in
+  let first = ref (-1) in
+  Array.iteri
+    (fun i op ->
+      match op with Halo.Stencil_faces _ when !first < 0 -> first := i | _ -> ())
+    ops;
+  let reads =
+    match ops.(!first) with Halo.Stencil_faces fs -> fs | _ -> [||]
+  in
+  (* the latest complete before it of a face it reads *)
+  let needed = ref (-1) in
+  Array.iteri
+    (fun i op ->
+      match op with
+      | Halo.Complete (Some [| f |]) when i < !first && Array.mem f reads ->
+        needed := i
+      | _ -> ())
+    ops;
+  Alcotest.(check bool) "the sub-stencil follows a complete it needs" true
+    (!needed >= 0);
+  let moved =
+    List.concat
+      [
+        Array.to_list (Array.sub ops 0 !needed);
+        [ ops.(!first) ];
+        Array.to_list (Array.sub ops !needed (!first - !needed));
+        Array.to_list (Array.sub ops (!first + 1) (Array.length ops - !first - 1));
+      ]
+  in
+  Alcotest.(check bool) "HALO007 on the moved sub-stencil" true
+    (fires_error "HALO007" (Halo.verify_schedule dom moved))
 
 let test_halo_live_audit () =
   let dom = domain () in
@@ -345,10 +407,16 @@ let test_halo_verdicts_match_comm () =
   List.iter
     (fun (what, transport, ops) ->
       let dom = domain () in
+      (* a schedule Comm refuses breaks the replay's input contract *)
+      let analyzer_bad =
+        match verify_schedule ~transport dom ops with
+        | ds -> D.has_errors ds
+        | exception Invalid_argument _ -> true
+      in
       Alcotest.(check bool)
         (what ^ ": Halo_check errors iff Vrank.Comm sees a defect")
         (runtime_bad ~transport dom ops)
-        (D.has_errors (verify_schedule ~transport dom ops)))
+        analyzer_bad)
     [
       ("blocking clean", T.Staged, [ Scatter; Exchange None; Stencil Full ]);
       ( "interleaved clean", T.Staged,
@@ -571,6 +639,8 @@ let suite =
     Alcotest.test_case "halo: lost completion" `Quick test_halo_lost_completion;
     Alcotest.test_case "halo: complete without post" `Quick
       test_halo_complete_without_post;
+    Alcotest.test_case "halo: recorded overlap, early boundary read" `Quick
+      test_halo_recorded_overlap;
     Alcotest.test_case "halo: live comm audit" `Quick test_halo_live_audit;
     Alcotest.test_case "halo: verdicts match Vrank.Comm" `Quick
       test_halo_verdicts_match_comm;

@@ -210,11 +210,47 @@ let test_dd_solve_reports_like_cg () =
   done;
   Alcotest.(check int) "halo audit clean" 0
     (List.length (Check.Halo_check.audit comm));
-  Alcotest.(check int) "2 iterations + 3 allreduces"
-    ((2 * st.Solver.Cg.iterations) + 3)
+  Alcotest.(check int) "2 iterations + 2 allreduces"
+    ((2 * st.Solver.Cg.iterations) + 2)
     ar;
   Alcotest.(check int) "zero b: 0 iterations" 0 st0.Solver.Cg.iterations;
-  Alcotest.(check int) "zero b: 2 allreduces" 2 (ar0 - ar)
+  Alcotest.(check int) "zero b: 1 allreduce" 1 (ar0 - ar)
+
+(* [`Allreduces] counts the global sums a solve ran: the launches with a
+   reduction in its recording, all over the rank-major vector, except
+   the host-side check of the caller's global b *)
+let test_dd_solve_allreduces_recorded () =
+  let geom = Geometry.create [| 4; 4; 2; 4 |] in
+  let gauge = Gauge.warm geom (rng ()) ~eps:0.4 in
+  let dom = Domain.create geom [| 2; 2; 1; 1 |] in
+  let solver = Vrank.Dd_solve.create (Dd.create dom gauge) ~mass:0.3 in
+  let n = Geometry.volume geom * 24 in
+  let b = Field.create n in
+  Field.gaussian (rng ()) b;
+  let last = ref 0 in
+  List.iter
+    (fun (what, b) ->
+      let (_, _, _, `Allreduces ar), events =
+        Util.Prof.record (fun () ->
+            Vrank.Dd_solve.solve_normal ~tol:1e-10 solver ~b_global:b)
+      in
+      let global_sum = function
+        | Util.Prof.Launch l ->
+          let ops = l.Util.Prof.operands in
+          List.exists (fun o -> o.Util.Prof.role = Util.Prof.Reduce) ops
+          && not
+               (List.exists
+                  (fun o ->
+                    match o.Util.Prof.vec with Some v -> v == b | None -> false)
+                  ops)
+        | _ -> false
+      in
+      Alcotest.(check int)
+        (what ^ ": Allreduces = recorded global sums")
+        (List.length (List.filter global_sum events))
+        (ar - !last);
+      last := ar)
+    [ ("gaussian b", b); ("zero b", Field.create n) ]
 
 (* A NaN or +Inf in b raises at entry instead of returning x = 0
    after 0 iterations *)
@@ -336,6 +372,44 @@ let test_post_rejects_bad_faces () =
       ("face id -1", [| -1 |]);
       ("repeated face", [| 3; 1; 3 |]);
     ]
+
+(* Every Comm entry checks its arguments before anything is counted,
+   written or recorded, as Comm.post does *)
+let test_entries_reject_bad_arguments () =
+  let geom = Geometry.create [| 4; 4; 2; 2 |] in
+  let dom = Domain.create geom [| 2; 2; 1; 1 |] in
+  let comm = Comm.create dom ~dof:2 in
+  let fields = Comm.create_fields comm in
+  let global = Field.create (Geometry.volume geom * 2) in
+  Field.gaussian (rng ()) global;
+  Comm.scatter comm global fields;
+  let h = Comm.post comm fields in
+  let state () =
+    let s = Comm.stats comm in
+    ( (s.Comm.full_exchanges, s.Comm.partial_exchanges, s.Comm.messages, s.Comm.bytes),
+      List.init (Comm.n_ranks comm) (Comm.write_epoch comm),
+      Comm.pending_faces h )
+  in
+  let before = state () in
+  List.iter
+    (fun (expected, f) ->
+      let raised, events =
+        Util.Prof.record (fun () ->
+            match f () with () -> "" | exception Invalid_argument msg -> msg)
+      in
+      Alcotest.(check string) "raises" expected raised;
+      Alcotest.(check int) (expected ^ ": nothing recorded") 0 (List.length events);
+      Alcotest.(check bool) (expected ^ ": stats and epochs unchanged") true
+        (state () = before))
+    [
+      ("Comm.complete: face id 8 outside 0..7", fun () -> Comm.complete h ~face:8);
+      ("Comm.complete: face id -2 outside 0..7", fun () -> Comm.complete h ~face:(-2));
+      ("Comm.complete: face id -1 outside 0..7", fun () -> Comm.complete h ~face:(-1));
+      ( "Comm.scatter: 2 fields for 4 ranks",
+        fun () -> Comm.scatter comm global (Array.sub fields 0 2) );
+      ("Comm.mark_written: rank 7 outside 0..3", fun () -> Comm.mark_written comm 7);
+    ];
+  Comm.complete_all h
 
 let test_post_stages_complete_delivers () =
   (* between post and complete the ghosts must still hold the OLD data;
@@ -478,9 +552,13 @@ let suite =
       test_dd_solve_rejects_non_finite;
     Alcotest.test_case "dd CG reports like Cg.solve" `Quick
       test_dd_solve_reports_like_cg;
+    Alcotest.test_case "dd CG allreduces = recorded global sums" `Quick
+      test_dd_solve_allreduces_recorded;
     Alcotest.test_case "layout lengths checked" `Quick test_layout_lengths_checked;
     Alcotest.test_case "stats accumulate" `Quick test_comm_stats_accumulate;
     Alcotest.test_case "post rejects bad face ids" `Quick test_post_rejects_bad_faces;
+    Alcotest.test_case "entries reject bad arguments" `Quick
+      test_entries_reject_bad_arguments;
     Alcotest.test_case "partial vs full exchanges" `Quick
       test_partial_exchange_counted_separately;
     Alcotest.test_case "post stages, complete delivers" `Quick
